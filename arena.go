@@ -1,27 +1,19 @@
 package sbitmap
 
 import (
+	"fmt"
+	"unsafe"
+
 	"repro/internal/core"
 	"repro/internal/uhash"
 )
 
 // Cold-path allocation. A keyed Store materializes one counter per
-// distinct key; at millions of keys the per-key constructor cost — a
-// fresh Config dimensioning, a fresh Hasher, and three heap objects per
-// sketch — dominates cold ingest (BENCH_keyed.json's scattered-cold cell).
-// The hooks here let the Store amortize all of it: a counterArena slabs
-// per-key state for a Spec whose sketches are identically sized, and
-// scratchBulkAdder lets the Store lend one per-stripe hash scratch to
+// distinct key, so at millions of keys the per-key constructor cost and
+// heap objects dominate cold ingest and the Store's heap. An sbitmapArena
+// slabs per-key state for a Spec whose sketches are identically sized,
+// and scratchBulkAdder lets the Store lend one per-stripe hash scratch to
 // every tiny sketch instead of each lazily allocating its own ~4 KiB.
-
-// counterArena materializes counters for one Spec out of pre-allocated
-// slabs. Arenas are not safe for concurrent use — the Store confines each
-// to one lock stripe. Slots are never reclaimed: a counter dropped from
-// the Store leaks its slot until the whole slab is unreachable, which is
-// why the Store only uses arenas when it is not evicting.
-type counterArena interface {
-	next() Counter
-}
 
 // scratchBulkAdder is the BulkAdder variant whose batch path hashes
 // through caller-owned scratch instead of per-sketch buffers. The state
@@ -39,35 +31,41 @@ func (s *SBitmap) addBatchStringScratch(scr *uhash.Scratch, items []string) int 
 	return s.sk.AddBatchStringScratch(scr, items)
 }
 
-// sbitmapArena implements counterArena for KindSBitmap: core.SketchArena
-// slabs the sketch state, and the SBitmap facade values come from a
-// parallel slab so the whole per-key chain is two pointer bumps.
+// sbitmapArena materializes S-bitmaps for one Spec out of two slabs: a
+// record slab of SBitmap values (each holding its core.Sketch record by
+// value) and a word slab of bitmap words, under one core.Shared — the
+// Config, hasher and resolution — for all of them. A counter is one record
+// slot plus one run of words, so reaching a cold key's bitmap costs two
+// dependent loads, and materializing one allocates nothing between chunks.
+//
+// An arena is not safe for concurrent use — the Store confines each to
+// one lock stripe. Slots are never reclaimed: a counter dropped from the
+// Store leaks its slot until the whole chunk is unreachable, which is why
+// the Store only uses arenas when it is not evicting.
 type sbitmapArena struct {
-	arena *core.SketchArena
-	wraps []SBitmap
+	sh *core.Shared
+
+	// Free slots of the current chunk; a fresh chunk is allocated when
+	// they run out. Chunks grow geometrically so a small store does not
+	// pay for a big slab up front.
+	recs  []SBitmap
+	words []uint64 // sh.Words() per free slot
 	chunk int
 }
 
-func (a *sbitmapArena) next() Counter {
-	if len(a.wraps) == 0 {
-		if a.chunk == 0 {
-			a.chunk = 4
-		} else if a.chunk < 256 {
-			a.chunk *= 2
-		}
-		a.wraps = make([]SBitmap, a.chunk)
-	}
-	w := &a.wraps[0]
-	a.wraps = a.wraps[1:]
-	w.sk = a.arena.New()
-	return w
-}
+// Arena chunk growth bounds: the first chunk holds arenaChunkMin
+// counters, each later chunk doubles, capped at arenaChunkMax. The cap
+// bounds the allocated-but-unused slots per arena.
+const (
+	arenaChunkMin = 4
+	arenaChunkMax = 256
+)
 
 // newArena returns a slab allocator producing counters bit-identical to
 // Spec.New's, or nil for kinds without one (only the S-bitmap — the
-// Store's headline per-key sketch — has an arena today; other kinds fall
-// back to Spec.New per key).
-func (s Spec) newArena() (counterArena, error) {
+// Store's headline per-key sketch — has an arena; other kinds fall back
+// to Spec.New per key).
+func (s Spec) newArena() (*sbitmapArena, error) {
 	if s.Kind != KindSBitmap {
 		return nil, nil
 	}
@@ -80,9 +78,51 @@ func (s Spec) newArena() (counterArena, error) {
 		return nil, err
 	}
 	o := buildOptions(opts)
-	coreOpts := []core.Option{
-		core.WithResolution(o.dBits),
-		core.WithHasher(o.newHasher()),
-	}
-	return &sbitmapArena{arena: core.NewSketchArena(cfg, o.seed, coreOpts...)}, nil
+	sh := core.NewShared(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(o.newHasher()))
+	return &sbitmapArena{sh: sh}, nil
 }
+
+// slot hands out the next free record and its words, allocating a chunk
+// when the current one is spent.
+func (a *sbitmapArena) slot() (*SBitmap, []uint64) {
+	n := a.sh.Words()
+	if len(a.recs) == 0 {
+		a.chunk = min(max(2*a.chunk, arenaChunkMin), arenaChunkMax)
+		a.recs = make([]SBitmap, a.chunk)
+		a.words = make([]uint64, a.chunk*n)
+	}
+	r, w := &a.recs[0], a.words[:n]
+	a.recs, a.words = a.recs[1:], a.words[n:]
+	return r, w
+}
+
+// next materializes an empty counter.
+func (a *sbitmapArena) next() Counter {
+	r, w := a.slot()
+	a.sh.Init(&r.sk, w)
+	return r
+}
+
+// restore decodes a counter snapshot (as Marshal writes it) straight into
+// the next slot, building no Config and no hasher. ok is false, with no
+// error, when blob is not an S-bitmap envelope of the arena's own
+// parameters; the caller decodes such blobs with Unmarshal. (Such blobs
+// come only from damaged or hand-built snapshots; each costs its slot.)
+func (a *sbitmapArena) restore(blob []byte) (c Counter, ok bool, err error) {
+	kind, payload, err := openEnvelope(blob)
+	if err != nil || kind != KindSBitmap {
+		return nil, false, nil
+	}
+	r, w := a.slot()
+	if ok, err = a.sh.UnmarshalInto(&r.sk, w, payload); err != nil {
+		return nil, true, fmt.Errorf("sbitmap: %w", err)
+	} else if !ok {
+		return nil, false, nil
+	}
+	return r, true, nil
+}
+
+// footprint returns the arena's own resident bytes: the struct and the
+// Shared its counters point to. Their records and words are counted by
+// each counter's Footprint.
+func (a *sbitmapArena) footprint() int { return int(unsafe.Sizeof(*a)) + a.sh.Footprint() }

@@ -17,7 +17,8 @@
 //
 // Each experiment prints its regenerated tables, an ASCII rendering of the
 // figure, and notes comparing the measured shape against the paper's
-// published numbers. See EXPERIMENTS.md for a recorded full run.
+// published numbers. `sbench -run table2` regenerates the paper's memory
+// comparison (Table 2); `sbench -run all -full` is the full record.
 package main
 
 import (

@@ -221,45 +221,79 @@ const marshalMagic = uint32(0xb17c0de1)
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (v *Vector) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 12+8*len(v.words))
+	return AppendWords(make([]byte, 0, EncodedLen(v.n)), v.words, v.n), nil
+}
+
+// EncodedLen returns the length of an n-bit vector's MarshalBinary
+// encoding.
+func EncodedLen(n int) int { return 12 + 8*((n+63)/64) }
+
+// AppendWords appends the MarshalBinary encoding of the n-bit vector held
+// in words, for callers that keep bitmap words outside a Vector (a slab of
+// sketch records, each owning a few words of one shared array).
+func AppendWords(buf []byte, words []uint64, n int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.n))
-	for _, w := range v.words {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	for _, w := range words {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	return buf, nil
+	return buf
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (v *Vector) UnmarshalBinary(data []byte) error {
+	n, err := decodedLen(data)
+	if err != nil {
+		return err
+	}
+	words := make([]uint64, (n+63)/64)
+	_, ones, err := DecodeWords(words, data)
+	if err != nil {
+		return err
+	}
+	v.words, v.n, v.ones = words, n, ones
+	return nil
+}
+
+// DecodeWords decodes a MarshalBinary encoding into dst, the inverse of
+// AppendWords: it returns the encoded length in bits and the popcount.
+// dst must hold exactly the encoding's (n+63)/64 words; on error its
+// contents are unspecified.
+func DecodeWords(dst []uint64, data []byte) (n, ones int, err error) {
+	if n, err = decodedLen(data); err != nil {
+		return 0, 0, err
+	}
+	if nw := (n + 63) / 64; nw != len(dst) {
+		return 0, 0, fmt.Errorf("bitvec: %d-bit vector needs %d words, have %d", n, nw, len(dst))
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(data[12+8*i:])
+		ones += bits.OnesCount64(dst[i])
+	}
+	// Reject set bits beyond the declared length (would corrupt Ones).
+	if rem := n & 63; rem != 0 && len(dst) > 0 && dst[len(dst)-1]>>rem != 0 {
+		return 0, 0, errors.New("bitvec: set bits beyond declared length")
+	}
+	return n, ones, nil
+}
+
+// decodedLen validates an encoding's header and body length and returns
+// its length in bits.
+func decodedLen(data []byte) (int, error) {
 	if len(data) < 12 {
-		return errors.New("bitvec: truncated header")
+		return 0, errors.New("bitvec: truncated header")
 	}
 	if binary.LittleEndian.Uint32(data) != marshalMagic {
-		return errors.New("bitvec: bad magic")
+		return 0, errors.New("bitvec: bad magic")
 	}
 	n := binary.LittleEndian.Uint64(data[4:])
 	if n > 1<<40 {
-		return fmt.Errorf("bitvec: implausible length %d", n)
+		return 0, fmt.Errorf("bitvec: implausible length %d", n)
 	}
-	nw := (int(n) + 63) / 64
-	if len(data) != 12+8*nw {
-		return fmt.Errorf("bitvec: body length %d, want %d", len(data)-12, 8*nw)
+	if len(data) != EncodedLen(int(n)) {
+		return 0, fmt.Errorf("bitvec: body length %d, want %d", len(data)-12, EncodedLen(int(n))-12)
 	}
-	words := make([]uint64, nw)
-	ones := 0
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[12+8*i:])
-		ones += bits.OnesCount64(words[i])
-	}
-	// Reject set bits beyond the declared length (would corrupt Ones).
-	if rem := n & 63; rem != 0 && nw > 0 {
-		if words[nw-1]>>(rem) != 0 {
-			return errors.New("bitvec: set bits beyond declared length")
-		}
-	}
-	v.words, v.n, v.ones = words, int(n), ones
-	return nil
+	return int(n), nil
 }
 
 // SizeBits returns the memory footprint of the bit storage itself, in bits.

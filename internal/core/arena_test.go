@@ -7,21 +7,32 @@ import (
 	"repro/internal/uhash"
 )
 
+// slab carves n sketches out of one record array and one word array, all
+// under one Shared — the layout a keyed store's per-stripe arena uses.
+func slab(sh *Shared, n int) []*Sketch {
+	recs := make([]Sketch, n)
+	words := make([]uint64, n*sh.Words())
+	out := make([]*Sketch, n)
+	for i := range recs {
+		sh.Init(&recs[i], words[i*sh.Words():(i+1)*sh.Words()])
+		out[i] = &recs[i]
+	}
+	return out
+}
+
 // TestArenaSketchEquivalence: a slab-allocated sketch must be
 // bit-identical to a heap-constructed one under the same config, seed,
-// and input — across chunk boundaries and with neighbors in the same slab
-// ingesting interleaved (no cross-talk through the shared word slab).
+// and input — with neighbors in the same slab ingesting interleaved (no
+// cross-talk through the shared word slab or the shared batch buffers).
 func TestArenaSketchEquivalence(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nSketches = 40 // crosses the 4, 8, 16, ... chunk growths
-	arena := NewSketchArena(cfg, 7)
-	slabbed := make([]*Sketch, nSketches)
+	const nSketches = 40
+	slabbed := slab(NewShared(cfg, 7), nSketches)
 	heaped := make([]*Sketch, nSketches)
-	for i := range slabbed {
-		slabbed[i] = arena.New()
+	for i := range heaped {
 		heaped[i] = NewSketch(cfg, 7)
 	}
 	// Interleaved ingest: round-robin over all sketches so slab neighbors
@@ -38,10 +49,15 @@ func TestArenaSketchEquivalence(t *testing.T) {
 	}
 	var scr uhash.Scratch
 	for i := range slabbed {
-		// Tail batch through the borrowed-scratch path vs the native one.
+		// Tail batches through the borrowed-scratch path and the shared
+		// buffers vs the native one.
 		batch := []uint64{1, 2, 3, uint64(i), uint64(i), 1 << 40}
 		if a, b := slabbed[i].AddBatch64Scratch(&scr, batch), heaped[i].AddBatch64(batch); a != b {
 			t.Fatalf("sketch %d: batch changed %d (slab+scratch) vs %d (heap)", i, a, b)
+		}
+		batch = []uint64{uint64(i) << 20, 5, 1 << 41}
+		if a, b := slabbed[i].AddBatch64(batch), heaped[i].AddBatch64(batch); a != b {
+			t.Fatalf("sketch %d: batch changed %d (slab, shared buffers) vs %d (heap)", i, a, b)
 		}
 		if slabbed[i].Estimate() != heaped[i].Estimate() {
 			t.Fatalf("sketch %d: estimates diverged", i)
@@ -67,9 +83,7 @@ func TestArenaOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := NewSketchArena(cfg, 0,
-		WithResolution(30), WithHasher(uhash.NewTabulation(9)))
-	a := arena.New()
+	a := slab(NewShared(cfg, 0, WithResolution(30), WithHasher(uhash.NewTabulation(9))), 1)[0]
 	b := NewSketch(cfg, 0, WithResolution(30), WithHasher(uhash.NewTabulation(9)))
 	for i := uint64(0); i < 5000; i++ {
 		if ca, cb := a.AddUint64(i%1200), b.AddUint64(i%1200); ca != cb {
@@ -81,27 +95,110 @@ func TestArenaOptions(t *testing.T) {
 	}
 }
 
-// TestArenaAllocAmortized: steady-state materialization out of a full
-// chunk is allocation-free; the three slabs are paid once per chunk.
+// TestArenaAllocAmortized: materializing a sketch in place allocates
+// nothing — a slab allocator pays only for its slabs — and a slabbed
+// sketch's footprint is its record plus its words, the Shared being
+// counted once by whoever holds it.
 func TestArenaAllocAmortized(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := NewSketchArena(cfg, 1)
-	// Burn through growth chunks until the max-size chunk is current.
-	for i := 0; i < arenaChunkMin*2+8; i++ {
-		arena.New()
+	sh := NewShared(cfg, 1)
+	var rec Sketch
+	words := make([]uint64, sh.Words())
+	if allocs := testing.AllocsPerRun(100, func() { sh.Init(&rec, words) }); allocs != 0 {
+		t.Errorf("Shared.Init: %.2f allocs/op, want 0", allocs)
 	}
-	for arena.chunk < arenaChunkMax {
-		for i := 0; i < len(arena.sketches)+1; i++ {
-			arena.New()
+	const record = 48 // shared pointer, words slice header, L, threshold
+	if got, want := rec.Footprint(), record+8*sh.Words(); got != want {
+		t.Errorf("slabbed sketch footprint %d, want record + words = %d", got, want)
+	}
+	own := NewSketch(cfg, 1)
+	if got, want := own.Footprint(), record+8*sh.Words()+sh.Footprint(); got != want {
+		t.Errorf("NewSketch footprint %d, want record + words + shared = %d", got, want)
+	}
+}
+
+// TestUnmarshalInto: restoring into a slab record matches UnmarshalSketch,
+// refuses foreign parameters without touching the record, and keeps the
+// length and popcount checks.
+func TestUnmarshalInto(t *testing.T) {
+	cfg, err := NewConfigNE(1e4, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSketch(cfg, 3)
+	for i := uint64(0); i < 700; i++ {
+		src.AddUint64(i)
+	}
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShared(cfg, 3)
+	var rec Sketch
+	words := make([]uint64, sh.Words())
+	if ok, err := sh.UnmarshalInto(&rec, words, blob); !ok || err != nil {
+		t.Fatalf("UnmarshalInto = %v, %v", ok, err)
+	}
+	got, err := rec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("restored record does not re-marshal to the same bytes")
+	}
+	if rec.AddUint64(1<<50) != src.AddUint64(1<<50) || rec.Estimate() != src.Estimate() {
+		t.Fatal("restored record diverged from the original on continued ingest")
+	}
+
+	other, err := NewConfigNE(1e4, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := NewShared(other, 3)
+	var untouched Sketch
+	fw := make([]uint64, foreign.Words())
+	if ok, err := foreign.UnmarshalInto(&untouched, fw, blob); ok || err != nil {
+		t.Fatalf("foreign parameters: UnmarshalInto = %v, %v; want false, nil", ok, err)
+	}
+	if untouched.sh != nil {
+		t.Fatal("foreign parameters: record was written")
+	}
+	if ok, _ := NewShared(cfg, 3, WithResolution(30)).UnmarshalInto(&untouched, words, blob); ok {
+		t.Fatal("foreign resolution accepted")
+	}
+
+	bad := bytes.Clone(blob)
+	bad[28]++ // recorded L one above the bitmap's popcount
+	if _, err := sh.UnmarshalInto(&rec, words, bad); err == nil {
+		t.Fatal("popcount mismatch accepted")
+	}
+	if _, err := sh.UnmarshalInto(&rec, words, blob[:len(blob)-1]); err == nil {
+		t.Fatal("truncated body accepted")
+	}
+}
+
+// TestUnmarshalSketchRejectsBadHeader: a header whose m the body cannot
+// hold, or whose resolution is outside [1, 64], is an error before any
+// bitmap is sized from it — never a panic or a huge allocation.
+func TestUnmarshalSketchRejectsBadHeader(t *testing.T) {
+	cfg, err := NewConfigNE(1e4, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := NewSketch(cfg, 1).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Clone(blob)
+	huge[4+5] = 0x10 // m raised past 2^44 bits, body unchanged
+	zeroD := bytes.Clone(blob)
+	zeroD[36] = 0
+	for name, data := range map[string][]byte{"m beyond body": huge, "d = 0": zeroD} {
+		if _, err := UnmarshalSketch(data); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { arena.New() }); allocs > 3.0/float64(arenaChunkMax)*100 {
-		// ≤ 3 slab allocations amortized over a 256-slot chunk; the run
-		// count (100) keeps the occasional chunk boundary visible but
-		// bounded.
-		t.Errorf("arena.New: %.2f allocs/op, want amortized ~3/%d", allocs, arenaChunkMax)
 	}
 }

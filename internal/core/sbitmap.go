@@ -19,13 +19,17 @@ import (
 // occupied bucket is skipped outright, so processing duplicates costs one
 // hash and one bit probe.
 //
+// A Sketch value is only the per-sketch record: the bitmap words, the fill
+// level and the threshold register. Everything that is the same for every
+// sketch under one configuration and hash lives in a Shared, which a slab
+// allocator holds once for millions of records (see Shared.Init).
+//
 // Sketch is not safe for concurrent use; wrap it in a mutex or shard by
 // stream if needed (the experiments shard).
 type Sketch struct {
-	cfg *Config
-	h   uhash.Hasher
-	v   *bitvec.Vector
-	l   int // number of ones, the paper's L
+	sh    *Shared
+	words []uint64 // the m-bit bitmap, 64 buckets per word
+	l     int      // number of ones, the paper's L
 
 	// cur is the 64-bit scaled acceptance threshold for the CURRENT fill
 	// level: an item is sampled at level L iff u < cur, where u is the
@@ -39,10 +43,23 @@ type Sketch struct {
 	// recomputations (one exp each) over the sketch's whole lifetime, so
 	// the auxiliary state stays O(1) and the hot path compares against a
 	// register instead of loading from an O(m) table.
-	cur   uint64
-	dBits uint
+	cur uint64
+}
 
-	scr uhash.Scratch // reusable batch hash buffers (not serialized)
+// Shared is the state every sketch under one configuration and hash
+// shares: the Config, the Hasher, the sampling resolution, and the batch
+// hash buffers of AddBatch64/AddBatchString. Hashers are read-only after
+// construction (asserted by the uhash tests); sharing one also shares its
+// seed state (32 KiB of tables for tabulation hashing). A keyed store
+// holds one Shared per lock stripe; NewSketch gives each sketch its own.
+// The batch buffers make a Shared as unsafe for concurrent use as its
+// sketches.
+type Shared struct {
+	cfg   *Config
+	h     uhash.Hasher
+	dBits uint
+	own   bool          // held by one NewSketch sketch, whose Footprint counts it
+	scr   uhash.Scratch // batch hash buffers (not serialized)
 }
 
 // Option configures optional Sketch behavior.
@@ -67,9 +84,9 @@ func WithResolution(d uint) Option {
 	return func(o *sketchOptions) { o.dBits = d }
 }
 
-// NewSketch returns an empty S-bitmap under cfg. The seed determines the
-// hash function; replicated experiments use distinct seeds.
-func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
+// NewShared returns the state shared by sketches equivalent to
+// NewSketch(cfg, seed, opts...); Init materializes them.
+func NewShared(cfg *Config, seed uint64, opts ...Option) *Shared {
 	o := sketchOptions{dBits: 64}
 	for _, opt := range opts {
 		opt(&o)
@@ -80,13 +97,38 @@ func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
 	if o.dBits < 1 || o.dBits > 64 {
 		panic(fmt.Sprintf("core: sampling resolution d = %d outside [1, 64]", o.dBits))
 	}
-	s := &Sketch{
-		cfg:   cfg,
-		h:     o.hasher,
-		v:     bitvec.New(cfg.m),
-		dBits: o.dBits,
-	}
+	return &Shared{cfg: cfg, h: o.hasher, dBits: o.dBits}
+}
+
+// Words returns the number of bitmap words each sketch under sh holds.
+func (sh *Shared) Words() int { return (sh.cfg.m + 63) / 64 }
+
+// Init makes *s an empty sketch under sh over the first Words() words of
+// words, which must be zero; the sketch owns them afterwards. It allocates
+// nothing: a slab allocator materializes a sketch in place, one record
+// slot and one run of a word slab. The capacity is clipped so a sketch
+// never writes (or accounts, via Footprint) beyond its run.
+func (sh *Shared) Init(s *Sketch, words []uint64) {
+	n := sh.Words()
+	*s = Sketch{sh: sh, words: words[:n:n]}
 	s.cur = s.thresholdAt(0)
+}
+
+// Footprint returns the shared state's resident memory in bytes: the
+// struct, the Config (including any schedule tables) and the lazily
+// allocated batch buffers.
+func (sh *Shared) Footprint() int {
+	return int(unsafe.Sizeof(*sh)) + sh.cfg.AuxBytes() + sh.scr.Footprint()
+}
+
+// NewSketch returns an empty S-bitmap under cfg with shared state of its
+// own. The seed determines the hash function; replicated experiments use
+// distinct seeds.
+func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
+	sh := NewShared(cfg, seed, opts...)
+	sh.own = true
+	s := new(Sketch)
+	sh.Init(s, make([]uint64, sh.Words()))
 	return s
 }
 
@@ -94,10 +136,11 @@ func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
 // (i.e. for rate p_{l+1}), evaluating the schedule on demand. A full
 // bitmap accepts nothing.
 func (s *Sketch) thresholdAt(l int) uint64 {
-	if l >= s.cfg.m {
+	sh := s.sh
+	if l >= sh.cfg.m {
 		return 0
 	}
-	return rateThreshold(s.cfg.sched.rate(l+1), s.dBits)
+	return rateThreshold(sh.cfg.sched.rate(l+1), sh.dBits)
 }
 
 // rateThreshold converts a sampling rate p ∈ (0, 1] to the 64-bit threshold
@@ -126,80 +169,79 @@ func rateThreshold(p float64, d uint) uint64 {
 }
 
 // Config returns the sketch's immutable configuration.
-func (s *Sketch) Config() *Config { return s.cfg }
+func (s *Sketch) Config() *Config { return s.sh.cfg }
 
 // Add offers an item to the sketch and reports whether the sketch state
 // changed (a bucket transitioned 0→1).
 func (s *Sketch) Add(item []byte) bool {
-	hi, lo := s.h.Sum128(item)
+	hi, lo := s.sh.h.Sum128(item)
 	return s.insert(hi, lo)
 }
 
 // AddUint64 offers a 64-bit item; it is equivalent to Add of the item's
 // 8-byte little-endian encoding but allocation-free.
 func (s *Sketch) AddUint64(item uint64) bool {
-	hi, lo := s.h.Sum128Uint64(item)
+	hi, lo := s.sh.h.Sum128Uint64(item)
 	return s.insert(hi, lo)
 }
 
 // AddString offers a string item; it hashes identically to Add of the
 // string's bytes but avoids the []byte conversion.
 func (s *Sketch) AddString(item string) bool {
-	hi, lo := s.h.Sum128String(item)
+	hi, lo := s.sh.h.Sum128String(item)
 	return s.insert(hi, lo)
 }
 
 // AddBatch64 offers a slice of 64-bit items and returns how many changed
 // the sketch state. It is state-equivalent to calling AddUint64 on each
 // item in order, but hashes in chunks (one dispatch per uhash.BatchSize
-// items instead of one per item) and runs the insert loop with the fill
-// level and threshold table in locals.
+// items instead of one per item) through the shared batch buffers and
+// runs the insert loop with the fill level and threshold in locals.
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.sh.h, &s.sh.scr, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items; each hashes identically
 // to AddString of the same item.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.sh.h, &s.sh.scr, items, s.insertBatch)
 }
 
 // AddBatch64Scratch is AddBatch64 hashing through caller-owned scratch
-// instead of the sketch's own lazily allocated buffers. A keyed store
-// holding millions of tiny sketches shares one scratch per lock stripe,
-// so the ~4 KiB of batch buffers are paid per stripe, not per key. The
+// instead of the shared batch buffers. A keyed store lends one scratch per
+// lock stripe to every sketch it locks, wherever their Shared lives. The
 // sketch state after the call is bit-identical to AddBatch64's.
 func (s *Sketch) AddBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
-	return uhash.Batch64(s.h, scr, items, s.insertBatch)
+	return uhash.Batch64(s.sh.h, scr, items, s.insertBatch)
 }
 
 // AddBatchStringScratch is AddBatch64Scratch for string items.
 func (s *Sketch) AddBatchStringScratch(scr *uhash.Scratch, items []string) int {
-	return uhash.BatchString(s.h, scr, items, s.insertBatch)
+	return uhash.BatchString(s.sh.h, scr, items, s.insertBatch)
 }
 
 // insertBatch replays insert over a chunk of hashed items. Bucket indexes
-// come from a multiply-shift onto [0, m) = [0, Len()), which proves the
-// unchecked bit probes in range for the whole chunk. The acceptance
-// threshold lives in a local for the whole chunk, recomputed only on 0→1
-// transitions (amortized to noise: at most m recomputations ever).
+// come from a multiply-shift onto [0, m), inside the sketch's words by
+// construction. The acceptance threshold lives in a local for the whole
+// chunk, recomputed only on 0→1 transitions (amortized to noise: at most m
+// recomputations ever).
 func (s *Sketch) insertBatch(hi, lo []uint64) int {
 	lo = lo[:len(hi)] // one bounds proof for the whole chunk
-	m := s.cfg.m
-	mm := uint64(m)
+	mm := uint64(s.sh.cfg.m)
+	words := s.words
 	cur := s.cur
-	v := s.v
 	l := s.l
 	changed := 0
 	for i, h := range hi {
 		j, _ := bits.Mul64(h, mm)
-		if v.GetUnchecked(int(j)) {
+		w, bit := &words[j>>6], uint64(1)<<(j&63)
+		if *w&bit != 0 {
 			continue
 		}
 		if lo[i] >= cur {
 			continue
 		}
-		v.SetUnchecked(int(j))
+		*w |= bit
 		l++
 		changed++
 		cur = s.thresholdAt(l)
@@ -213,8 +255,9 @@ func (s *Sketch) insertBatch(hi, lo []uint64) int {
 func (s *Sketch) insert(bucketWord, sampleWord uint64) bool {
 	// Multiply-shift bucket selection: j = ⌊bucketWord · m / 2^64⌋ is
 	// uniform on [0, m) and works for any m, not only powers of two.
-	j, _ := bits.Mul64(bucketWord, uint64(s.cfg.m))
-	if s.v.Get(int(j)) {
+	j, _ := bits.Mul64(bucketWord, uint64(s.sh.cfg.m))
+	w, bit := &s.words[j>>6], uint64(1)<<(j&63)
+	if *w&bit != 0 {
 		return false // case 1 of Figure 1: occupied bucket, skip
 	}
 	if sampleWord >= s.cur {
@@ -223,7 +266,7 @@ func (s *Sketch) insert(bucketWord, sampleWord uint64) bool {
 		// branch also rejects everything once no bucket is left.
 		return false
 	}
-	s.v.Set(int(j))
+	*w |= bit
 	s.l++
 	s.cur = s.thresholdAt(s.l)
 	return true
@@ -233,43 +276,42 @@ func (s *Sketch) insert(bucketWord, sampleWord uint64) bool {
 func (s *Sketch) L() int { return s.l }
 
 // B returns the truncated output B = min(L, k*) of Equation (8).
-func (s *Sketch) B() int {
-	if s.l > s.cfg.kMax {
-		return s.cfg.kMax
-	}
-	return s.l
-}
+func (s *Sketch) B() int { return min(s.l, s.sh.cfg.kMax) }
 
 // Estimate returns the cardinality estimate n̂ = t_B (Equation 2),
 // evaluated in closed form: t_B = C/2·(r^{−B} − 1).
-func (s *Sketch) Estimate() float64 { return s.cfg.sched.estimate(s.B()) }
+func (s *Sketch) Estimate() float64 { return s.sh.cfg.sched.estimate(s.B()) }
 
 // Saturated reports whether the sketch has reached its truncation point;
 // estimates at or beyond N are pinned to t_{k*} ≈ N.
-func (s *Sketch) Saturated() bool { return s.l >= s.cfg.kMax }
+func (s *Sketch) Saturated() bool { return s.l >= s.sh.cfg.kMax }
 
 // FillRatio returns L/m, the fraction of buckets set.
-func (s *Sketch) FillRatio() float64 { return float64(s.l) / float64(s.cfg.m) }
+func (s *Sketch) FillRatio() float64 { return float64(s.l) / float64(s.sh.cfg.m) }
 
 // SizeBits returns the summary-statistic memory footprint in bits, the
 // quantity compared across algorithms in Section 6.2 (hash seeds excluded,
 // as in the paper).
-func (s *Sketch) SizeBits() int { return s.cfg.m }
+func (s *Sketch) SizeBits() int { return s.sh.cfg.m }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct itself, its share of the Config (including any schedule tables),
-// the bitmap words, and the lazily allocated batch-hash scratch. For
-// Theorem-2 configs this is m/8 plus a small constant — the paper's
-// Table 2 accounting finally holds of the process, not just the bitmap.
-// (A Config may be shared across sketches, in which case its bytes are
-// over-counted; they are a small constant on the closed-form path.)
+// record and its bitmap words, plus — for a NewSketch sketch, which owns
+// its Shared — the Config, hasher handle and batch buffers. For Theorem-2
+// configs this is m/8 plus a small constant: the paper's Table 2
+// accounting holds of the process, not just the bitmap. A slab-allocated
+// sketch counts only its record and words; its allocator counts the Shared
+// once for all of them.
 func (s *Sketch) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + s.cfg.AuxBytes() + s.v.Footprint() + s.scr.Footprint()
+	n := int(unsafe.Sizeof(*s)) + 8*cap(s.words)
+	if s.sh.own {
+		n += s.sh.Footprint()
+	}
+	return n
 }
 
 // Reset clears the sketch for reuse under the same configuration and hash.
 func (s *Sketch) Reset() {
-	s.v.Reset()
+	clear(s.words)
 	s.l = 0
 	s.cur = s.thresholdAt(0)
 }
@@ -282,62 +324,116 @@ const sketchMagic = uint32(0x5b17ab01)
 // accepting pre-envelope S-bitmap snapshots.
 const LegacySketchMagic = sketchMagic
 
+// sketchHeader is the fixed prefix of a serialized sketch: magic, m, N, C,
+// L, d and the bitmap encoding's length.
+const sketchHeader = 45
+
 // MarshalBinary serializes the sketch state together with the (m, N, C)
 // triple so a receiver can rebuild the estimator tables. The hash seed is
 // NOT serialized; the caller must construct the receiving sketch with the
 // same hasher to continue updating (estimation alone needs no hasher).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	vb, err := s.v.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 45+len(vb))
+	cfg := s.sh.cfg
+	vlen := bitvec.EncodedLen(cfg.m)
+	buf := make([]byte, 0, sketchHeader+vlen)
 	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.cfg.m))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.cfg.n))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.cfg.c))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(cfg.m))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.n))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.c))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.l))
-	buf = append(buf, byte(s.dBits))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vb)))
-	buf = append(buf, vb...)
-	return buf, nil
+	buf = append(buf, byte(s.sh.dBits))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(vlen))
+	return bitvec.AppendWords(buf, s.words, cfg.m), nil
+}
+
+// sketchParams is a serialized sketch's header.
+type sketchParams struct {
+	m    int
+	n, c float64
+	l    int
+	d    uint
+}
+
+// parseSketch validates a serialized sketch's framing and returns its
+// header and bitmap encoding.
+func parseSketch(data []byte) (p sketchParams, body []byte, err error) {
+	if len(data) < sketchHeader {
+		return p, nil, errors.New("core: truncated sketch header")
+	}
+	if binary.LittleEndian.Uint32(data) != sketchMagic {
+		return p, nil, errors.New("core: bad sketch magic")
+	}
+	p = sketchParams{
+		m: int(binary.LittleEndian.Uint64(data[4:])),
+		n: math.Float64frombits(binary.LittleEndian.Uint64(data[12:])),
+		c: math.Float64frombits(binary.LittleEndian.Uint64(data[20:])),
+		l: int(binary.LittleEndian.Uint64(data[28:])),
+		d: uint(data[36]),
+	}
+	vlen := int(binary.LittleEndian.Uint64(data[37:]))
+	if len(data) != sketchHeader+vlen {
+		return p, nil, fmt.Errorf("core: sketch body length %d, want %d", len(data)-sketchHeader, vlen)
+	}
+	// Checked before anything is sized from the header: a bitmap of m bits
+	// is allocated only for a body that holds one.
+	if p.m < 0 || vlen != bitvec.EncodedLen(p.m) {
+		return p, nil, fmt.Errorf("core: sketch body of %d bytes cannot hold m = %d bits", vlen, p.m)
+	}
+	if p.d < 1 || p.d > 64 {
+		return p, nil, fmt.Errorf("core: sampling resolution d = %d outside [1, 64]", p.d)
+	}
+	return p, data[sketchHeader:], nil
 }
 
 // UnmarshalSketch reconstructs a sketch from MarshalBinary output. The
 // returned sketch can Estimate immediately; to continue adding items, pass
 // the same hasher used by the original via opts.
 func UnmarshalSketch(data []byte, opts ...Option) (*Sketch, error) {
-	if len(data) < 45 {
-		return nil, errors.New("core: truncated sketch header")
+	p, _, err := parseSketch(data)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic {
-		return nil, errors.New("core: bad sketch magic")
-	}
-	m := int(binary.LittleEndian.Uint64(data[4:]))
-	n := math.Float64frombits(binary.LittleEndian.Uint64(data[12:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(data[20:]))
-	l := int(binary.LittleEndian.Uint64(data[28:]))
-	d := uint(data[36])
-	vlen := int(binary.LittleEndian.Uint64(data[37:]))
-	if len(data) != 45+vlen {
-		return nil, fmt.Errorf("core: sketch body length %d, want %d", len(data)-45, vlen)
-	}
-	cfg, err := newConfig(m, n, c)
+	cfg, err := newConfig(p.m, p.n, p.c)
 	if err != nil {
 		return nil, fmt.Errorf("core: rejected serialized parameters: %w", err)
 	}
-	allOpts := append([]Option{WithResolution(d)}, opts...)
-	s := NewSketch(cfg, 0, allOpts...)
-	if err := s.v.UnmarshalBinary(data[45:]); err != nil {
+	// The recorded resolution comes last so it wins: the Shared then matches
+	// the header, and UnmarshalInto cannot refuse it.
+	s := NewSketch(cfg, 0, append(opts[:len(opts):len(opts)], WithResolution(p.d))...)
+	if _, err := s.sh.UnmarshalInto(s, s.words, data); err != nil {
 		return nil, err
 	}
-	if s.v.Len() != m {
-		return nil, fmt.Errorf("core: bitmap length %d does not match m = %d", s.v.Len(), m)
-	}
-	if s.v.Ones() != l {
-		return nil, fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", s.v.Ones(), l)
-	}
-	s.l = l
-	s.cur = s.thresholdAt(l)
 	return s, nil
+}
+
+// UnmarshalInto restores MarshalBinary output into *s as Init(s, words)
+// followed by the recorded state — the slab counterpart of UnmarshalSketch,
+// building no Config and no hasher. It reports false, touching neither s
+// nor words, when data is well-framed but was serialized under other
+// parameters than sh's (m, N, C or resolution d); UnmarshalSketch rebuilds
+// such a sketch. The bitmap's length must match m and its popcount the
+// recorded L. On an error the contents of words are unspecified.
+func (sh *Shared) UnmarshalInto(s *Sketch, words []uint64, data []byte) (bool, error) {
+	p, body, err := parseSketch(data)
+	if err != nil {
+		return false, err
+	}
+	cfg := sh.cfg
+	if p.m != cfg.m || math.Float64bits(p.n) != math.Float64bits(cfg.n) ||
+		math.Float64bits(p.c) != math.Float64bits(cfg.c) || p.d != sh.dBits {
+		return false, nil
+	}
+	sh.Init(s, words)
+	n, ones, err := bitvec.DecodeWords(s.words, body)
+	if err != nil {
+		return true, err
+	}
+	if n != cfg.m {
+		return true, fmt.Errorf("core: bitmap length %d does not match m = %d", n, cfg.m)
+	}
+	if ones != p.l {
+		return true, fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", ones, p.l)
+	}
+	s.l, s.cur = p.l, s.thresholdAt(p.l)
+	return true, nil
 }

@@ -181,7 +181,7 @@ func TestSaturationCapsEstimate(t *testing.T) {
 }
 
 // KMaxForTest exposes the truncation point for test diagnostics.
-func (s *Sketch) KMaxForTest() int { return s.cfg.kMax }
+func (s *Sketch) KMaxForTest() int { return s.sh.cfg.kMax }
 
 func TestMonteCarloUnbiasedAndScaleInvariant(t *testing.T) {
 	// End-to-end statistical check of Theorem 3 with real hashing: across

@@ -175,7 +175,7 @@ func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: %w", err)
 		}
-		return &SBitmap{sk: sk}, nil
+		return &SBitmap{sk: *sk}, nil
 	}
 	kind, payload, err := openEnvelope(data)
 	if err != nil {
@@ -187,7 +187,7 @@ func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: %w", err)
 		}
-		return &SBitmap{sk: sk}, nil
+		return &SBitmap{sk: *sk}, nil
 	case KindHLL:
 		sk, err := hyperloglog.Unmarshal(payload, o.newHasher())
 		if err != nil {

@@ -23,8 +23,8 @@
 //	fmt.Println(sk.Estimate())
 //
 // New(1e6, 0.01) allocates about 30 kilobits (3.7 KiB) of bitmap — less
-// than HyperLogLog needs for the same guarantee at this scale (see Table 2
-// of the paper, reproduced in this module's EXPERIMENTS.md).
+// than HyperLogLog needs for the same guarantee at this scale (Table 2 of
+// the paper; `go run ./cmd/sbench -run table2` reproduces it).
 //
 // # How it works
 //
@@ -92,7 +92,7 @@ type Counter interface {
 // cardinalities in [1, N]. Create one with New, NewWithMemory, or
 // Unmarshal. Not safe for concurrent use.
 type SBitmap struct {
-	sk *core.Sketch
+	sk core.Sketch
 }
 
 var _ Counter = (*SBitmap)(nil)
@@ -181,7 +181,7 @@ func fromConfig(cfg *core.Config, opts ...Option) (*SBitmap, error) {
 	if o.mkHasher != nil {
 		coreOpts = append(coreOpts, core.WithHasher(o.mkHasher(o.seed)))
 	}
-	return &SBitmap{sk: core.NewSketch(cfg, o.seed, coreOpts...)}, nil
+	return &SBitmap{sk: *core.NewSketch(cfg, o.seed, coreOpts...)}, nil
 }
 
 // Add offers an item; it reports whether the sketch state changed.
@@ -229,7 +229,7 @@ func (s *SBitmap) Reset() { s.sk.Reset() }
 // deserialized sketch can Estimate immediately but needs the original seed
 // (via Unmarshal's options) to keep counting.
 func (s *SBitmap) MarshalBinary() ([]byte, error) {
-	return marshalEnvelope(KindSBitmap, s.sk)
+	return marshalEnvelope(KindSBitmap, &s.sk)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler with the default
@@ -244,6 +244,6 @@ func (s *SBitmap) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("sbitmap: %w", err)
 	}
-	s.sk = sk
+	s.sk = *sk
 	return nil
 }

@@ -56,10 +56,6 @@ type Store[K StoreKey] struct {
 	// validated once in NewStore, so materialization cannot fail later.
 	newCounter func() Counter
 
-	// newArena builds a stripe's slab allocator; nil when the spec's kind
-	// has no arena or slab allocation is off (see WithSlabAllocator).
-	newArena func() counterArena
-
 	// win is the sliding-window configuration of a windowed(...) spec; nil
 	// otherwise. When set, per-key counters are windowRings, wm is the
 	// watermark sub-window index (the highest any record has reached;
@@ -89,7 +85,7 @@ type StoreKey interface {
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
 	m      map[K]Counter
-	arena  counterArena  // nil unless slab allocation is on
+	arena  *sbitmapArena // nil unless slab allocation is on
 	scr    uhash.Scratch // shared batch-hash buffers, under mu
 	modGen uint64        // generation of the last mutation, under mu
 	_      [40]byte      // pad to reduce false sharing between adjacent locks
@@ -216,23 +212,17 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		win := s.win
 		s.newCounter = func() Counter { return newWindowRing(win) }
 	}
-	if s.slab && s.limit == 0 && s.win == nil {
-		// Validated once here (the arena shares newSBitmap's dimensioning,
-		// already proven constructible above), so per-stripe arena
-		// construction cannot fail later. Windowed stores skip the arena:
-		// their unit of allocation is the ring, not a single fixed-size
-		// sketch (sub-window counters are allocated lazily per slot).
-		if a, err := spec.newArena(); err == nil && a != nil {
-			s.newArena = func() counterArena {
-				a, _ := spec.newArena()
-				return a
-			}
-		}
-	}
+	// Windowed stores skip the arena: their unit of allocation is the
+	// ring, not a single fixed-size sketch (sub-window counters are
+	// allocated lazily per slot).
+	arenas := s.slab && s.limit == 0 && s.win == nil
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[K]Counter)
-		if s.newArena != nil {
-			s.stripes[i].arena = s.newArena()
+		if arenas {
+			// The arena shares Spec.New's dimensioning and options, already
+			// proven constructible above, so it cannot fail here; kinds
+			// without an arena get nil.
+			s.stripes[i].arena, _ = spec.newArena()
 		}
 	}
 	return s, nil
@@ -1149,8 +1139,9 @@ const storeEntryOverhead = 48
 // Footprint returns the store's resident process memory in bytes: the
 // stripe array, the maps' per-entry overhead (approximate — Go maps do
 // not expose their exact layout), key storage (string bytes for string
-// keys), and every counter's own footprint. Safe for concurrent use; one
-// stripe is locked at a time.
+// keys), every counter's own footprint, and once per stripe the state its
+// slab-allocated counters share. Safe for concurrent use; one stripe is
+// locked at a time.
 func (s *Store[K]) Footprint() int {
 	var zero K
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
@@ -1159,6 +1150,9 @@ func (s *Store[K]) Footprint() int {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		total += st.scr.Footprint()
+		if st.arena != nil {
+			total += st.arena.footprint()
+		}
 		total += len(st.m) * (int(unsafe.Sizeof(zero)) + storeEntryOverhead)
 		for k, c := range st.m {
 			if isStr {
@@ -1377,12 +1371,16 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
-		key, c, rest, err := s.decodeStoreEntry(payload, i, specOpts)
+		key, blob, rest, err := decodeStoreEntry[K](payload, i)
 		if err != nil {
 			return nil, err
 		}
 		payload = rest
 		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
+		c, err := s.decodeCounterLocked(st, key, blob, specOpts)
+		if err != nil {
+			return nil, err
+		}
 		if _, dup := st.m[key]; dup {
 			return nil, fmt.Errorf("sbitmap: store snapshot repeats key %v", key)
 		}
@@ -1415,13 +1413,10 @@ func (s *Store[K]) appendStoreEntry(payload []byte, key K, c Counter) ([]byte, e
 	return payload, nil
 }
 
-// decodeStoreEntry decodes one (key, counter) pair and returns the
-// remaining payload — the inverse of appendStoreEntry, shared by
-// UnmarshalStore and RestoreStripe. i labels truncation errors. On a
-// windowed store the counter blob is a sub-window ring, and the store's
-// watermark advances to the ring's newest sub-window so restores
-// re-derive the time position from snapshot contents.
-func (s *Store[K]) decodeStoreEntry(payload []byte, i uint64, specOpts []Option) (key K, c Counter, rest []byte, err error) {
+// decodeStoreEntry splits one (key, counter blob) pair off payload and
+// returns the remaining payload — the inverse of appendStoreEntry, shared
+// by UnmarshalStore and RestoreStripe. i labels truncation errors.
+func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest []byte, err error) {
 	if keyIsString[K]() {
 		if len(payload) < 4 {
 			return key, nil, nil, fmt.Errorf("%w: store key %d header", ErrTruncated, i)
@@ -1448,21 +1443,38 @@ func (s *Store[K]) decodeStoreEntry(payload []byte, i uint64, specOpts []Option)
 	if blen > len(payload) {
 		return key, nil, nil, fmt.Errorf("%w: store counter %d", ErrTruncated, i)
 	}
+	return key, payload[:blen], payload[blen:], nil
+}
+
+// decodeCounterLocked restores key's counter from its snapshot blob, with
+// st — key's stripe — locked (or not yet shared). An S-bitmap lands
+// straight in the stripe's arena, so a restored store is laid out as one
+// built by ingest. On a windowed store the blob is a sub-window ring, and
+// the store's watermark advances to the ring's newest sub-window so
+// restores re-derive the time position from snapshot contents.
+func (s *Store[K]) decodeCounterLocked(st *storeStripe[K], key K, blob []byte, specOpts []Option) (Counter, error) {
 	if s.win != nil {
-		r, rerr := unmarshalWindowRing(s.win, payload[:blen], specOpts)
-		if rerr != nil {
-			return key, nil, nil, fmt.Errorf("sbitmap: store key %v: %w", key, rerr)
+		r, err := unmarshalWindowRing(s.win, blob, specOpts)
+		if err != nil {
+			return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 		}
 		if maxW := r.maxWidx(); maxW != wmNone {
 			s.advanceWatermark(maxW)
 		}
-		return key, r, payload[blen:], nil
+		return r, nil
 	}
-	c, err = Unmarshal(payload[:blen], specOpts...)
+	if st.arena != nil {
+		if c, ok, err := st.arena.restore(blob); err != nil {
+			return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
+		} else if ok {
+			return c, nil
+		}
+	}
+	c, err := Unmarshal(blob, specOpts...)
 	if err != nil {
-		return key, nil, nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
+		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}
-	return key, c, payload[blen:], nil
+	return c, nil
 }
 
 // Per-stripe snapshot format (the unit of an incremental checkpoint):
@@ -1594,13 +1606,18 @@ func (s *Store[K]) RestoreStripe(blob []byte) (int, error) {
 		return 0, err
 	}
 	for i := uint64(0); i < count; i++ {
-		key, c, rest, err := s.decodeStoreEntry(payload, i, specOpts)
+		key, cblob, rest, err := decodeStoreEntry[K](payload, i)
 		if err != nil {
 			return int(i), err
 		}
 		payload = rest
 		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
 		st.mu.Lock()
+		c, err := s.decodeCounterLocked(st, key, cblob, specOpts)
+		if err != nil {
+			st.mu.Unlock()
+			return int(i), err
+		}
 		if _, dup := st.m[key]; dup {
 			st.mu.Unlock()
 			return int(i), fmt.Errorf("sbitmap: stripe snapshot repeats key %v", key)

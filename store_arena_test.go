@@ -2,6 +2,7 @@ package sbitmap
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -168,5 +169,165 @@ func TestStoreBatchIngestAllocFree(t *testing.T) {
 		sStr.AddBatchString(strKeys, strItems)
 	}); allocs != 0 {
 		t.Errorf("warm Store.AddBatchString: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// heapKeys is the key population of the heap rails: the 131,072 user
+// ids of the sketchd benchmark's tcp-ingest workload.
+const heapKeys = 131072
+
+// heapPerKey returns the live heap build's result retains per key: the
+// HeapAlloc delta across build, each side read after two collections (the
+// second empties sync.Pool's victim cache, so pooled batch scratch does
+// not count).
+func heapPerKey(build func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / heapKeys
+}
+
+// heapStore builds the rails' store — every key gets 8 distinct items,
+// fed as 8,192-record batches like the benchmark's wire frames — and
+// returns it with its live heap per key.
+func heapStore(t *testing.T) (*Store[string], float64) {
+	keys := make([]string, heapKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user-%06x", i)
+	}
+	const perKey, batch = 8, 8192
+	bk := make([]string, 0, batch)
+	bi := make([]uint64, 0, batch)
+	var st *Store[string]
+	heap := heapPerKey(func() any {
+		s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < perKey*heapKeys; r++ {
+			bk = append(bk, keys[r%heapKeys])
+			bi = append(bi, uint64(r))
+			if len(bk) == batch {
+				s.AddBatch64(bk, bi)
+				bk, bi = bk[:0], bi[:0]
+			}
+		}
+		st = s
+		return s
+	})
+	runtime.KeepAlive(keys) // inputs freed mid-measurement would offset the store
+	return st, heap
+}
+
+// TestStoreHeapPerKey is the heap rail: a slab-allocated S-bitmap key
+// costs its record, its bitmap words, and its map entry and key — not a
+// chain of per-key objects.
+func TestStoreHeapPerKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	_, heap := heapStore(t)
+	t.Logf("cold-built store: %.1f B/key of live heap", heap)
+	if heap > 220 {
+		t.Errorf("cold-built store holds %.1f B/key of live heap, want ≤ 220", heap)
+	}
+}
+
+// TestStoreRestoreIntoArena: restoring a snapshot decodes every S-bitmap
+// into the stripe arenas, so the restored store is byte-identical to the
+// original (every counter marshals to the same bytes) and no bigger in
+// memory than its cold-built twin — through the
+// whole-store snapshot and the per-stripe checkpoint alike. (Whole-store
+// snapshots are compared key by key: map order makes their byte order
+// vary from one MarshalBinary to the next.)
+func TestStoreRestoreIntoArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	orig, cold := heapStore(t)
+	snap, err := orig.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, _, err := orig.MarshalStripes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restores := map[string]func() (*Store[string], error){
+		"UnmarshalStore": func() (*Store[string], error) { return UnmarshalStore[string](snap) },
+		"RestoreStripe": func() (*Store[string], error) {
+			s, err := NewStore[string](orig.Spec())
+			if err != nil {
+				return nil, err
+			}
+			for _, b := range blobs {
+				if _, err := s.RestoreStripe(b); err != nil {
+					return nil, err
+				}
+			}
+			return s, nil
+		},
+	}
+	for name, restore := range restores {
+		t.Run(name, func(t *testing.T) {
+			var got *Store[string]
+			heap := heapPerKey(func() any {
+				s, err := restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = s
+				return s
+			})
+			assertStoresIdentical(t, got, orig)
+			t.Logf("restored: %.1f B/key, cold-built twin %.1f B/key", heap, cold)
+			if heap > 1.05*cold {
+				t.Errorf("restored store holds %.1f B/key, above 1.05× its cold-built twin's %.1f", heap, cold)
+			}
+		})
+	}
+}
+
+// TestStoreSBitmapFootprintExact: an arena-built S-bitmap accounts
+// exactly its slab record plus its bitmap words, and the state its arena
+// shares (Config, hasher handle) is counted once per stripe, however many
+// keys the stripe holds.
+func TestStoreSBitmapFootprintExact(t *testing.T) {
+	const stripes, nKeys = 4, 100
+	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(stripes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(unsafe.Sizeof(*s)) + stripes*int(unsafe.Sizeof(storeStripe[uint64]{}))
+	for i := range s.stripes {
+		want += s.stripes[i].arena.footprint()
+	}
+	empty := s.Footprint()
+	if empty != want {
+		t.Fatalf("empty store footprint %d, want header + stripes + one shared state per stripe = %d", empty, want)
+	}
+	for i := 0; i < nKeys; i++ {
+		s.AddUint64(uint64(i), uint64(i)) // single adds: no stripe scratch
+	}
+	one, err := s.Spec().New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, words := int(unsafe.Sizeof(SBitmap{})), (one.SizeBits()+63)/64
+	s.ForEach(func(k uint64, c Counter) bool {
+		if got := c.Footprint(); got != record+8*words {
+			t.Fatalf("key %d: footprint %d, want record %d + 8·%d words = %d", k, got, record, words, record+8*words)
+		}
+		return true
+	})
+	perKey := record + 8*words + int(unsafe.Sizeof(uint64(0))) + storeEntryOverhead
+	if got := s.Footprint(); got != empty+nKeys*perKey {
+		t.Errorf("footprint %d after %d keys, want %d + %d·%d", got, nKeys, empty, nKeys, perKey)
 	}
 }
