@@ -104,22 +104,19 @@ func (a *sbitmapArena) next() Counter {
 }
 
 // restore decodes a counter snapshot (as Marshal writes it) straight into
-// the next slot, building no Config and no hasher. ok is false, with no
-// error, when blob is not an S-bitmap envelope of the arena's own
-// parameters; the caller decodes such blobs with Unmarshal. (Such blobs
-// come only from damaged or hand-built snapshots; each costs its slot.)
-func (a *sbitmapArena) restore(blob []byte) (c Counter, ok bool, err error) {
-	kind, payload, err := openEnvelope(blob)
-	if err != nil || kind != KindSBitmap {
-		return nil, false, nil
+// the next slot, building no Config and no hasher. A Store snapshot holds
+// only counters built from its own spec, so a blob of another kind or
+// other parameters is a corrupt snapshot.
+func (a *sbitmapArena) restore(blob []byte) (Counter, error) {
+	payload, err := payloadOfKind(blob, KindSBitmap)
+	if err != nil {
+		return nil, err
 	}
 	r, w := a.slot()
-	if ok, err = a.sh.UnmarshalInto(&r.sk, w, payload); err != nil {
-		return nil, true, fmt.Errorf("sbitmap: %w", err)
-	} else if !ok {
-		return nil, false, nil
+	if err := a.sh.UnmarshalInto(&r.sk, w, payload); err != nil {
+		return nil, fmt.Errorf("sbitmap: %w", err)
 	}
-	return r, true, nil
+	return r, nil
 }
 
 // footprint returns the arena's own resident bytes: the struct and the

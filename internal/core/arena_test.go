@@ -96,9 +96,10 @@ func TestArenaOptions(t *testing.T) {
 }
 
 // TestArenaAllocAmortized: materializing a sketch in place allocates
-// nothing — a slab allocator pays only for its slabs — and a slabbed
-// sketch's footprint is its record plus its words, the Shared being
-// counted once by whoever holds it.
+// nothing, so a slab allocator pays only for its slabs (the root package's
+// TestSBitmapArenaAllocAmortized checks that the Store's arena does), and
+// a slabbed sketch's footprint is its record plus its words, the Shared
+// being counted once by whoever holds it.
 func TestArenaAllocAmortized(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
@@ -121,7 +122,7 @@ func TestArenaAllocAmortized(t *testing.T) {
 }
 
 // TestUnmarshalInto: restoring into a slab record matches UnmarshalSketch,
-// refuses foreign parameters without touching the record, and keeps the
+// rejects foreign parameters without touching the record, and keeps the
 // length and popcount checks.
 func TestUnmarshalInto(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
@@ -139,8 +140,8 @@ func TestUnmarshalInto(t *testing.T) {
 	sh := NewShared(cfg, 3)
 	var rec Sketch
 	words := make([]uint64, sh.Words())
-	if ok, err := sh.UnmarshalInto(&rec, words, blob); !ok || err != nil {
-		t.Fatalf("UnmarshalInto = %v, %v", ok, err)
+	if err := sh.UnmarshalInto(&rec, words, blob); err != nil {
+		t.Fatalf("UnmarshalInto: %v", err)
 	}
 	got, err := rec.MarshalBinary()
 	if err != nil {
@@ -160,22 +161,22 @@ func TestUnmarshalInto(t *testing.T) {
 	foreign := NewShared(other, 3)
 	var untouched Sketch
 	fw := make([]uint64, foreign.Words())
-	if ok, err := foreign.UnmarshalInto(&untouched, fw, blob); ok || err != nil {
-		t.Fatalf("foreign parameters: UnmarshalInto = %v, %v; want false, nil", ok, err)
+	if err := foreign.UnmarshalInto(&untouched, fw, blob); err == nil {
+		t.Fatal("foreign parameters accepted")
 	}
 	if untouched.sh != nil {
 		t.Fatal("foreign parameters: record was written")
 	}
-	if ok, _ := NewShared(cfg, 3, WithResolution(30)).UnmarshalInto(&untouched, words, blob); ok {
+	if err := NewShared(cfg, 3, WithResolution(30)).UnmarshalInto(&untouched, words, blob); err == nil {
 		t.Fatal("foreign resolution accepted")
 	}
 
 	bad := bytes.Clone(blob)
 	bad[28]++ // recorded L one above the bitmap's popcount
-	if _, err := sh.UnmarshalInto(&rec, words, bad); err == nil {
+	if err := sh.UnmarshalInto(&rec, words, bad); err == nil {
 		t.Fatal("popcount mismatch accepted")
 	}
-	if _, err := sh.UnmarshalInto(&rec, words, blob[:len(blob)-1]); err == nil {
+	if err := sh.UnmarshalInto(&rec, words, blob[:len(blob)-1]); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 }

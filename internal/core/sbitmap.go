@@ -389,7 +389,7 @@ func parseSketch(data []byte) (p sketchParams, body []byte, err error) {
 // returned sketch can Estimate immediately; to continue adding items, pass
 // the same hasher used by the original via opts.
 func UnmarshalSketch(data []byte, opts ...Option) (*Sketch, error) {
-	p, _, err := parseSketch(data)
+	p, body, err := parseSketch(data)
 	if err != nil {
 		return nil, err
 	}
@@ -397,10 +397,9 @@ func UnmarshalSketch(data []byte, opts ...Option) (*Sketch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rejected serialized parameters: %w", err)
 	}
-	// The recorded resolution comes last so it wins: the Shared then matches
-	// the header, and UnmarshalInto cannot refuse it.
+	// The recorded resolution comes last so it wins over opts.
 	s := NewSketch(cfg, 0, append(opts[:len(opts):len(opts)], WithResolution(p.d))...)
-	if _, err := s.sh.UnmarshalInto(s, s.words, data); err != nil {
+	if err := s.decode(p, body); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -408,32 +407,37 @@ func UnmarshalSketch(data []byte, opts ...Option) (*Sketch, error) {
 
 // UnmarshalInto restores MarshalBinary output into *s as Init(s, words)
 // followed by the recorded state — the slab counterpart of UnmarshalSketch,
-// building no Config and no hasher. It reports false, touching neither s
-// nor words, when data is well-framed but was serialized under other
-// parameters than sh's (m, N, C or resolution d); UnmarshalSketch rebuilds
-// such a sketch. The bitmap's length must match m and its popcount the
-// recorded L. On an error the contents of words are unspecified.
-func (sh *Shared) UnmarshalInto(s *Sketch, words []uint64, data []byte) (bool, error) {
+// building no Config and no hasher. Data serialized under other parameters
+// than sh's (m, N, C or resolution d) is an error that touches neither s
+// nor words; on any other error the contents of words are unspecified.
+func (sh *Shared) UnmarshalInto(s *Sketch, words []uint64, data []byte) error {
 	p, body, err := parseSketch(data)
 	if err != nil {
-		return false, err
+		return err
 	}
 	cfg := sh.cfg
 	if p.m != cfg.m || math.Float64bits(p.n) != math.Float64bits(cfg.n) ||
 		math.Float64bits(p.c) != math.Float64bits(cfg.c) || p.d != sh.dBits {
-		return false, nil
+		return fmt.Errorf("core: sketch serialized under m=%d N=%g C=%g d=%d, not m=%d N=%g C=%g d=%d",
+			p.m, p.n, p.c, p.d, cfg.m, cfg.n, cfg.c, sh.dBits)
 	}
 	sh.Init(s, words)
+	return s.decode(p, body)
+}
+
+// decode loads a parsed body into the freshly initialized s. The bitmap's
+// length must match m and its popcount the recorded L.
+func (s *Sketch) decode(p sketchParams, body []byte) error {
 	n, ones, err := bitvec.DecodeWords(s.words, body)
 	if err != nil {
-		return true, err
+		return err
 	}
-	if n != cfg.m {
-		return true, fmt.Errorf("core: bitmap length %d does not match m = %d", n, cfg.m)
+	if n != p.m {
+		return fmt.Errorf("core: bitmap length %d does not match m = %d", n, p.m)
 	}
 	if ones != p.l {
-		return true, fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", ones, p.l)
+		return fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", ones, p.l)
 	}
 	s.l, s.cur = p.l, s.thresholdAt(p.l)
-	return true, nil
+	return nil
 }

@@ -1377,7 +1377,7 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 		}
 		payload = rest
 		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
-		c, err := s.decodeCounterLocked(st, key, blob, specOpts)
+		c, err := s.decodeCounter(st.arena, key, blob, specOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -1446,13 +1446,13 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 	return key, payload[:blen], payload[blen:], nil
 }
 
-// decodeCounterLocked restores key's counter from its snapshot blob, with
-// st — key's stripe — locked (or not yet shared). An S-bitmap lands
-// straight in the stripe's arena, so a restored store is laid out as one
+// decodeCounter restores key's counter from its snapshot blob. With a
+// non-nil arena — key's stripe's, the stripe locked or not yet shared —
+// the counter lands straight in it, so a restored store is laid out as one
 // built by ingest. On a windowed store the blob is a sub-window ring, and
 // the store's watermark advances to the ring's newest sub-window so
 // restores re-derive the time position from snapshot contents.
-func (s *Store[K]) decodeCounterLocked(st *storeStripe[K], key K, blob []byte, specOpts []Option) (Counter, error) {
+func (s *Store[K]) decodeCounter(arena *sbitmapArena, key K, blob []byte, specOpts []Option) (Counter, error) {
 	if s.win != nil {
 		r, err := unmarshalWindowRing(s.win, blob, specOpts)
 		if err != nil {
@@ -1463,14 +1463,13 @@ func (s *Store[K]) decodeCounterLocked(st *storeStripe[K], key K, blob []byte, s
 		}
 		return r, nil
 	}
-	if st.arena != nil {
-		if c, ok, err := st.arena.restore(blob); err != nil {
-			return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
-		} else if ok {
-			return c, nil
-		}
+	var c Counter
+	var err error
+	if arena != nil {
+		c, err = arena.restore(blob)
+	} else {
+		c, err = Unmarshal(blob, specOpts...)
 	}
-	c, err := Unmarshal(blob, specOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}
@@ -1612,11 +1611,20 @@ func (s *Store[K]) RestoreStripe(blob []byte) (int, error) {
 		}
 		payload = rest
 		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
+		// A heap counter decodes before the stripe is locked; an arena
+		// hands out its slots only under the lock.
+		var c Counter
+		if st.arena == nil {
+			if c, err = s.decodeCounter(nil, key, cblob, specOpts); err != nil {
+				return int(i), err
+			}
+		}
 		st.mu.Lock()
-		c, err := s.decodeCounterLocked(st, key, cblob, specOpts)
-		if err != nil {
-			st.mu.Unlock()
-			return int(i), err
+		if st.arena != nil {
+			if c, err = s.decodeCounter(st.arena, key, cblob, specOpts); err != nil {
+				st.mu.Unlock()
+				return int(i), err
+			}
 		}
 		if _, dup := st.m[key]; dup {
 			st.mu.Unlock()

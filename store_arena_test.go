@@ -1,6 +1,8 @@
 package sbitmap
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -118,6 +120,74 @@ func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 				return true
 			})
 		})
+	}
+}
+
+// TestSBitmapArenaEquivalence: counters an arena hands out across its 4,
+// 8, 16 and 32 chunk growths are bit-identical to Spec.New's under
+// interleaved ingest — no cross-talk through the shared word slab or the
+// Shared's batch buffers.
+func TestSBitmapArenaEquivalence(t *testing.T) {
+	spec := MustSpec("sbitmap:n=1e4,eps=0.1,seed=5")
+	a, err := spec.newArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	slabbed, heaped := make([]Counter, n), make([]Counter, n)
+	for i := range slabbed {
+		slabbed[i] = a.next()
+		if heaped[i], err = spec.New(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 300; round++ {
+		for i := range slabbed {
+			item := uint64(round*31+i*7) % 900 // duplicates included
+			if x, y := slabbed[i].AddUint64(item), heaped[i].AddUint64(item); x != y {
+				t.Fatalf("counter %d round %d: arena changed=%v heap changed=%v", i, round, x, y)
+			}
+		}
+	}
+	for i := range slabbed {
+		batch := []uint64{1, 2, 3, uint64(i), uint64(i), 1 << 40}
+		if x, y := slabbed[i].(BulkAdder).AddBatch64(batch), heaped[i].(BulkAdder).AddBatch64(batch); x != y {
+			t.Fatalf("counter %d: batch changed %d (arena) vs %d (heap)", i, x, y)
+		}
+		sb, err := Marshal(slabbed[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := Marshal(heaped[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sb, hb) {
+			t.Fatalf("counter %d: serialized state diverged", i)
+		}
+	}
+}
+
+// TestSBitmapArenaAllocAmortized: once an arena's chunks reach full size,
+// materializing counters costs only each chunk's two slabs, records and
+// words, per arenaChunkMax counters — no heap object per counter.
+func TestSBitmapArenaAllocAmortized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	a, err := MustSpec("sbitmap:n=1e4,eps=0.1").newArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a.chunk < arenaChunkMax {
+		a.next()
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for range arenaChunkMax {
+			a.next()
+		}
+	}); allocs > 2 {
+		t.Errorf("%.1f allocs per %d counters, want ≤ 2 (one record slab, one word slab)", allocs, arenaChunkMax)
 	}
 }
 
@@ -291,6 +361,38 @@ func TestStoreRestoreIntoArena(t *testing.T) {
 				t.Errorf("restored store holds %.1f B/key, above 1.05× its cold-built twin's %.1f", heap, cold)
 			}
 		})
+	}
+}
+
+// TestStoreRestoreRejectsForeignCounters: a stripe snapshot holding
+// counters of another kind or other S-bitmap parameters than the store's
+// spec is a corrupt snapshot to an arena-backed store, not a counter to
+// adopt.
+func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
+	dst, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"sbitmap:n=1e4,eps=0.05", "sbitmap:n=1e4,eps=0.1,d=30", "hll:mbits=512"} {
+		src, err := NewStore[uint64](MustSpec(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.AddUint64(1, 2)
+		blobs, _, err := src.MarshalStripes(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blobs {
+			if n, _ := StripeSnapshotKeys(b); n == 0 {
+				continue
+			}
+			if _, err := dst.RestoreStripe(b); err == nil {
+				t.Errorf("%s counter restored into an sbitmap:n=1e4,eps=0.1 store", spec)
+			} else if spec == "hll:mbits=512" && !errors.Is(err, ErrKindMismatch) {
+				t.Errorf("%s counter: %v, want ErrKindMismatch", spec, err)
+			}
+		}
 	}
 }
 
