@@ -64,7 +64,7 @@ func NewLogLog(mbits int, opts ...Option) Counter {
 // fitted into mbits bits (5-bit registers, power-of-two register count).
 func NewHyperLogLog(mbits int, opts ...Option) Counter {
 	o := buildOptions(opts)
-	return &HyperLogLog{sk: hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(mbits), o.newHasher())}
+	return &HyperLogLog{sk: *hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(mbits), o.newHasher())}
 }
 
 // NewAdaptiveSampler returns Wegman's adaptive sampler (Flajolet 1990)

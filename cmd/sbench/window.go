@@ -3,8 +3,8 @@ package main
 // The window pseudo-experiment measures the sliding-window subsystem:
 // per-key sub-window rings (windowed(width=1m,ring=5)) under timestamped
 // keyed ingest. It reports steady-state in-window ingest vs the
-// watermark-advancing passes that rotate every key's ring (the O(1)
-// reset-in-place path), merge-on-query latency for /v1/estimate?window=
+// watermark-advancing passes that rotate every key's ring (reusing the
+// expired slot's counter), merge-on-query latency for /v1/estimate?window=
 // spans against a plain unwindowed store's estimate, the per-key
 // resident footprint at ring=5, and an end-to-end loopback check: a real
 // HTTP server fed version-2 (timestamped) frames across 2^16 keys must
@@ -143,7 +143,7 @@ func runWindow(jsonPath string, seed uint64) error {
 	report.Ingest.InWindowPerSec = float64(warmRecs) / time.Since(start).Seconds()
 
 	// Rotating ingest: each pass lands in the next sub-window, so every
-	// key's ring rotates (Reset-in-place) exactly once per pass.
+	// key's ring rotates exactly once per pass.
 	const rotPasses = 5
 	start = time.Now()
 	for p := 1; p <= rotPasses; p++ {

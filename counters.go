@@ -30,7 +30,7 @@ type Saturable interface {
 
 // HyperLogLog is the root-package face of the Flajolet et al. (2007)
 // HyperLogLog counter. Create one with NewHyperLogLog or Unmarshal.
-type HyperLogLog struct{ sk *hyperloglog.Sketch }
+type HyperLogLog struct{ sk hyperloglog.Sketch }
 
 // Add offers an item; it reports whether a register grew.
 func (c *HyperLogLog) Add(item []byte) bool { return c.sk.Add(item) }
@@ -61,12 +61,12 @@ func (c *HyperLogLog) Merge(other Counter) error {
 	if !ok {
 		return fmt.Errorf("sbitmap: cannot merge %T into *HyperLogLog: %w", other, ErrNotMergeable)
 	}
-	return c.sk.Merge(o.sk)
+	return c.sk.Merge(&o.sk)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler via the envelope.
 func (c *HyperLogLog) MarshalBinary() ([]byte, error) {
-	return marshalEnvelope(KindHLL, c.sk)
+	return marshalEnvelope(KindHLL, &c.sk)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The restored
@@ -76,9 +76,6 @@ func (c *HyperLogLog) UnmarshalBinary(data []byte) error {
 	payload, err := payloadOfKind(data, KindHLL)
 	if err != nil {
 		return err
-	}
-	if c.sk == nil {
-		c.sk = &hyperloglog.Sketch{}
 	}
 	return c.sk.UnmarshalBinary(payload)
 }

@@ -1,6 +1,90 @@
 package sbitmap
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"testing"
+	"time"
+)
+
+// FuzzUnmarshalStore drives the whole-store snapshot decoder, seeded with
+// snapshots of plain and windowed HLL and S-bitmap stores. The
+// invariants: UnmarshalStore never panics, and a store it decodes
+// re-encodes to a snapshot that decodes to the same per-key counter
+// blobs. A snapshot's spec string dimensions the store it decodes into,
+// so a mutated one can ask for any amount of memory; inputs keep one of
+// the seeds' specs, and everything after it is fuzzed. CI runs a short
+// fuzz smoke over this target.
+func FuzzUnmarshalStore(f *testing.F) {
+	specs := make(map[string]bool)
+	for _, spec := range []string{
+		"hll:mbits=256,seed=3",
+		"hll:mbits=256,seed=3/windowed(width=1m,ring=3)",
+		"sbitmap:n=1e3,eps=0.2",
+		"sbitmap:n=1e3,eps=0.2/windowed(width=1m,ring=3)",
+	} {
+		s, err := NewStore[string](MustSpec(spec))
+		if err != nil {
+			f.Fatal(err)
+		}
+		specs[s.Spec().String()] = true
+		for i := 0; i < 40; i++ {
+			s.AddStringAt(time.Unix(int64(i%4)*60, 0), fmt.Sprintf("k%d", i%5), fmt.Sprintf("i%d", i))
+		}
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Envelope header (6 bytes), key type, spec length, spec string.
+		if len(data) < 9 {
+			return
+		}
+		specLen := int(binary.LittleEndian.Uint16(data[7:]))
+		if len(data) < 9+specLen || !specs[string(data[9:9+specLen])] {
+			return
+		}
+		s, err := UnmarshalStore[string](data)
+		if err != nil {
+			return // rejection is fine; panicking or drifting is not
+		}
+		again, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded store does not re-encode: %v", err)
+		}
+		back, err := UnmarshalStore[string](again)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		want, got := storeBlobs(t, s), storeBlobs(t, back)
+		if len(got) != len(want) {
+			t.Fatalf("round trip holds %d keys, want %d", len(got), len(want))
+		}
+		for k, b := range want {
+			if !bytes.Equal(got[k], b) {
+				t.Fatalf("key %q: counter blob changed across the round trip", k)
+			}
+		}
+	})
+}
+
+// storeBlobs returns every key's counter snapshot.
+func storeBlobs(t *testing.T, s *Store[string]) map[string][]byte {
+	t.Helper()
+	blobs := make(map[string][]byte, s.Len())
+	s.ForEach(func(k string, c Counter) bool {
+		b, err := Marshal(c)
+		if err != nil {
+			t.Fatalf("key %q: %v", k, err)
+		}
+		blobs[k] = b
+		return true
+	})
+	return blobs
+}
 
 // FuzzParseSpec drives the spec grammar with arbitrary strings. The
 // invariants: ParseSpec never panics; any accepted spec renders to a

@@ -37,30 +37,66 @@ const RegisterBits = 5
 
 const maxRank = 1<<RegisterBits - 1
 
-// Sketch is a HyperLogLog counter. Not safe for concurrent use.
+// Sketch is a HyperLogLog counter. A Sketch value is only the per-sketch
+// record: the register array. Everything that is the same for every
+// sketch under one register count and hash lives in a Shared, which a
+// keyed store holds once for all its sketches (see Shared.Init). Not safe
+// for concurrent use.
 type Sketch struct {
-	reg   []uint8
+	sh  *Shared
+	reg []uint8
+}
+
+// Shared is the state every sketch under one register count and hasher
+// shares: the register-count exponent, α_m, the Hasher, and the batch
+// hash buffers of AddBatch64/AddBatchString. New gives each sketch its
+// own. The batch buffers make a Shared as unsafe for concurrent use as its
+// sketches: code that feeds sketches of one Shared concurrently hashes
+// through the Scratch variants instead.
+type Shared struct {
 	kBits uint
 	alpha float64
 	h     uhash.Hasher
-	scr   uhash.Scratch // reusable batch hash buffers (not serialized)
+	own   bool          // held by one New sketch, whose Footprint counts it
+	scr   uhash.Scratch // batch hash buffers (not serialized)
 }
+
+// NewShared returns the state shared by sketches equivalent to
+// NewWithHasher(kBits, h); Init materializes them. It panics if kBits is
+// outside [4, 24] (the α_m constants below follow the original paper and
+// start at m = 16).
+func NewShared(kBits uint, h uhash.Hasher) *Shared {
+	if kBits < 4 || kBits > 24 {
+		panic(fmt.Sprintf("hyperloglog: kBits = %d outside [4, 24]", kBits))
+	}
+	return &Shared{kBits: kBits, alpha: alpha(1 << kBits), h: h}
+}
+
+// Init makes *s an empty sketch under sh, with a register array of its
+// own.
+func (sh *Shared) Init(s *Sketch) {
+	*s = Sketch{sh: sh, reg: make([]uint8, 1<<sh.kBits)}
+}
+
+// Footprint returns the shared state's resident memory in bytes: the
+// struct and the lazily allocated batch buffers.
+func (sh *Shared) Footprint() int { return int(unsafe.Sizeof(*sh)) + sh.scr.Footprint() }
 
 // New returns a HyperLogLog sketch with m = 2^kBits registers, hashing
 // with the default Mixer seeded by seed. It panics if kBits is outside
-// [4, 24] (the α_m constants below follow the original paper and start at
-// m = 16).
+// [4, 24].
 func New(kBits uint, seed uint64) *Sketch {
 	return NewWithHasher(kBits, uhash.NewMixer(seed))
 }
 
-// NewWithHasher returns a HyperLogLog sketch with an explicit hasher.
+// NewWithHasher returns a HyperLogLog sketch with an explicit hasher and
+// shared state of its own.
 func NewWithHasher(kBits uint, h uhash.Hasher) *Sketch {
-	if kBits < 4 || kBits > 24 {
-		panic(fmt.Sprintf("hyperloglog: kBits = %d outside [4, 24]", kBits))
-	}
-	m := 1 << kBits
-	return &Sketch{reg: make([]uint8, m), kBits: kBits, alpha: alpha(m), h: h}
+	sh := NewShared(kBits, h)
+	sh.own = true
+	s := new(Sketch)
+	sh.Init(s)
+	return s
 }
 
 // KBitsForBudget returns the largest register-count exponent k such that
@@ -120,25 +156,25 @@ func registerWidthFor(n float64) int {
 
 // Add offers an item to the sketch; it reports whether a register grew.
 func (s *Sketch) Add(item []byte) bool {
-	hi, lo := s.h.Sum128(item)
+	hi, lo := s.sh.h.Sum128(item)
 	return s.insert(hi, lo)
 }
 
 // AddUint64 offers a 64-bit item.
 func (s *Sketch) AddUint64(item uint64) bool {
-	hi, lo := s.h.Sum128Uint64(item)
+	hi, lo := s.sh.h.Sum128Uint64(item)
 	return s.insert(hi, lo)
 }
 
 // AddString offers a string item; it hashes identically to Add of the
 // string's bytes but avoids the []byte conversion.
 func (s *Sketch) AddString(item string) bool {
-	hi, lo := s.h.Sum128String(item)
+	hi, lo := s.sh.h.Sum128String(item)
 	return s.insert(hi, lo)
 }
 
 func (s *Sketch) insert(bucketWord, geoWord uint64) bool {
-	j := bucketWord >> (64 - s.kBits)
+	j := bucketWord >> (64 - s.sh.kBits)
 	rank := bits.LeadingZeros64(geoWord) + 1
 	if rank > maxRank {
 		rank = maxRank
@@ -152,14 +188,28 @@ func (s *Sketch) insert(bucketWord, geoWord uint64) bool {
 
 // AddBatch64 offers a slice of 64-bit items and returns how many grew a
 // register; state-equivalent to AddUint64 on each item in order, with
-// chunked hashing and the register array in a local.
+// chunked hashing through the shared batch buffers and the register array
+// in a local.
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.sh.h, &s.sh.scr, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.sh.h, &s.sh.scr, items, s.insertBatch)
+}
+
+// AddBatch64Scratch is AddBatch64 hashing through caller-owned scratch
+// instead of the shared batch buffers, so sketches of one Shared may be
+// fed concurrently, each caller with scratch of its own. The sketch state
+// after the call is bit-identical to AddBatch64's.
+func (s *Sketch) AddBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
+	return uhash.Batch64(s.sh.h, scr, items, s.insertBatch)
+}
+
+// AddBatchStringScratch is AddBatch64Scratch for string items.
+func (s *Sketch) AddBatchStringScratch(scr *uhash.Scratch, items []string) int {
+	return uhash.BatchString(s.sh.h, scr, items, s.insertBatch)
 }
 
 // insertBatch replays insert over a chunk of hashed items; the bucket
@@ -168,7 +218,7 @@ func (s *Sketch) AddBatchString(items []string) int {
 func (s *Sketch) insertBatch(hi, lo []uint64) int {
 	lo = lo[:len(hi)] // one bounds proof for the whole chunk
 	reg := s.reg
-	shift := 64 - s.kBits
+	shift := 64 - s.sh.kBits
 	changed := 0
 	for i, h := range hi {
 		j := h >> shift
@@ -199,7 +249,7 @@ func (s *Sketch) Estimate() float64 {
 			zeros++
 		}
 	}
-	e := s.alpha * m * m / invSum
+	e := s.sh.alpha * m * m / invSum
 	if e <= 2.5*m && zeros > 0 {
 		return m * math.Log(m/float64(zeros))
 	}
@@ -227,9 +277,16 @@ func (s *Sketch) Merge(o *Sketch) error {
 func (s *Sketch) SizeBits() int { return len(s.reg) * RegisterBits }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct, the register array at capacity, and the batch-hash scratch.
+// record and its register array at capacity, plus — for a New sketch,
+// which owns its Shared — the shared state and batch buffers. A sketch
+// under a keyed store's Shared counts only its record and registers; the
+// store counts the Shared once for all of them.
 func (s *Sketch) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + cap(s.reg) + s.scr.Footprint()
+	n := int(unsafe.Sizeof(*s)) + cap(s.reg)
+	if s.sh.own {
+		n += s.sh.Footprint()
+	}
+	return n
 }
 
 // MarshalBinary serializes the register array (one byte per register,
@@ -237,52 +294,79 @@ func (s *Sketch) Footprint() int {
 // serialized; pass the original hasher to Unmarshal to continue counting.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 1+len(s.reg))
-	buf = append(buf, byte(s.kBits))
+	buf = append(buf, byte(s.sh.kBits))
 	buf = append(buf, s.reg...)
 	return buf, nil
 }
 
-// UnmarshalBinary reconstructs the sketch in place from MarshalBinary
-// output. A nil hasher field is replaced by the default Mixer with seed 1.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
+// parse validates MarshalBinary output and returns its register-count
+// exponent; the registers are data[1:].
+func parse(data []byte) (uint, error) {
 	if len(data) < 1 {
-		return fmt.Errorf("hyperloglog: truncated serialization")
+		return 0, fmt.Errorf("hyperloglog: truncated serialization")
 	}
 	kBits := uint(data[0])
 	if kBits < 4 || kBits > 24 {
-		return fmt.Errorf("hyperloglog: serialized kBits = %d outside [4, 24]", kBits)
+		return 0, fmt.Errorf("hyperloglog: serialized kBits = %d outside [4, 24]", kBits)
 	}
-	m := 1 << kBits
-	if len(data) != 1+m {
-		return fmt.Errorf("hyperloglog: register body %d bytes, want %d", len(data)-1, m)
+	if m := 1 << kBits; len(data) != 1+m {
+		return 0, fmt.Errorf("hyperloglog: register body %d bytes, want %d", len(data)-1, m)
 	}
 	for _, r := range data[1:] {
 		if r > maxRank {
-			return fmt.Errorf("hyperloglog: serialized rank %d exceeds register width", r)
+			return 0, fmt.Errorf("hyperloglog: serialized rank %d exceeds register width", r)
 		}
 	}
-	s.reg = append([]uint8(nil), data[1:]...)
-	s.kBits = kBits
-	s.alpha = alpha(m)
-	if s.h == nil {
-		s.h = uhash.NewMixer(1)
+	return kBits, nil
+}
+
+// UnmarshalInto restores MarshalBinary output into *s as Init(s) followed
+// by the recorded registers, building no hasher. Data serialized with
+// another register count than sh's is an error that leaves s untouched.
+func (sh *Shared) UnmarshalInto(s *Sketch, data []byte) error {
+	kBits, err := parse(data)
+	if err != nil {
+		return err
 	}
+	if kBits != sh.kBits {
+		return fmt.Errorf("hyperloglog: sketch serialized with m=%d registers, not m=%d", 1<<kBits, 1<<sh.kBits)
+	}
+	sh.Init(s)
+	copy(s.reg, data[1:])
 	return nil
 }
 
-// Unmarshal reconstructs a sketch from MarshalBinary output, hashing with h
-// (nil selects the default Mixer with seed 1).
+// UnmarshalBinary reconstructs the sketch in place from MarshalBinary
+// output, under shared state of its own that keeps the sketch's hasher
+// (the default Mixer with seed 1 for a zero Sketch).
+func (s *Sketch) UnmarshalBinary(data []byte) error {
+	var h uhash.Hasher
+	if s.sh != nil {
+		h = s.sh.h
+	}
+	r, err := Unmarshal(data, h)
+	if err != nil {
+		return err
+	}
+	*s = *r
+	return nil
+}
+
+// Unmarshal reconstructs a sketch from MarshalBinary output, under shared
+// state of its own hashing with h (nil selects the default Mixer with
+// seed 1).
 func Unmarshal(data []byte, h uhash.Hasher) (*Sketch, error) {
-	s := &Sketch{h: h}
-	if err := s.UnmarshalBinary(data); err != nil {
+	kBits, err := parse(data)
+	if err != nil {
 		return nil, err
 	}
+	if h == nil {
+		h = uhash.NewMixer(1)
+	}
+	s := NewWithHasher(kBits, h)
+	copy(s.reg, data[1:])
 	return s, nil
 }
 
 // Reset clears the sketch for reuse.
-func (s *Sketch) Reset() {
-	for j := range s.reg {
-		s.reg[j] = 0
-	}
-}
+func (s *Sketch) Reset() { clear(s.reg) }

@@ -1,10 +1,12 @@
 package hyperloglog
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/uhash"
 	"repro/internal/xrand"
 )
 
@@ -214,6 +216,49 @@ func TestSizeResetPanics(t *testing.T) {
 			}()
 			New(k, 1)
 		}()
+	}
+}
+
+// TestSharedRecords: sketches initialized under one Shared — the layout a
+// keyed store uses — are bit-identical to New sketches, batch through
+// caller scratch identically to their own buffers, account only their
+// record and registers, and restore in place without building a hasher.
+func TestSharedRecords(t *testing.T) {
+	sh := NewShared(6, uhash.NewMixer(4))
+	recs := make([]Sketch, 8)
+	var scr uhash.Scratch
+	for i := range recs {
+		sh.Init(&recs[i])
+		own := New(6, 4)
+		items := []uint64{uint64(i), 1, 2, 3, uint64(i) << 30}
+		if a, b := recs[i].AddBatch64Scratch(&scr, items), own.AddBatch64(items); a != b {
+			t.Fatalf("sketch %d: batch changed %d (shared+scratch) vs %d (own)", i, a, b)
+		}
+		ab, _ := recs[i].MarshalBinary()
+		ob, _ := own.MarshalBinary()
+		if !bytes.Equal(ab, ob) {
+			t.Fatalf("sketch %d: serialized state diverged", i)
+		}
+		if got, want := own.Footprint(), recs[i].Footprint()+sh.Footprint()+own.sh.scr.Footprint(); got != want {
+			t.Errorf("own sketch footprint %d, want record+registers+shared = %d", got, want)
+		}
+	}
+	const record = 32 // shared pointer, register slice header
+	if got := recs[0].Footprint(); got != record+64 {
+		t.Errorf("shared-state sketch footprint %d, want %d", got, record+64)
+	}
+
+	blob, _ := recs[3].MarshalBinary()
+	var back Sketch
+	if err := sh.UnmarshalInto(&back, blob); err != nil {
+		t.Fatal(err)
+	}
+	if back.Estimate() != recs[3].Estimate() || back.sh != sh {
+		t.Fatal("UnmarshalInto did not restore the registers under sh")
+	}
+	var untouched Sketch
+	if err := NewShared(7, uhash.NewMixer(4)).UnmarshalInto(&untouched, blob); err == nil || untouched.sh != nil {
+		t.Fatalf("foreign register count: err=%v, record written=%v", err, untouched.sh != nil)
 	}
 }
 

@@ -43,7 +43,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -576,15 +575,10 @@ func bodyReadError(w http.ResponseWriter, err error) {
 			"request body exceeds %d bytes", maxErr.Limit)
 		return
 	}
-	if errors.Is(err, bufio.ErrTooLong) {
-		writeError(w, http.StatusBadRequest, CodeBadNDJSON,
-			"NDJSON line exceeds %d bytes", ndjsonMaxLine)
-		return
-	}
 	writeError(w, http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 }
 
-// ndjsonMaxLine bounds one NDJSON record line.
+// ndjsonMaxLine bounds one NDJSON record line, its newline excluded.
 const ndjsonMaxLine = 1 << 20
 
 // ndjsonRecord is one NDJSON ingest line. TS is an optional record
@@ -815,12 +809,20 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	} else {
 		keys, items, tss := sc.keys, sc.items, sc.tss
 		hasTS := false
-		sc2 := bufio.NewScanner(bytes.NewReader(data))
-		sc2.Buffer(make([]byte, 0, 64*1024), ndjsonMaxLine)
-		line := 0
-		for sc2.Scan() {
-			line++
-			raw := bytes.TrimSpace(sc2.Bytes())
+		// Lines are split in place over the pooled body; decoding copies
+		// every key and item out of it.
+		for line, rest := 1, data; len(rest) > 0; line++ {
+			raw := rest
+			if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
+				raw, rest = rest[:nl], rest[nl+1:]
+			} else {
+				rest = nil
+			}
+			if len(raw) > ndjsonMaxLine {
+				writeError(w, http.StatusBadRequest, CodeBadNDJSON, "line %d: exceeds %d bytes", line, ndjsonMaxLine)
+				return
+			}
+			raw = bytes.TrimSpace(raw)
 			if len(raw) == 0 {
 				continue
 			}
@@ -839,10 +841,6 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			hasTS = hasTS || rec.TS != 0
 		}
 		sc.keys, sc.items, sc.tss = keys, items, tss
-		if err := sc2.Err(); err != nil {
-			bodyReadError(w, err)
-			return
-		}
 		res.Records = len(keys)
 		if !hasTS {
 			if s.wlog != nil {

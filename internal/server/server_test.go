@@ -134,6 +134,52 @@ func TestHandlerErrorTable(t *testing.T) {
 	}
 }
 
+// TestNDJSONLines: NDJSON is split into lines in place over the request
+// body. Blank lines and CRLF endings are skipped, errors name their line,
+// and a line may hold up to ndjsonMaxLine bytes — one byte more is a
+// typed bad_ndjson 400.
+func TestNDJSONLines(t *testing.T) {
+	_, ts, client := newTestServer(t, Config{Spec: sbitmap.MustSpec("hll:mbits=512"), MaxBodyBytes: 2 << 20})
+	post := func(body []byte) (int, errorBody) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/add", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, eb
+	}
+	if status, eb := post([]byte("\r\n{\"key\":\"a\",\"item\":\"x\"}\r\n\n{\"key\":\"b\",\"item\":\"y\"}")); status != http.StatusOK {
+		t.Fatalf("CRLF and blank lines: %d %+v", status, eb)
+	}
+	for _, key := range []string{"a", "b"} {
+		if _, ok, err := client.Estimate(context.Background(), key); err != nil || !ok {
+			t.Errorf("key %s not ingested: ok=%v err=%v", key, ok, err)
+		}
+	}
+	if status, eb := post([]byte("{\"key\":\"a\",\"item\":\"x\"}\n\nnot json\n")); status != http.StatusBadRequest ||
+		eb.Error.Code != CodeBadNDJSON || !strings.HasPrefix(eb.Error.Message, "line 3:") {
+		t.Errorf("bad third line: %d %+v, want 400 %s naming line 3", status, eb, CodeBadNDJSON)
+	}
+	line := func(n int) []byte {
+		b := []byte(`{"key":"big","item":"`)
+		b = append(b, bytes.Repeat([]byte("x"), n-len(b)-2)...)
+		return append(b, "\"}\n"...)
+	}
+	if status, eb := post(line(ndjsonMaxLine)); status != http.StatusOK {
+		t.Errorf("line of %d bytes: %d %+v, want 200", ndjsonMaxLine, status, eb)
+	}
+	if status, eb := post(line(ndjsonMaxLine + 1)); status != http.StatusBadRequest || eb.Error.Code != CodeBadNDJSON {
+		t.Errorf("line of %d bytes: %d %+v, want 400 %s", ndjsonMaxLine+1, status, eb, CodeBadNDJSON)
+	}
+}
+
 func mustCounterBlob(t *testing.T) []byte {
 	t.Helper()
 	c, err := sbitmap.MustSpec("hll:mbits=512").New()

@@ -193,7 +193,7 @@ func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &HyperLogLog{sk: sk}, nil
+		return &HyperLogLog{sk: *sk}, nil
 	case KindLogLog:
 		sk, err := loglog.Unmarshal(payload, o.newHasher())
 		if err != nil {

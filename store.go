@@ -43,7 +43,6 @@ type Store[K StoreKey] struct {
 	router  *uhash.Mixer
 	limit   int  // max keys (0 = unbounded)
 	isStr   bool // K's underlying type is string (cached keyIsString)
-	slab    bool // per-stripe arenas + shared scratch (WithSlabAllocator)
 	keys    atomic.Int64
 	onEvict func(K, Counter)
 
@@ -55,6 +54,11 @@ type Store[K StoreKey] struct {
 	// newCounter is the per-key factory: Spec.New with the construction
 	// validated once in NewStore, so materialization cannot fail later.
 	newCounter func() Counter
+
+	// hll builds every HyperLogLog of an hll spec — per key or per
+	// sub-window, new, recycled or restored — under one shared state; nil
+	// for other kinds.
+	hll *hllSource
 
 	// win is the sliding-window configuration of a windowed(...) spec; nil
 	// otherwise. When set, per-key counters are windowRings, wm is the
@@ -78,17 +82,19 @@ type StoreKey interface {
 }
 
 // storeStripe is one lock-striped segment of the key space. Beyond the
-// lock and map it owns the stripe's cold-path slab allocator and one hash
-// scratch lent to every per-key sketch's batch path (both guarded by mu),
-// so neither per-key state nor the ~4 KiB batch buffers are allocated per
-// key.
+// lock and map it owns the stripe's cold-path slab allocator, one hash
+// scratch lent to every per-key sketch's batch path, and the free list of
+// sub-window counters its keys' rings released (all guarded by mu), so
+// neither per-key state nor the ~4 KiB batch buffers are allocated per
+// key, and ring rotation reuses counters instead of allocating them.
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
 	m      map[K]Counter
 	arena  *sbitmapArena // nil unless slab allocation is on
 	scr    uhash.Scratch // shared batch-hash buffers, under mu
+	free   []Counter     // released sub-window counters, Reset, under mu
 	modGen uint64        // generation of the last mutation, under mu
-	_      [40]byte      // pad to reduce false sharing between adjacent locks
+	_      [24]byte      // pad to reduce false sharing between adjacent locks
 }
 
 // StoreOption configures a Store at construction.
@@ -114,16 +120,17 @@ func WithStripes(n int) StoreOption { return func(c *storeConfig) { c.stripes = 
 // most the stripe count. 0 (the default) means unbounded.
 func WithMaxKeys(n int) StoreOption { return func(c *storeConfig) { c.maxKeys = n } }
 
-// WithSlabAllocator toggles the cold-path allocator (default on): per-key
-// sketch state is carved out of per-stripe slabs (identically specced
-// sketches are identically sized) and every sketch's batch path borrows
-// one per-stripe hash scratch instead of lazily allocating ~4 KiB each.
-// Estimates are bit-identical either way; the toggle exists for
-// before/after measurement (sbench -run keyed) and as an escape hatch.
+// WithSlabAllocator toggles the cold-path slab allocator (default on):
+// per-key S-bitmap state is carved out of per-stripe slabs (identically
+// specced sketches are identically sized). Estimates are bit-identical
+// either way; the toggle exists for before/after measurement (sbench -run
+// keyed) and as an escape hatch. Either way, every sketch's batch path
+// borrows one per-stripe hash scratch instead of lazily allocating ~4 KiB
+// each.
 //
-// Slabs are never reclaimed slot-wise, so the arena half is automatically
+// Slabs are never reclaimed slot-wise, so the allocator is automatically
 // disabled when WithMaxKeys eviction is active (evicted counters would
-// leak their slots); the shared-scratch half stays on.
+// leak their slots).
 func WithSlabAllocator(on bool) StoreOption { return func(c *storeConfig) { c.noSlab = !on } }
 
 // storeDefaultStripes is the default lock-stripe count.
@@ -186,7 +193,6 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		router:  uhash.NewMixer(seed ^ storeRouterSalt),
 		limit:   cfg.maxKeys,
 		isStr:   keyIsString[K](),
-		slab:    !cfg.noSlab,
 	}
 	newBase := func() Counter {
 		c, err := base.New()
@@ -196,6 +202,11 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 			panic(fmt.Sprintf("sbitmap: store spec stopped constructing: %v", err))
 		}
 		return c
+	}
+	// The HLL source shares Spec.New's dimensioning and options, proven
+	// constructible above, so it cannot fail here; other kinds get nil.
+	if s.hll, _ = base.newHLLSource(); s.hll != nil {
+		newBase = s.hll.next
 	}
 	s.newCounter = newBase
 	s.wm.Store(wmNone)
@@ -214,8 +225,9 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 	}
 	// Windowed stores skip the arena: their unit of allocation is the
 	// ring, not a single fixed-size sketch (sub-window counters are
-	// allocated lazily per slot).
-	arenas := s.slab && s.limit == 0 && s.win == nil
+	// allocated lazily per slot and recycled through the stripe's free
+	// list).
+	arenas := !cfg.noSlab && s.limit == 0 && s.win == nil
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[K]Counter)
 		if arenas {
@@ -398,7 +410,7 @@ func (s *Store[K]) resolveWidx(widx int64, n int) int64 {
 func (s *Store[K]) slotLocked(st *storeStripe[K], key K, widx int64) Counter {
 	c := s.counterLocked(st, key)
 	if s.win != nil {
-		c = c.(*windowRing).slot(widx)
+		c = c.(*windowRing).slot(widx, &st.free)
 	}
 	return c
 }
@@ -808,26 +820,23 @@ func (s *Store[K]) ingestStringLocked(st *storeStripe[K], sc *storeScratch[K], s
 	return changed
 }
 
-// addRun64 dispatches one key's long run: when the slab allocator is on
-// and the counter's batch path can borrow scratch, it hashes through the
-// stripe's shared buffers (so a tiny per-key sketch never lazily allocates
-// its own ~4 KiB); otherwise the counter's ordinary BulkAdder path. The
-// resulting sketch state is bit-identical either way.
+// addRun64 dispatches one key's long run: a counter whose batch path can
+// borrow scratch hashes through the stripe's shared buffers — so a tiny
+// per-key sketch never lazily allocates its own ~4 KiB, and sketches
+// built under state the Store shares (its HyperLogLogs) never hash
+// through buffers two stripes share; other counters take their ordinary
+// BulkAdder path. The resulting sketch state is bit-identical either way.
 func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, buf []uint64) int {
-	if s.slab {
-		if sa, ok := c.(scratchBulkAdder); ok {
-			return sa.addBatch64Scratch(&st.scr, buf)
-		}
+	if sa, ok := c.(scratchBulkAdder); ok {
+		return sa.addBatch64Scratch(&st.scr, buf)
 	}
 	return AddBatch64(c, buf)
 }
 
 // addRunString is addRun64 for string items.
 func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, buf []string) int {
-	if s.slab {
-		if sa, ok := c.(scratchBulkAdder); ok {
-			return sa.addBatchStringScratch(&st.scr, buf)
-		}
+	if sa, ok := c.(scratchBulkAdder); ok {
+		return sa.addBatchStringScratch(&st.scr, buf)
 	}
 	return AddBatchString(c, buf)
 }
@@ -931,7 +940,7 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 	st.mu.Lock()
 	c, ok := st.m[key]
 	if ok {
-		we, err = c.(*windowRing).estimateWindow(wm, n)
+		we, err = c.(*windowRing).estimateWindow(wm, n, &st.free)
 	}
 	st.mu.Unlock()
 	if err != nil {
@@ -1139,17 +1148,24 @@ const storeEntryOverhead = 48
 // Footprint returns the store's resident process memory in bytes: the
 // stripe array, the maps' per-entry overhead (approximate — Go maps do
 // not expose their exact layout), key storage (string bytes for string
-// keys), every counter's own footprint, and once per stripe the state its
-// slab-allocated counters share. Safe for concurrent use; one stripe is
-// locked at a time.
+// keys), every counter's own footprint, the sub-window counters on the
+// stripes' free lists, once per stripe the state its slab-allocated
+// counters share, and once the state the Store's HyperLogLogs share. Safe
+// for concurrent use; one stripe is locked at a time.
 func (s *Store[K]) Footprint() int {
 	var zero K
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
+	if s.hll != nil {
+		total += s.hll.sh.Footprint()
+	}
 	isStr := s.isStr
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		total += st.scr.Footprint()
+		total += st.scr.Footprint() + cap(st.free)*int(unsafe.Sizeof(Counter(nil)))
+		for _, c := range st.free {
+			total += c.Footprint()
+		}
 		if st.arena != nil {
 			total += st.arena.footprint()
 		}
@@ -1165,14 +1181,16 @@ func (s *Store[K]) Footprint() int {
 	return total
 }
 
-// Reset drops every key and its counter; the eviction hook does not
-// fire. Not atomic with respect to concurrent Adds.
+// Reset drops every key and its counter, and the stripes' free lists
+// with them; the eviction hook does not fire. Not atomic with respect to
+// concurrent Adds.
 func (s *Store[K]) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		s.keys.Add(-int64(len(st.m)))
 		st.m = make(map[K]Counter)
+		st.free = nil
 		s.touchLocked(st)
 		st.mu.Unlock()
 	}
@@ -1448,32 +1466,38 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 
 // decodeCounter restores key's counter from its snapshot blob. With a
 // non-nil arena — key's stripe's, the stripe locked or not yet shared —
-// the counter lands straight in it, so a restored store is laid out as one
-// built by ingest. On a windowed store the blob is a sub-window ring, and
-// the store's watermark advances to the ring's newest sub-window so
-// restores re-derive the time position from snapshot contents.
+// the counter lands straight in it, and an hll store decodes its counters
+// under its shared state, so a restored store is laid out as one built by
+// ingest; to either, a blob of another kind or other parameters is a
+// corrupt snapshot. On a windowed store the blob is a sub-window ring
+// whose sub-windows decode the same way, and the store's watermark
+// advances to the ring's newest sub-window so restores re-derive the time
+// position from snapshot contents.
 func (s *Store[K]) decodeCounter(arena *sbitmapArena, key K, blob []byte, specOpts []Option) (Counter, error) {
-	if s.win != nil {
-		r, err := unmarshalWindowRing(s.win, blob, specOpts)
+	decode := func(b []byte) (Counter, error) {
+		switch {
+		case arena != nil:
+			return arena.restore(b)
+		case s.hll != nil:
+			return s.hll.restore(b)
+		}
+		return Unmarshal(b, specOpts...)
+	}
+	if s.win == nil {
+		c, err := decode(blob)
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 		}
-		if maxW := r.maxWidx(); maxW != wmNone {
-			s.advanceWatermark(maxW)
-		}
-		return r, nil
+		return c, nil
 	}
-	var c Counter
-	var err error
-	if arena != nil {
-		c, err = arena.restore(blob)
-	} else {
-		c, err = Unmarshal(blob, specOpts...)
-	}
+	r, err := unmarshalWindowRing(s.win, blob, decode)
 	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}
-	return c, nil
+	if maxW := r.maxWidx(); maxW != wmNone {
+		s.advanceWatermark(maxW)
+	}
+	return r, nil
 }
 
 // Per-stripe snapshot format (the unit of an incremental checkpoint):

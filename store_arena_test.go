@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
+
+	"repro/internal/xrand"
 )
 
 // TestStoreSlabEquivalence is the slab allocator's safety rail: the same
@@ -246,11 +249,11 @@ func TestStoreBatchIngestAllocFree(t *testing.T) {
 // ids of the sketchd benchmark's tcp-ingest workload.
 const heapKeys = 131072
 
-// heapPerKey returns the live heap build's result retains per key: the
-// HeapAlloc delta across build, each side read after two collections (the
-// second empties sync.Pool's victim cache, so pooled batch scratch does
-// not count).
-func heapPerKey(build func() any) float64 {
+// heapBytes returns the live heap build's result retains: the HeapAlloc
+// delta across build, each side read after two collections (the second
+// empties sync.Pool's victim cache, so pooled batch scratch does not
+// count).
+func heapBytes(build func() any) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
@@ -260,7 +263,7 @@ func heapPerKey(build func() any) float64 {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(kept)
-	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / heapKeys
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
 // heapStore builds the rails' store — every key gets 8 distinct items,
@@ -275,7 +278,7 @@ func heapStore(t *testing.T) (*Store[string], float64) {
 	bk := make([]string, 0, batch)
 	bi := make([]uint64, 0, batch)
 	var st *Store[string]
-	heap := heapPerKey(func() any {
+	heap := heapBytes(func() any {
 		s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"))
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +295,44 @@ func heapStore(t *testing.T) (*Store[string], float64) {
 		return s
 	})
 	runtime.KeepAlive(keys) // inputs freed mid-measurement would offset the store
-	return st, heap
+	return st, heap / heapKeys
+}
+
+// windowedHeapStore builds the windowed heap rails' store: 65,536
+// `user-%06x` keys drawn by Zipf(1.1) rank (ranks permuted over the keys,
+// so hot keys scatter over stripes), 2,560 batches of 1,024 fresh items,
+// batch b stamped epoch + b seconds — 43 one-minute sub-windows through
+// rings of 5. It returns the store with its live heap per key.
+func windowedHeapStore(t *testing.T) (*Store[string], float64) {
+	const nKeys, batches, batchLen = 1 << 16, 2560, 1024
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user-%06x", i)
+	}
+	r := xrand.New(7)
+	perm := r.Perm(nKeys)
+	zipf := xrand.NewZipf(r, 1.1, nKeys)
+	bk := make([]string, batchLen)
+	bi := make([]uint64, batchLen)
+	epoch := time.Unix(1_700_000_000, 0)
+	var st *Store[string]
+	heap := heapBytes(func() any {
+		s, err := NewStore[string](MustSpec("hll:mbits=512/windowed(width=1m,ring=5)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < batches; b++ {
+			for i := range bk {
+				bk[i] = keys[perm[zipf.Next()]]
+				bi[i] = uint64(b*batchLen + i)
+			}
+			s.AddBatch64At(epoch.Add(time.Duration(b)*time.Second), bk, bi)
+		}
+		st = s
+		return s
+	})
+	runtime.KeepAlive(keys)
+	return st, heap / float64(st.Len())
 }
 
 // TestStoreHeapPerKey is the heap rail: a slab-allocated S-bitmap key
@@ -309,6 +349,21 @@ func TestStoreHeapPerKey(t *testing.T) {
 	}
 }
 
+// TestWindowedStoreHeapPerKey is the windowed heap rail: a key holds only
+// the sub-windows a query can still read, each a 32 B HyperLogLog record
+// plus its registers under state the Store shares — not every sub-window
+// it ever touched, each a chain of four heap objects.
+func TestWindowedStoreHeapPerKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	st, heap := windowedHeapStore(t)
+	t.Logf("%d keys: %.1f B/key of live heap", st.Len(), heap)
+	if heap > 460 {
+		t.Errorf("windowed store holds %.1f B/key of live heap, want ≤ 460", heap)
+	}
+}
+
 // TestStoreRestoreIntoArena: restoring a snapshot decodes every S-bitmap
 // into the stripe arenas, so the restored store is byte-identical to the
 // original (every counter marshals to the same bytes) and no bigger in
@@ -321,6 +376,28 @@ func TestStoreRestoreIntoArena(t *testing.T) {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
 	orig, cold := heapStore(t)
+	assertRestoreHeap(t, orig, cold)
+}
+
+// TestWindowedStoreRestoreHeap: a restored windowed HLL store matches the
+// original key by key (watermark included, so every window estimate
+// does) and builds its sub-windows under the store's shared state, so it
+// holds no more than its cold-built twin — through the whole-store
+// snapshot and the per-stripe checkpoint alike.
+func TestWindowedStoreRestoreHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	orig, cold := windowedHeapStore(t)
+	assertRestoreHeap(t, orig, cold)
+}
+
+// assertRestoreHeap restores orig through UnmarshalStore and through
+// RestoreStripe, and requires each restored store to be key-by-key
+// identical to orig and to hold within 5% of cold, orig's live heap per
+// key.
+func assertRestoreHeap(t *testing.T, orig *Store[string], cold float64) {
+	t.Helper()
 	snap, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -347,15 +424,18 @@ func TestStoreRestoreIntoArena(t *testing.T) {
 	for name, restore := range restores {
 		t.Run(name, func(t *testing.T) {
 			var got *Store[string]
-			heap := heapPerKey(func() any {
+			heap := heapBytes(func() any {
 				s, err := restore()
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = s
 				return s
-			})
+			}) / float64(orig.Len())
 			assertStoresIdentical(t, got, orig)
+			if gw, ow := got.wm.Load(), orig.wm.Load(); gw != ow {
+				t.Errorf("restored watermark %d, want %d", gw, ow)
+			}
 			t.Logf("restored: %.1f B/key, cold-built twin %.1f B/key", heap, cold)
 			if heap > 1.05*cold {
 				t.Errorf("restored store holds %.1f B/key, above 1.05× its cold-built twin's %.1f", heap, cold)
@@ -365,32 +445,40 @@ func TestStoreRestoreIntoArena(t *testing.T) {
 }
 
 // TestStoreRestoreRejectsForeignCounters: a stripe snapshot holding
-// counters of another kind or other S-bitmap parameters than the store's
-// spec is a corrupt snapshot to an arena-backed store, not a counter to
-// adopt.
+// counters of another kind or other parameters than the store's spec —
+// S-bitmap dimensions, HLL register counts, per key or per sub-window —
+// is a corrupt snapshot to a store that builds its counters under shared
+// state, not a counter to adopt.
 func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
-	dst, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []string{"sbitmap:n=1e4,eps=0.05", "sbitmap:n=1e4,eps=0.1,d=30", "hll:mbits=512"} {
-		src, err := NewStore[uint64](MustSpec(spec))
+	for dstSpec, srcSpecs := range map[string][]string{
+		"sbitmap:n=1e4,eps=0.1": {"sbitmap:n=1e4,eps=0.05", "sbitmap:n=1e4,eps=0.1,d=30", "hll:mbits=512"},
+		"hll:mbits=512":         {"hll:mbits=1024", "sbitmap:n=1e4,eps=0.1"},
+		"hll:mbits=512/windowed(width=1m,ring=5)": {
+			"hll:mbits=1024/windowed(width=1m,ring=5)", "loglog:mbits=512/windowed(width=1m,ring=5)"},
+	} {
+		dst, err := NewStore[uint64](MustSpec(dstSpec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.AddUint64(1, 2)
-		blobs, _, err := src.MarshalStripes(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range blobs {
-			if n, _ := StripeSnapshotKeys(b); n == 0 {
-				continue
+		for _, spec := range srcSpecs {
+			src, err := NewStore[uint64](MustSpec(spec))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err := dst.RestoreStripe(b); err == nil {
-				t.Errorf("%s counter restored into an sbitmap:n=1e4,eps=0.1 store", spec)
-			} else if spec == "hll:mbits=512" && !errors.Is(err, ErrKindMismatch) {
-				t.Errorf("%s counter: %v, want ErrKindMismatch", spec, err)
+			src.AddUint64(1, 2)
+			blobs, _, err := src.MarshalStripes(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range blobs {
+				if n, _ := StripeSnapshotKeys(b); n == 0 {
+					continue
+				}
+				if _, err := dst.RestoreStripe(b); err == nil {
+					t.Errorf("%s counter restored into a %s store", spec, dstSpec)
+				} else if MustSpec(spec).Kind != MustSpec(dstSpec).Kind && !errors.Is(err, ErrKindMismatch) {
+					t.Errorf("%s counter in a %s store: %v, want ErrKindMismatch", spec, dstSpec, err)
+				}
 			}
 		}
 	}

@@ -1,0 +1,314 @@
+package sbitmap
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/xrand"
+)
+
+// TestHLLMarshalGolden pins HyperLogLog snapshot bytes: splitting the
+// sketch into a record and shared state moved where state lives, not what
+// a snapshot holds — standalone, per key inside a Store, and per
+// sub-window inside a ring that has released nothing.
+func TestHLLMarshalGolden(t *testing.T) {
+	c := NewHyperLogLog(4096, WithSeed(3))
+	for i := uint64(0); i < 20000; i++ {
+		c.AddUint64(i * 0x9e3779b97f4a7c15)
+	}
+	blob, err := Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got, want := hex.EncodeToString(sum[:]), "d46bbece94c3ff066648ce6ed1f394efbdb88680f224c606be70911b1e9de1c1"; got != want {
+		t.Errorf("standalone HLL snapshot sha256 %s, want %s", got, want)
+	}
+
+	keys, items := keyedWorkload(300, 30000, 3)
+	for _, tc := range []struct{ spec, want string }{
+		{"hll:mbits=512,seed=5", "e4612f7afb95995cb54ceddfff19997020cd0f517167b0373102d2936e365afe"},
+		{"hll:mbits=512,seed=5/windowed(width=1m,ring=5)", "c43fc492f76b5c96774a10b98fb1c6f4f4b6b039effecf695f647d01c3bd7c4d"},
+	} {
+		s, err := NewStore[uint64](MustSpec(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(keys); i += 1000 {
+			// Five sub-windows, one ring's worth: no slot expires.
+			s.AddBatch64At(time.Unix(int64(i/6000)*60, 0), keys[i:i+1000], items[i:i+1000])
+		}
+		if got := keyBlobsDigest(t, s); got != tc.want {
+			t.Errorf("%s: per-key snapshot sha256 %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// keyBlobsDigest hashes every key's counter snapshot in key order.
+func keyBlobsDigest(t *testing.T, s *Store[uint64]) string {
+	t.Helper()
+	blobs := make(map[uint64][]byte)
+	s.ForEach(func(k uint64, c Counter) bool {
+		b, err := Marshal(c)
+		if err != nil {
+			t.Fatalf("key %d: %v", k, err)
+		}
+		blobs[k] = b
+		return true
+	})
+	order := make([]uint64, 0, len(blobs))
+	for k := range blobs {
+		order = append(order, k)
+	}
+	slices.Sort(order)
+	h := sha256.New()
+	for _, k := range order {
+		fmt.Fprintf(h, "%d:", k)
+		h.Write(blobs[k])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHLLStoreConcurrentLongRuns: a Store's HyperLogLogs share one state,
+// so writers on different stripes must never hash their long runs through
+// buffers they share — whatever WithSlabAllocator says, and inside
+// sub-window rings. Run under -race. HLL registers do not depend on
+// record order, so the result must equal a sequential twin's.
+func TestHLLStoreConcurrentLongRuns(t *testing.T) {
+	const writers, batches, runKeys = 4, 30, 6
+	const run = 2 * storeRunBatchMin
+	batch := func(w, b int) ([]uint64, []uint64) {
+		keys := make([]uint64, 0, runKeys*run)
+		items := make([]uint64, 0, runKeys*run)
+		for k := 0; k < runKeys; k++ {
+			key := uint64((w + b + k) % 20) // writers share keys and stripes
+			for i := 0; i < run; i++ {
+				keys = append(keys, key)
+				items = append(items, uint64(w)<<40|uint64(b)<<20|uint64(k*run+i))
+			}
+		}
+		return keys, items
+	}
+	at := func(b int) time.Time { return time.Unix(int64(b%5)*60, 0) } // one ring's worth
+	for _, tc := range []struct {
+		name string
+		spec string
+		opts []StoreOption
+	}{
+		{"slab=false", "hll:mbits=512,seed=9", []StoreOption{WithSlabAllocator(false), WithStripes(8)}},
+		{"windowed", "hll:mbits=512,seed=9/windowed(width=1m,ring=5)", []StoreOption{WithStripes(8)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewStore[uint64](MustSpec(tc.spec), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewStore[uint64](MustSpec(tc.spec), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for b := 0; b < batches; b++ {
+						keys, items := batch(w, b)
+						s.AddBatch64At(at(b), keys, items)
+					}
+				}()
+			}
+			wg.Wait()
+			for w := 0; w < writers; w++ {
+				for b := 0; b < batches; b++ {
+					keys, items := batch(w, b)
+					twin.AddBatch64At(at(b), keys, items)
+				}
+			}
+			assertStoresIdentical(t, s, twin)
+		})
+	}
+}
+
+// TestWindowRecyclingMatchesReference is the recycling rail's reference
+// model: a windowed HLL store fed a seeded trace — mostly forward in time,
+// with out-of-order records inside the horizon and late records behind
+// it, over many ring cycles — must answer every window span exactly as
+// one plain counter per (key, sub-window) merged over the covering
+// sub-windows does, late records folded into the watermark sub-window as
+// resolveWidx folds them. And a key that rotates keeps no slot at or
+// behind the horizon.
+func TestWindowRecyclingMatchesReference(t *testing.T) {
+	const (
+		width = time.Second
+		ring  = 4
+		nKeys = 24
+	)
+	spec := MustSpec("hll:mbits=1024,seed=13/windowed(width=1s,ring=4)")
+	s, err := NewStore[string](spec, WithStripes(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := spec.base()
+	ref := make(map[string]map[int64]Counter) // key → sub-window → counter
+	wm := int64(wmNone)
+	check := func(step int) {
+		t.Helper()
+		for key, windows := range ref {
+			for n := 1; n <= ring; n++ {
+				got, ok, err := s.EstimateWindow(key, time.Duration(n)*width)
+				if err != nil || !ok {
+					t.Fatalf("step %d key %s: ok=%v err=%v", step, key, ok, err)
+				}
+				want, err := base.New()
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := 0
+				for w, c := range windows {
+					if w > wm-int64(n) && w <= wm {
+						live++
+						if err := Merge(want, c); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if got.Estimate != want.Estimate() || got.Windows != live {
+					t.Fatalf("step %d key %s span %d: %v over %d sub-windows, reference %v over %d",
+						step, key, n, got.Estimate, got.Windows, want.Estimate(), live)
+				}
+			}
+		}
+	}
+	r := xrand.New(41)
+	clock := int64(100)
+	for step := 0; step < 600; step++ {
+		if r.Intn(8) == 0 {
+			clock++ // ~75 sub-windows: over 18 ring cycles
+		}
+		widx := clock
+		switch r.Intn(10) {
+		case 0:
+			widx -= 1 + int64(r.Intn(ring-1)) // out of order, inside the horizon
+		case 1:
+			widx -= ring + int64(r.Intn(3)) // late: behind the horizon
+		}
+		wm = max(wm, widx)
+		land := widx
+		if land <= wm-ring {
+			land = wm
+		}
+		keys := make([]string, 1+r.Intn(6))
+		items := make([]string, len(keys))
+		var rotated []string
+		for i := range keys {
+			keys[i] = fmt.Sprintf("key-%d", r.Intn(nKeys))
+			items[i] = fmt.Sprintf("item-%d", r.Intn(400))
+			windows := ref[keys[i]]
+			if windows == nil {
+				windows = make(map[int64]Counter)
+				ref[keys[i]] = windows
+			}
+			if windows[land] == nil {
+				if windows[land], err = base.New(); err != nil {
+					t.Fatal(err)
+				}
+				rotated = append(rotated, keys[i])
+			}
+			windows[land].AddString(items[i])
+		}
+		if ts := at(widx, width); step%2 == 0 {
+			s.AddBatchStringAt(ts, keys, items)
+		} else {
+			for i := range keys {
+				s.AddStringAt(ts, keys[i], items[i])
+			}
+		}
+		for _, key := range rotated {
+			rg := s.stripes[s.stripeIndex(s.hashKey(key))].m[key].(*windowRing)
+			for _, sl := range rg.slots {
+				if sl.c != nil && sl.widx <= wm-ring {
+					t.Fatalf("step %d: key %s rotated but holds sub-window %d at or behind the horizon %d",
+						step, key, sl.widx, wm-ring)
+				}
+			}
+		}
+		if step%50 == 49 {
+			check(step)
+		}
+	}
+	check(600)
+}
+
+// TestWindowedStoreAllocFree pins the windowed Store's steady state: a
+// warm HLL store rotates every key of a batch into a new sub-window —
+// releasing the slot that fell behind the horizon and taking a recycled
+// counter for the new one — and merges a five-sub-window query into a
+// borrowed counter, both without allocating.
+func TestWindowedStoreAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const width = time.Minute
+	spec := MustSpec("hll:mbits=512/windowed(width=1m,ring=5)")
+
+	t.Run("rotation", func(t *testing.T) {
+		s, err := NewStore[string](spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 512)
+		items := make([]uint64, len(keys))
+		for i := range keys {
+			keys[i] = fmt.Sprintf("user-%06x", i)
+		}
+		// Every batch jumps two sub-windows, so each key releases one
+		// expired slot and takes one counter per batch.
+		widx := int64(1000)
+		feed := func() {
+			for i := range items {
+				items[i] = uint64(widx)<<32 | uint64(i)
+			}
+			s.AddBatch64At(at(widx, width), keys, items)
+			widx += 2
+		}
+		for range 8 {
+			feed() // materialize keys, size the free lists and scratch
+		}
+		if allocs := testing.AllocsPerRun(20, feed); allocs != 0 {
+			t.Errorf("rotating batch: %.1f allocs/op, want 0", allocs)
+		}
+	})
+
+	t.Run("window query", func(t *testing.T) {
+		s, err := NewStore[string](spec, WithStripes(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "hot" holds five live sub-windows; "cold" fell behind the horizon,
+		// so its next record releases its sub-windows onto the free list.
+		for w := int64(0); w < 3; w++ {
+			s.AddStringAt(at(w, width), "cold", "x")
+		}
+		for w := int64(10); w < 15; w++ {
+			for i := 0; i < 50; i++ {
+				s.AddStringAt(at(w, width), "hot", fmt.Sprintf("h-%d-%d", w, i))
+			}
+		}
+		s.AddStringAt(at(14, width), "cold", "y")
+		var we WindowEstimate
+		if allocs := testing.AllocsPerRun(100, func() {
+			we, _, _ = s.EstimateWindow("hot", 5*width)
+		}); allocs != 0 {
+			t.Errorf("EstimateWindow over five sub-windows: %.1f allocs/op, want 0", allocs)
+		}
+		if we.Windows != 5 {
+			t.Errorf("query merged %d sub-windows, want 5", we.Windows)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -507,8 +508,9 @@ func TestPreWindowSnapshotsStillDecode(t *testing.T) {
 	}
 	// A bare ring envelope is not a Counter snapshot this build hands out.
 	ring := newWindowRing(&windowShared{width: int64(time.Second), ring: 2, mergeable: true,
-		newCounter: func() Counter { c, _ := MustSpec("hll:mbits=2048").New(); return c }})
-	ring.slot(1).AddString("x")
+		newCounter: func() Counter { c, _ := MustSpec("hll:mbits=2048").New(); return c },
+		wm:         new(atomic.Int64)})
+	ring.slot(1, nil).AddString("x")
 	rblob, err := ring.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -9,23 +9,32 @@ package sbitmap
 // and twin stores fed the same records produce bit-identical state.
 //
 // Time is discretized into sub-window indices ("widx"): record ts lands
-// in widx = floor(ts / width). Slot widx%ring holds that sub-window's
-// sketch, so rotation is O(1) and in place — advancing into a new
-// sub-window Resets whatever expired sketch occupied the slot instead
-// of allocating. A Store-global watermark (the highest widx any record
-// has reached) defines "now": queries cover the half-open past from the
+// in widx = floor(ts / width), and slot widx%ring holds that sub-window's
+// sketch. A Store-global watermark (the highest widx any record has
+// reached) defines "now": queries cover the half-open past from the
 // watermark backwards, and records more than ring sub-windows behind it
 // have lost their slot — they fold into the watermark window and are
 // surfaced via the Store's late-record counter.
 //
+// A key holds only the sub-windows a query can still read. When its ring
+// rotates into a new sub-window, every other slot at or behind the
+// horizon (watermark − ring) is Reset and pushed onto a free list owned
+// by the key's lock stripe, and a slot that needs a counter pops one from
+// that list before allocating. So a key seen once an hour pins no expired
+// sketches, sub-window counters are allocated only while the store grows,
+// and steady-state rotation allocates nothing.
+//
 // Queries merge on demand. For Mergeable kinds (HLL, LogLog, FM,
 // LinearCount, MRBitmap, Exact) EstimateWindow unions the covering
-// sub-window sketches into a scratch counter at query time. The paper's
-// S-bitmap is deliberately not union-mergeable (see ErrNotMergeable),
-// so windowed S-bitmap stores fall back to tumbling semantics: the
-// estimate of the last *complete* sub-window, marked Tumbling in the
-// result — exactly the paper's Section 7 deployment, which reports
-// per-link spreads "every minute interval".
+// sub-window sketches into a scratch counter borrowed from the stripe's
+// free list. The paper's S-bitmap is deliberately not union-mergeable
+// (see ErrNotMergeable), so windowed S-bitmap stores fall back to
+// tumbling semantics: the estimate of the last *complete* sub-window,
+// marked Tumbling in the result — exactly the paper's Section 7
+// deployment, which reports per-link spreads "every minute interval".
+// No estimate reads a released slot: the tumbling fallback reads
+// watermark − 1, inside the horizon for any ring ≥ 2, and a one-slot ring
+// never releases its only slot.
 
 import (
 	"encoding/binary"
@@ -81,6 +90,29 @@ func (w *windowShared) coveringWindows(span time.Duration) (int, error) {
 	return n, nil
 }
 
+// take hands out an empty sub-window counter: the one last pushed onto
+// free, when there is one (recycled reports it), else a new one. free is
+// the free list of the stripe whose lock the caller holds, or nil.
+func (w *windowShared) take(free *[]Counter) (c Counter, recycled bool) {
+	if free == nil || len(*free) == 0 {
+		return w.newCounter(), false
+	}
+	n := len(*free) - 1
+	c = (*free)[n]
+	(*free)[n] = nil
+	*free = (*free)[:n]
+	return c, true
+}
+
+// give Resets a counter no ring holds any more and pushes it onto free;
+// a nil free list drops it.
+func (w *windowShared) give(c Counter, free *[]Counter) {
+	if free != nil {
+		c.Reset()
+		*free = append(*free, c)
+	}
+}
+
 // widxOf discretizes a unix-nanosecond timestamp into its sub-window
 // index: floor division, so pre-epoch timestamps round down, not toward
 // zero.
@@ -93,8 +125,8 @@ func widxOf(tsNanos, width int64) int64 {
 }
 
 // ringSlot is one sub-window: the sketch plus the absolute sub-window
-// index its contents belong to. c == nil until the slot is first used;
-// widx == wmNone after a Reset. Rotation reuses c in place.
+// index its contents belong to. c == nil while the slot is empty (never
+// used, or released); widx == wmNone after a Reset.
 type ringSlot struct {
 	widx int64
 	c    Counter
@@ -112,64 +144,61 @@ func newWindowRing(sh *windowShared) *windowRing {
 	return &windowRing{sh: sh, slots: make([]ringSlot, sh.ring)}
 }
 
-// slot rotates the ring to sub-window widx and returns its sketch,
-// allocating the slot's counter on first use and Resetting an expired
-// occupant in place otherwise — the O(1), steady-state-alloc-free
-// rotation. The caller has already clamped widx into the retention
-// horizon (Store.resolveWidx), so an occupant with a different widx is
-// always older.
-func (r *windowRing) slot(widx int64) Counter {
-	i := widx % int64(len(r.slots))
+// slot rotates the ring to sub-window widx and returns its sketch. A
+// rotation into a new sub-window first releases onto free every other
+// slot at or behind the horizon (watermark − ring), which no query reads
+// again; the slot's own older occupant is Reset in place, and an empty
+// slot takes a counter from free, allocating only when free is empty.
+// The caller holds the stripe lock that guards free and has clamped widx
+// into the horizon (Store.resolveWidx), so an occupant with a different
+// widx is always older.
+func (r *windowRing) slot(widx int64, free *[]Counter) Counter {
+	n := int64(len(r.slots))
+	i := widx % n
 	if i < 0 {
-		i += int64(len(r.slots))
+		i += n
 	}
 	sl := &r.slots[i]
-	if sl.c == nil {
-		sl.c = r.sh.newCounter()
-		sl.widx = widx
-	} else if sl.widx != widx {
-		sl.c.Reset()
-		sl.widx = widx
+	if sl.c != nil && sl.widx == widx {
+		return sl.c
 	}
+	horizon := max(r.sh.wm.Load(), widx) - n
+	for j := range r.slots {
+		if o := &r.slots[j]; o != sl && o.c != nil && o.widx <= horizon {
+			r.sh.give(o.c, free)
+			*o = ringSlot{}
+		}
+	}
+	if sl.c == nil {
+		sl.c, _ = r.sh.take(free)
+	} else {
+		sl.c.Reset()
+	}
+	sl.widx = widx
 	return sl.c
 }
 
 // cur returns the watermark sub-window's sketch (sub-window 0 before
 // any record has carried a timestamp) — the target of the Counter
-// interface's own Add methods.
+// interface's own Add methods, which reach no free list.
 func (r *windowRing) cur() Counter {
 	wm := r.sh.wm.Load()
 	if wm == wmNone {
 		wm = 0
 	}
-	return r.slot(wm)
+	return r.slot(wm, nil)
 }
 
-// estimateRange estimates the union of the live sub-windows with widx
-// in [lo, hi]: zero slots estimate 0, one slot answers directly, more
-// merge into a scratch counter. n reports how many sub-windows
-// contributed.
-func (r *windowRing) estimateRange(lo, hi int64) (est float64, n int, err error) {
-	var dst Counter
+// estimateRange estimates the union of the live sub-windows with widx in
+// [lo, hi] and reports how many contributed: none estimate 0, one answers
+// directly, more merge into a scratch counter — borrowed from free and
+// handed back to it empty, or built and dropped when free has none.
+func (r *windowRing) estimateRange(lo, hi int64, free *[]Counter) (est float64, n int, err error) {
 	var single Counter
 	for i := range r.slots {
-		sl := &r.slots[i]
-		if sl.c == nil || sl.widx < lo || sl.widx > hi {
-			continue
-		}
-		n++
-		switch n {
-		case 1:
+		if sl := &r.slots[i]; sl.c != nil && sl.widx >= lo && sl.widx <= hi {
+			n++
 			single = sl.c
-			continue
-		case 2:
-			dst = r.sh.newCounter()
-			if err := Merge(dst, single); err != nil {
-				return 0, n, err
-			}
-		}
-		if err := Merge(dst, sl.c); err != nil {
-			return 0, n, err
 		}
 	}
 	switch n {
@@ -177,22 +206,35 @@ func (r *windowRing) estimateRange(lo, hi int64) (est float64, n int, err error)
 		return 0, 0, nil
 	case 1:
 		return single.Estimate(), 1, nil
-	default:
-		return dst.Estimate(), n, nil
 	}
+	dst, borrowed := r.sh.take(free)
+	for i := range r.slots {
+		if sl := &r.slots[i]; sl.c != nil && sl.widx >= lo && sl.widx <= hi {
+			if err = Merge(dst, sl.c); err != nil {
+				break
+			}
+		}
+	}
+	if err == nil {
+		est = dst.Estimate()
+	}
+	if borrowed {
+		r.sh.give(dst, free)
+	}
+	return est, n, err
 }
 
 // estimateWindow answers a window query given the Store watermark wm
 // and the covering sub-window count n (both resolved by the Store):
 // merge-on-query over (wm−n, wm] for mergeable kinds, the last complete
 // sub-window (wm−1) for the tumbling fallback. Start/End are filled in
-// by the Store.
-func (r *windowRing) estimateWindow(wm int64, n int) (WindowEstimate, error) {
+// by the Store; free is the stripe's free list, under its lock.
+func (r *windowRing) estimateWindow(wm int64, n int, free *[]Counter) (WindowEstimate, error) {
 	if !r.sh.mergeable {
-		est, _, err := r.estimateRange(wm-1, wm-1)
+		est, _, err := r.estimateRange(wm-1, wm-1, free)
 		return WindowEstimate{Estimate: est, Windows: 1, Tumbling: true}, err
 	}
-	est, merged, err := r.estimateRange(wm-int64(n)+1, wm)
+	est, merged, err := r.estimateRange(wm-int64(n)+1, wm, free)
 	return WindowEstimate{Estimate: est, Windows: merged}, err
 }
 
@@ -215,9 +257,9 @@ func (r *windowRing) Estimate() float64 {
 	}
 	var est float64
 	if r.sh.mergeable {
-		est, _, _ = r.estimateRange(wm-int64(len(r.slots))+1, wm)
+		est, _, _ = r.estimateRange(wm-int64(len(r.slots))+1, wm, nil)
 	} else {
-		est, _, _ = r.estimateRange(wm-1, wm-1)
+		est, _, _ = r.estimateRange(wm-1, wm-1, nil)
 	}
 	return est
 }
@@ -246,7 +288,7 @@ func (r *windowRing) Footprint() int {
 }
 
 // Reset implements Counter: every sub-window empties; allocated slot
-// counters are kept for reuse.
+// counters are kept until the next rotation releases them.
 func (r *windowRing) Reset() {
 	for i := range r.slots {
 		if r.slots[i].c != nil {
@@ -340,8 +382,9 @@ func (r *windowRing) MarshalBinary() ([]byte, error) {
 }
 
 // unmarshalWindowRing reconstructs a ring snapshot under a store's
-// window configuration; the snapshot's ring size must match the spec's.
-func unmarshalWindowRing(sh *windowShared, data []byte, specOpts []Option) (*windowRing, error) {
+// window configuration, decoding each sub-window with decode; the
+// snapshot's ring size must match the spec's.
+func unmarshalWindowRing(sh *windowShared, data []byte, decode func(blob []byte) (Counter, error)) (*windowRing, error) {
 	payload, err := payloadOfKind(data, kindWindowRing)
 	if err != nil {
 		return nil, err
@@ -369,7 +412,7 @@ func unmarshalWindowRing(sh *windowShared, data []byte, specOpts []Option) (*win
 		if widx == wmNone {
 			return nil, fmt.Errorf("sbitmap: ring snapshot sub-window %d has a reserved index", j)
 		}
-		c, err := Unmarshal(payload[:blen], specOpts...)
+		c, err := decode(payload[:blen])
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: ring sub-window %d: %w", widx, err)
 		}
