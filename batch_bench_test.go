@@ -9,8 +9,11 @@ package sbitmap
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // batchBenchLen is the per-call batch length of the benches; large enough
@@ -209,4 +212,56 @@ func BenchmarkBatchAddShardedString(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkBatchAddStore measures keyed batch ingest at the sketchd
+// benchmark's scale: heapKeys user-%06x keys on its S-bitmap spec, each
+// record's key drawn at random, so nearly every record probes a
+// different per-key sketch — a cache miss. One op is one batch call;
+// ns/rec divides by the batch length. Run with -cpu 1,2 to compare the
+// calling goroutine draining alone with helpers sharing the drain.
+func BenchmarkBatchAddStore(b *testing.B) {
+	const traceLen = 1 << 19
+	keys := make([]string, heapKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user-%06x", i)
+	}
+	r := xrand.New(14)
+	tk := make([]string, traceLen)
+	t64 := make([]uint64, traceLen)
+	tS := make([]string, traceLen)
+	for i := range tk {
+		tk[i] = keys[r.Intn(len(keys))]
+		t64[i] = r.Uint64()
+		tS[i] = strconv.FormatUint(t64[i], 36)
+	}
+	spec := MustSpec("sbitmap:n=1e4,eps=0.1")
+	s64, err := NewStore[string](spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sS, err := NewStore[string](spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s64.AddBatch64(keys, make([]uint64, len(keys))) // materialize every key
+	sS.AddBatchString(keys, make([]string, len(keys)))
+	for _, n := range []int{256, 1024, 8192} {
+		b.Run(fmt.Sprintf("uint64/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range b.N {
+				at := i * n % traceLen
+				s64.AddBatch64(tk[at:at+n], t64[at:at+n])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+		})
+		b.Run(fmt.Sprintf("string/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range b.N {
+				at := i * n % traceLen
+				sS.AddBatchString(tk[at:at+n], tS[at:at+n])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+		})
+	}
 }

@@ -319,7 +319,7 @@ func run(args []string, stderr *os.File) int {
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv := &http.Server{Handler: pmux}
+		pprofSrv := newHTTPServer(pmux)
 		go pprofSrv.Serve(pln)
 		defer pprofSrv.Close()
 		logger.Printf("pprof on http://%s/debug/pprof/", pln.Addr())
@@ -366,7 +366,7 @@ func run(args []string, stderr *os.File) int {
 		logger.Printf("edge role: pushing snapshots to %s every %v", cfg.server.Cluster.Aggregator, cfg.pushInterval)
 	}
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -416,4 +416,20 @@ func run(args []string, stderr *os.File) int {
 		return 1
 	}
 	return 0
+}
+
+// Slow-client limits of both HTTP servers: a request header must arrive
+// within httpReadHeaderTimeout, and a keep-alive connection idle for
+// httpIdleTimeout is closed, so a client that trickles a header or
+// parks a connection cannot hold it, and its goroutine, forever. There
+// is deliberately no write timeout: it would cut the /v1/alerts/stream
+// event stream.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns an http.Server for h with the slow-client limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: httpReadHeaderTimeout, IdleTimeout: httpIdleTimeout}
 }

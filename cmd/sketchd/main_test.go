@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -157,5 +160,51 @@ func TestParseFlagsErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestHTTPServerClosesSlowHeader: a client that sends half a request
+// header and then stalls sees its connection closed once the header
+// timeout passes, instead of holding it forever. The test checks the
+// limits sketchd runs with, then shortens the header timeout on its own
+// server so it finishes in well under a second.
+func TestHTTPServerClosesSlowHeader(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != httpReadHeaderTimeout || hs.IdleTimeout != httpIdleTimeout {
+		t.Fatalf("header timeout %v, idle timeout %v; want %v, %v",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, httpReadHeaderTimeout, httpIdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("write timeout %v would cut the alert stream", hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/healthz HTTP/1.1\r\nHost: sketchd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("half-header connection still open after %v: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < 100*time.Millisecond {
+		t.Errorf("connection closed after %v, before the header timeout", waited)
 	}
 }

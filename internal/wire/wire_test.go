@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -442,6 +444,87 @@ func TestWireServeOneAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("serveOne loop: %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// TestWireServeOneAllocFreeHelpers is TestWireServeOneAllocFree at
+// GOMAXPROCS 2, where an 8,192-record frame's batch add is shared with
+// the store's batch helpers; testing.AllocsPerRun pins GOMAXPROCS to 1
+// and so never reaches them. It counts runtime.MemStats.Mallocs with
+// the collector off, so sync.Pool keeps what it holds. Before counting
+// it starts the helpers and fills the caches a goroutine moving between
+// Ps draws on: the runtime's wait-queue entries (stockWaitQueues) and
+// the Store's per-P scratch pool, stocked by four concurrent batches.
+func TestWireServeOneAllocFreeHelpers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	srv, err := server.New(server.Config{Spec: sbitmap.MustSpec(testSpec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, items64, _ := wireWorkload(4096, 8192, 24)
+	frame := server.AppendFrame64(nil, keys, items64)
+	stream := binary.LittleEndian.AppendUint32(nil, uint32(len(frame)))
+	r := &replayReader{data: append(stream, frame...)}
+	h := newConnHandler(srv, r, io.Discard)
+	serve := func() {
+		r.off = 0
+		h.br.Reset(r)
+		if err := h.serveOne(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	stockWaitQueues(256)
+	var batches sync.WaitGroup
+	for range 4 {
+		batches.Add(1)
+		go func() {
+			defer batches.Done()
+			for range 20 {
+				srv.Store().AddBatch64(keys, items64)
+			}
+		}()
+	}
+	batches.Wait()
+	for range 300 {
+		serve()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 50 {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("8,192-record serveOne at GOMAXPROCS 2: %d allocs over 50 frames, want 0", n)
+	}
+}
+
+// stockWaitQueues parks n goroutines on one channel and wakes them, so
+// the runtime's per-P caches of wait-queue entries hold about n. A
+// goroutine that parks (a batch helper on its channel, the connection
+// waiting for its helpers) takes an entry from the cache of the P it
+// parks on and returns it to the cache of the P it wakes on; with few
+// entries in circulation, one P's cache runs dry now and then and the
+// runtime allocates one more, on no frame's account.
+func stockWaitQueues(n int) {
+	var started, exited sync.WaitGroup
+	gate := make(chan struct{})
+	started.Add(n)
+	exited.Add(n)
+	for range n {
+		go func() {
+			defer exited.Done()
+			started.Done()
+			<-gate
+		}()
+	}
+	started.Wait()
+	runtime.Gosched()
+	close(gate)
+	exited.Wait()
 }
 
 // replayReader is a resettable reader over a fixed byte stream.

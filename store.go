@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -499,16 +500,27 @@ func (s *Store[K]) tsWidx(ts time.Time) int64 {
 	return widxOf(ts.UnixNano(), s.win.width)
 }
 
-// storeScratch holds one in-flight batch's routing state: each record's
-// (key, original position) grouped stripe-contiguously by counting sort,
-// plus the per-stripe layout and an item-gather buffer.
+// storeScratch holds one in-flight batch: each record's (key, original
+// position) grouped stripe-contiguously by counting sort, the per-stripe
+// layout, an item-gather buffer, and the state its drainers share.
 type storeScratch[K StoreKey] struct {
-	hi     []uint64 // router high words, one per record
-	recs   []storeRec[K]
-	counts []int
-	offs   []int
-	buf64  []uint64
-	bufS   []string
+	s       *Store[K]
+	hi      []uint64 // router high words, one per record
+	recs    []storeRec[K]
+	counts  []int
+	offs    []int
+	touched []int // stripes holding records, in index order
+	link    []int // per touched slot: the claimer's next deferred slot
+	buf64   []uint64
+	bufS    []string
+
+	// The batch being drained, set before any helper joins.
+	widx    int64
+	items64 []uint64
+	itemsS  []string // non-nil for AddBatchString
+	next    atomic.Int64
+	changed atomic.Int64
+	helpers sync.WaitGroup
 }
 
 // storeRec carries a record's key through stripe grouping; pos (the
@@ -524,7 +536,7 @@ type storeRec[K StoreKey] struct {
 func (s *Store[K]) getScratch(n int) *storeScratch[K] {
 	sc, _ := s.scratch.Get().(*storeScratch[K])
 	if sc == nil {
-		sc = &storeScratch[K]{}
+		sc = &storeScratch[K]{s: s}
 	}
 	if cap(sc.hi) < n {
 		sc.hi = make([]uint64, n)
@@ -533,6 +545,8 @@ func (s *Store[K]) getScratch(n int) *storeScratch[K] {
 	if cap(sc.counts) < len(s.stripes) {
 		sc.counts = make([]int, len(s.stripes))
 		sc.offs = make([]int, len(s.stripes))
+		sc.touched = make([]int, 0, len(s.stripes))
+		sc.link = make([]int, len(s.stripes))
 	}
 	return sc
 }
@@ -544,6 +558,7 @@ func (s *Store[K]) putScratch(sc *storeScratch[K]) {
 		clear(sc.recs)
 	}
 	clear(sc.bufS)
+	sc.items64, sc.itemsS = nil, nil
 	s.scratch.Put(sc)
 }
 
@@ -564,7 +579,8 @@ func (s *Store[K]) hashKeys(keys []K, hi []uint64) {
 
 // group routes every key and counting-sorts the records
 // stripe-contiguously: on return sc.recs[offs[i]-counts[i]:offs[i]] are
-// stripe i's records in original batch order.
+// stripe i's records in original batch order, and sc.touched lists the
+// stripes with records.
 func (s *Store[K]) group(sc *storeScratch[K], keys []K) (counts, offs []int) {
 	n := len(keys)
 	hi := sc.hi[:n]
@@ -579,10 +595,14 @@ func (s *Store[K]) group(sc *storeScratch[K], keys []K) (counts, offs []int) {
 		counts[idx]++
 	}
 	offs = sc.offs[:len(s.stripes)]
+	sc.touched = sc.touched[:0]
 	sum := 0
 	for i, c := range counts {
 		offs[i] = sum
 		sum += c
+		if c > 0 {
+			sc.touched = append(sc.touched, i)
+		}
 	}
 	recs := sc.recs[:n]
 	for i, key := range keys {
@@ -606,14 +626,16 @@ const storeRunBatchMin = 64
 // for the whole batch, and returns how many offers changed counter state.
 // One batched hash pass routes every key, a counting sort groups records
 // stripe-contiguously (original order preserved within each stripe), and
-// each touched stripe's lock is taken once per batch. Within a stripe,
+// each touched stripe is claimed whole by one goroutine — the caller, or
+// for a batch of ≥ storeHelpMin records an idle process-wide helper (at
+// most GOMAXPROCS−1) — and applied under its lock, taken once per batch.
+// The call returns only after every record is applied. Within a stripe,
 // maximal runs of adjacent same-key records share one map lookup, and
 // long runs (≥64 records — exporter flushes, hot keys) go through the
 // counter's BulkAdder fast path, hashing through the stripe's shared
-// scratch. Stripes are drained opportunistically (TryLock sweeps, like
-// Sharded's batch path) so concurrent batches fan out across stripes
-// instead of convoying; a sweep finding every pending stripe busy blocks
-// on the first.
+// scratch. Locks are taken with TryLock first and a busy stripe is
+// retried after the claimer's others, so concurrent batches fan out
+// across stripes instead of convoying.
 //
 // State-equivalent to calling AddUint64(keys[i], items[i]) in slice
 // order: records are never reordered within a key (or at all within a
@@ -638,58 +660,12 @@ func (s *Store[K]) addBatch64(widx int64, keys []K, items []uint64) int {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("sbitmap: Store.AddBatch64 with %d keys and %d items", len(keys), len(items)))
 	}
-	if len(keys) == 0 {
-		return 0
-	}
 	sc := s.getScratch(len(keys))
-	defer s.putScratch(sc)
-	counts, offs := s.group(sc, keys)
 	if cap(sc.buf64) < len(items) {
 		sc.buf64 = make([]uint64, len(items))
 	}
-	// The TryLock drain sweep, written out per item type (here and in
-	// AddBatchString) rather than shared through function values: closures
-	// capturing the batch state would cost an allocation per call, and the
-	// wire listener's decode+add path must stay allocation-free.
-	changed := 0
-	pending := 0
-	for _, c := range counts {
-		if c > 0 {
-			pending++
-		}
-	}
-	for pending > 0 {
-		progressed := false
-		for i, c := range counts {
-			if c == 0 {
-				continue
-			}
-			st := &s.stripes[i]
-			if !st.mu.TryLock() {
-				continue
-			}
-			changed += s.ingest64Locked(st, sc, offs[i]-c, offs[i], items, widx)
-			st.mu.Unlock()
-			counts[i] = 0
-			pending--
-			progressed = true
-		}
-		if !progressed {
-			for i, c := range counts {
-				if c == 0 {
-					continue
-				}
-				st := &s.stripes[i]
-				st.mu.Lock()
-				changed += s.ingest64Locked(st, sc, offs[i]-c, offs[i], items, widx)
-				st.mu.Unlock()
-				counts[i] = 0
-				pending--
-				break
-			}
-		}
-	}
-	return changed
+	sc.items64 = items
+	return s.addBatch(sc, widx, keys)
 }
 
 // AddBatchString is AddBatch64 for string items; see AddBatch64 for the
@@ -708,125 +684,171 @@ func (s *Store[K]) addBatchString(widx int64, keys []K, items []string) int {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("sbitmap: Store.AddBatchString with %d keys and %d items", len(keys), len(items)))
 	}
-	if len(keys) == 0 {
-		return 0
-	}
 	sc := s.getScratch(len(keys))
-	defer s.putScratch(sc)
-	counts, offs := s.group(sc, keys)
 	if cap(sc.bufS) < len(items) {
 		sc.bufS = make([]string, len(items))
 	}
-	changed := 0
-	pending := 0
-	for _, c := range counts {
-		if c > 0 {
-			pending++
-		}
-	}
-	for pending > 0 {
-		progressed := false
-		for i, c := range counts {
-			if c == 0 {
-				continue
-			}
-			st := &s.stripes[i]
-			if !st.mu.TryLock() {
-				continue
-			}
-			changed += s.ingestStringLocked(st, sc, offs[i]-c, offs[i], items, widx)
-			st.mu.Unlock()
-			counts[i] = 0
-			pending--
-			progressed = true
-		}
-		if !progressed {
-			for i, c := range counts {
-				if c == 0 {
-					continue
-				}
-				st := &s.stripes[i]
-				st.mu.Lock()
-				changed += s.ingestStringLocked(st, sc, offs[i]-c, offs[i], items, widx)
-				st.mu.Unlock()
-				counts[i] = 0
-				pending--
-				break
-			}
-		}
-	}
-	return changed
+	sc.itemsS = items
+	return s.addBatch(sc, widx, keys)
 }
 
-// ingest64Locked feeds one stripe's grouped segment to its counters, with
-// the stripe locked: split into maximal adjacent same-key runs,
-// materialize each run's counter once, loop per-item Adds below
-// storeRunBatchMin and take the batch path (gathering the run's items
-// contiguously first) at or above it.
-func (s *Store[K]) ingest64Locked(st *storeStripe[K], sc *storeScratch[K], start, end int, items []uint64, widx int64) int {
-	seg := sc.recs[start:end]
+// addBatch applies the batch whose items sc holds: it groups the keys,
+// offers a large batch to idle helpers, drains, and waits for every
+// helper that joined.
+func (s *Store[K]) addBatch(sc *storeScratch[K], widx int64, keys []K) int {
+	defer s.putScratch(sc)
+	s.group(sc, keys)
+	sc.widx = widx
+	sc.next.Store(0)
+	sc.changed.Store(0)
+	if len(keys) >= storeHelpMin {
+		offerHelpers(sc, &sc.helpers, len(sc.touched)-1)
+	}
+	sc.drain()
+	sc.helpers.Wait()
+	return int(sc.changed.Load())
+}
+
+// drain claims touched stripes from the batch's cursor until none is
+// left, applying each under its lock. A claimed stripe whose lock is
+// busy is stacked (through link) and retried after this goroutine's
+// other claims; a retry sweep that applies nothing blocks on one of
+// them. A drainer holds at most one stripe lock and never blocks while
+// holding it, so eviction's TryLocks cannot deadlock.
+func (sc *storeScratch[K]) drain() {
+	busy := -1
+	for j := int(sc.next.Add(1)) - 1; j < len(sc.touched); j = int(sc.next.Add(1)) - 1 {
+		if !sc.apply(j, false) {
+			sc.link[j], busy = busy, j
+		}
+	}
+	for busy >= 0 {
+		j, applied := busy, false
+		for busy = -1; j >= 0; {
+			next := sc.link[j]
+			if sc.apply(j, false) {
+				applied = true
+			} else {
+				sc.link[j], busy = busy, j
+			}
+			j = next
+		}
+		if !applied {
+			sc.apply(busy, true)
+			busy = sc.link[busy]
+		}
+	}
+}
+
+// apply ingests touched slot j's whole stripe segment under the stripe's
+// lock, taken with TryLock unless wait, and reports whether it did.
+func (sc *storeScratch[K]) apply(j int, wait bool) bool {
+	s, i := sc.s, sc.touched[j]
+	st := &s.stripes[i]
+	if wait {
+		st.mu.Lock()
+	} else if !st.mu.TryLock() {
+		return false
+	}
+	n := s.ingestLocked(st, sc, sc.offs[i]-sc.counts[i], sc.offs[i])
+	st.mu.Unlock()
+	sc.changed.Add(int64(n))
+	return true
+}
+
+// help is a helper's share of the batch; Done releases the caller.
+func (sc *storeScratch[K]) help() {
+	sc.drain()
+	sc.helpers.Done()
+}
+
+// storeHelpMin is the smallest batch offered to helpers. A scattered
+// record costs ~0.5 µs to apply, and a helper starts claiming only after
+// it wakes on another core; at GOMAXPROCS 2 on a 2-vCPU host
+// (BenchmarkBatchAddStore with the split forced on and off) helpers
+// gained nothing on batches of 32–256 records (≤ ~150 µs of apply) and
+// cut 512- and 1,024-record batches by 25% and 33%.
+const storeHelpMin = 512
+
+// storeJob is a batch a helper can join: a *storeScratch of any key type.
+type storeJob interface{ help() }
+
+// Helpers are process-wide goroutines parked on an unbuffered channel, so
+// an offer reaches only an idle one. They are started as offers first
+// find fewer than GOMAXPROCS−1 and live as long as the process.
+var (
+	storeHelperJobs    = make(chan storeJob)
+	storeHelperStarted atomic.Int64
+)
+
+// offerHelpers offers job to at most limit idle helpers without blocking,
+// adding one to wg for each that joins; at GOMAXPROCS 1 it offers none.
+func offerHelpers(job storeJob, wg *sync.WaitGroup, limit int) {
+	procs := int64(runtime.GOMAXPROCS(0) - 1)
+	for n := storeHelperStarted.Load(); n < procs; n = storeHelperStarted.Load() {
+		if storeHelperStarted.CompareAndSwap(n, n+1) {
+			go func() {
+				for job := range storeHelperJobs {
+					job.help()
+				}
+			}()
+		}
+	}
+	for range min(int64(limit), procs) {
+		wg.Add(1)
+		select {
+		case storeHelperJobs <- job:
+		default:
+			wg.Done()
+			return
+		}
+	}
+}
+
+// ingestLocked feeds one stripe's grouped segment sc.recs[start:end] to
+// its counters, with the stripe locked: split into maximal adjacent
+// same-key runs and materialize each run's counter once.
+func (s *Store[K]) ingestLocked(st *storeStripe[K], sc *storeScratch[K], start, end int) int {
 	s.touchLocked(st)
-	changed := 0
-	for j := 0; j < len(seg); {
+	recs, changed := sc.recs[:end], 0
+	for j := start; j < end; {
 		k := j + 1
-		for k < len(seg) && seg[k].key == seg[j].key {
+		for k < end && recs[k].key == recs[j].key {
 			k++
 		}
-		c := s.slotLocked(st, seg[j].key, widx)
-		if k-j < storeRunBatchMin {
-			for _, r := range seg[j:k] {
-				if c.AddUint64(items[r.pos]) {
-					changed++
-				}
-			}
+		c := s.slotLocked(st, recs[j].key, sc.widx)
+		if sc.itemsS != nil {
+			changed += s.addRunString(st, c, sc, j, k)
 		} else {
-			buf := sc.buf64[:k-j]
-			for i, r := range seg[j:k] {
-				buf[i] = items[r.pos]
-			}
-			changed += s.addRun64(st, c, buf)
+			changed += s.addRun64(st, c, sc, j, k)
 		}
 		j = k
 	}
 	return changed
 }
 
-// ingestStringLocked is ingest64Locked for string items.
-func (s *Store[K]) ingestStringLocked(st *storeStripe[K], sc *storeScratch[K], start, end int, items []string, widx int64) int {
-	seg := sc.recs[start:end]
-	s.touchLocked(st)
-	changed := 0
-	for j := 0; j < len(seg); {
-		k := j + 1
-		for k < len(seg) && seg[k].key == seg[j].key {
-			k++
-		}
-		c := s.slotLocked(st, seg[j].key, widx)
-		if k-j < storeRunBatchMin {
-			for _, r := range seg[j:k] {
-				if c.AddString(items[r.pos]) {
-					changed++
-				}
-			}
-		} else {
-			buf := sc.bufS[:k-j]
-			for i, r := range seg[j:k] {
-				buf[i] = items[r.pos]
-			}
-			changed += s.addRunString(st, c, buf)
-		}
-		j = k
-	}
-	return changed
-}
-
-// addRun64 dispatches one key's long run: a counter whose batch path can
+// addRun64 offers one key's run sc.recs[lo:hi] to its counter c: per
+// item below storeRunBatchMin, else gathered into the run's own region
+// of buf64 and through the batch path. A counter whose batch path can
 // borrow scratch hashes through the stripe's shared buffers — so a tiny
 // per-key sketch never lazily allocates its own ~4 KiB, and sketches
 // built under state the Store shares (its HyperLogLogs) never hash
 // through buffers two stripes share; other counters take their ordinary
 // BulkAdder path. The resulting sketch state is bit-identical either way.
-func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, buf []uint64) int {
+func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, sc *storeScratch[K], lo, hi int) int {
+	run, items, changed := sc.recs[lo:hi], sc.items64, 0
+	if len(run) < storeRunBatchMin {
+		for _, r := range run {
+			if c.AddUint64(items[r.pos]) {
+				changed++
+			}
+		}
+		return changed
+	}
+	buf := sc.buf64[lo:hi]
+	for i, r := range run {
+		buf[i] = items[r.pos]
+	}
 	if sa, ok := c.(scratchBulkAdder); ok {
 		return sa.addBatch64Scratch(&st.scr, buf)
 	}
@@ -834,7 +856,20 @@ func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, buf []uint64) int {
 }
 
 // addRunString is addRun64 for string items.
-func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, buf []string) int {
+func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, sc *storeScratch[K], lo, hi int) int {
+	run, items, changed := sc.recs[lo:hi], sc.itemsS, 0
+	if len(run) < storeRunBatchMin {
+		for _, r := range run {
+			if c.AddString(items[r.pos]) {
+				changed++
+			}
+		}
+		return changed
+	}
+	buf := sc.bufS[lo:hi]
+	for i, r := range run {
+		buf[i] = items[r.pos]
+	}
 	if sa, ok := c.(scratchBulkAdder); ok {
 		return sa.addBatchStringScratch(&st.scr, buf)
 	}
@@ -848,7 +883,7 @@ func (s *Store[K]) Estimate(key K) (estimate float64, ok bool) {
 	st.mu.Lock()
 	c, ok := st.m[key]
 	if ok {
-		estimate = c.Estimate()
+		estimate = estimateWith(c, &st.free)
 	}
 	st.mu.Unlock()
 	return estimate, ok
@@ -883,7 +918,7 @@ func (s *Store[K]) EstimateBatch(keys []K, out []float64, ok []bool) {
 			c, hit := st.m[rec.key]
 			ok[rec.pos] = hit
 			if hit {
-				out[rec.pos] = c.Estimate()
+				out[rec.pos] = estimateWith(c, &st.free)
 			} else {
 				out[rec.pos] = 0
 			}
@@ -1106,24 +1141,28 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 			i = min
 		}
 	}
-	s.ForEach(func(key K, c Counter) bool {
-		e := KeyEstimate[K]{Key: key, Estimate: c.Estimate()}
-		if len(heap) < k {
-			heap = append(heap, e)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !worse(heap[i], heap[p]) {
-					break
+	for si := range s.stripes {
+		st := &s.stripes[si]
+		st.mu.Lock()
+		for key, c := range st.m {
+			e := KeyEstimate[K]{Key: key, Estimate: estimateWith(c, &st.free)}
+			if len(heap) < k {
+				heap = append(heap, e)
+				for i := len(heap) - 1; i > 0; {
+					p := (i - 1) / 2
+					if !worse(heap[i], heap[p]) {
+						break
+					}
+					heap[i], heap[p] = heap[p], heap[i]
+					i = p
 				}
-				heap[i], heap[p] = heap[p], heap[i]
-				i = p
+			} else if worse(heap[0], e) {
+				heap[0] = e
+				siftDown(0)
 			}
-		} else if worse(heap[0], e) {
-			heap[0] = e
-			siftDown(0)
 		}
-		return true
-	})
+		st.mu.Unlock()
+	}
 	sort.Slice(heap, func(i, j int) bool { return worse(heap[j], heap[i]) })
 	return heap
 }

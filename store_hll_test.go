@@ -311,4 +311,49 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 			t.Errorf("query merged %d sub-windows, want 5", we.Windows)
 		}
 	})
+
+	// Estimate, EstimateBatch and TopK answer over the whole retention,
+	// merging "hot"'s three live sub-windows into a counter borrowed from
+	// the stripe's free list, which "cold"'s released sub-windows stock.
+	t.Run("point estimates", func(t *testing.T) {
+		build := func(spec Spec) *Store[string] {
+			s, err := NewStore[string](spec, WithStripes(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := int64(0); w < 2; w++ {
+				s.AddStringAt(at(w, width), "cold", "x")
+			}
+			for w := int64(8); w < 11; w++ {
+				for i := 0; i < 50; i++ {
+					s.AddStringAt(at(w, width), "hot", fmt.Sprintf("h-%d-%d", w, i))
+				}
+			}
+			s.AddStringAt(at(10, width), "cold", "y")
+			return s
+		}
+		s := build(spec)
+		if len(s.stripes[0].free) == 0 {
+			t.Fatal("the free list holds no counter")
+		}
+		want := s.stripes[0].m["hot"].Estimate() // merges into a new counter
+		keys, out, ok := []string{"hot"}, make([]float64, 1), make([]bool, 1)
+		var est float64
+		if allocs := testing.AllocsPerRun(100, func() { est, _ = s.Estimate("hot") }); allocs != 0 {
+			t.Errorf("Estimate over three sub-windows: %.1f allocs/op, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.EstimateBatch(keys, out, ok) }); allocs != 0 {
+			t.Errorf("EstimateBatch over three sub-windows: %.1f allocs/op, want 0", allocs)
+		}
+		if est != want || out[0] != want {
+			t.Errorf("Estimate %v, EstimateBatch %v; want the ring's own %v", est, out[0], want)
+		}
+		// TopK's own heap and sort cost the same as on the base kind,
+		// whose keys merge nothing.
+		plain := build(MustSpec("hll:mbits=512"))
+		base := testing.AllocsPerRun(100, func() { plain.TopK(1) })
+		if allocs := testing.AllocsPerRun(100, func() { s.TopK(1) }); allocs != base {
+			t.Errorf("TopK(1): %.1f allocs/op, want %.1f as on the unwindowed kind", allocs, base)
+		}
+	})
 }

@@ -250,18 +250,32 @@ func (r *windowRing) AddString(item string) bool { return r.cur().AddString(item
 // of every in-horizon sub-window for mergeable kinds, the last complete
 // sub-window under the tumbling fallback. TopK on a windowed store
 // therefore ranks keys by their current sliding-window spread.
-func (r *windowRing) Estimate() float64 {
+func (r *windowRing) Estimate() float64 { return r.estimate(nil) }
+
+// estimate is Estimate with the merge counter borrowed from free, the
+// free list of the stripe whose lock the caller holds, or nil.
+func (r *windowRing) estimate(free *[]Counter) float64 {
 	wm := r.sh.wm.Load()
 	if wm == wmNone {
 		wm = 0
 	}
 	var est float64
 	if r.sh.mergeable {
-		est, _, _ = r.estimateRange(wm-int64(len(r.slots))+1, wm, nil)
+		est, _, _ = r.estimateRange(wm-int64(len(r.slots))+1, wm, free)
 	} else {
-		est, _, _ = r.estimateRange(wm-1, wm-1, nil)
+		est, _, _ = r.estimateRange(wm-1, wm-1, free)
 	}
 	return est
+}
+
+// estimateWith is c.Estimate() for a Store counter: a window ring
+// borrows its merge counter from free, the free list of the stripe whose
+// lock the caller holds.
+func estimateWith(c Counter, free *[]Counter) float64 {
+	if r, ok := c.(*windowRing); ok {
+		return r.estimate(free)
+	}
+	return c.Estimate()
 }
 
 // SizeBits implements Counter: the summed summary bits of every
