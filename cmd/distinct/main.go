@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 
 	sbitmap "repro"
 )
@@ -179,8 +180,9 @@ func runKeyed(input io.Reader, stdout io.Writer, specStr, algo string, n, eps fl
 	if err != nil {
 		return err
 	}
-	evicted := 0
-	store.OnEvict(func(string, sbitmap.Counter) { evicted++ })
+	// The hook runs on every goroutine that applies a batch's stripes.
+	var evicted atomic.Int64
+	store.OnEvict(func(string, sbitmap.Counter) { evicted.Add(1) })
 
 	// Lines feed the store through the keyed batch path: key and item are
 	// copied out of the scanner's volatile buffer, and a full batch routes
@@ -229,8 +231,8 @@ func runKeyed(input io.Reader, stdout io.Writer, specStr, algo string, n, eps fl
 	}
 	fmt.Fprintf(stdout, "\n%d keys tracked, spec %s, %d bits of sketch, %d bytes resident",
 		store.Len(), spec, store.SizeBits(), store.Footprint())
-	if evicted > 0 {
-		fmt.Fprintf(stdout, ", %d keys evicted (-maxkeys %d)", evicted, maxKeys)
+	if n := evicted.Load(); n > 0 {
+		fmt.Fprintf(stdout, ", %d keys evicted (-maxkeys %d)", n, maxKeys)
 	}
 	fmt.Fprintln(stdout)
 	ranked := store.TopK(top)

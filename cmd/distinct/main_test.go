@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -169,6 +173,38 @@ func TestRunKeyedFromFile(t *testing.T) {
 	}
 	if !strings.Contains(out, "u1") {
 		t.Errorf("top keys missing u1:\n%s", out)
+	}
+}
+
+// TestRunKeyedMaxKeysHelpers runs -keyed -maxkeys on full 512-line
+// batches at GOMAXPROCS 2, where the Store's batch helpers apply
+// stripes beside the caller and so run the eviction hook concurrently
+// (under -race, the check on the eviction count). Every key appears
+// once, so each line materializes a key and every key is either still
+// tracked or evicted.
+func TestRunKeyedMaxKeysHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const lines, maxKeys = 40 * 512, 1000
+	var in strings.Builder
+	for i := range lines {
+		fmt.Fprintf(&in, "k%06d item\n", i)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-keyed", "-spec", "exact", "-maxkeys", fmt.Sprint(maxKeys), "-top", "0"}
+	if code := run(args, strings.NewReader(in.String()), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %s", code, stderr.String())
+	}
+	m := regexp.MustCompile(`(\d+) keys tracked.*, (\d+) keys evicted`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("no eviction count in output:\n%s", stdout.String())
+	}
+	tracked, _ := strconv.Atoi(m[1])
+	evicted, _ := strconv.Atoi(m[2])
+	if tracked+evicted != lines {
+		t.Errorf("%d keys tracked + %d evicted, want %d", tracked, evicted, lines)
+	}
+	if tracked > maxKeys+64 {
+		t.Errorf("%d keys tracked, limit %d + 64 stripes", tracked, maxKeys)
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
 	sbitmap "repro"
+	"repro/internal/mallocs"
 	"repro/internal/server"
 	"repro/internal/xrand"
 )
@@ -449,11 +448,9 @@ func TestWireServeOneAllocFree(t *testing.T) {
 // TestWireServeOneAllocFreeHelpers is TestWireServeOneAllocFree at
 // GOMAXPROCS 2, where an 8,192-record frame's batch add is shared with
 // the store's batch helpers; testing.AllocsPerRun pins GOMAXPROCS to 1
-// and so never reaches them. It counts runtime.MemStats.Mallocs with
-// the collector off, so sync.Pool keeps what it holds. Before counting
-// it starts the helpers and fills the caches a goroutine moving between
-// Ps draws on: the runtime's wait-queue entries (stockWaitQueues) and
-// the Store's per-P scratch pool, stocked by four concurrent batches.
+// and so never reaches them. The handler serves one connection, so the
+// concurrent warm-up (which starts the helpers and stocks the Store's
+// per-P scratch pool) adds the frame's batch to the store directly.
 func TestWireServeOneAllocFreeHelpers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -474,57 +471,10 @@ func TestWireServeOneAllocFreeHelpers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	stockWaitQueues(256)
-	var batches sync.WaitGroup
-	for range 4 {
-		batches.Add(1)
-		go func() {
-			defer batches.Done()
-			for range 20 {
-				srv.Store().AddBatch64(keys, items64)
-			}
-		}()
-	}
-	batches.Wait()
-	for range 300 {
-		serve()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 50 {
-		serve()
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
+	batch := func() { srv.Store().AddBatch64(keys, items64) }
+	if n := mallocs.At(2, 300, 50, batch, serve); n != 0 {
 		t.Errorf("8,192-record serveOne at GOMAXPROCS 2: %d allocs over 50 frames, want 0", n)
 	}
-}
-
-// stockWaitQueues parks n goroutines on one channel and wakes them, so
-// the runtime's per-P caches of wait-queue entries hold about n. A
-// goroutine that parks (a batch helper on its channel, the connection
-// waiting for its helpers) takes an entry from the cache of the P it
-// parks on and returns it to the cache of the P it wakes on; with few
-// entries in circulation, one P's cache runs dry now and then and the
-// runtime allocates one more, on no frame's account.
-func stockWaitQueues(n int) {
-	var started, exited sync.WaitGroup
-	gate := make(chan struct{})
-	started.Add(n)
-	exited.Add(n)
-	for range n {
-		go func() {
-			defer exited.Done()
-			started.Done()
-			<-gate
-		}()
-	}
-	started.Wait()
-	runtime.Gosched()
-	close(gate)
-	exited.Wait()
 }
 
 // replayReader is a resettable reader over a fixed byte stream.

@@ -241,11 +241,12 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 	return s, nil
 }
 
-// OnEvict installs the eviction hook: fn runs whenever WithMaxKeys (or a
-// future bounded-memory policy) removes a key, receiving the key and its
-// final counter — snapshot it, sum it into a coarser aggregate, or drop
-// it. The hook runs with the key's stripe locked: keep it cheap and do
-// not call back into the Store. Install before concurrent use.
+// OnEvict installs the eviction hook: fn runs whenever WithMaxKeys
+// removes a key, receiving the key and its final counter — snapshot it,
+// sum it into a coarser aggregate, or drop it. fn runs with the key's
+// stripe locked and must be cheap, must not call back into the Store,
+// and must be safe for concurrent use: even one batch call may run it on
+// several goroutines at once. Install before concurrent use.
 func (s *Store[K]) OnEvict(fn func(key K, c Counter)) { s.onEvict = fn }
 
 // Spec returns the Spec every per-key counter is built from.
@@ -513,7 +514,6 @@ type storeScratch[K StoreKey] struct {
 	link    []int // per touched slot: the claimer's next deferred slot
 	buf64   []uint64
 	bufS    []string
-
 	// The batch being drained, set before any helper joins.
 	widx    int64
 	items64 []uint64

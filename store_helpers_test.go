@@ -3,11 +3,11 @@ package sbitmap
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/mallocs"
 	"repro/internal/xrand"
 )
 
@@ -283,66 +283,6 @@ func TestStoreBatchHelpersConcurrent(t *testing.T) {
 	assertStoresIdentical(t, one, st)
 }
 
-// mallocsAt counts heap allocations across runs calls of fn at
-// GOMAXPROCS procs, with the collector off so sync.Pool keeps what it
-// holds. testing.AllocsPerRun pins GOMAXPROCS to 1, where no batch
-// helper ever runs. Before counting it starts the helpers and fills the
-// caches a goroutine moving between Ps draws on: the runtime's
-// wait-queue entries (stockWaitQueues) and the Store's per-P scratch
-// pool, stocked by four concurrent warm callers — fn must be safe for
-// concurrent use.
-func mallocsAt(procs, warm, runs int, fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	stockWaitQueues(256)
-	var callers sync.WaitGroup
-	for range 4 {
-		callers.Add(1)
-		go func() {
-			defer callers.Done()
-			for range warm / 4 {
-				fn()
-			}
-		}()
-	}
-	callers.Wait()
-	for range warm {
-		fn()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		fn()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// stockWaitQueues parks n goroutines on one channel and wakes them, so
-// the runtime's per-P caches of wait-queue entries hold about n. A
-// goroutine that parks (a helper on its channel, a caller waiting for
-// its helpers) takes an entry from the cache of the P it parks on and
-// returns it to the cache of the P it wakes on; with few entries in
-// circulation, one P's cache runs dry now and then and the runtime
-// allocates one more, on no batch's account.
-func stockWaitQueues(n int) {
-	var started, exited sync.WaitGroup
-	gate := make(chan struct{})
-	started.Add(n)
-	exited.Add(n)
-	for range n {
-		go func() {
-			defer exited.Done()
-			started.Done()
-			<-gate
-		}()
-	}
-	started.Wait()
-	runtime.Gosched()
-	close(gate)
-	exited.Wait()
-}
-
 // TestStoreBatchHelpersAllocFree extends TestStoreBatchIngestAllocFree
 // to helper-shared batches: warm 8,192-record AddBatch64 calls at
 // GOMAXPROCS 2 allocate nothing.
@@ -355,7 +295,8 @@ func TestStoreBatchHelpersAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := mallocsAt(2, 300, 50, func() { st.AddBatch64(keys, items) }); n != 0 {
+	batch := func() { st.AddBatch64(keys, items) }
+	if n := mallocs.At(2, 300, 50, batch, batch); n != 0 {
 		t.Errorf("warm 8,192-record AddBatch64 at GOMAXPROCS 2: %d allocs over 50 calls, want 0", n)
 	}
 }
