@@ -3,13 +3,13 @@ package sbitmap
 // Batch ingestion. The paper's closing cost claim (Section 3: the S-bitmap
 // needs "similar or less computational cost" than the loglog family) is
 // about per-item hash-and-probe work; a deployment ingesting millions of
-// items per second additionally pays per-item interface dispatch, per-item
-// locking (Sharded), and per-probe bounds checks that the paper's cost
-// model does not include. The batch surface removes those: every sketch in
-// this module ingests whole slices with the hash loop fused to the insert
-// loop, and the decorators route or rotate once per batch instead of once
-// per item. The keyed Store builds on the same surface: its batch methods
-// group records by key and feed each key's run through BulkAdder.
+// items per second additionally pays per-item interface dispatch and
+// per-probe bounds checks that the paper's cost model does not include.
+// The batch surface removes those: every sketch in this module ingests
+// whole slices with the hash loop fused to the insert loop. The keyed
+// Store builds on the same surface: its batch methods group records by
+// key, take each stripe's lock once per batch, and feed each key's run
+// through BulkAdder.
 
 // BulkAdder is the batch-ingestion capability. Every counter constructed
 // by this module (directly or via Spec.New) implements it natively; for
@@ -127,5 +127,4 @@ var (
 	_ BulkAdder = (*MRBitmap)(nil)
 	_ BulkAdder = (*AdaptiveSampler)(nil)
 	_ BulkAdder = (*Exact)(nil)
-	_ BulkAdder = (*Sharded)(nil)
 )

@@ -1,23 +1,20 @@
 package sbitmap
 
 // Batch-vs-per-item ingestion benches: the numbers behind the README's
-// Throughput section and the ≥2x (single S-bitmap) / ≥4x (8-shard Sharded,
-// concurrent) batch-path claims. Per-item paths go through the Counter
-// interface — the dispatch production callers actually pay — and batch
-// paths through BulkAdder. Run the Sharded ones with -cpu 1,4,8 to see the
-// lock-amortization scaling.
+// Throughput section. Per-item paths go through the Counter interface —
+// the dispatch production callers actually pay — and batch paths through
+// BulkAdder.
 
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
 // batchBenchLen is the per-call batch length of the benches; large enough
-// to amortize routing and locking, small enough to be a realistic network
+// to amortize the per-call overhead, small enough to be a realistic network
 // read quantum.
 const batchBenchLen = 4096
 
@@ -29,17 +26,6 @@ func benchSBitmap(b *testing.B) Counter {
 		b.Fatal(err)
 	}
 	return sk
-}
-
-// benchSharded builds the 8-shard concurrent deployment of the same
-// configuration.
-func benchSharded(b *testing.B) *Sharded {
-	b.Helper()
-	s, err := NewSharded(8, 1e6, 0.022)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
 }
 
 // fillBatch refills buf with consecutive ids starting at next.
@@ -134,83 +120,6 @@ func BenchmarkBatchAddString(b *testing.B) {
 			AddBatchString(c, keys[at:at+n])
 			rem -= n
 		}
-	})
-}
-
-// BenchmarkBatchAddSharded measures concurrent ingest into one shared
-// 8-shard counter. The per-item path takes a shard lock per item; the
-// batch path takes each touched shard's lock once per 4096-item batch.
-// Run with -cpu 1,4,8.
-func BenchmarkBatchAddSharded(b *testing.B) {
-	b.Run("peritem", func(b *testing.B) {
-		s := benchSharded(b)
-		var ctr atomic.Uint64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			id := ctr.Add(1) << 40 // disjoint id space per goroutine
-			for pb.Next() {
-				s.AddUint64(id)
-				id++
-			}
-		})
-	})
-	b.Run("batch", func(b *testing.B) {
-		s := benchSharded(b)
-		var ctr atomic.Uint64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			buf := make([]uint64, batchBenchLen)
-			id := ctr.Add(1) << 40
-			n := 0
-			for pb.Next() {
-				buf[n] = id
-				id++
-				n++
-				if n == len(buf) {
-					s.AddBatch64(buf)
-					n = 0
-				}
-			}
-			if n > 0 {
-				s.AddBatch64(buf[:n])
-			}
-		})
-	})
-}
-
-// BenchmarkBatchAddShardedString is the string-key variant of the Sharded
-// comparison.
-func BenchmarkBatchAddShardedString(b *testing.B) {
-	keys := make([]string, 1<<16)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("flow-%x-key-%08x", i%26, i)
-	}
-	b.Run("peritem", func(b *testing.B) {
-		s := benchSharded(b)
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				s.AddString(keys[i&(1<<16-1)])
-				i++
-			}
-		})
-	})
-	b.Run("batch", func(b *testing.B) {
-		s := benchSharded(b)
-		b.RunParallel(func(pb *testing.PB) {
-			at, n := 0, 0
-			for pb.Next() {
-				n++
-				if n == batchBenchLen {
-					s.AddBatchString(keys[at : at+n])
-					at = (at + n) & (1<<16 - 1)
-					n = 0
-				}
-			}
-			if n > 0 {
-				s.AddBatchString(keys[at : at+n])
-			}
-		})
 	})
 }
 

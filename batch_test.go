@@ -3,9 +3,7 @@ package sbitmap
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/stream"
 )
@@ -144,115 +142,6 @@ func TestAddBatchStringEquivalenceAllKinds(t *testing.T) {
 	}
 }
 
-// TestShardedBatchEquivalence: the routed batch path must be bit-identical
-// to per-item ingestion for a decorated counter of every mergeable layout,
-// including the routing (same items to same shards).
-func TestShardedBatchEquivalence(t *testing.T) {
-	items := batchItems()
-	for _, kind := range []Kind{KindSBitmap, KindHLL, KindLinearCount} {
-		t.Run(string(kind), func(t *testing.T) {
-			spec := batchSpecs(t)[kind]
-			ref, err := NewShardedSpec(5, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := NewShardedSpec(5, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantChanged := 0
-			for _, x := range items {
-				if ref.AddUint64(x) {
-					wantChanged++
-				}
-			}
-			gotChanged := 0
-			for _, b := range oddBatches(items) {
-				gotChanged += got.AddBatch64(b)
-			}
-			if gotChanged != wantChanged {
-				t.Errorf("batch changed %d items, per-item %d", gotChanged, wantChanged)
-			}
-			refBlob, err := ref.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBlob, err := got.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(refBlob, gotBlob) {
-				t.Error("sharded snapshots differ between batch and per-item ingestion")
-			}
-
-			// String keys route identically too.
-			keys := make([]string, 2000)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("key-%d", i%700) // duplicates included
-			}
-			for _, k := range keys {
-				ref.AddString(k)
-			}
-			for i := 0; i < len(keys); i += 333 {
-				got.AddBatchString(keys[i:min(i+333, len(keys))])
-			}
-			if ref.Estimate() != got.Estimate() {
-				t.Errorf("string estimates diverge: batch %v, per-item %v", got.Estimate(), ref.Estimate())
-			}
-		})
-	}
-}
-
-// TestWindowedBatchEquivalence: one rotation check per batch must produce
-// the same windows, estimates, and serialized state as per-item adds with
-// the same timestamps.
-func TestWindowedBatchEquivalence(t *testing.T) {
-	spec := MustSpec("sbitmap:n=20000,eps=0.05,seed=3")
-	var refWins, gotWins []WindowResult
-	ref, err := NewWindowedSpec(time.Minute, spec, func(w WindowResult) { refWins = append(refWins, w) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewWindowedSpec(time.Minute, spec, func(w WindowResult) { gotWins = append(gotWins, w) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Unix(1_700_000_000, 0)
-	items := batchItems()
-	// 10 windows of ragged batches; all items of one batch share a timestamp,
-	// which is the batch API's contract.
-	perWin := len(items) / 10
-	for w := 0; w < 10; w++ {
-		ts := base.Add(time.Duration(w) * time.Minute).Add(7 * time.Second)
-		win := items[w*perWin : (w+1)*perWin]
-		for _, x := range win {
-			ref.AddUint64(ts, x)
-		}
-		for i := 0; i < len(win); i += 173 {
-			got.AddBatch64(ts, win[i:min(i+173, len(win))])
-		}
-	}
-	if len(refWins) != len(gotWins) {
-		t.Fatalf("window counts diverge: per-item %d, batch %d", len(refWins), len(gotWins))
-	}
-	for i := range refWins {
-		if refWins[i] != gotWins[i] {
-			t.Errorf("window %d diverges: per-item %+v, batch %+v", i, refWins[i], gotWins[i])
-		}
-	}
-	refBlob, err := ref.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBlob, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refBlob, gotBlob) {
-		t.Error("windowed snapshots differ between batch and per-item ingestion")
-	}
-}
-
 // fallbackOnly wraps a Counter, hiding its BulkAdder implementation so the
 // package-level helpers must take the per-item fallback.
 type fallbackOnly struct{ c Counter }
@@ -295,80 +184,8 @@ func TestAddBatchFallback(t *testing.T) {
 	}
 }
 
-// TestShardedBatchConcurrentStress hammers one Sharded counter with
-// concurrent batch and per-item writers plus estimate/snapshot readers;
-// run under -race (CI does) it checks the locking of the batch path, and
-// the final state must equal a sequential reference over the union of all
-// items.
-func TestShardedBatchConcurrentStress(t *testing.T) {
-	spec := MustSpec("sbitmap:n=1e6,eps=0.03,seed=5")
-	s, err := NewShardedSpec(8, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 8
-	const perWorker = 20_000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []uint64
-			stream.ForEach(stream.NewDistinct(perWorker, uint64(w)), func(x uint64) {
-				buf = append(buf, x)
-			})
-			if w%2 == 0 {
-				for i := 0; i < len(buf); i += 1024 {
-					s.AddBatch64(buf[i:min(i+1024, len(buf))])
-				}
-			} else {
-				for _, x := range buf {
-					s.AddUint64(x)
-				}
-			}
-		}(w)
-	}
-	// Concurrent readers: estimates and snapshots must not race with the
-	// batch path's grouped locking.
-	stop := make(chan struct{})
-	var rg sync.WaitGroup
-	rg.Add(1)
-	go func() {
-		defer rg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = s.Estimate()
-				if fp := s.Footprint(); fp <= 0 {
-					t.Errorf("concurrent footprint %d", fp)
-					return
-				}
-				if _, err := s.MarshalBinary(); err != nil {
-					t.Errorf("concurrent marshal: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	rg.Wait()
-
-	// Interleaving is nondeterministic, so exact state cannot be compared
-	// to a sequential reference (an S-bitmap's state is order-dependent);
-	// the estimate over the known distinct population must still land.
-	truth := float64(workers * perWorker)
-	if est := s.Estimate(); est < 0.85*truth || est > 1.15*truth {
-		t.Errorf("estimate %v after concurrent ingest, want within 15%% of %v", est, truth)
-	}
-}
-
-// TestBatchAllocFree: steady-state uint64 batch ingest must not allocate —
-// neither the fused single-sketch path nor the pooled Sharded partition
-// path.
+// TestBatchAllocFree: steady-state uint64 batch ingest through the fused
+// single-sketch path must not allocate.
 func TestBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops entries at random)")
@@ -385,15 +202,6 @@ func TestBatchAllocFree(t *testing.T) {
 	sb.AddBatch64(items) // warm the hash scratch
 	if n := testing.AllocsPerRun(50, func() { sb.AddBatch64(items) }); n != 0 {
 		t.Errorf("SBitmap.AddBatch64 allocates %v per call, want 0", n)
-	}
-
-	sh, err := NewSharded(8, 1e6, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.AddBatch64(items) // warm the partition scratch pool
-	if n := testing.AllocsPerRun(50, func() { sh.AddBatch64(items) }); n != 0 {
-		t.Errorf("Sharded.AddBatch64 allocates %v per call, want 0", n)
 	}
 }
 
@@ -412,15 +220,5 @@ func TestBatchEmptyAndTiny(t *testing.T) {
 	}
 	if n := AddBatch64(h, []uint64{42}); n != 1 {
 		t.Errorf("first single-item batch changed %d, want 1", n)
-	}
-	sh, err := NewSharded(3, 1000, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sh.AddBatch64(nil); n != 0 {
-		t.Errorf("empty sharded batch changed %d", n)
-	}
-	if n := sh.AddBatchString(nil); n != 0 {
-		t.Errorf("empty sharded string batch changed %d", n)
 	}
 }

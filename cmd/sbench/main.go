@@ -123,7 +123,7 @@ func main() {
 			fmt.Printf("  %-16s %s\n", id, experiment.Title(id))
 		}
 		fmt.Printf("  %-16s %s\n", "throughput",
-			"ingest throughput benchmark (items/sec per sketch × mode × key; -json writes BENCH_throughput.json)")
+			"ingest throughput benchmark (items/sec per sketch × key × path; -json writes BENCH_throughput.json)")
 		fmt.Printf("  %-16s %s\n", "memory",
 			"per-sketch memory + construction benchmark (bytes and ns across the zoo; -json writes BENCH_memory.json)")
 		fmt.Printf("  %-16s %s\n", "keyed",

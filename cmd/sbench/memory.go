@@ -61,36 +61,19 @@ type memReport struct {
 	} `json:"sbitmap_aux"`
 }
 
-// memSized is the slice of the Counter surface the memory experiment
-// needs; the decorators (Windowed is not a Counter) satisfy it too.
-type memSized interface {
-	SizeBits() int
-	Footprint() int
-}
-
 type memEntry struct {
 	name string
-	mk   func() (memSized, error)
+	mk   func() (sbitmap.Counter, error)
 }
 
 // memZoo lists the measured configurations: every kind at the shared
-// (N, ε) budget plus the production decorators, whose construction cost is
-// the point of O(1) dimensioning (64 shards × rotation pairs).
+// (N, ε) budget.
 func memZoo(seed uint64) []memEntry {
 	var zoo []memEntry
 	for _, kind := range sbitmap.Kinds() {
 		spec := sbitmap.Spec{Kind: kind, N: memN, Eps: memEps, Seed: seed}
-		zoo = append(zoo, memEntry{string(kind), func() (memSized, error) { return spec.New() }})
+		zoo = append(zoo, memEntry{string(kind), spec.New})
 	}
-	sbSpec := sbitmap.Spec{Kind: sbitmap.KindSBitmap, N: memN, Eps: memEps, Seed: seed}
-	zoo = append(zoo,
-		memEntry{"sharded64:sbitmap", func() (memSized, error) {
-			return sbitmap.NewShardedSpec(64, sbSpec)
-		}},
-		memEntry{"windowed:sbitmap", func() (memSized, error) {
-			return sbitmap.NewWindowedSpec(time.Minute, sbSpec, nil)
-		}},
-	)
 	return zoo
 }
 

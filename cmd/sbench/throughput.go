@@ -1,9 +1,8 @@
 package main
 
 // The throughput pseudo-experiment backs the paper's Section 3 cost claim
-// with measured ingest rates: items/sec for each comparison sketch, single
-// vs 8-shard concurrent-safe deployment, uint64 vs string keys, per-item
-// vs batch path. `sbench -run throughput -json BENCH_throughput.json`
+// with measured ingest rates: items/sec for each comparison sketch,
+// uint64 vs string keys, per-item vs batch path. `sbench -run throughput -json BENCH_throughput.json`
 // regenerates the repo's tracked BENCH_throughput.json so the perf
 // trajectory is visible across changes (absolute numbers are
 // machine-dependent; the batch/per-item speedup columns are the stable
@@ -22,7 +21,6 @@ import (
 const (
 	thrMBits   = 8000    // memory budget per sketch (Section 7.1 configuration)
 	thrN       = 1e6     // dimensioning bound
-	thrShards  = 8       // shard count of the concurrent deployment
 	thrBatch   = 4096    // items per AddBatch call
 	thrKeys64  = 1 << 18 // uint64 item universe per pass
 	thrKeysStr = 1 << 16 // string item universe per pass
@@ -38,7 +36,6 @@ var thrSketches = []sbitmap.Kind{
 
 type thrResult struct {
 	Sketch      string  `json:"sketch"`
-	Mode        string  `json:"mode"` // "single" or "sharded8"
 	Key         string  `json:"key"`  // "uint64" or "string"
 	Path        string  `json:"path"` // "peritem" or "batch"
 	ItemsPerSec float64 `json:"items_per_sec"`
@@ -49,13 +46,12 @@ type thrReport struct {
 	Config struct {
 		MemoryBits int     `json:"memory_bits"`
 		N          float64 `json:"n"`
-		Shards     int     `json:"shards"`
 		BatchLen   int     `json:"batch_len"`
 	} `json:"config"`
 	Results []thrResult `json:"results"`
 }
 
-// runThroughput measures every (sketch, mode, key, path) cell and prints a
+// runThroughput measures every (sketch, key, path) cell and prints a
 // table; jsonPath != "" additionally writes the machine-readable report.
 func runThroughput(jsonPath string, seed uint64) error {
 	items64 := make([]uint64, thrKeys64)
@@ -71,73 +67,64 @@ func runThroughput(jsonPath string, seed uint64) error {
 	report := thrReport{Schema: "sbitmap-throughput/v1"}
 	report.Config.MemoryBits = thrMBits
 	report.Config.N = thrN
-	report.Config.Shards = thrShards
 	report.Config.BatchLen = thrBatch
 
-	fmt.Printf("ingest throughput (items/sec), mbits=%d N=%.0e shards=%d batch=%d\n\n",
-		thrMBits, thrN, thrShards, thrBatch)
-	fmt.Printf("%-12s %-9s %-7s %14s %14s %8s\n", "sketch", "mode", "key", "per-item/s", "batch/s", "speedup")
+	fmt.Printf("ingest throughput (items/sec), mbits=%d N=%.0e batch=%d\n\n",
+		thrMBits, thrN, thrBatch)
+	fmt.Printf("%-12s %-7s %14s %14s %8s\n", "sketch", "key", "per-item/s", "batch/s", "speedup")
 
 	for _, kind := range thrSketches {
 		spec := sbitmap.Spec{Kind: kind, N: thrN, MemoryBits: thrMBits, Seed: seed}
-		for _, mode := range []string{"single", "sharded8"} {
-			mk := func() (sbitmap.Counter, error) {
-				if mode == "single" {
-					return spec.New()
+		for _, key := range []string{"uint64", "string"} {
+			var rates [2]float64 // [peritem, batch]
+			for pi, path := range []string{"peritem", "batch"} {
+				c, err := spec.New()
+				if err != nil {
+					return fmt.Errorf("throughput %s: %w", kind, err)
 				}
-				return sbitmap.NewShardedSpec(thrShards, spec)
-			}
-			for _, key := range []string{"uint64", "string"} {
-				var rates [2]float64 // [peritem, batch]
-				for pi, path := range []string{"peritem", "batch"} {
-					c, err := mk()
-					if err != nil {
-						return fmt.Errorf("throughput %s/%s: %w", kind, mode, err)
-					}
-					var pass func()
-					var per int
-					switch {
-					case key == "uint64" && path == "peritem":
-						per = len(items64)
-						pass = func() {
-							for _, x := range items64 {
-								c.AddUint64(x)
-							}
-						}
-					case key == "uint64" && path == "batch":
-						per = len(items64)
-						pass = func() {
-							for i := 0; i < len(items64); i += thrBatch {
-								end := min(i+thrBatch, len(items64))
-								sbitmap.AddBatch64(c, items64[i:end])
-							}
-						}
-					case key == "string" && path == "peritem":
-						per = len(itemsStr)
-						pass = func() {
-							for _, x := range itemsStr {
-								c.AddString(x)
-							}
-						}
-					default:
-						per = len(itemsStr)
-						pass = func() {
-							for i := 0; i < len(itemsStr); i += thrBatch {
-								end := min(i+thrBatch, len(itemsStr))
-								sbitmap.AddBatchString(c, itemsStr[i:end])
-							}
+				var pass func()
+				var per int
+				switch {
+				case key == "uint64" && path == "peritem":
+					per = len(items64)
+					pass = func() {
+						for _, x := range items64 {
+							c.AddUint64(x)
 						}
 					}
-					rate := measureRate(per, pass)
-					rates[pi] = rate
-					report.Results = append(report.Results, thrResult{
-						Sketch: string(kind), Mode: mode, Key: key, Path: path,
-						ItemsPerSec: rate,
-					})
+				case key == "uint64" && path == "batch":
+					per = len(items64)
+					pass = func() {
+						for i := 0; i < len(items64); i += thrBatch {
+							end := min(i+thrBatch, len(items64))
+							sbitmap.AddBatch64(c, items64[i:end])
+						}
+					}
+				case key == "string" && path == "peritem":
+					per = len(itemsStr)
+					pass = func() {
+						for _, x := range itemsStr {
+							c.AddString(x)
+						}
+					}
+				default:
+					per = len(itemsStr)
+					pass = func() {
+						for i := 0; i < len(itemsStr); i += thrBatch {
+							end := min(i+thrBatch, len(itemsStr))
+							sbitmap.AddBatchString(c, itemsStr[i:end])
+						}
+					}
 				}
-				fmt.Printf("%-12s %-9s %-7s %14.3e %14.3e %7.2fx\n",
-					kind, mode, key, rates[0], rates[1], rates[1]/rates[0])
+				rate := measureRate(per, pass)
+				rates[pi] = rate
+				report.Results = append(report.Results, thrResult{
+					Sketch: string(kind), Key: key, Path: path,
+					ItemsPerSec: rate,
+				})
 			}
+			fmt.Printf("%-12s %-7s %14.3e %14.3e %7.2fx\n",
+				kind, key, rates[0], rates[1], rates[1]/rates[0])
 		}
 	}
 

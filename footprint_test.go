@@ -3,7 +3,6 @@ package sbitmap
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestFootprintEveryKind: every constructible kind reports a positive
@@ -49,49 +48,6 @@ func TestSBitmapFootprintNearBitmap(t *testing.T) {
 	if aux > 512 {
 		t.Errorf("auxiliary state = %d bytes, want a small constant (≤ 512); footprint %d, bitmap %d",
 			aux, sk.Footprint(), bitmapBytes)
-	}
-}
-
-// TestShardedFootprintAggregates: a sharded counter's footprint is the sum
-// of its shards' plus bounded decorator overhead.
-func TestShardedFootprintAggregates(t *testing.T) {
-	const shards = 8
-	single, err := New(1e5, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewSharded(shards, 1e5, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sh.Footprint()
-	sum := shards * single.Footprint()
-	if got < sum {
-		t.Errorf("sharded footprint %d below %d× single sketch (%d)", got, shards, sum)
-	}
-	if overhead := got - sum; overhead > shards*256 {
-		t.Errorf("sharded decorator overhead %d bytes for %d shards, want ≤ %d", overhead, shards, shards*256)
-	}
-}
-
-// TestWindowedFootprintAggregates: a windowed counter's footprint covers
-// both rotation sketches plus bounded bookkeeping.
-func TestWindowedFootprintAggregates(t *testing.T) {
-	single, err := New(1e5, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWindowed(time.Minute, 1e5, 0.02, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := w.Footprint()
-	pair := 2 * single.Footprint()
-	if got < pair {
-		t.Errorf("windowed footprint %d below the rotation pair's %d", got, pair)
-	}
-	if overhead := got - pair; overhead > 512 {
-		t.Errorf("windowed bookkeeping overhead %d bytes, want ≤ 512", overhead)
 	}
 }
 

@@ -712,6 +712,18 @@ func (s *Server) applyFrame(f *Frame) AddResult {
 // transport must fail the request instead of acking. Safe for
 // concurrent use.
 func (s *Server) IngestFrame(raw []byte, f *Frame) (AddResult, error) {
+	res, err := s.ingestFrame(raw, f)
+	if err != nil {
+		return AddResult{}, err
+	}
+	s.observeIngest(f.Keys, uintptr(unsafe.Pointer(f)))
+	return res, nil
+}
+
+// ingestFrame is IngestFrame without the rules hand-off: raw is appended
+// to the WAL (when one is configured; raw is ignored otherwise) and f
+// applied, both under the shared ingest gate.
+func (s *Server) ingestFrame(raw []byte, f *Frame) (AddResult, error) {
 	s.gate.RLock()
 	if s.wlog != nil {
 		if _, err := s.wlog.Append(walTagFrame, raw); err != nil {
@@ -722,45 +734,7 @@ func (s *Server) IngestFrame(raw []byte, f *Frame) (AddResult, error) {
 	}
 	res := s.applyFrame(f)
 	s.gate.RUnlock()
-	s.observeIngest(f.Keys, uintptr(unsafe.Pointer(f)))
 	return res, nil
-}
-
-// ingestString is the NDJSON counterpart of IngestFrame: walFrame is the
-// records re-encoded as an SBF1 string frame (built by the caller only
-// when a WAL is configured), logged before the batch is applied.
-func (s *Server) ingestString(walFrame []byte, keys, items []string) (int, error) {
-	s.gate.RLock()
-	if s.wlog != nil {
-		if _, err := s.wlog.Append(walTagFrame, walFrame); err != nil {
-			s.gate.RUnlock()
-			return 0, fmt.Errorf("server: wal append: %w", err)
-		}
-		s.walPending.Add(walRecordBytes(len(walFrame)))
-	}
-	changed := s.store.AddBatchString(keys, items)
-	s.mutations.Add(1)
-	s.gate.RUnlock()
-	return changed, nil
-}
-
-// ingestStringAt is ingestString for a timestamped NDJSON run: the
-// records land in ts's sub-window, and walFrame (when a WAL is
-// configured) is the run re-encoded as a version-2 frame carrying the
-// same timestamp, so replay reproduces the window placement exactly.
-func (s *Server) ingestStringAt(walFrame []byte, ts time.Time, keys, items []string) (int, error) {
-	s.gate.RLock()
-	if s.wlog != nil {
-		if _, err := s.wlog.Append(walTagFrame, walFrame); err != nil {
-			s.gate.RUnlock()
-			return 0, fmt.Errorf("server: wal append: %w", err)
-		}
-		s.walPending.Add(walRecordBytes(len(walFrame)))
-	}
-	changed := s.store.AddBatchStringAt(ts, keys, items)
-	s.mutations.Add(1)
-	s.gate.RUnlock()
-	return changed, nil
 }
 
 // RecordIngest folds one ingest call into the live metrics: an add
@@ -808,7 +782,6 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		keys, items, tss := sc.keys, sc.items, sc.tss
-		hasTS := false
 		// Lines are split in place over the pooled body; decoding copies
 		// every key and item out of it.
 		for line, rest := 1, data; len(rest) > 0; line++ {
@@ -838,50 +811,33 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			keys = append(keys, rec.Key)
 			items = append(items, rec.Item)
 			tss = append(tss, rec.TS)
-			hasTS = hasTS || rec.TS != 0
 		}
 		sc.keys, sc.items, sc.tss = keys, items, tss
 		res.Records = len(keys)
-		if !hasTS {
-			if s.wlog != nil {
-				sc.wal = AppendFrameString(sc.wal[:0], keys, items)
+		// A frame carries one timestamp, so ingest (and WAL-log) each
+		// maximal run of same-ts records as its own frame; a body with no
+		// ts is one run, and a body with no records logs nothing. Traces
+		// arrive in time order, so the common case is one run per body.
+		for start := 0; start < len(keys); {
+			end := start + 1
+			for end < len(keys) && tss[end] == tss[start] {
+				end++
 			}
-			res.Changed, err = s.ingestString(sc.wal, keys, items)
+			f := Frame{Keys: keys[start:end], ItemsString: items[start:end], TSNanos: tss[start], HasTS: tss[start] != 0}
+			if s.wlog != nil {
+				if f.HasTS {
+					sc.wal = AppendFrameStringAt(sc.wal[:0], time.Unix(0, f.TSNanos), f.Keys, f.ItemsString)
+				} else {
+					sc.wal = AppendFrameString(sc.wal[:0], f.Keys, f.ItemsString)
+				}
+			}
+			run, err := s.ingestFrame(sc.wal, &f)
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, CodeWALWrite, "%v", err)
 				return
 			}
-		} else {
-			// Timestamped records: a frame carries one timestamp, so split
-			// the batch into maximal consecutive same-ts runs and ingest
-			// (and WAL-log) each as its own frame. Traces arrive in time
-			// order, so the common case is one run per batch.
-			for start := 0; start < len(keys); {
-				end := start + 1
-				for end < len(keys) && tss[end] == tss[start] {
-					end++
-				}
-				rk, ri := keys[start:end], items[start:end]
-				var changed int
-				if tss[start] == 0 {
-					if s.wlog != nil {
-						sc.wal = AppendFrameString(sc.wal[:0], rk, ri)
-					}
-					changed, err = s.ingestString(sc.wal, rk, ri)
-				} else {
-					ts := time.Unix(0, tss[start])
-					if s.wlog != nil {
-						sc.wal = AppendFrameStringAt(sc.wal[:0], ts, rk, ri)
-					}
-					changed, err = s.ingestStringAt(sc.wal, ts, rk, ri)
-				}
-				if err != nil {
-					writeError(w, http.StatusInternalServerError, CodeWALWrite, "%v", err)
-					return
-				}
-				res.Changed += changed
-				start = end
-			}
+			res.Changed += run.Changed
+			start = end
 		}
 		s.observeIngest(keys, aff)
 	}

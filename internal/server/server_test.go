@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	sbitmap "repro"
+	"repro/internal/wal"
 )
 
 // newTestServer starts an httptest server around a fresh Server and
@@ -177,6 +178,48 @@ func TestNDJSONLines(t *testing.T) {
 	}
 	if status, eb := post(line(ndjsonMaxLine + 1)); status != http.StatusBadRequest || eb.Error.Code != CodeBadNDJSON {
 		t.Errorf("line of %d bytes: %d %+v, want 400 %s", ndjsonMaxLine+1, status, eb, CodeBadNDJSON)
+	}
+}
+
+// TestNDJSONEmptyBodyLogsNothing: an NDJSON body with no records (empty,
+// or only blank lines) is acked as zero records and appends nothing to
+// the WAL — no zero-record frame, so no fsync under FsyncAlways either.
+func TestNDJSONEmptyBodyLogsNothing(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{
+		Spec:        sbitmap.MustSpec("hll:mbits=512"),
+		WALDir:      t.TempDir(),
+		FsyncPolicy: wal.FsyncAlways,
+	})
+	t.Cleanup(func() { srv.Close() })
+	post := func(body string) AddResult {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/add", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res AddResult
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %q: status %d", body, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, body := range []string{"", "\n\n", " \r\n\t\n"} {
+		if res := post(body); res.Records != 0 {
+			t.Errorf("body %q: %d records, want 0", body, res.Records)
+		}
+	}
+	if n := srv.wlog.NextLSN(); n != 0 {
+		t.Errorf("record-free bodies appended %d WAL records, want 0", n)
+	}
+	if res := post(`{"key":"a","item":"x"}`); res.Records != 1 {
+		t.Errorf("one-record body: %d records, want 1", res.Records)
+	}
+	if n := srv.wlog.NextLSN(); n != 1 {
+		t.Errorf("one-record body appended %d WAL records, want 1", n)
 	}
 }
 

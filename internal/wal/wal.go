@@ -103,6 +103,13 @@ var (
 	ErrGap = errors.New("wal: gap in segment sequence")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("wal: log is closed")
+	// ErrPoisoned reports use of a log after one of its writes or fsyncs
+	// failed. A failed write can leave a torn record mid-segment, and on
+	// Linux a retried fsync can report success after the kernel dropped
+	// the dirty pages, so the log refuses every later Append and Sync
+	// rather than ack records it may have lost. The error wraps the first
+	// failure; reopening the log recovers.
+	ErrPoisoned = errors.New("wal: log poisoned by an earlier write or fsync failure")
 )
 
 // Options dimensions a Log. Dir is required; everything else defaults.
@@ -185,6 +192,7 @@ type Log struct {
 	truncated int64 // torn-tail bytes discarded at Open
 	buf       []byte
 	closed    bool
+	failed    error // first failed write or fsync; poisons the log
 }
 
 // segName renders a segment file name for its base LSN.
@@ -389,6 +397,9 @@ func (l *Log) Append(parts ...[]byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
+	if err := l.poisoned(); err != nil {
+		return 0, err
+	}
 	if l.f == nil || l.segs[len(l.segs)-1].bytes >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
@@ -411,7 +422,8 @@ func (l *Log) Append(parts ...[]byte) (uint64, error) {
 		buf = append(buf, p...)
 	}
 	if _, err := l.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+		l.failed = fmt.Errorf("wal: append: %w", err)
+		return 0, l.failed
 	}
 	// A oversized record must not pin its buffer in the log forever.
 	if cap(buf) <= 1<<20 {
@@ -474,7 +486,8 @@ func (l *Log) rotateLocked() error {
 func (l *Log) syncLocked() error {
 	if l.f != nil && l.unsynced > 0 {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
+			l.failed = fmt.Errorf("wal: fsync: %w", err)
+			return l.failed
 		}
 	}
 	l.unsynced = 0
@@ -483,12 +496,24 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
+// poisoned returns ErrPoisoned wrapping the log's first failed write or
+// fsync, or nil while none has failed.
+func (l *Log) poisoned() error {
+	if l.failed == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrPoisoned, l.failed)
+}
+
 // Sync forces an fsync of the active segment regardless of policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.poisoned(); err != nil {
+		return err
 	}
 	return l.syncLocked()
 }
@@ -607,7 +632,9 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close fsyncs and closes the active segment. The log is unusable after.
+// Close fsyncs and closes the active segment; a poisoned log skips the
+// fsync, still closes the file, and returns its poison error. The log is
+// unusable after.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -618,7 +645,10 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.syncLocked()
+	err := l.poisoned()
+	if err == nil {
+		err = l.syncLocked()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -466,6 +466,70 @@ func TestClosedLog(t *testing.T) {
 	}
 }
 
+// TestPoisonedAfterFailedWriteOrFsync: the first failed write or fsync
+// poisons the log. Every later Append and Sync returns ErrPoisoned
+// wrapping that failure, even once the file handle works again; Close
+// still releases the file, and a reopen replays exactly the records
+// acked before the failure.
+func TestPoisonedAfterFailedWriteOrFsync(t *testing.T) {
+	for _, fault := range []string{"write", "fsync"} {
+		t.Run(fault, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir, Policy: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(record(0)); err != nil {
+				t.Fatal(err)
+			}
+			good := l.f
+			bad, err := os.Open(good.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first error
+			if fault == "write" {
+				// A read-only handle: Write fails with EBADF.
+				l.f = bad
+				_, first = l.Append(record(1))
+				bad.Close()
+			} else {
+				// A closed handle: Sync fails.
+				bad.Close()
+				l.f = bad
+				first = l.Sync()
+			}
+			l.f = good
+			if first == nil || errors.Is(first, ErrPoisoned) {
+				t.Fatalf("failed %s returned %v, want the failure itself", fault, first)
+			}
+			if _, err := l.Append(record(2)); !errors.Is(err, ErrPoisoned) || !errors.Is(err, first) {
+				t.Errorf("append after failed %s: %v, want ErrPoisoned wrapping %v", fault, err, first)
+			}
+			if err := l.Sync(); !errors.Is(err, ErrPoisoned) || !errors.Is(err, first) {
+				t.Errorf("sync after failed %s: %v, want ErrPoisoned wrapping %v", fault, err, first)
+			}
+			if n := l.NextLSN(); n != 1 {
+				t.Errorf("NextLSN %d after failed %s, want 1", n, fault)
+			}
+			if err := l.Close(); !errors.Is(err, ErrPoisoned) {
+				t.Errorf("close of a poisoned log: %v, want ErrPoisoned", err)
+			}
+			if _, err := good.Write([]byte{0}); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("segment still open after Close: write returned %v", err)
+			}
+			l2, err := Open(Options{Dir: dir, Policy: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if got := collect(t, l2, 0); len(got) != 1 || !bytes.Equal(got[0], record(0)) {
+				t.Errorf("reopened log replays %d records, want only the one acked", len(got))
+			}
+		})
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Error("empty Dir accepted")

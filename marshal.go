@@ -40,7 +40,7 @@ const envMagic = uint32(0x315a4b53)
 const envVersion = 1
 
 // Typed envelope errors. Every snapshot decoder in the module — Unmarshal,
-// the UnmarshalBinary methods, UnmarshalWindowed, UnmarshalStore — reports
+// the UnmarshalBinary methods, UnmarshalStore — reports
 // a malformed envelope through one of these sentinels (wrapped with
 // context; test with errors.Is), so callers can distinguish "not a
 // snapshot at all" from "a snapshot this build cannot read".
@@ -64,7 +64,9 @@ var (
 )
 
 // kindCodes maps each serializable kind to its envelope tag. Codes are
-// append-only: never renumber, or old snapshots become unreadable.
+// append-only: never renumber, or old snapshots become unreadable. Codes
+// 10 and 11 belonged to the removed single-counter sharded and windowed
+// decorators; they decode as ErrUnknownKind and must never be reused.
 var kindCodes = map[Kind]byte{
 	KindSBitmap:       1,
 	KindHLL:           2,
@@ -75,18 +77,13 @@ var kindCodes = map[Kind]byte{
 	KindMRBitmap:      7,
 	KindAdaptive:      8,
 	KindExact:         9,
-	kindSharded:       10,
-	kindWindowed:      11,
 	kindStore:         12,
 	kindWindowRing:    13,
 }
 
-// kindSharded, kindWindowed, kindStore, and kindWindowRing tag
-// decorator/container snapshots; they are not Spec kinds (those layers
-// are built around a Spec or factory, not from one).
+// kindStore and kindWindowRing tag container snapshots; they are not
+// Spec kinds (a Store is built around a Spec, not from one).
 const (
-	kindSharded    Kind = "sharded"
-	kindWindowed   Kind = "windowed"
 	kindStore      Kind = "store"
 	kindWindowRing Kind = "windowring"
 )
@@ -147,10 +144,9 @@ func payloadOfKind(data []byte, want Kind) ([]byte, error) {
 	return payload, nil
 }
 
-// Marshal serializes any counter of this module — base sketches, Sharded,
-// or Windowed — into the tagged envelope. It fails for counters that do not
-// implement encoding.BinaryMarshaler (e.g. a user-supplied Counter handed
-// to a decorator factory).
+// Marshal serializes any counter of this module into the tagged envelope.
+// It fails for values that do not implement encoding.BinaryMarshaler
+// (e.g. a user-supplied Counter).
 func Marshal(c any) ([]byte, error) {
 	m, ok := c.(encoding.BinaryMarshaler)
 	if !ok {
@@ -162,9 +158,8 @@ func Marshal(c any) ([]byte, error) {
 // Unmarshal reconstructs a counter serialized by Marshal (or any
 // MarshalBinary method in this module), dispatching on the envelope's kind
 // tag. The restored counter estimates immediately; pass the original
-// WithSeed / hash-family options to continue adding items. Windowed and
-// keyed Store snapshots are not Counters — restore those with
-// UnmarshalWindowed and UnmarshalStore respectively.
+// WithSeed / hash-family options to continue adding items. Keyed Store
+// snapshots are not Counters — restore those with UnmarshalStore.
 //
 // For backward compatibility, pre-envelope S-bitmap snapshots (raw
 // internal/core format) are still accepted.
@@ -236,10 +231,6 @@ func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 			return nil, err
 		}
 		return &Exact{c: c}, nil
-	case kindSharded:
-		return unmarshalSharded(payload, opts)
-	case kindWindowed:
-		return nil, errors.New("sbitmap: snapshot holds a Windowed counter; restore it with UnmarshalWindowed")
 	case kindStore:
 		return nil, errors.New("sbitmap: snapshot holds a keyed Store; restore it with UnmarshalStore")
 	case kindWindowRing:

@@ -30,11 +30,20 @@ var corruptions = []struct {
 		c[5] = 200
 		return c
 	}, ErrUnknownKind},
+	{"retired kind code 10", func(b []byte) []byte {
+		c := append([]byte{}, b...)
+		c[5] = 10
+		return c
+	}, ErrUnknownKind},
+	{"retired kind code 11", func(b []byte) []byte {
+		c := append([]byte{}, b...)
+		c[5] = 11
+		return c
+	}, ErrUnknownKind},
 }
 
 // marshalers builds one marshalable instance of every serializable shape
-// in the module: all 9 Spec kinds plus the Sharded and Windowed
-// decorators and the keyed Store.
+// in the module: all 9 Spec kinds plus the keyed Store.
 func marshalers(t *testing.T) map[string]encoding.BinaryMarshaler {
 	t.Helper()
 	out := map[string]encoding.BinaryMarshaler{}
@@ -49,17 +58,6 @@ func marshalers(t *testing.T) map[string]encoding.BinaryMarshaler {
 		}
 		out[string(kind)] = c.(encoding.BinaryMarshaler)
 	}
-	sh, err := NewShardedSpec(3, MustSpec("hll:mbits=1024"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.AddUint64(42)
-	out["sharded"] = sh
-	w, err := NewWindowedSpec(1_000_000_000, MustSpec("hll:mbits=1024"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["windowed"] = w
 	st, err := NewStore[uint64](MustSpec("hll:mbits=512"))
 	if err != nil {
 		t.Fatal(err)
@@ -95,12 +93,9 @@ func TestUnmarshalEnvelopeCorruptionTyped(t *testing.T) {
 		for _, c := range corruptions {
 			bad := c.mutate(blob)
 			var decodeErr error
-			switch name {
-			case "windowed":
-				_, decodeErr = UnmarshalWindowed(bad, nil)
-			case "store":
+			if name == "store" {
 				_, decodeErr = UnmarshalStore[uint64](bad)
-			default:
+			} else {
 				_, decodeErr = Unmarshal(bad)
 			}
 			if decodeErr == nil {
@@ -114,19 +109,14 @@ func TestUnmarshalEnvelopeCorruptionTyped(t *testing.T) {
 		// Short payload: the envelope is intact but the kind payload is
 		// cut off mid-structure. Exact error type is the inner decoder's
 		// business; failing cleanly (no panic, non-nil error) is the
-		// contract. Skip cuts that leave a still-valid prefix impossible
-		// (all our payloads are length-checked, so any cut must error,
-		// except the empty-window Windowed whose zero-length tail blob is
-		// its own validity domain — covered by the exhaustive store test).
+		// contract; all our payloads are length-checked, so any cut must
+		// error.
 		if len(blob) > 7 {
 			short := blob[:6+(len(blob)-6)/2]
 			var decodeErr error
-			switch name {
-			case "windowed":
-				_, decodeErr = UnmarshalWindowed(short, nil)
-			case "store":
+			if name == "store" {
 				_, decodeErr = UnmarshalStore[uint64](short)
-			default:
+			} else {
 				_, decodeErr = Unmarshal(short)
 			}
 			if decodeErr == nil {
@@ -154,33 +144,16 @@ func TestUnmarshalBinaryCorruptionTyped(t *testing.T) {
 		"mrbitmap":      &MRBitmap{},
 		"adaptive":      &AdaptiveSampler{},
 		"exact":         &Exact{},
-		"sharded":       &Sharded{},
 	}
 	for name, target := range targets {
-		spec := Spec{}
-		if name != "sharded" {
-			spec = specForKind(t, Kind(name))
+		c, err := specForKind(t, Kind(name)).New()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		var blob []byte
-		if name == "sharded" {
-			sh, err := NewShardedSpec(2, MustSpec("hll:mbits=512"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err = sh.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			c, err := spec.New()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			c.AddUint64(7)
-			blob, err = Marshal(c)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		c.AddUint64(7)
+		blob, err := Marshal(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		for _, cor := range corruptions {
 			if err := target.UnmarshalBinary(cor.mutate(blob)); !errors.Is(err, cor.wantErr) {
@@ -199,8 +172,8 @@ func TestUnmarshalBinaryCorruptionTyped(t *testing.T) {
 }
 
 func TestUnmarshalKindMismatchTyped(t *testing.T) {
-	// payloadOfKind's mismatch error is typed; UnmarshalWindowed and
-	// UnmarshalStore refuse each other's (and counters') envelopes.
+	// payloadOfKind's mismatch error is typed: UnmarshalStore refuses a
+	// counter's envelope.
 	c, err := MustSpec("hll:mbits=512").New()
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +181,6 @@ func TestUnmarshalKindMismatchTyped(t *testing.T) {
 	blob, err := Marshal(c)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := UnmarshalWindowed(blob, nil); !errors.Is(err, ErrKindMismatch) {
-		t.Errorf("UnmarshalWindowed(counter): %v, want ErrKindMismatch", err)
 	}
 	if _, err := UnmarshalStore[uint64](blob); !errors.Is(err, ErrKindMismatch) {
 		t.Errorf("UnmarshalStore(counter): %v, want ErrKindMismatch", err)

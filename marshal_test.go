@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 )
 
 // addSome feeds n distinct 64-bit items offset by base.
@@ -132,56 +131,6 @@ func TestUnmarshalCorruptSnapshotsFailCleanly(t *testing.T) {
 	}
 }
 
-func TestWindowedGapFastForwardMatchesLoop(t *testing.T) {
-	// With no onClose callback, a huge stream gap must not iterate one
-	// close per empty window — and Last()/Current() must match what the
-	// per-window loop (exercised via a callback instance) produces.
-	base := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	fast, err := NewWindowed(time.Minute, 1e4, 0.05, nil, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := NewWindowed(time.Minute, 1e4, 0.05, func(WindowResult) {}, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 500; i++ {
-		fast.AddUint64(base, i)
-		slow.AddUint64(base, i)
-	}
-	// A year-long gap: ~526k empty windows. The fast path must return
-	// promptly (this test hangs for minutes if it does not).
-	jump := base.Add(365 * 24 * time.Hour)
-	fast.AddUint64(jump, 1)
-	slow.AddUint64(jump, 1)
-	fl, fok := fast.Last()
-	sl, sok := slow.Last()
-	if fok != sok || !fl.Start.Equal(sl.Start) || !fl.End.Equal(sl.End) || fl.Estimate != sl.Estimate {
-		t.Errorf("fast-forward Last() = %+v/%v, loop Last() = %+v/%v", fl, fok, sl, sok)
-	}
-	if !fl.End.Equal(jump.Truncate(time.Minute)) {
-		t.Errorf("last closed window ends %v, want %v", fl.End, jump.Truncate(time.Minute))
-	}
-	if fast.Current() != slow.Current() {
-		t.Errorf("current %v vs %v after gap", fast.Current(), slow.Current())
-	}
-}
-
-func TestShardedSelfMergeIsNoOp(t *testing.T) {
-	s, err := NewShardedSpec(4, MustSpec("hll:mbits=4096"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addSome(s, 0, 10000)
-	before := s.Estimate()
-	if err := Merge(s, s); err != nil { // must not deadlock
-		t.Fatal(err)
-	}
-	if s.Estimate() != before {
-		t.Errorf("self-merge changed estimate %v → %v", before, s.Estimate())
-	}
-}
-
 func TestUnmarshalLegacySBitmapFormat(t *testing.T) {
 	// Pre-envelope snapshots (bare internal/core format) must keep
 	// loading: deployed checkpoints survive the API redesign.
@@ -228,115 +177,6 @@ func TestUnmarshalBinaryInPlace(t *testing.T) {
 	}
 }
 
-func TestShardedMarshalRoundTrip(t *testing.T) {
-	s, err := NewSharded(4, 1e5, 0.03, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addSome(s, 0, 20000)
-
-	blob, err := Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(blob, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Estimate() != s.Estimate() {
-		t.Errorf("restored estimate %v, want %v", back.Estimate(), s.Estimate())
-	}
-	if back.SizeBits() != s.SizeBits() {
-		t.Errorf("restored SizeBits %d, want %d", back.SizeBits(), s.SizeBits())
-	}
-	restored, ok := back.(*Sharded)
-	if !ok {
-		t.Fatalf("restored type %T, want *Sharded", back)
-	}
-	if restored.Shards() != 4 {
-		t.Errorf("restored shard count %d", restored.Shards())
-	}
-	// Routing and per-shard hashing are rebuilt from the recorded base
-	// seed, so both instances must stay in lockstep under further adds.
-	addSome(s, 20000, 5000)
-	addSome(back, 20000, 5000)
-	if back.Estimate() != s.Estimate() {
-		t.Error("restored sharded counter diverged while counting")
-	}
-}
-
-func TestShardedSpecRoundTripNonSBitmap(t *testing.T) {
-	spec := MustSpec("hll:mbits=4096,seed=5")
-	s, err := NewShardedSpec(8, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addSome(s, 0, 30000)
-	blob, err := Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Estimate() != s.Estimate() || back.SizeBits() != s.SizeBits() {
-		t.Errorf("restored (%v, %d), want (%v, %d)",
-			back.Estimate(), back.SizeBits(), s.Estimate(), s.SizeBits())
-	}
-	addSome(s, 30000, 5000)
-	addSome(back, 30000, 5000)
-	if back.Estimate() != s.Estimate() {
-		t.Error("restored sharded HLL diverged while counting")
-	}
-}
-
-func TestShardedGenericFactory(t *testing.T) {
-	// Sharded decorates ANY Counter via a factory.
-	s, err := NewShardedFrom(4, func(i int) (Counter, error) {
-		return NewHyperLogLog(4096, WithSeed(uint64(i)+1)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40000
-	addSome(s, 0, n)
-	if rel := math.Abs(s.Estimate()/n - 1); rel > 0.15 {
-		t.Errorf("sharded HLL estimate %.0f for n=%d", s.Estimate(), n)
-	}
-	if _, err := NewShardedFrom(0, func(int) (Counter, error) { return NewExact(), nil }); err == nil {
-		t.Error("0 shards accepted")
-	}
-}
-
-func TestShardedMerge(t *testing.T) {
-	spec := MustSpec("hll:mbits=4096,seed=5")
-	a, err := NewShardedSpec(4, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewShardedSpec(4, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overlapping streams: naive summing would double-count the overlap.
-	addSome(a, 0, 20000)
-	addSome(b, 10000, 20000) // union is 30000 distinct
-	if err := Merge(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(a.Estimate()/30000 - 1); rel > 0.15 {
-		t.Errorf("merged estimate %.0f, want ≈ 30000", a.Estimate())
-	}
-
-	// S-bitmap shards cannot union-merge: typed failure.
-	sa, _ := NewSharded(2, 1e4, 0.05)
-	sb, _ := NewSharded(2, 1e4, 0.05)
-	if err := Merge(sa, sb); !errors.Is(err, ErrNotMergeable) {
-		t.Errorf("sharded S-bitmap merge err = %v, want ErrNotMergeable", err)
-	}
-}
-
 func TestMergeableCounters(t *testing.T) {
 	mergeable := []string{"hll:mbits=4096", "loglog:mbits=4096", "fm:mbits=4096",
 		"linearcount:mbits=16000", "mrbitmap:n=1e5,mbits=8000"}
@@ -371,150 +211,5 @@ func TestMergeableCounters(t *testing.T) {
 	ll, _ := MustSpec("loglog:mbits=4096").New()
 	if err := Merge(hll, ll); !errors.Is(err, ErrNotMergeable) {
 		t.Errorf("cross-kind merge err = %v, want ErrNotMergeable", err)
-	}
-}
-
-func TestWindowedMarshalRoundTrip(t *testing.T) {
-	base := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	w, err := NewWindowed(time.Minute, 1e4, 0.03, nil, WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One closed window plus a half-full current window.
-	for i := uint64(0); i < 800; i++ {
-		w.AddUint64(base, i)
-	}
-	for i := uint64(0); i < 400; i++ {
-		w.AddUint64(base.Add(time.Minute), 1_000_000+i)
-	}
-
-	blob, err := w.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalWindowed(blob, nil, WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Estimate() != w.Estimate() {
-		t.Errorf("restored estimate %v, want %v", back.Estimate(), w.Estimate())
-	}
-	if back.SizeBits() != w.SizeBits() {
-		t.Errorf("restored SizeBits %d, want %d", back.SizeBits(), w.SizeBits())
-	}
-	wl, wok := w.Last()
-	bl, bok := back.Last()
-	if wok != bok || wl.Estimate != bl.Estimate || !wl.Start.Equal(bl.Start) || !wl.End.Equal(bl.End) {
-		t.Errorf("restored Last() = %+v/%v, want %+v/%v", bl, bok, wl, wok)
-	}
-
-	// The restored instance resumes mid-window in lockstep.
-	for i := uint64(0); i < 300; i++ {
-		w.AddUint64(base.Add(time.Minute+30*time.Second), 2_000_000+i)
-		back.AddUint64(base.Add(time.Minute+30*time.Second), 2_000_000+i)
-	}
-	if back.Current() != w.Current() {
-		t.Error("restored windowed counter diverged while counting")
-	}
-	wr, _ := w.Flush()
-	br, _ := back.Flush()
-	if wr.Estimate != br.Estimate || !wr.Start.Equal(br.Start) {
-		t.Errorf("flush after restore: %+v vs %+v", br, wr)
-	}
-
-	// Windowed snapshots are not Counters: the universal Unmarshal points
-	// at UnmarshalWindowed instead of mis-restoring.
-	if _, err := Unmarshal(blob); err == nil {
-		t.Error("Unmarshal accepted a windowed snapshot")
-	}
-}
-
-func TestWindowedSpecDecoratesAnyKind(t *testing.T) {
-	base := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	var closed []WindowResult
-	w, err := NewWindowedSpec(time.Minute, MustSpec("hll:mbits=4096"), func(r WindowResult) {
-		closed = append(closed, r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 3000; i++ {
-		w.AddUint64(base, i)
-	}
-	for i := uint64(0); i < 1000; i++ {
-		w.AddUint64(base.Add(time.Minute), 1_000_000+i)
-	}
-	if len(closed) != 1 {
-		t.Fatalf("%d windows closed, want 1", len(closed))
-	}
-	if rel := math.Abs(closed[0].Estimate/3000 - 1); rel > 0.2 {
-		t.Errorf("window estimate %.0f, want ≈ 3000", closed[0].Estimate)
-	}
-	if closed[0].Saturated {
-		t.Error("HLL window marked saturated (HLL has no bound)")
-	}
-}
-
-func TestWindowedFlushIdempotent(t *testing.T) {
-	// The doc'd contract: Flush is a no-op unless an item arrived since
-	// the last close — repeated flushes must not emit empty windows.
-	base := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	fired := 0
-	w, err := NewWindowed(time.Minute, 1e4, 0.05, func(WindowResult) { fired++ }, WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 500; i++ {
-		w.AddUint64(base, i)
-	}
-	if _, ok := w.Flush(); !ok {
-		t.Fatal("first flush returned !ok")
-	}
-	for i := 0; i < 3; i++ {
-		if r, ok := w.Flush(); ok {
-			t.Fatalf("repeat flush %d emitted a window: %+v", i, r)
-		}
-	}
-	if fired != 1 {
-		t.Errorf("onClose fired %d times, want 1", fired)
-	}
-	// After new items arrive, Flush works again.
-	w.AddUint64(base.Add(2*time.Minute), 99)
-	if _, ok := w.Flush(); !ok {
-		t.Error("flush after new items returned !ok")
-	}
-	if fired != 3 {
-		// Rolling from minute 0 to minute 2 closes the empty minute-1
-		// window (gap semantics), then the flush closes minute 2.
-		t.Errorf("onClose fired %d times, want 3 (gap close + flush)", fired)
-	}
-}
-
-func TestShardedAddStringNoAlloc(t *testing.T) {
-	s, err := NewSharded(4, 1e5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "user-12345-session-abcdef"
-	s.AddString(key) // settle the one state change
-	if allocs := testing.AllocsPerRun(200, func() { s.AddString(key) }); allocs != 0 {
-		t.Errorf("Sharded.AddString allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-func TestShardedStringBytePathsAgreeAcrossKinds(t *testing.T) {
-	for _, spec := range []string{"hll:mbits=4096", "sbitmap:n=1e4,eps=0.05"} {
-		a, err := NewShardedSpec(4, MustSpec(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := NewShardedSpec(4, MustSpec(spec))
-		for _, w := range []string{"x", "yy", "zzz", "", "longer-key-with-more-than-sixteen-bytes"} {
-			a.AddString(w)
-			b.Add([]byte(w))
-		}
-		if a.Estimate() != b.Estimate() {
-			t.Errorf("%s: string and byte paths diverged", spec)
-		}
 	}
 }

@@ -14,11 +14,11 @@ import (
 // of the concatenated streams. The S-bitmap is not — its sampling rate
 // depends on its fill history, so two S-bitmaps of overlapping streams
 // cannot be combined. The supported aggregation for S-bitmaps is
-// partitioning instead: route disjoint key ranges to independent sketches
-// and SUM the estimates, which is what Sharded implements. The same rule
-// carries to the keyed layer: Store.Merge unions per-key counters and so
-// needs a Mergeable kind, while sharding a Store BY key across machines
-// works for every kind.
+// partitioning instead: route disjoint parts of the stream to independent
+// sketches and SUM their estimates, which is what a keyed Store does per
+// key and the cluster ring does per peer. Store.Merge unions per-key
+// counters and so needs a Mergeable kind, while partitioning a Store BY
+// key across machines works for every kind.
 var ErrNotMergeable = errors.New("counter does not support union merge")
 
 // Mergeable is implemented by counters whose state supports union merging:

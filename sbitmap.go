@@ -63,8 +63,8 @@ import (
 // The Add methods report whether the sketch's state changed. AddUint64 is
 // always equivalent to Add of the item's 8-byte little-endian encoding,
 // and AddString to Add of the string's bytes — both allocation-free.
-// Implementations are not safe for concurrent use unless documented
-// otherwise (Sharded is).
+// Implementations are not safe for concurrent use; a keyed Store is the
+// concurrent container.
 //
 // Counters may additionally implement Mergeable (union aggregation),
 // Saturable (operating-range overflow reporting), and

@@ -14,8 +14,8 @@ import (
 // Spec is the declarative face of the module: one value that names a
 // sketch kind and dimensions it from the paper's shared (memory, N, ε)
 // vocabulary. The same Spec works as a library call (Spec.New), a CLI flag
-// or config-file string (ParseSpec / Spec.String), and a decorator input
-// (NewShardedSpec, NewWindowedSpec), so every layer of a deployment names
+// or config-file string (ParseSpec / Spec.String), and a keyed Store's
+// per-key template (NewStore), so every layer of a deployment names
 // sketches the same way.
 //
 // Dimensioning rules:
