@@ -170,7 +170,7 @@ func runAlerts(jsonPath string, seed uint64) error {
 		if len(keys) == 0 {
 			return nil
 		}
-		_, err := client.AddBatchString(ctx, keys, items)
+		_, err := client.AddFrame(ctx, &server.Frame{Keys: keys, ItemsString: items})
 		keys, items = keys[:0], items[:0]
 		return err
 	}

@@ -102,7 +102,7 @@ func runCluster(jsonPath string, seed uint64) error {
 	reqs := 0
 	for i := 0; i < len(keys); i += serverBatch {
 		end := min(i+serverBatch, len(keys))
-		if _, err := oneClient.AddBatch64(ctx, keys[i:end], items[i:end]); err != nil {
+		if _, err := oneClient.AddFrame(ctx, &server.Frame{Keys: keys[i:end], Items64: items[i:end]}); err != nil {
 			return err
 		}
 		reqs++
@@ -141,7 +141,7 @@ func runCluster(jsonPath string, seed uint64) error {
 	reqs = 0
 	for i := 0; i < len(keys); i += serverBatch {
 		end := min(i+serverBatch, len(keys))
-		res, err := cc.AddBatch64(ctx, keys[i:end], items[i:end])
+		res, err := cc.AddFrame(ctx, &server.Frame{Keys: keys[i:end], Items64: items[i:end]})
 		if err != nil {
 			return err
 		}

@@ -265,7 +265,7 @@ func runServer(jsonPath string, seed uint64) error {
 		case "frame":
 			for i := 0; i < len(keys); i += serverBatch {
 				end := min(i+serverBatch, len(keys))
-				if _, err := client.AddBatch64(ctx, keys[i:end], items[i:end]); err != nil {
+				if _, err := client.AddFrame(ctx, &server.Frame{Keys: keys[i:end], Items64: items[i:end]}); err != nil {
 					return err
 				}
 				reqs++
@@ -283,7 +283,7 @@ func runServer(jsonPath string, seed uint64) error {
 			wc := wire.NewClient(wln.Addr().String())
 			for i := 0; i < len(keys); i += serverBatch {
 				end := min(i+serverBatch, len(keys))
-				if err := wc.Send64(keys[i:end], items[i:end]); err != nil {
+				if err := wc.SendFrame(&server.Frame{Keys: keys[i:end], Items64: items[i:end]}); err != nil {
 					return err
 				}
 				reqs++

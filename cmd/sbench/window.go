@@ -221,7 +221,7 @@ func runWindow(jsonPath string, seed uint64) error {
 	var ingestErr error
 	feed := func(ts time.Time, k []string, it []uint64) {
 		if ingestErr == nil {
-			_, ingestErr = client.AddBatch64At(ctx, ts, k, it)
+			_, ingestErr = client.AddFrame(ctx, &server.Frame{Keys: k, Items64: it, TSNanos: ts.UnixNano(), HasTS: true})
 		}
 		twin.AddBatch64At(ts, k, it)
 	}

@@ -76,33 +76,20 @@ type wirePeer struct {
 	c  *wire.Client
 }
 
-// add64 sends one sub-batch synchronously, retrying once through the
+// add sends one sub-frame synchronously, retrying once through the
 // client's auto-redial — parity with the HTTP path's transient-failure
 // retry.
-func (w *wirePeer) add64(keys []string, items []uint64) (server.AddResult, error) {
+func (w *wirePeer) add(f *server.Frame) (server.AddResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ch, err := w.c.AddBatch64(keys, items)
+	ch, err := w.c.AddFrame(f)
 	if err != nil {
-		ch, err = w.c.AddBatch64(keys, items)
+		ch, err = w.c.AddFrame(f)
 	}
 	if err != nil {
 		return server.AddResult{}, err
 	}
-	return server.AddResult{Records: len(keys), Changed: ch}, nil
-}
-
-func (w *wirePeer) addString(keys, items []string) (server.AddResult, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ch, err := w.c.AddBatchString(keys, items)
-	if err != nil {
-		ch, err = w.c.AddBatchString(keys, items)
-	}
-	if err != nil {
-		return server.AddResult{}, err
-	}
-	return server.AddResult{Records: len(keys), Changed: ch}, nil
+	return server.AddResult{Records: f.Records(), Changed: ch}, nil
 }
 
 // New builds a cluster client over the given peer base URLs — the
@@ -241,18 +228,29 @@ func (c *Client) scatter(fn func(i int, pc *server.Client)) {
 
 // unreachable reports whether a per-peer failure means "peer down"
 // (degrade the response) as opposed to "request wrong" (propagate). A
-// typed APIError is an answer from a live peer; anything else — refused
-// connection, reset, timeout — is unreachability.
+// typed APIError or a wire frame rejection is an answer from a live
+// peer; anything else — refused connection, reset, timeout — is
+// unreachability.
 func unreachable(err error) bool {
 	var apiErr *server.APIError
-	return !errors.As(err, &apiErr)
+	return !errors.As(err, &apiErr) && !errors.Is(err, wire.ErrFrameRejected)
 }
 
-// addSubBatch is the shared routing core of the two ingest entrypoints:
-// send(i, idx) must ship the records at idx to peer i (over whichever
-// transport that peer uses).
-func (c *Client) addSubBatch(keys []string, send func(i int, idx []int) (server.AddResult, error)) (AddResult, error) {
-	parts := c.ring.Partition(keys)
+// AddFrame partitions f's records by ring owner and ships each peer its
+// sub-frame concurrently; every sub-frame keeps f's item type and
+// timestamp. Peers that stay unreachable after retries degrade the
+// result (Dropped, Partial, Unreachable) rather than failing the whole
+// batch; a live peer that refuses its sub-frame fails the call. Panics
+// if f's keys and items differ in length.
+func (c *Client) AddFrame(ctx context.Context, f *server.Frame) (AddResult, error) {
+	items := len(f.Items64)
+	if f.ItemsString != nil {
+		items = len(f.ItemsString)
+	}
+	if len(f.Keys) != items {
+		panic(fmt.Sprintf("cluster: AddFrame with %d keys and %d items", len(f.Keys), items))
+	}
+	parts := c.ring.Partition(f.Keys)
 	var (
 		mu  sync.Mutex
 		res AddResult
@@ -263,7 +261,20 @@ func (c *Client) addSubBatch(keys []string, send func(i int, idx []int) (server.
 		if len(idx) == 0 {
 			return
 		}
-		r, err := send(i, idx)
+		sub := server.Frame{
+			Keys:        gather(f.Keys, idx),
+			Items64:     gather(f.Items64, idx),
+			ItemsString: gather(f.ItemsString, idx),
+			TSNanos:     f.TSNanos,
+			HasTS:       f.HasTS,
+		}
+		var r server.AddResult
+		var err error
+		if wp := c.wire[i]; wp != nil {
+			r, err = wp.add(&sub)
+		} else {
+			r, err = pc.AddFrame(ctx, &sub)
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if err == nil {
@@ -287,44 +298,16 @@ func (c *Client) addSubBatch(keys []string, send func(i int, idx []int) (server.
 	return res, nil
 }
 
-// AddBatch64 partitions (keys[i], items[i]) records by ring owner and
-// ships each peer its sub-frame concurrently. Peers that stay
-// unreachable after retries degrade the result (Dropped, Partial,
-// Unreachable) rather than failing the whole batch; an API-level error
-// from any peer fails the call.
-func (c *Client) AddBatch64(ctx context.Context, keys []string, items []uint64) (AddResult, error) {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("cluster: AddBatch64 with %d keys and %d items", len(keys), len(items)))
+// gather returns s[idx[0]], s[idx[1]], ... in a new slice; nil for a nil s.
+func gather[T any](s []T, idx []int) []T {
+	if s == nil {
+		return nil
 	}
-	return c.addSubBatch(keys, func(i int, idx []int) (server.AddResult, error) {
-		subKeys := make([]string, len(idx))
-		subItems := make([]uint64, len(idx))
-		for j, ix := range idx {
-			subKeys[j], subItems[j] = keys[ix], items[ix]
-		}
-		if wp := c.wire[i]; wp != nil {
-			return wp.add64(subKeys, subItems)
-		}
-		return c.peers[i].AddBatch64(ctx, subKeys, subItems)
-	})
-}
-
-// AddBatchString is AddBatch64 for string items.
-func (c *Client) AddBatchString(ctx context.Context, keys, items []string) (AddResult, error) {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("cluster: AddBatchString with %d keys and %d items", len(keys), len(items)))
+	out := make([]T, len(idx))
+	for j, ix := range idx {
+		out[j] = s[ix]
 	}
-	return c.addSubBatch(keys, func(i int, idx []int) (server.AddResult, error) {
-		subKeys := make([]string, len(idx))
-		subItems := make([]string, len(idx))
-		for j, ix := range idx {
-			subKeys[j], subItems[j] = keys[ix], items[ix]
-		}
-		if wp := c.wire[i]; wp != nil {
-			return wp.addString(subKeys, subItems)
-		}
-		return c.peers[i].AddBatchString(ctx, subKeys, subItems)
-	})
+	return out
 }
 
 // Estimate routes the point read to the key's owner — partitioned

@@ -144,7 +144,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	sent := 0
 	for i := 0; i < len(keys); i += batch {
 		end := min(i+batch, len(keys))
-		res, err := cl.AddBatch64(ctx, keys[i:end], items[i:end])
+		res, err := cl.AddFrame(ctx, &server.Frame{Keys: keys[i:end], Items64: items[i:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// delivered records).
 	deltaKeys := []string{deadKey, liveKey, deadKey, liveKey}
 	deltaItems := []uint64{1, 2, 3, 4}
-	addRes, err := cl.AddBatch64(ctx, deltaKeys, deltaItems)
+	addRes, err := cl.AddFrame(ctx, &server.Frame{Keys: deltaKeys, Items64: deltaItems})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestAggregatorPush(t *testing.T) {
 			keys = append(keys, key)
 			items = append(items, xrand.Mix64(uint64(v)))
 		}
-		if _, err := server.NewClient(n.base()).AddBatch64(ctx, keys, items); err != nil {
+		if _, err := server.NewClient(n.base()).AddFrame(ctx, &server.Frame{Keys: keys, Items64: items}); err != nil {
 			t.Fatal(err)
 		}
 		twin.AddBatch64(keys, items)
@@ -446,7 +446,7 @@ func TestPushNotMergeable(t *testing.T) {
 	ctx := context.Background()
 
 	ec := server.NewClient(edge.base())
-	if _, err := ec.AddBatch64(ctx, []string{"k"}, []uint64{1}); err != nil {
+	if _, err := ec.AddFrame(ctx, &server.Frame{Keys: []string{"k"}, Items64: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	p := &Pusher{Source: edge.srv.Store().MarshalBinary, Target: server.NewClient(agg.base())}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -51,11 +52,11 @@ func TestClusterWireIngestBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for at := 0; at < len(keys); at += 997 { // uneven batches
 		end := min(at+997, len(keys))
-		wres, err := wireCl.AddBatch64(ctx, keys[at:end], items[at:end])
+		wres, err := wireCl.AddFrame(ctx, &server.Frame{Keys: keys[at:end], Items64: items[at:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hres, err := httpCl.AddBatch64(ctx, keys[at:end], items[at:end])
+		hres, err := httpCl.AddFrame(ctx, &server.Frame{Keys: keys[at:end], Items64: items[at:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,10 +71,10 @@ func TestClusterWireIngestBitIdentical(t *testing.T) {
 	// String items exercise the second frame type end to end.
 	strKeys := []string{"user-00001", "user-00002", "user-00001"}
 	strItems := []string{"a", "b", "c"}
-	if _, err := wireCl.AddBatchString(ctx, strKeys, strItems); err != nil {
+	if _, err := wireCl.AddFrame(ctx, &server.Frame{Keys: strKeys, ItemsString: strItems}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := httpCl.AddBatchString(ctx, strKeys, strItems); err != nil {
+	if _, err := httpCl.AddFrame(ctx, &server.Frame{Keys: strKeys, ItemsString: strItems}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +156,7 @@ func TestClusterWireFallbackUnmapped(t *testing.T) {
 	defer cl.Close()
 
 	keys, items := clusterWorkload(60, 10, 3)
-	res, err := cl.AddBatch64(context.Background(), keys, items)
+	res, err := cl.AddFrame(context.Background(), &server.Frame{Keys: keys, Items64: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +166,83 @@ func TestClusterWireFallbackUnmapped(t *testing.T) {
 	if nodes[0].srv.Store().Len()+nodes[1].srv.Store().Len() != 60 {
 		t.Fatalf("keys split %d/%d, want 60 total",
 			nodes[0].srv.Store().Len(), nodes[1].srv.Store().Len())
+	}
+}
+
+// TestClusterRejectedFrameFailsOnBothTransports: a live peer that refuses
+// a frame — here one over its body limit — has answered, over either
+// transport. The ingest fails with a *PeerError naming the peer, and is
+// not degraded into records dropped by an unreachable peer.
+func TestClusterRejectedFrameFailsOnBothTransports(t *testing.T) {
+	n := startNode(t, server.Config{Spec: sbitmap.MustSpec("sbitmap:n=1e4,eps=0.1,seed=5"), MaxBodyBytes: 256})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.Serve(ln, n.srv)
+	defer ws.Close()
+	httpCl, err := New([]string{n.base()}, WithRetry(1, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireCl, err := New([]string{n.base()}, WithRetry(1, 5*time.Millisecond),
+		WithWireIngest(map[string]string{n.base(): ln.Addr().String()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wireCl.Close()
+
+	keys, items := clusterWorkload(8, 8, 1) // 64 records: ~1.2 KB framed
+	for _, tc := range []struct {
+		name  string
+		cl    *Client
+		cause func(error) bool
+	}{
+		{"http", httpCl, func(err error) bool {
+			var apiErr *server.APIError
+			return errors.As(err, &apiErr) && apiErr.Code == server.CodeTooLarge
+		}},
+		{"wire", wireCl, func(err error) bool { return errors.Is(err, wire.ErrFrameRejected) }},
+	} {
+		res, err := tc.cl.AddFrame(context.Background(), &server.Frame{Keys: keys, Items64: items})
+		var perr *PeerError
+		if !errors.As(err, &perr) || perr.Peer != n.base() || !tc.cause(err) {
+			t.Errorf("%s: AddFrame = (%+v, %v), want a *PeerError from %s", tc.name, res, err, n.base())
+		}
+	}
+	if l := n.srv.Store().Len(); l != 0 {
+		t.Fatalf("rejected frames left %d keys", l)
+	}
+}
+
+// TestClusterAddFrameKeepsTimestamp: a timestamped frame keeps its
+// timestamp through the partition, over HTTP and over the wire. Every
+// peer files its records into the frame's sub-window and reports that
+// sub-window as its watermark.
+func TestClusterAddFrameKeepsTimestamp(t *testing.T) {
+	spec := sbitmap.MustSpec("hll:mbits=1024,seed=7/windowed(width=1s,ring=4)")
+	const widx = 40
+	ts := time.Unix(widx, int64(time.Second)/2) // mid sub-window 40, long before now
+	keys, items := clusterWorkload(120, 4, 5)
+	ctx := context.Background()
+	wireNodes, wireCl := startWireCluster(t, 3, spec)
+	httpNodes, httpCl := startCluster(t, 3, spec)
+	for _, tc := range []struct {
+		name  string
+		nodes []*node
+		cl    *Client
+	}{{"http", httpNodes, httpCl}, {"wire", wireNodes, wireCl}} {
+		res, err := tc.cl.AddFrame(ctx, &server.Frame{Keys: keys, Items64: items, TSNanos: ts.UnixNano(), HasTS: true})
+		if err != nil || res.Partial || res.Records != len(keys) {
+			t.Fatalf("%s: AddFrame = (%+v, %v)", tc.name, res, err)
+		}
+		for i, n := range tc.nodes {
+			if n.srv.Store().Len() == 0 {
+				t.Fatalf("%s: node %d received no records", tc.name, i)
+			}
+			if wm, _, ok := n.srv.Store().WindowState(); !ok || wm != widx {
+				t.Errorf("%s: node %d watermark %d (windowed %v), want sub-window %d", tc.name, i, wm, ok, widx)
+			}
+		}
 	}
 }

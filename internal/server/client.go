@@ -151,38 +151,15 @@ func (c *Client) AddNDJSON(ctx context.Context, keys, items []string) (AddResult
 	return res, err
 }
 
-// AddBatch64 ingests (keys[i], items[i]) records with uint64 items
-// through the compact binary frame — the throughput path, decoding
-// straight onto Store.AddBatch64 on the server. Panics if the slice
-// lengths differ.
-func (c *Client) AddBatch64(ctx context.Context, keys []string, items []uint64) (AddResult, error) {
+// AddFrame ingests one batch through the compact binary frame — the
+// throughput path, decoding straight onto the Store's batch methods on
+// the server. f's item type and timestamp travel as data (see
+// AppendFrame): a timestamped frame files every record into its
+// sub-window on a windowed server (plain servers ignore it). Panics if
+// f's keys and items differ in length.
+func (c *Client) AddFrame(ctx context.Context, f *Frame) (AddResult, error) {
 	var res AddResult
-	err := c.do(ctx, http.MethodPost, "/v1/add", FrameContentType, AppendFrame64(nil, keys, items), &res)
-	return res, err
-}
-
-// AddBatch64At is AddBatch64 with a record timestamp: the batch ships as
-// a version-2 frame whose timestamp files every record into ts's
-// sub-window on a windowed server (plain servers ignore it).
-func (c *Client) AddBatch64At(ctx context.Context, ts time.Time, keys []string, items []uint64) (AddResult, error) {
-	var res AddResult
-	err := c.do(ctx, http.MethodPost, "/v1/add", FrameContentType, AppendFrame64At(nil, ts, keys, items), &res)
-	return res, err
-}
-
-// AddBatchString ingests (keys[i], items[i]) records with string items
-// through the compact binary frame. Panics if the slice lengths differ.
-func (c *Client) AddBatchString(ctx context.Context, keys, items []string) (AddResult, error) {
-	var res AddResult
-	err := c.do(ctx, http.MethodPost, "/v1/add", FrameContentType, AppendFrameString(nil, keys, items), &res)
-	return res, err
-}
-
-// AddBatchStringAt is AddBatchString with a record timestamp (see
-// AddBatch64At).
-func (c *Client) AddBatchStringAt(ctx context.Context, ts time.Time, keys, items []string) (AddResult, error) {
-	var res AddResult
-	err := c.do(ctx, http.MethodPost, "/v1/add", FrameContentType, AppendFrameStringAt(nil, ts, keys, items), &res)
+	err := c.do(ctx, http.MethodPost, "/v1/add", FrameContentType, AppendFrame(nil, f), &res)
 	return res, err
 }
 

@@ -86,7 +86,7 @@ func TestClientMergeUnion(t *testing.T) {
 	const spec = "hll:mbits=1024,seed=2"
 	srv, c := newTestService(t, spec)
 	ctx := context.Background()
-	if _, err := c.AddBatch64(ctx, []string{"a", "b"}, []uint64{1, 2}); err != nil {
+	if _, err := c.AddFrame(ctx, &Frame{Keys: []string{"a", "b"}, Items64: []uint64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Merge(ctx, snapshotOf(t, spec, []string{"b", "c"}, []uint64{9, 3}))

@@ -77,7 +77,7 @@ func TestClientRetry5xx(t *testing.T) {
 func TestClientRetryTransportError(t *testing.T) {
 	f, srv, url := newFlakyServer(t, 2, failDrop)
 	c := NewClient(url, WithRetry(3, time.Millisecond))
-	res, err := c.AddBatch64(context.Background(), []string{"k1", "k2"}, []uint64{1, 2})
+	res, err := c.AddFrame(context.Background(), &Frame{Keys: []string{"k1", "k2"}, Items64: []uint64{1, 2}})
 	if err != nil {
 		t.Fatalf("ingest through 2 dropped connections: %v", err)
 	}

@@ -51,7 +51,7 @@ func TestEndToEndMillionUpdates(t *testing.T) {
 		if len(keys) == 0 {
 			return
 		}
-		res, err := client.AddBatch64(ctx, keys, items)
+		res, err := client.AddFrame(ctx, &Frame{Keys: keys, Items64: items})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,12 @@ import (
 )
 
 // The add frame is the compact binary ingest format of the counting
-// service: a batch of (key, item) records that decodes into exactly the
-// slice pair Store.AddBatch64 / Store.AddBatchString consume, so one
-// frame costs the server one batched hash pass and one lock per touched
-// stripe — the same fast path a local caller gets. An exporter or edge
-// agent accumulates records, encodes one frame, and POSTs it to /v1/add.
+// service: the encoding of one Frame, a batch of (key, item) records
+// that the server applies as one Store batch, so one frame costs the
+// server one batched hash pass and one lock per touched stripe — the
+// same fast path a local caller gets. An exporter or edge agent
+// accumulates records into a Frame, encodes it with AppendFrame, and
+// sends it to /v1/add or the TCP frame listener.
 //
 // Layout (little-endian):
 //
@@ -33,8 +34,8 @@ import (
 // place the records in time (Store.AddBatch64At). It is caller-supplied
 // so replayed traces and WAL recovery reproduce identical windows; a
 // version-1 frame means "no timestamp" and lands in the watermark
-// window. Decoders accept both versions; encoders emit version 1 unless
-// the caller asks for a timestamp (AppendFrame64At / AppendFrameStringAt).
+// window. Decoders accept both versions; AppendFrame emits version 1
+// unless the Frame has HasTS set.
 
 // FrameContentType is the Content-Type under which /v1/add expects a
 // binary add frame. Any other Content-Type is read as NDJSON.
@@ -60,9 +61,10 @@ const (
 // (and would be a poor idea in a per-key map anyway).
 const frameMaxKeyLen = 1 << 16
 
-// Frame is a decoded add frame: Keys paired with exactly one of Items64
-// or ItemsString (the other is nil), mirroring the two keyed batch
-// entrypoints of the Store.
+// Frame is one batch of add records, the value every binary-frame
+// client sends and the server decodes: Keys paired with exactly one of
+// Items64 or ItemsString (the other is nil), plus an optional record
+// timestamp.
 type Frame struct {
 	Keys        []string
 	Items64     []uint64
@@ -85,84 +87,64 @@ type Frame struct {
 // Records returns the number of records in the frame.
 func (f *Frame) Records() int { return len(f.Keys) }
 
-func appendFrameHeader(dst []byte, itemType byte, n int) []byte {
+// AppendFrame appends the encoding of f to dst and returns the extended
+// slice. The item type and the timestamp travel as data: f has string
+// items when f.ItemsString is non-nil and uint64 items otherwise (the
+// decoder's exactly-one-non-nil contract), and a set HasTS selects the
+// version-2 header carrying TSNanos. It panics if the key and item slices
+// differ in length (caller bug, as in Store.AddBatch64).
+func AppendFrame(dst []byte, f *Frame) []byte {
+	keys, itemType, n := f.Keys, byte(frameItems64), len(f.Items64)
+	if f.ItemsString != nil {
+		itemType, n = frameItemsString, len(f.ItemsString)
+	}
+	if len(keys) != n {
+		panic(fmt.Sprintf("server: AppendFrame with %d keys and %d items", len(keys), n))
+	}
+	version := byte(frameVersion)
+	if f.HasTS {
+		version = frameVersionTS
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, frameVersion, itemType)
-	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, version, itemType)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
+	if f.HasTS {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.TSNanos))
+	}
+	// One loop per item type over local slices: a single loop branching
+	// per record encodes string frames measurably slower.
+	if items := f.ItemsString; items != nil {
+		for i, k := range keys {
+			dst = binary.AppendUvarint(dst, uint64(len(k)))
+			dst = append(dst, k...)
+			dst = binary.AppendUvarint(dst, uint64(len(items[i])))
+			dst = append(dst, items[i]...)
+		}
+		return dst
+	}
+	items := f.Items64
+	for i, k := range keys {
+		dst = binary.AppendUvarint(dst, uint64(len(k)))
+		dst = append(dst, k...)
+		dst = binary.LittleEndian.AppendUint64(dst, items[i])
+	}
+	return dst
 }
 
-// appendFrameHeaderTS is appendFrameHeader for version-2 (timestamped)
-// frames.
-func appendFrameHeaderTS(dst []byte, itemType byte, n int, tsNanos int64) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, frameVersionTS, itemType)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	return binary.LittleEndian.AppendUint64(dst, uint64(tsNanos))
-}
-
-// AppendFrame64 appends the frame encoding of (keys[i], items[i]) records
-// with uint64 items to dst and returns the extended slice. It panics if
-// the slice lengths differ (caller bug, as in Store.AddBatch64).
+// AppendFrame64 is AppendFrame for an untimestamped frame of uint64
+// items. bench/ calls it.
 func AppendFrame64(dst []byte, keys []string, items []uint64) []byte {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("server: AppendFrame64 with %d keys and %d items", len(keys), len(items)))
-	}
-	dst = appendFrameHeader(dst, frameItems64, len(keys))
-	for i, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		dst = binary.LittleEndian.AppendUint64(dst, items[i])
-	}
-	return dst
+	return AppendFrame(dst, &Frame{Keys: keys, Items64: items})
 }
 
-// AppendFrameString appends the frame encoding of (keys[i], items[i])
-// records with string items to dst and returns the extended slice. It
-// panics if the slice lengths differ.
-func AppendFrameString(dst []byte, keys, items []string) []byte {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("server: AppendFrameString with %d keys and %d items", len(keys), len(items)))
-	}
-	dst = appendFrameHeader(dst, frameItemsString, len(keys))
-	for i, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		dst = binary.AppendUvarint(dst, uint64(len(items[i])))
-		dst = append(dst, items[i]...)
-	}
-	return dst
-}
-
-// AppendFrame64At is AppendFrame64 with a record timestamp shared by the
-// whole frame: it emits a version-2 frame whose records a windowed store
-// places in ts's sub-window.
-func AppendFrame64At(dst []byte, ts time.Time, keys []string, items []uint64) []byte {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("server: AppendFrame64At with %d keys and %d items", len(keys), len(items)))
-	}
-	dst = appendFrameHeaderTS(dst, frameItems64, len(keys), ts.UnixNano())
-	for i, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		dst = binary.LittleEndian.AppendUint64(dst, items[i])
-	}
-	return dst
-}
-
-// AppendFrameStringAt is AppendFrameString with a record timestamp
-// shared by the whole frame (version-2 encoding); see AppendFrame64At.
+// AppendFrameStringAt is AppendFrame for a frame of string items stamped
+// with ts (version 2); a nil items still encodes string items. bench/
+// calls it.
 func AppendFrameStringAt(dst []byte, ts time.Time, keys, items []string) []byte {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("server: AppendFrameStringAt with %d keys and %d items", len(keys), len(items)))
+	if items == nil {
+		items = []string{}
 	}
-	dst = appendFrameHeaderTS(dst, frameItemsString, len(keys), ts.UnixNano())
-	for i, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		dst = binary.AppendUvarint(dst, uint64(len(items[i])))
-		dst = append(dst, items[i]...)
-	}
-	return dst
+	return AppendFrame(dst, &Frame{Keys: keys, ItemsString: items, TSNanos: ts.UnixNano(), HasTS: true})
 }
 
 // frameUvarint decodes one uvarint length field bounded by max.
@@ -177,32 +159,6 @@ func frameUvarint(data []byte, what string, max int) (int, []byte, error) {
 	return int(v), data[n:], nil
 }
 
-// DecodeFrame parses an add frame. Keys must be non-empty (the same
-// contract the NDJSON ingest path enforces); items may be anything. Keys
-// and string items are copied out of data, so the caller may reuse its
-// buffer once DecodeFrame returns.
-func DecodeFrame(data []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := f.decode(data, true); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// DecodeBorrowed parses an add frame into f without copying: keys and
-// string items alias data, and f's slices are reused across calls (grown
-// once, then steady-state allocation-free). It accepts and rejects
-// exactly the frames DecodeFrame does.
-//
-// The aliasing contract: the decoded strings are views into data, valid
-// only until the caller reuses the buffer. The Store's batch methods are
-// safe consumers — they hash items immediately and clone any key they
-// materialize — which is what makes a persistent-connection listener's
-// read-decode-add loop zero-copy end to end. On error f is emptied.
-func (f *Frame) DecodeBorrowed(data []byte) error {
-	return f.decode(data, false)
-}
-
 // byteString reinterprets b as a string without copying. The result
 // aliases b: it is valid only while b's contents are unchanged.
 func byteString(b []byte) string {
@@ -212,10 +168,17 @@ func byteString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// decode is the parse core of DecodeFrame (copyStrings=true: fresh
-// slices, copied strings) and DecodeBorrowed (reused slices, aliased
-// strings).
-func (f *Frame) decode(data []byte, copyStrings bool) error {
+// DecodeBorrowed parses an add frame into f without copying: keys and
+// string items alias data, and f's slices are reused across calls (grown
+// once, then steady-state allocation-free). Keys must be non-empty (the
+// same contract the NDJSON ingest path enforces); items may be anything.
+//
+// The aliasing contract: the decoded strings are views into data, valid
+// only until the caller reuses the buffer. The Store's batch methods are
+// safe consumers — they hash items immediately and clone any key they
+// materialize — which is what makes a persistent-connection listener's
+// read-decode-add loop zero-copy end to end. On error f is emptied.
+func (f *Frame) DecodeBorrowed(data []byte) error {
 	// Empty f up front (errors leave it empty) while parking both item
 	// slices' capacity in the spares for reuse below.
 	f.Keys = f.Keys[:0]
@@ -278,10 +241,6 @@ func (f *Frame) decode(data []byte, copyStrings bool) error {
 			itemsS = make([]string, 0, count)
 		}
 	}
-	str := byteString
-	if copyStrings {
-		str = func(b []byte) string { return string(b) }
-	}
 	var err error
 	var klen int
 	for i := 0; i < count; i++ {
@@ -297,7 +256,7 @@ func (f *Frame) decode(data []byte, copyStrings bool) error {
 		if klen > len(rest) {
 			return fmt.Errorf("server: truncated frame: record %d key", i)
 		}
-		keys = append(keys, str(rest[:klen]))
+		keys = append(keys, byteString(rest[:klen]))
 		rest = rest[klen:]
 		if itemType == frameItems64 {
 			if len(rest) < 8 {
@@ -313,7 +272,7 @@ func (f *Frame) decode(data []byte, copyStrings bool) error {
 			if ilen > len(rest) {
 				return fmt.Errorf("server: truncated frame: record %d item", i)
 			}
-			itemsS = append(itemsS, str(rest[:ilen]))
+			itemsS = append(itemsS, byteString(rest[:ilen]))
 			rest = rest[ilen:]
 		}
 	}

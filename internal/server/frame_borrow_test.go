@@ -12,30 +12,32 @@ import (
 	sbitmap "repro"
 )
 
-// TestDecodeBorrowedMatchesDecodeFrame: the zero-copy decoder must accept
-// and reject exactly what DecodeFrame does, producing equal frames —
-// including when one borrowed Frame is reused across inputs of both item
-// types and across rejects.
-func TestDecodeBorrowedMatchesDecodeFrame(t *testing.T) {
-	good64 := AppendFrame64(nil, []string{"alice", "bob", strings.Repeat("k", 300)}, []uint64{1, 1 << 60, 0})
-	goodStr := AppendFrameString(nil, []string{"k1", "k2"}, []string{"", "item-two"})
+// TestDecodeBorrowedReuseMatchesFresh: one Frame reused across inputs
+// of both item types, with and without a timestamp, and across rejects
+// must accept and reject exactly what a fresh Frame does, with the same
+// error text, and decode equal frames.
+func TestDecodeBorrowedReuseMatchesFresh(t *testing.T) {
+	good64 := AppendFrame(nil, &Frame{Keys: []string{"alice", "bob", strings.Repeat("k", 300)}, Items64: []uint64{1, 1 << 60, 0}})
+	goodStr := AppendFrame(nil, &Frame{Keys: []string{"k1", "k2"}, ItemsString: []string{"", "item-two"}})
 	inputs := [][]byte{
 		good64,
 		goodStr,
-		AppendFrame64(nil, nil, nil),
-		appendFrameHeader(nil, frameItemsString, 0),
+		AppendFrame(nil, &Frame{Keys: []string{"k"}, Items64: []uint64{7}, TSNanos: 42, HasTS: true}),
+		AppendFrame(nil, &Frame{}),
+		AppendFrame(nil, &Frame{ItemsString: []string{}}),
 		{},
 		good64[:9],
 		good64[:len(good64)-3],
 		append(append([]byte{}, goodStr...), 0xAB),
-		AppendFrame64(nil, []string{"ok", ""}, []uint64{1, 2}),
+		AppendFrame(nil, &Frame{Keys: []string{"ok", ""}, Items64: []uint64{1, 2}}),
 	}
 	var f Frame // one reused borrowed frame across every input
 	for i, data := range inputs {
-		want, wantErr := DecodeFrame(data)
+		var want Frame
+		wantErr := want.DecodeBorrowed(data)
 		gotErr := f.DecodeBorrowed(data)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("input %d: DecodeFrame err %v, DecodeBorrowed err %v", i, wantErr, gotErr)
+			t.Fatalf("input %d: fresh err %v, reused err %v", i, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			if gotErr.Error() != wantErr.Error() {
@@ -47,8 +49,9 @@ func TestDecodeBorrowedMatchesDecodeFrame(t *testing.T) {
 		// are reuse bookkeeping and legitimately differ on a reused frame.
 		if !reflect.DeepEqual(f.Keys, want.Keys) ||
 			!reflect.DeepEqual(f.Items64, want.Items64) ||
-			!reflect.DeepEqual(f.ItemsString, want.ItemsString) {
-			t.Errorf("input %d: borrowed frame differs:\n%+v\n%+v", i, f, *want)
+			!reflect.DeepEqual(f.ItemsString, want.ItemsString) ||
+			f.TSNanos != want.TSNanos || f.HasTS != want.HasTS {
+			t.Errorf("input %d: reused frame differs:\n%+v\n%+v", i, f, want)
 		}
 	}
 }
@@ -58,7 +61,7 @@ func TestDecodeBorrowedMatchesDecodeFrame(t *testing.T) {
 // rewrites the decoded strings. This is the contract the store's
 // clone-on-materialize behavior exists to absorb.
 func TestDecodeBorrowedAliases(t *testing.T) {
-	data := AppendFrameString(nil, []string{"flow-a"}, []string{"item"})
+	data := AppendFrame(nil, &Frame{Keys: []string{"flow-a"}, ItemsString: []string{"item"}})
 	var f Frame
 	if err := f.DecodeBorrowed(data); err != nil {
 		t.Fatal(err)
@@ -79,7 +82,7 @@ func TestDecodeBorrowedAliases(t *testing.T) {
 // capacity but no string references into the last buffer.
 func TestFrameReleaseDropsReferences(t *testing.T) {
 	var f Frame
-	if err := f.DecodeBorrowed(AppendFrameString(nil, []string{"key"}, []string{"item"})); err != nil {
+	if err := f.DecodeBorrowed(AppendFrame(nil, &Frame{Keys: []string{"key"}, ItemsString: []string{"item"}})); err != nil {
 		t.Fatal(err)
 	}
 	keepCap := cap(f.Keys)
@@ -96,9 +99,9 @@ func TestFrameReleaseDropsReferences(t *testing.T) {
 
 // TestIngestFrameAllocFree is the wire-speed contract of this package:
 // once the pooled scratch, the frame slices, and the store's keys are
-// warm, decode-borrowed + batch add + metrics performs zero heap
-// allocations per frame — for uint64 and for string items. This is the
-// exact per-message core the TCP listener runs.
+// warm, decode-borrowed + IngestFrame (no WAL configured) + metrics
+// performs zero heap allocations per frame — for uint64 and for string
+// items. This is the exact per-message core the TCP listener runs.
 func TestIngestFrameAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -115,8 +118,8 @@ func TestIngestFrameAllocFree(t *testing.T) {
 		items64[i] = uint64(i) * 0x9e37
 		itemsS[i] = fmt.Sprintf("ip-%d", i%50)
 	}
-	frame64 := AppendFrame64(nil, keys, items64)
-	frameStr := AppendFrameString(nil, keys, itemsS)
+	frame64 := AppendFrame(nil, &Frame{Keys: keys, Items64: items64})
+	frameStr := AppendFrame(nil, &Frame{Keys: keys, ItemsString: itemsS})
 
 	sc := ingestPool.Get().(*ingestScratch)
 	defer sc.release()
@@ -125,7 +128,10 @@ func TestIngestFrameAllocFree(t *testing.T) {
 		if err := sc.frame.DecodeBorrowed(data); err != nil {
 			t.Fatal(err)
 		}
-		res := srv.AddFrame(&sc.frame)
+		res, err := srv.IngestFrame(data, &sc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv.RecordIngest(aff, res.Records, res.Changed)
 	}
 	ingest(frame64) // warm: materialize keys, size the frame slices
@@ -156,11 +162,11 @@ func TestHandleAddBorrowedKeysSurviveBufferReuse(t *testing.T) {
 			t.Fatalf("POST /v1/add: %d %s", rec.Code, rec.Body)
 		}
 	}
-	post(AppendFrame64(nil, []string{"keep-me"}, []uint64{42}))
+	post(AppendFrame(nil, &Frame{Keys: []string{"keep-me"}, Items64: []uint64{42}}))
 	// Same-size frame with different keys: forces the pooled body buffer
 	// (and borrowed frame) to be rewritten in place if reused.
 	for i := 0; i < 8; i++ {
-		post(AppendFrame64(nil, []string{fmt.Sprintf("other-%d", i)}, []uint64{uint64(i)}))
+		post(AppendFrame(nil, &Frame{Keys: []string{fmt.Sprintf("other-%d", i)}, Items64: []uint64{uint64(i)}}))
 	}
 	if _, ok := srv.Store().Estimate("keep-me"); !ok {
 		t.Fatal("key from first request lost after pooled buffer reuse")

@@ -1,98 +1,104 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestFrameRoundTrip64(t *testing.T) {
-	keys := []string{"alice", "amy", "bob", strings.Repeat("k", 300), "alice"}
-	items := []uint64{1, 2, 3, 1 << 60, 0}
-	f, err := DecodeFrame(AppendFrame64(nil, keys, items))
-	if err != nil {
-		t.Fatal(err)
+// TestFrameRoundTrip sends Frames through AppendFrame and DecodeBorrowed:
+// both item types, each with and without a timestamp (zero and pre-epoch
+// included; the field is a signed unix-nano), and empty frames of both
+// types. Each row decodes into a fresh Frame and into one Frame reused
+// across rows; untimestamped rows follow timestamped ones, so the reused
+// Frame must drop a stale timestamp.
+func TestFrameRoundTrip(t *testing.T) {
+	keys64 := []string{"alice", "amy", "bob", strings.Repeat("k", 300), "alice"}
+	items64 := []uint64{1, 2, 3, 1 << 60, 0}
+	keysS := []string{"k1", "k2", "k1"}
+	itemsS := []string{"", "item-two", strings.Repeat("x", 5000)}
+	const ts = 1723000000123456789
+	rows := []struct {
+		name string
+		in   Frame
+	}{
+		{"uint64", Frame{Keys: keys64, Items64: items64}},
+		{"uint64 at ts", Frame{Keys: keys64, Items64: items64, TSNanos: ts, HasTS: true}},
+		{"string", Frame{Keys: keysS, ItemsString: itemsS}},
+		{"string at ts", Frame{Keys: keysS, ItemsString: itemsS, TSNanos: ts, HasTS: true}},
+		{"uint64 reused after ts", Frame{Keys: keys64, Items64: items64}},
+		{"uint64 at epoch", Frame{Keys: keys64, Items64: items64, HasTS: true}},
+		{"string at pre-epoch", Frame{Keys: keysS, ItemsString: itemsS, TSNanos: -5e9, HasTS: true}},
+		{"string reused after ts", Frame{Keys: keysS, ItemsString: itemsS}},
+		{"uint64 at pre-epoch", Frame{Keys: keys64, Items64: items64, TSNanos: -5e9, HasTS: true}},
+		{"string at epoch", Frame{Keys: keysS, ItemsString: itemsS, HasTS: true}},
+		{"empty uint64", Frame{}},
+		{"empty string", Frame{ItemsString: []string{}}},
 	}
-	if f.Records() != len(keys) || f.ItemsString != nil {
-		t.Fatalf("decoded %d records, strings %v", f.Records(), f.ItemsString)
-	}
-	for i := range keys {
-		if f.Keys[i] != keys[i] || f.Items64[i] != items[i] {
-			t.Errorf("record %d: (%q, %d) != (%q, %d)", i, f.Keys[i], f.Items64[i], keys[i], items[i])
+	var reused Frame
+	for _, row := range rows {
+		in := &row.in
+		data := AppendFrame(nil, in)
+		wantVersion, wantType := byte(frameVersion), byte(frameItems64)
+		if in.HasTS {
+			wantVersion = frameVersionTS
+		}
+		if in.ItemsString != nil {
+			wantType = frameItemsString
+		}
+		if data[4] != wantVersion || data[5] != wantType {
+			t.Errorf("%s: header version %d item type %d, want %d %d", row.name, data[4], data[5], wantVersion, wantType)
+		}
+		for _, f := range []*Frame{new(Frame), &reused} {
+			if err := f.DecodeBorrowed(data); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			if f.Records() != len(in.Keys) || (f.ItemsString == nil) != (in.ItemsString == nil) || (f.Items64 == nil) == (f.ItemsString == nil) {
+				t.Fatalf("%s: decoded %d records, items64 %v, strings %v", row.name, f.Records(), f.Items64, f.ItemsString)
+			}
+			if f.HasTS != in.HasTS || f.TSNanos != in.TSNanos {
+				t.Errorf("%s: HasTS=%v TSNanos=%d, want %v %d", row.name, f.HasTS, f.TSNanos, in.HasTS, in.TSNanos)
+			}
+			for i := range in.Keys {
+				if f.Keys[i] != in.Keys[i] {
+					t.Errorf("%s: record %d key %q != %q", row.name, i, f.Keys[i], in.Keys[i])
+				}
+				if in.ItemsString != nil && f.ItemsString[i] != in.ItemsString[i] ||
+					in.ItemsString == nil && f.Items64[i] != in.Items64[i] {
+					t.Errorf("%s: record %d item mismatch", row.name, i)
+				}
+			}
 		}
 	}
 }
 
-func TestFrameRoundTripString(t *testing.T) {
-	keys := []string{"k1", "k2", "k1"}
-	items := []string{"", "item-two", strings.Repeat("x", 5000)}
-	f, err := DecodeFrame(AppendFrameString(nil, keys, items))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Records() != len(keys) || f.Items64 != nil {
-		t.Fatalf("decoded %d records, items64 %v", f.Records(), f.Items64)
-	}
-	for i := range keys {
-		if f.Keys[i] != keys[i] || f.ItemsString[i] != items[i] {
-			t.Errorf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestFrameRoundTripTimestamped(t *testing.T) {
-	// Version-2 frames carry one per-frame timestamp; both item types, a
-	// pre-epoch instant included (the field is a signed unix-nano).
-	for _, ts := range []time.Time{
-		time.Unix(0, 1723000000123456789),
-		time.Unix(0, 0),
-		time.Unix(0, -5e9),
+// TestAppendFrameWrappersLayout: the two fixed-shape encoders emit the
+// documented layout byte for byte (the bytes WAL records and benchmark
+// inputs hold), and AppendFrameStringAt keeps item type 2 when its items
+// are nil.
+func TestAppendFrameWrappersLayout(t *testing.T) {
+	at := time.Unix(0, 1)
+	for _, tc := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"AppendFrame64", AppendFrame64(nil, []string{"k"}, []uint64{7}),
+			[]byte{'S', 'B', 'F', '1', 1, 1, 1, 0, 0, 0, 1, 'k', 7, 0, 0, 0, 0, 0, 0, 0}},
+		{"AppendFrameStringAt", AppendFrameStringAt(nil, at, []string{"k"}, []string{"v"}),
+			[]byte{'S', 'B', 'F', '1', 2, 2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 'k', 1, 'v'}},
+		{"AppendFrameStringAt nil items", AppendFrameStringAt(nil, at, nil, nil),
+			[]byte{'S', 'B', 'F', '1', 2, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}},
 	} {
-		f, err := DecodeFrame(AppendFrame64At(nil, ts, []string{"k1", "k2"}, []uint64{1, 2}))
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(tc.got, tc.want) {
+			t.Errorf("%s = %x, want %x", tc.name, tc.got, tc.want)
 		}
-		if !f.HasTS || f.TSNanos != ts.UnixNano() || f.Records() != 2 {
-			t.Errorf("64 at %v: HasTS=%v TSNanos=%d", ts, f.HasTS, f.TSNanos)
-		}
-		f, err = DecodeFrame(AppendFrameStringAt(nil, ts, []string{"k"}, []string{"item"}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !f.HasTS || f.TSNanos != ts.UnixNano() || f.ItemsString[0] != "item" {
-			t.Errorf("string at %v: HasTS=%v TSNanos=%d", ts, f.HasTS, f.TSNanos)
-		}
-	}
-	// Version-1 frames decode with no timestamp.
-	f, err := DecodeFrame(AppendFrame64(nil, []string{"k"}, []uint64{1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.HasTS || f.TSNanos != 0 {
-		t.Errorf("v1 frame decoded with HasTS=%v TSNanos=%d", f.HasTS, f.TSNanos)
-	}
-	// A reused Frame must drop the previous decode's timestamp.
-	if err := f.DecodeBorrowed(AppendFrame64At(nil, time.Unix(0, 42), []string{"k"}, []uint64{1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.DecodeBorrowed(AppendFrame64(nil, []string{"k"}, []uint64{1})); err != nil {
-		t.Fatal(err)
-	}
-	if f.HasTS || f.TSNanos != 0 {
-		t.Errorf("stale timestamp survived reuse: HasTS=%v TSNanos=%d", f.HasTS, f.TSNanos)
-	}
-}
-
-func TestFrameRoundTripEmpty(t *testing.T) {
-	f, err := DecodeFrame(AppendFrame64(nil, nil, nil))
-	if err != nil || f.Records() != 0 {
-		t.Fatalf("empty frame: %v, %d records", err, f.Records())
 	}
 }
 
 func TestDecodeFrameErrors(t *testing.T) {
-	good := AppendFrame64(nil, []string{"k1", "k2"}, []uint64{1, 2})
+	good := AppendFrame(nil, &Frame{Keys: []string{"k1", "k2"}, Items64: []uint64{1, 2}})
 	corrupt := func(mutate func(b []byte) []byte) []byte {
 		b := append([]byte{}, good...)
 		return mutate(b)
@@ -109,7 +115,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 		}),
 		"truncated record": good[:len(good)-3],
 		"trailing bytes":   append(append([]byte{}, good...), 0xAB),
-		"empty key":        AppendFrame64(nil, []string{"ok", ""}, []uint64{1, 2}),
+		"empty key":        AppendFrame(nil, &Frame{Keys: []string{"ok", ""}, Items64: []uint64{1, 2}}),
 		"huge key length": corrupt(func(b []byte) []byte {
 			// Overwrite the first record's key length with a uvarint far
 			// above frameMaxKeyLen.
@@ -118,22 +124,22 @@ func TestDecodeFrameErrors(t *testing.T) {
 		}),
 	}
 	for name, data := range cases {
-		if _, err := DecodeFrame(data); err == nil {
+		if err := new(Frame).DecodeBorrowed(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// A string-item frame truncated inside an item length.
-	sf := AppendFrameString(nil, []string{"key"}, []string{"item"})
+	sf := AppendFrame(nil, &Frame{Keys: []string{"key"}, ItemsString: []string{"item"}})
 	for cut := 10; cut < len(sf); cut++ {
-		if _, err := DecodeFrame(sf[:cut]); err == nil {
+		if err := new(Frame).DecodeBorrowed(sf[:cut]); err == nil {
 			t.Errorf("string frame cut to %d accepted", cut)
 		}
 	}
 	// A version-2 frame truncated anywhere — inside the 8-byte timestamp
 	// included — must be rejected.
-	tf := AppendFrame64At(nil, time.Unix(0, 7), []string{"key"}, []uint64{1})
+	tf := AppendFrame(nil, &Frame{Keys: []string{"key"}, Items64: []uint64{1}, TSNanos: 7, HasTS: true})
 	for cut := 0; cut < len(tf); cut++ {
-		if _, err := DecodeFrame(tf[:cut]); err == nil {
+		if err := new(Frame).DecodeBorrowed(tf[:cut]); err == nil {
 			t.Errorf("timestamped frame cut to %d accepted", cut)
 		}
 	}
@@ -145,5 +151,5 @@ func TestFrameLengthMismatchPanics(t *testing.T) {
 			t.Error("mismatched lengths did not panic")
 		}
 	}()
-	AppendFrame64(nil, []string{"k"}, nil)
+	AppendFrame(nil, &Frame{Keys: []string{"k"}})
 }

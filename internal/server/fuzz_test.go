@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // FuzzFrame drives the SBF1 add-frame decoder with arbitrary bytes. The
@@ -19,39 +18,41 @@ import (
 // ./internal/server` digs deeper.
 func FuzzFrame(f *testing.F) {
 	// Well-formed frames of both item types.
-	f.Add(AppendFrame64(nil, []string{"alice", "bob"}, []uint64{1, 0xdeadbeef}))
-	f.Add(AppendFrameString(nil, []string{"k"}, []string{""}))
-	f.Add(AppendFrameString(nil, []string{"link-a", "link-b"}, []string{"10.0.0.1", "x"}))
-	f.Add(appendFrameHeader(nil, frameItems64, 0))
+	f.Add(AppendFrame(nil, &Frame{Keys: []string{"alice", "bob"}, Items64: []uint64{1, 0xdeadbeef}}))
+	f.Add(AppendFrame(nil, &Frame{Keys: []string{"k"}, ItemsString: []string{""}}))
+	f.Add(AppendFrame(nil, &Frame{Keys: []string{"link-a", "link-b"}, ItemsString: []string{"10.0.0.1", "x"}}))
+	f.Add(AppendFrame(nil, &Frame{}))
 	// Truncations at every interesting boundary.
-	full := AppendFrame64(nil, []string{"key"}, []uint64{7})
+	full := AppendFrame(nil, &Frame{Keys: []string{"key"}, Items64: []uint64{7}})
 	for _, cut := range []int{0, 3, 4, 5, 9, 10, 11, len(full) - 1} {
 		f.Add(full[:cut])
 	}
 	// Lying record count: header declares records the payload lacks.
-	lie := appendFrameHeader(nil, frameItems64, 1<<30)
+	lie := AppendFrame(nil, &Frame{})
+	binary.LittleEndian.PutUint32(lie[6:], 1<<30)
 	f.Add(lie)
 	// Huge uvarint key length.
-	huge := appendFrameHeader(nil, frameItemsString, 1)
+	huge := AppendFrame(nil, &Frame{ItemsString: []string{}})
+	binary.LittleEndian.PutUint32(huge[6:], 1)
 	huge = binary.AppendUvarint(huge, 1<<40)
 	f.Add(huge)
 	// Non-minimal uvarint (0x80 0x01 = 128): accepted, but must re-decode
 	// to the same frame through the minimal re-encoding.
 	f.Add([]byte{0x53, 0x42, 0x46, 0x31, 1, 2, 1, 0, 0, 0, 0x81, 0x00})
 	// Trailing garbage after a valid record.
-	f.Add(append(AppendFrame64(nil, []string{"k"}, []uint64{1}), 0xff))
+	f.Add(append(AppendFrame(nil, &Frame{Keys: []string{"k"}, Items64: []uint64{1}}), 0xff))
 	// Version-2 (timestamped) frames: both item types, a pre-epoch
 	// timestamp, and truncations through the 8-byte timestamp field.
-	f.Add(AppendFrame64At(nil, time.Unix(0, 1723000000123456789), []string{"alice"}, []uint64{7}))
-	f.Add(AppendFrameStringAt(nil, time.Unix(0, -5e9), []string{"k"}, []string{"v"}))
-	tsf := AppendFrame64At(nil, time.Unix(0, 42), []string{"key"}, []uint64{9})
+	f.Add(AppendFrame(nil, &Frame{Keys: []string{"alice"}, Items64: []uint64{7}, TSNanos: 1723000000123456789, HasTS: true}))
+	f.Add(AppendFrame(nil, &Frame{Keys: []string{"k"}, ItemsString: []string{"v"}, TSNanos: -5e9, HasTS: true}))
+	tsf := AppendFrame(nil, &Frame{Keys: []string{"key"}, Items64: []uint64{9}, TSNanos: 42, HasTS: true})
 	for _, cut := range []int{10, 12, 17, 18, len(tsf) - 1} {
 		f.Add(tsf[:cut])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data)
-		if err != nil {
+		var fr Frame
+		if err := fr.DecodeBorrowed(data); err != nil {
 			return // rejected without panicking: fine
 		}
 		n := fr.Records()
@@ -75,19 +76,8 @@ func FuzzFrame(f *testing.F) {
 		}
 		// Fixed point: re-encode (minimal uvarints, preserving the
 		// version-2 timestamp when present) and decode again.
-		var reenc []byte
-		switch {
-		case fr.Items64 != nil && fr.HasTS:
-			reenc = AppendFrame64At(nil, time.Unix(0, fr.TSNanos), fr.Keys, fr.Items64)
-		case fr.Items64 != nil:
-			reenc = AppendFrame64(nil, fr.Keys, fr.Items64)
-		case fr.HasTS:
-			reenc = AppendFrameStringAt(nil, time.Unix(0, fr.TSNanos), fr.Keys, fr.ItemsString)
-		default:
-			reenc = AppendFrameString(nil, fr.Keys, fr.ItemsString)
-		}
-		fr2, err := DecodeFrame(reenc)
-		if err != nil {
+		var fr2 Frame
+		if err := fr2.DecodeBorrowed(AppendFrame(nil, &fr)); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
 		if !reflect.DeepEqual(fr, fr2) {

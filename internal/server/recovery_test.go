@@ -58,7 +58,7 @@ func assertBitIdentical(t *testing.T, got, want *sbitmap.Store[string]) {
 // frameOf encodes one (keys, items) batch as the SBF1 frame both the
 // ingest path and the WAL carry.
 func frameOf(keys []string, items []uint64) []byte {
-	return AppendFrame64(nil, keys, items)
+	return AppendFrame(nil, &Frame{Keys: keys, Items64: items})
 }
 
 // ingestFrames feeds srv (durably, via IngestFrame — the acked path) and

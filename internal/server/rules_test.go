@@ -168,7 +168,7 @@ func TestAlertsOverIngest(t *testing.T) {
 	if alerts, _ := client.Alerts(ctx, 0); len(alerts) != 0 {
 		t.Fatalf("premature alerts: %+v", alerts)
 	}
-	if _, err := client.AddBatchString(ctx, keys[2:], items[2:]); err != nil {
+	if _, err := client.AddFrame(ctx, &Frame{Keys: keys[2:], ItemsString: items[2:]}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +258,7 @@ func ingestSpread(t *testing.T, client *Client, key string, n int) {
 		keys[i] = key
 		items[i] = fmt.Sprintf("%s-item-%d", key, i)
 	}
-	if _, err := client.AddBatchString(context.Background(), keys, items); err != nil {
+	if _, err := client.AddFrame(context.Background(), &Frame{Keys: keys, ItemsString: items}); err != nil {
 		t.Fatal(err)
 	}
 }

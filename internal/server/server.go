@@ -653,23 +653,6 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// AddFrame folds one decoded add frame into the store, dispatching on
-// the frame's item type exactly as POST /v1/add does. The frame may be
-// borrowed (zero-copy): the store's batch methods hash items immediately
-// and clone any key they retain, so the caller may reuse the backing
-// buffer as soon as AddFrame returns. Safe for concurrent use.
-//
-// AddFrame bypasses the WAL: it is the in-process composition path
-// (benchmarks, embedding). Transports whose acks promise durability —
-// HTTP /v1/add and the TCP frame listener — go through IngestFrame.
-func (s *Server) AddFrame(f *Frame) AddResult {
-	s.gate.RLock()
-	res := s.applyFrame(f)
-	s.gate.RUnlock()
-	s.observeIngest(f.Keys, uintptr(unsafe.Pointer(f)))
-	return res
-}
-
 // observeIngest hands an applied batch's keys to the rules engine's
 // threshold hot path. Called after the ingest gate is released (the
 // engine reads estimates back out of the store, and a rule evaluation
@@ -707,10 +690,13 @@ func (s *Server) applyFrame(f *Frame) AddResult {
 // bytes f was decoded from) is appended to the WAL before the store
 // applies f, and both happen under the ingest gate, so an ack sent after
 // IngestFrame returns means the frame is in the log ahead of any
-// checkpoint cut — acked means replayable. With no WAL configured it
-// degrades to AddFrame. An error means the frame may not be durable; the
-// transport must fail the request instead of acking. Safe for
-// concurrent use.
+// checkpoint cut — acked means replayable. With no WAL configured raw is
+// ignored and f is applied under the gate alone. An error means the frame
+// may not be durable; the transport must fail the request instead of
+// acking. The frame may be borrowed (zero-copy): the store's batch
+// methods hash items immediately and clone any key they retain, so the
+// caller may reuse the backing buffer as soon as IngestFrame returns.
+// Safe for concurrent use.
 func (s *Server) IngestFrame(raw []byte, f *Frame) (AddResult, error) {
 	res, err := s.ingestFrame(raw, f)
 	if err != nil {
@@ -825,11 +811,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			}
 			f := Frame{Keys: keys[start:end], ItemsString: items[start:end], TSNanos: tss[start], HasTS: tss[start] != 0}
 			if s.wlog != nil {
-				if f.HasTS {
-					sc.wal = AppendFrameStringAt(sc.wal[:0], time.Unix(0, f.TSNanos), f.Keys, f.ItemsString)
-				} else {
-					sc.wal = AppendFrameString(sc.wal[:0], f.Keys, f.ItemsString)
-				}
+				sc.wal = AppendFrame(sc.wal[:0], &f)
 			}
 			run, err := s.ingestFrame(sc.wal, &f)
 			if err != nil {

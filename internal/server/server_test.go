@@ -107,13 +107,13 @@ func TestHandlerErrorTable(t *testing.T) {
 		{"malformed frame", "POST", "/v1/add", FrameContentType,
 			[]byte("SBF1 garbage that is not a frame"), 400, CodeBadFrame},
 		{"truncated frame", "POST", "/v1/add", FrameContentType,
-			AppendFrame64(nil, []string{"k"}, []uint64{1})[:12], 400, CodeBadFrame},
+			AppendFrame(nil, &Frame{Keys: []string{"k"}, Items64: []uint64{1}})[:12], 400, CodeBadFrame},
 		{"oversized ndjson", "POST", "/v1/add", "application/x-ndjson",
 			bytes.Repeat([]byte("{\"key\":\"a\",\"item\":\"b\"}\n"), 300), 413, CodeTooLarge},
 		{"oversized frame", "POST", "/v1/add", FrameContentType,
-			AppendFrame64(nil, make([]string, 600), make([]uint64, 600)), 413, CodeTooLarge},
+			AppendFrame(nil, &Frame{Keys: make([]string, 600), Items64: make([]uint64, 600)}), 413, CodeTooLarge},
 		{"frame with empty key", "POST", "/v1/add", FrameContentType + "; charset=binary",
-			AppendFrame64(nil, []string{""}, []uint64{1}), 400, CodeBadFrame},
+			AppendFrame(nil, &Frame{Keys: []string{""}, Items64: []uint64{1}}), 400, CodeBadFrame},
 		{"estimate without key", "GET", "/v1/estimate", "", nil, 400, CodeMissingKey},
 		{"estimate unknown key", "GET", "/v1/estimate?key=never-seen", "", nil, 404, CodeUnknownKey},
 		{"topk bad k", "GET", "/v1/topk?k=zero", "", nil, 400, CodeBadRequest},
@@ -273,7 +273,7 @@ func TestIngestQueryFlow(t *testing.T) {
 			items64 = append(items64, uint64(k)<<32|uint64(i))
 		}
 	}
-	res, err := client.AddBatch64(ctx, keys, items64)
+	res, err := client.AddFrame(ctx, &Frame{Keys: keys, Items64: items64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestIngestQueryFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	local.AddBatchString(sKeys, sItems)
-	if _, err := client.AddBatchString(ctx, sKeys, []string{"extra-c", "extra-d"}); err != nil {
+	if _, err := client.AddFrame(ctx, &Frame{Keys: sKeys, ItemsString: []string{"extra-c", "extra-d"}}); err != nil {
 		t.Fatal(err)
 	}
 	local.AddBatchString(sKeys, []string{"extra-c", "extra-d"})
@@ -417,7 +417,7 @@ func TestCheckpointRecovery(t *testing.T) {
 			items = append(items, fmt.Sprintf("pkt-%d-%d", k, i))
 		}
 	}
-	if _, err := client.AddBatchString(ctx, keys, items); err != nil {
+	if _, err := client.AddFrame(ctx, &Frame{Keys: keys, ItemsString: items}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := client.Checkpoint(ctx)

@@ -28,7 +28,7 @@ func TestWindowErrorTable(t *testing.T) {
 		Spec: sbitmap.MustSpec("hll:mbits=512"),
 	})
 	ctx := context.Background()
-	if _, err := wclient.AddBatchStringAt(ctx, wat(9, time.Minute), []string{"known"}, []string{"x"}); err != nil {
+	if _, err := wclient.AddFrame(ctx, &Frame{Keys: []string{"known"}, ItemsString: []string{"x"}, TSNanos: wat(9, time.Minute).UnixNano(), HasTS: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fclient.AddNDJSON(ctx, []string{"known"}, []string{"x"}); err != nil {
@@ -195,7 +195,7 @@ func TestWindowTwinEquivalenceAndRestart(t *testing.T) {
 			for i := range items {
 				items[i] = uint64(widx)<<32 | uint64(off+i)%977
 			}
-			if _, err := client.AddBatch64At(ctx, wat(widx, width), ck, items); err != nil {
+			if _, err := client.AddFrame(ctx, &Frame{Keys: ck, Items64: items, TSNanos: wat(widx, width).UnixNano(), HasTS: true}); err != nil {
 				t.Fatal(err)
 			}
 			twin.AddBatch64At(wat(widx, width), ck, items)
@@ -247,7 +247,7 @@ func TestWindowTwinEquivalenceAndRestart(t *testing.T) {
 	for i := range tailItems {
 		tailItems[i] = uint64(i) | 1<<48
 	}
-	if _, err := client.AddBatch64At(ctx, wat(106, width), tail, tailItems); err != nil {
+	if _, err := client.AddFrame(ctx, &Frame{Keys: tail, Items64: tailItems, TSNanos: wat(106, width).UnixNano(), HasTS: true}); err != nil {
 		t.Fatal(err)
 	}
 	twin.AddBatch64At(wat(106, width), tail, tailItems)

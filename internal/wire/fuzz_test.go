@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-	"time"
 
 	sbitmap "repro"
 	"repro/internal/server"
@@ -26,8 +25,8 @@ func frameMsg(frame []byte) []byte {
 // streams of both item types, truncations at every layer, lying length
 // prefixes, oversized declarations, and garbage.
 func FuzzWireFrame(f *testing.F) {
-	f64 := server.AppendFrame64(nil, []string{"alice", "bob"}, []uint64{1, 1 << 40})
-	fstr := server.AppendFrameString(nil, []string{"k1", "k2"}, []string{"", "10.0.0.1"})
+	f64 := server.AppendFrame(nil, &server.Frame{Keys: []string{"alice", "bob"}, Items64: []uint64{1, 1 << 40}})
+	fstr := server.AppendFrame(nil, &server.Frame{Keys: []string{"k1", "k2"}, ItemsString: []string{"", "10.0.0.1"}})
 	// Valid streams: one frame, two frames, alternating types.
 	f.Add(frameMsg(f64))
 	f.Add(frameMsg(fstr))
@@ -47,15 +46,15 @@ func FuzzWireFrame(f *testing.F) {
 	// Valid frame followed by garbage: first acked, second rejected.
 	f.Add(append(frameMsg(f64), frameMsg([]byte("garbage not SBF1"))...))
 	// Adversarial SBF1 payloads behind honest prefixes.
-	huge := server.AppendFrame64(nil, []string{"k"}, []uint64{7})
+	huge := server.AppendFrame(nil, &server.Frame{Keys: []string{"k"}, Items64: []uint64{7}})
 	binary.LittleEndian.PutUint32(huge[6:], 1<<30) // lying record count
 	f.Add(frameMsg(huge))
-	empty := server.AppendFrame64(nil, []string{"ok", ""}, []uint64{1, 2}) // empty key
+	empty := server.AppendFrame(nil, &server.Frame{Keys: []string{"ok", ""}, Items64: []uint64{1, 2}}) // empty key
 	f.Add(frameMsg(empty))
 	// Version-2 (timestamped) frames: valid streams, a mixed v1/v2 stream,
 	// and a v2 frame truncated inside its 8-byte timestamp.
-	fts := server.AppendFrame64At(nil, time.Unix(0, 1723000000123456789), []string{"alice"}, []uint64{9})
-	fstrTS := server.AppendFrameStringAt(nil, time.Unix(0, -5e9), []string{"k"}, []string{"v"})
+	fts := server.AppendFrame(nil, &server.Frame{Keys: []string{"alice"}, Items64: []uint64{9}, TSNanos: 1723000000123456789, HasTS: true})
+	fstrTS := server.AppendFrame(nil, &server.Frame{Keys: []string{"k"}, ItemsString: []string{"v"}, TSNanos: -5e9, HasTS: true})
 	f.Add(frameMsg(fts))
 	f.Add(frameMsg(fstrTS))
 	f.Add(append(frameMsg(f64), frameMsg(fts)...))
@@ -103,9 +102,9 @@ func TestWireFuzzSeedsDirect(t *testing.T) {
 	var stream []byte
 	const n = 20
 	for i := 0; i < n; i++ {
-		fr := server.AppendFrame64(nil, []string{"k"}, []uint64{uint64(i)})
+		fr := server.AppendFrame(nil, &server.Frame{Keys: []string{"k"}, Items64: []uint64{uint64(i)}})
 		if i%2 == 1 {
-			fr = server.AppendFrameString(nil, []string{"s"}, []string{"v"})
+			fr = server.AppendFrame(nil, &server.Frame{Keys: []string{"s"}, ItemsString: []string{"v"}})
 		}
 		stream = append(stream, frameMsg(fr)...)
 	}

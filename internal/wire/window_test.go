@@ -53,12 +53,12 @@ func TestWireTimestampedBitIdentical(t *testing.T) {
 		end := min(i+250, len(keys))
 		ts := wtime(widxFor(batch), width)
 		if batch%2 == 0 {
-			if err := c.Send64At(ts, keys[i:end], items64[i:end]); err != nil {
+			if err := c.SendFrame(&server.Frame{Keys: keys[i:end], Items64: items64[i:end], TSNanos: ts.UnixNano(), HasTS: true}); err != nil {
 				t.Fatal(err)
 			}
 			twin.AddBatch64At(ts, keys[i:end], items64[i:end])
 		} else {
-			if err := c.SendStringAt(ts, keys[i:end], itemsS[i:end]); err != nil {
+			if err := c.SendFrame(&server.Frame{Keys: keys[i:end], ItemsString: itemsS[i:end], TSNanos: ts.UnixNano(), HasTS: true}); err != nil {
 				t.Fatal(err)
 			}
 			twin.AddBatchStringAt(ts, keys[i:end], itemsS[i:end])

@@ -35,7 +35,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 	"unsafe"
 
 	"repro/internal/server"
@@ -225,21 +224,22 @@ func (h *connHandler) ackError() {
 }
 
 // ErrFrameRejected is returned by the Client when the server answers
-// AckError: the frame was malformed or oversized and the server has
-// closed the connection. The client redials on the next call.
+// AckError: the frame was malformed or oversized, or its WAL append
+// failed, and the server has closed the connection. The client redials
+// on the next call.
 var ErrFrameRejected = errors.New("wire: server rejected frame and closed the connection")
 
-// clientWindow bounds pipelined unacked frames; past it, Send blocks
+// clientWindow bounds pipelined unacked frames; past it, SendFrame blocks
 // collecting acks. Keeps a runaway producer from buffering unbounded
 // frames in the kernel while still hiding the round trip.
 const clientWindow = 64
 
 // Client speaks the wire protocol to one server over one long-lived
-// connection, redialing transparently after errors. The synchronous
-// AddBatch methods send one frame and wait for its ack; the pipelined
-// Send/Drain pair overlaps frames against the round trip. Not safe for
-// concurrent use (matching acks to frames requires ordering; use one
-// Client per producer goroutine).
+// connection, redialing transparently after errors. AddFrame sends one
+// frame and waits for its ack; the pipelined SendFrame/Drain pair
+// overlaps frames against the round trip. Not safe for concurrent use
+// (matching acks to frames requires ordering; use one Client per
+// producer goroutine).
 type Client struct {
 	addr string
 
@@ -294,66 +294,27 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-// prefix resets c.buf to the 4 length-prefix bytes (filled in after the
-// frame is appended), allocating the buffer on first use.
-func (c *Client) prefix() []byte {
+// encode frames f into c.buf behind the 4-byte length prefix,
+// allocating the buffer on first use.
+func (c *Client) encode(f *server.Frame) {
 	if cap(c.buf) < 4 {
 		c.buf = make([]byte, 4, 4096)
 	}
-	return c.buf[:4]
-}
-
-// encode64 frames (keys, items) into c.buf behind the length prefix.
-func (c *Client) encode64(keys []string, items []uint64) {
-	c.buf = server.AppendFrame64(c.prefix(), keys, items)
+	c.buf = server.AppendFrame(c.buf[:4], f)
 	binary.LittleEndian.PutUint32(c.buf, uint32(len(c.buf)-4))
 }
 
-func (c *Client) encodeString(keys, items []string) {
-	c.buf = server.AppendFrameString(c.prefix(), keys, items)
-	binary.LittleEndian.PutUint32(c.buf, uint32(len(c.buf)-4))
-}
-
-// encode64At / encodeStringAt frame a timestamped batch as a version-2
-// frame, filing every record into ts's sub-window on a windowed server.
-func (c *Client) encode64At(ts time.Time, keys []string, items []uint64) {
-	c.buf = server.AppendFrame64At(c.prefix(), ts, keys, items)
-	binary.LittleEndian.PutUint32(c.buf, uint32(len(c.buf)-4))
-}
-
-func (c *Client) encodeStringAt(ts time.Time, keys, items []string) {
-	c.buf = server.AppendFrameStringAt(c.prefix(), ts, keys, items)
-	binary.LittleEndian.PutUint32(c.buf, uint32(len(c.buf)-4))
-}
-
-// AddBatch64 sends one uint64-item frame and waits for its ack,
-// returning the server's changed count. Any pipelined frames are
-// drained first (their counts are lost to the caller — mix the APIs
-// only between Drains).
-func (c *Client) AddBatch64(keys []string, items []uint64) (int, error) {
+// AddFrame sends one frame and waits for its ack, returning the server's
+// changed count. Any pipelined frames are drained first (their counts
+// are lost to the caller — mix the APIs only between Drains).
+func (c *Client) AddFrame(f *server.Frame) (int, error) {
 	if _, err := c.Drain(); err != nil {
 		return 0, err
 	}
 	if err := c.conn(); err != nil {
 		return 0, err
 	}
-	c.encode64(keys, items)
-	return c.sendAwait()
-}
-
-// AddBatchString is AddBatch64 for string items.
-func (c *Client) AddBatchString(keys, items []string) (int, error) {
-	if _, err := c.Drain(); err != nil {
-		return 0, err
-	}
-	if err := c.conn(); err != nil {
-		return 0, err
-	}
-	c.encodeString(keys, items)
-	return c.sendAwait()
-}
-
-func (c *Client) sendAwait() (int, error) {
+	c.encode(f)
 	if _, err := c.bw.Write(c.buf); err != nil {
 		return 0, c.fail(err)
 	}
@@ -378,47 +339,14 @@ func (c *Client) readAck() (uint64, error) {
 	return v, nil
 }
 
-// Send64 pipelines one uint64-item frame without waiting for its ack.
-// When the unacked window is full it first collects one ack. Call Drain
-// to settle all outstanding acks and read the accumulated changed
-// count.
-func (c *Client) Send64(keys []string, items []uint64) error {
+// SendFrame pipelines one frame without waiting for its ack. When the
+// unacked window is full it first collects one ack. Call Drain to settle
+// all outstanding acks and read the accumulated changed count.
+func (c *Client) SendFrame(f *server.Frame) error {
 	if err := c.conn(); err != nil {
 		return err
 	}
-	c.encode64(keys, items)
-	return c.send()
-}
-
-// Send64At is Send64 with a record timestamp: the batch ships as a
-// version-2 frame and a windowed server files it into ts's sub-window.
-func (c *Client) Send64At(ts time.Time, keys []string, items []uint64) error {
-	if err := c.conn(); err != nil {
-		return err
-	}
-	c.encode64At(ts, keys, items)
-	return c.send()
-}
-
-// SendString is Send64 for string items.
-func (c *Client) SendString(keys, items []string) error {
-	if err := c.conn(); err != nil {
-		return err
-	}
-	c.encodeString(keys, items)
-	return c.send()
-}
-
-// SendStringAt is Send64At for string items.
-func (c *Client) SendStringAt(ts time.Time, keys, items []string) error {
-	if err := c.conn(); err != nil {
-		return err
-	}
-	c.encodeStringAt(ts, keys, items)
-	return c.send()
-}
-
-func (c *Client) send() error {
+	c.encode(f)
 	for c.pending >= clientWindow {
 		// Window full: the server must have acks in flight; absorb one.
 		if err := c.bw.Flush(); err != nil {

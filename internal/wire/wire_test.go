@@ -101,14 +101,14 @@ func TestWireBitIdenticalToLocalStore(t *testing.T) {
 	var wantChanged, gotChanged int
 	for i := 0; i < len(keys); i += 500 {
 		end := min(i+500, len(keys))
-		ch, err := c.AddBatch64(keys[i:end], items64[i:end])
+		ch, err := c.AddFrame(&server.Frame{Keys: keys[i:end], Items64: items64[i:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		gotChanged += ch
 		wantChanged += twin.AddBatch64(keys[i:end], items64[i:end])
 	}
-	ch, err := c.AddBatchString(keys, itemsS)
+	ch, err := c.AddFrame(&server.Frame{Keys: keys, ItemsString: itemsS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestWireBitIdenticalToHTTP(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < len(keys); i += 1000 {
 		end := min(i+1000, len(keys))
-		wch, err := wc.AddBatch64(keys[i:end], items64[i:end])
+		wch, err := wc.AddFrame(&server.Frame{Keys: keys[i:end], Items64: items64[i:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hres, err := hc.AddBatch64(ctx, keys[i:end], items64[i:end])
+		hres, err := hc.AddFrame(ctx, &server.Frame{Keys: keys[i:end], Items64: items64[i:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,10 +152,10 @@ func TestWireBitIdenticalToHTTP(t *testing.T) {
 			t.Fatalf("batch at %d: wire changed %d, http changed %d", i, wch, hres.Changed)
 		}
 	}
-	if _, err := wc.AddBatchString(keys[:500], itemsS[:500]); err != nil {
+	if _, err := wc.AddFrame(&server.Frame{Keys: keys[:500], ItemsString: itemsS[:500]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hc.AddBatchString(ctx, keys[:500], itemsS[:500]); err != nil {
+	if _, err := hc.AddFrame(ctx, &server.Frame{Keys: keys[:500], ItemsString: itemsS[:500]}); err != nil {
 		t.Fatal(err)
 	}
 	assertSameState(t, snapshotKeys(t, wireSrv.Store()), snapshotKeys(t, httpSrv.Store()))
@@ -176,7 +176,7 @@ func TestWirePipelined(t *testing.T) {
 	// 200 frames of 25 records: deep pipelining, crosses clientWindow.
 	for i := 0; i < len(keys); i += 25 {
 		end := i + 25
-		if err := c.Send64(keys[i:end], items64[i:end]); err != nil {
+		if err := c.SendFrame(&server.Frame{Keys: keys[i:end], Items64: items64[i:end]}); err != nil {
 			t.Fatal(err)
 		}
 		want += twin.AddBatch64(keys[i:end], items64[i:end])
@@ -199,13 +199,13 @@ func TestWireBadFramePoisonsOnlyItsConnection(t *testing.T) {
 	srv, ws := newWireServer(t)
 	good := NewClient(ws.Addr().String())
 	defer good.Close()
-	if _, err := good.AddBatch64([]string{"k1"}, []uint64{1}); err != nil {
+	if _, err := good.AddFrame(&server.Frame{Keys: []string{"k1"}, Items64: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := NewClient(ws.Addr().String())
 	defer bad.Close()
-	if _, err := bad.AddBatch64([]string{"k2"}, []uint64{2}); err != nil {
+	if _, err := bad.AddFrame(&server.Frame{Keys: []string{"k2"}, Items64: []uint64{2}}); err != nil {
 		t.Fatal(err)
 	}
 	// Raw garbage after a valid length prefix on the bad connection.
@@ -230,12 +230,12 @@ func TestWireBadFramePoisonsOnlyItsConnection(t *testing.T) {
 	}
 
 	// The earlier connection is unaffected; so are new ones.
-	if _, err := good.AddBatch64([]string{"k3"}, []uint64{3}); err != nil {
+	if _, err := good.AddFrame(&server.Frame{Keys: []string{"k3"}, Items64: []uint64{3}}); err != nil {
 		t.Fatalf("good connection poisoned: %v", err)
 	}
 	fresh := NewClient(ws.Addr().String())
 	defer fresh.Close()
-	if _, err := fresh.AddBatchString([]string{"k4"}, []string{"x"}); err != nil {
+	if _, err := fresh.AddFrame(&server.Frame{Keys: []string{"k4"}, ItemsString: []string{"x"}}); err != nil {
 		t.Fatalf("new connection refused after rejected frame: %v", err)
 	}
 	for _, k := range []string{"k1", "k2", "k3", "k4"} {
@@ -253,7 +253,7 @@ func TestWireBadFramePoisonsOnlyItsConnection(t *testing.T) {
 // server. A frame is all-or-nothing.
 func TestWireTornWrites(t *testing.T) {
 	srv, ws := newWireServer(t)
-	full := server.AppendFrame64(nil, []string{"torn-key"}, []uint64{7})
+	full := server.AppendFrame(nil, &server.Frame{Keys: []string{"torn-key"}, Items64: []uint64{7}})
 	cuts := []int{0, 1, 3} // mid-prefix
 	var framed []byte
 	var pfx [4]byte
@@ -289,7 +289,7 @@ func TestWireTornWrites(t *testing.T) {
 	}
 	c := NewClient(ws.Addr().String())
 	defer c.Close()
-	if ch, err := c.AddBatch64([]string{"torn-key"}, []uint64{7}); err != nil || ch != 1 {
+	if ch, err := c.AddFrame(&server.Frame{Keys: []string{"torn-key"}, Items64: []uint64{7}}); err != nil || ch != 1 {
 		t.Fatalf("whole frame after torn writes: changed=%d err=%v", ch, err)
 	}
 }
@@ -330,7 +330,7 @@ func TestWireConcurrentConnsBitIdentical(t *testing.T) {
 					bk = append(bk, keys[r])
 					bi = append(bi, items64[r])
 				}
-				if err := c.Send64(bk, bi); err != nil {
+				if err := c.SendFrame(&server.Frame{Keys: bk, Items64: bi}); err != nil {
 					errs <- err
 					return
 				}
@@ -366,15 +366,15 @@ func TestWireClientRedials(t *testing.T) {
 	srv, ws := newWireServer(t)
 	c := NewClient(ws.Addr().String())
 	defer c.Close()
-	if _, err := c.AddBatch64([]string{"a"}, []uint64{1}); err != nil {
+	if _, err := c.AddFrame(&server.Frame{Keys: []string{"a"}, Items64: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Force a rejected frame through the client's own connection: an
 	// empty-key record is a decode error server-side.
-	if _, err := c.AddBatch64([]string{""}, []uint64{1}); err == nil {
+	if _, err := c.AddFrame(&server.Frame{Keys: []string{""}, Items64: []uint64{1}}); err == nil {
 		t.Fatal("empty-key frame accepted")
 	}
-	if _, err := c.AddBatch64([]string{"b"}, []uint64{2}); err != nil {
+	if _, err := c.AddFrame(&server.Frame{Keys: []string{"b"}, Items64: []uint64{2}}); err != nil {
 		t.Fatalf("client did not redial: %v", err)
 	}
 	if n := srv.Store().Len(); n != 2 {
@@ -388,10 +388,10 @@ func TestWireStatsReflectIngest(t *testing.T) {
 	srv, ws := newWireServer(t)
 	c := NewClient(ws.Addr().String())
 	defer c.Close()
-	if _, err := c.AddBatch64([]string{"a", "b", "a"}, []uint64{1, 2, 3}); err != nil {
+	if _, err := c.AddFrame(&server.Frame{Keys: []string{"a", "b", "a"}, Items64: []uint64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddBatchString([]string{"c"}, []string{"x"}); err != nil {
+	if _, err := c.AddFrame(&server.Frame{Keys: []string{"c"}, ItemsString: []string{"x"}}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
@@ -424,8 +424,8 @@ func TestWireServeOneAllocFree(t *testing.T) {
 		binary.LittleEndian.PutUint32(pfx[:], uint32(len(frame)))
 		stream = append(append(stream, pfx[:]...), frame...)
 	}
-	add(server.AppendFrame64(nil, keys, items64))
-	add(server.AppendFrameString(nil, keys, itemsS))
+	add(server.AppendFrame(nil, &server.Frame{Keys: keys, Items64: items64}))
+	add(server.AppendFrame(nil, &server.Frame{Keys: keys, ItemsString: itemsS}))
 
 	r := &replayReader{data: stream}
 	h := newConnHandler(srv, r, io.Discard)
@@ -460,7 +460,7 @@ func TestWireServeOneAllocFreeHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, items64, _ := wireWorkload(4096, 8192, 24)
-	frame := server.AppendFrame64(nil, keys, items64)
+	frame := server.AppendFrame(nil, &server.Frame{Keys: keys, Items64: items64})
 	stream := binary.LittleEndian.AppendUint32(nil, uint32(len(frame)))
 	r := &replayReader{data: append(stream, frame...)}
 	h := newConnHandler(srv, r, io.Discard)

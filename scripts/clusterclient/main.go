@@ -23,6 +23,7 @@ import (
 
 	sbitmap "repro"
 	"repro/internal/cluster"
+	"repro/internal/server"
 	"repro/internal/xrand"
 )
 
@@ -83,7 +84,7 @@ func run(peersFlag, specStr, mode string, nKeys, perKey int, dead string) error 
 		const batch = 512
 		for i := 0; i < len(keys); i += batch {
 			end := min(i+batch, len(keys))
-			res, err := cc.AddBatch64(ctx, keys[i:end], items[i:end])
+			res, err := cc.AddFrame(ctx, &server.Frame{Keys: keys[i:end], Items64: items[i:end]})
 			if err != nil {
 				return err
 			}

@@ -27,7 +27,7 @@ func main() {
 		vals[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
 	client := server.NewClient(*base)
-	res, err := client.AddBatch64(context.Background(), keys, vals)
+	res, err := client.AddFrame(context.Background(), &server.Frame{Keys: keys, Items64: vals})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smokeclient: %v\n", err)
 		os.Exit(1)

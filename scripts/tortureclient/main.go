@@ -78,7 +78,7 @@ func feed(client *server.Client, ackedPath string, count int) error {
 	ctx := context.Background()
 	for i := start; i < start+count; i++ {
 		keys, items := frameAt(i)
-		if _, err := client.AddBatch64(ctx, keys, items); err != nil {
+		if _, err := client.AddFrame(ctx, &server.Frame{Keys: keys, Items64: items}); err != nil {
 			fmt.Printf("torture feed: server died at frame %d (%d acked): %v\n", i, i-start, err)
 			return nil
 		}

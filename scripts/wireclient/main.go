@@ -63,7 +63,7 @@ func push(tcp, base, specStr, prefix string, nkeys, spread, batch int) error {
 	defer wc.Close()
 	for at := 0; at < len(keys); at += batch {
 		end := min(at+batch, len(keys))
-		if err := wc.Send64(keys[at:end], items[at:end]); err != nil {
+		if err := wc.SendFrame(&server.Frame{Keys: keys[at:end], Items64: items[at:end]}); err != nil {
 			return err
 		}
 	}
@@ -74,7 +74,7 @@ func push(tcp, base, specStr, prefix string, nkeys, spread, batch int) error {
 	// A string frame exercises the second item type over the same conn.
 	strKeys := []string{keys[0], keys[0], keys[len(keys)-1]}
 	strItems := []string{"smoke-a", "smoke-b", "smoke-a"}
-	strChanged, err := wc.AddBatchString(strKeys, strItems)
+	strChanged, err := wc.AddFrame(&server.Frame{Keys: strKeys, ItemsString: strItems})
 	if err != nil {
 		return err
 	}

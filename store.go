@@ -419,25 +419,10 @@ func (s *Store[K]) slotLocked(st *storeStripe[K], key K, widx int64) Counter {
 
 // Add offers item to key's counter, materializing it on first sight; it
 // reports whether the counter's state changed. On a windowed store the
-// item lands in the watermark sub-window (use AddAt to place it in
-// time). Safe for concurrent use.
+// item lands in the watermark sub-window (use AddUint64At or AddStringAt
+// to place it in time). Safe for concurrent use.
 func (s *Store[K]) Add(key K, item []byte) bool {
 	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).Add(item)
-	st.mu.Unlock()
-	return changed
-}
-
-// AddAt is Add with an explicit record timestamp: on a windowed store
-// the item lands in ts's sub-window (floor(ts/width)); an unwindowed
-// store ignores ts. Timestamps are caller-supplied — replayed traces
-// carry their own clock — and a record more than ring sub-windows behind
-// the watermark folds into the watermark window (see LateRecords).
-func (s *Store[K]) AddAt(ts time.Time, key K, item []byte) bool {
-	widx := s.resolveWidx(s.tsWidx(ts), 1)
 	st := s.stripeFor(key)
 	st.mu.Lock()
 	s.touchLocked(st)
@@ -458,7 +443,11 @@ func (s *Store[K]) AddUint64(key K, item uint64) bool {
 	return changed
 }
 
-// AddUint64At is AddUint64 with an explicit record timestamp; see AddAt.
+// AddUint64At is AddUint64 with an explicit record timestamp: on a
+// windowed store the item lands in ts's sub-window (floor(ts/width)); an
+// unwindowed store ignores ts. Timestamps are caller-supplied — replayed
+// traces carry their own clock — and a record more than ring sub-windows
+// behind the watermark folds into the watermark window (see LateRecords).
 func (s *Store[K]) AddUint64At(ts time.Time, key K, item uint64) bool {
 	widx := s.resolveWidx(s.tsWidx(ts), 1)
 	st := s.stripeFor(key)
@@ -481,7 +470,8 @@ func (s *Store[K]) AddString(key K, item string) bool {
 	return changed
 }
 
-// AddStringAt is AddString with an explicit record timestamp; see AddAt.
+// AddStringAt is AddString with an explicit record timestamp; see
+// AddUint64At.
 func (s *Store[K]) AddStringAt(ts time.Time, key K, item string) bool {
 	widx := s.resolveWidx(s.tsWidx(ts), 1)
 	st := s.stripeFor(key)
@@ -651,7 +641,7 @@ func (s *Store[K]) AddBatch64(keys []K, items []uint64) int {
 // AddBatch64At is AddBatch64 with an explicit record timestamp shared by
 // the whole batch (one frame = one capture instant): on a windowed store
 // every record lands in ts's sub-window; an unwindowed store ignores ts.
-// See AddAt for the timestamp contract.
+// See AddUint64At for the timestamp contract.
 func (s *Store[K]) AddBatch64At(ts time.Time, keys []K, items []uint64) int {
 	return s.addBatch64(s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
 }
