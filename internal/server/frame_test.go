@@ -8,37 +8,54 @@ import (
 	"time"
 )
 
-// TestFrameRoundTrip sends Frames through AppendFrame and DecodeBorrowed:
-// both item types, each with and without a timestamp (zero and pre-epoch
-// included; the field is a signed unix-nano), and empty frames of both
-// types. Each row decodes into a fresh Frame and into one Frame reused
-// across rows; untimestamped rows follow timestamped ones, so the reused
-// Frame must drop a stale timestamp.
-func TestFrameRoundTrip(t *testing.T) {
+// frameRoundTrips is the round-trip table: Frames sent through AppendFrame
+// and DecodeBorrowed, each row tagged with the test that runs it. The rows
+// cover both item types, each with and without a timestamp (zero and
+// pre-epoch included; the field is a signed unix-nano), and empty frames of
+// both types. Each row decodes into a fresh Frame and into one Frame reused
+// across its test's rows; untimestamped rows follow timestamped ones, so
+// the reused Frame must drop a stale timestamp.
+func frameRoundTrips() []frameRoundTrip {
 	keys64 := []string{"alice", "amy", "bob", strings.Repeat("k", 300), "alice"}
 	items64 := []uint64{1, 2, 3, 1 << 60, 0}
 	keysS := []string{"k1", "k2", "k1"}
 	itemsS := []string{"", "item-two", strings.Repeat("x", 5000)}
 	const ts = 1723000000123456789
-	rows := []struct {
-		name string
-		in   Frame
-	}{
-		{"uint64", Frame{Keys: keys64, Items64: items64}},
-		{"uint64 at ts", Frame{Keys: keys64, Items64: items64, TSNanos: ts, HasTS: true}},
-		{"string", Frame{Keys: keysS, ItemsString: itemsS}},
-		{"string at ts", Frame{Keys: keysS, ItemsString: itemsS, TSNanos: ts, HasTS: true}},
-		{"uint64 reused after ts", Frame{Keys: keys64, Items64: items64}},
-		{"uint64 at epoch", Frame{Keys: keys64, Items64: items64, HasTS: true}},
-		{"string at pre-epoch", Frame{Keys: keysS, ItemsString: itemsS, TSNanos: -5e9, HasTS: true}},
-		{"string reused after ts", Frame{Keys: keysS, ItemsString: itemsS}},
-		{"uint64 at pre-epoch", Frame{Keys: keys64, Items64: items64, TSNanos: -5e9, HasTS: true}},
-		{"string at epoch", Frame{Keys: keysS, ItemsString: itemsS, HasTS: true}},
-		{"empty uint64", Frame{}},
-		{"empty string", Frame{ItemsString: []string{}}},
+	return []frameRoundTrip{
+		{"64", "uint64", Frame{Keys: keys64, Items64: items64}},
+		{"string", "string", Frame{Keys: keysS, ItemsString: itemsS}},
+		{"timestamped", "uint64 at ts", Frame{Keys: keys64, Items64: items64, TSNanos: ts, HasTS: true}},
+		{"timestamped", "string at ts", Frame{Keys: keysS, ItemsString: itemsS, TSNanos: ts, HasTS: true}},
+		{"timestamped", "uint64 reused after ts", Frame{Keys: keys64, Items64: items64}},
+		{"timestamped", "uint64 at epoch", Frame{Keys: keys64, Items64: items64, HasTS: true}},
+		{"timestamped", "string at pre-epoch", Frame{Keys: keysS, ItemsString: itemsS, TSNanos: -5e9, HasTS: true}},
+		{"timestamped", "string reused after ts", Frame{Keys: keysS, ItemsString: itemsS}},
+		{"timestamped", "uint64 at pre-epoch", Frame{Keys: keys64, Items64: items64, TSNanos: -5e9, HasTS: true}},
+		{"timestamped", "string at epoch", Frame{Keys: keysS, ItemsString: itemsS, HasTS: true}},
+		{"empty", "empty uint64", Frame{}},
+		{"empty", "empty string", Frame{ItemsString: []string{}}},
 	}
+}
+
+type frameRoundTrip struct {
+	test, name string
+	in         Frame
+}
+
+func TestFrameRoundTrip64(t *testing.T)          { roundTripFrames(t, "64") }
+func TestFrameRoundTripString(t *testing.T)      { roundTripFrames(t, "string") }
+func TestFrameRoundTripTimestamped(t *testing.T) { roundTripFrames(t, "timestamped") }
+func TestFrameRoundTripEmpty(t *testing.T)       { roundTripFrames(t, "empty") }
+
+// roundTripFrames runs the frameRoundTrips rows tagged test.
+func roundTripFrames(t *testing.T, test string) {
 	var reused Frame
-	for _, row := range rows {
+	ran := 0
+	for _, row := range frameRoundTrips() {
+		if row.test != test {
+			continue
+		}
+		ran++
 		in := &row.in
 		data := AppendFrame(nil, in)
 		wantVersion, wantType := byte(frameVersion), byte(frameItems64)
@@ -71,6 +88,9 @@ func TestFrameRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+	if ran == 0 {
+		t.Fatalf("no round-trip rows tagged %q", test)
 	}
 }
 
