@@ -1,22 +1,23 @@
 package main
 
-// The cluster pseudo-experiment measures cluster mode end to end: the
-// same workload BENCH_server.json pushes through one sketchd goes
-// through a real 3-node loopback cluster via cluster.Client —
-// partitioned binary-frame ingest (each batch split by ring owner,
-// sub-frames shipped concurrently), then scatter-gather queries
-// (owner-routed estimates, k-way-merged top-k, summed stats). A
-// single-node frame pass runs first so the report carries the
-// partitioning overhead ratio directly; the cluster pass is verified
-// bit-identical to a local twin Store over every key, and a peer kill
-// must yield a typed partial response. `sbench -run cluster -json
-// BENCH_cluster.json` regenerates the repo's tracked BENCH_cluster.json
-// (compare against BENCH_server.json: same workload, same spec).
+// The cluster pseudo-experiment measures cluster mode end to end: one
+// trace (131,072 keys, the shape of the sketchd benchmark's tcp-ingest
+// workload) goes through one sketchd and then through a real 3-node
+// loopback cluster via cluster.Client — partitioned binary-frame ingest
+// (each batch split by ring owner, sub-frames shipped concurrently),
+// then scatter-gather queries (owner-routed estimates, k-way-merged
+// top-k, summed stats). The single-node frame pass runs first so the
+// report carries the partitioning overhead ratio directly; the cluster
+// pass is verified bit-identical to a local twin Store over every key,
+// and a peer kill must yield a typed partial response. `sbench -run
+// cluster -json BENCH_cluster.json` regenerates the repo's tracked
+// BENCH_cluster.json.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -32,6 +33,70 @@ const (
 	clusterNodes   = 3
 	clusterQueries = 2_000
 )
+
+const (
+	serverKeys     = 1 << 17 // 131072 keys
+	serverSpreadLo = 2       // per-key distinct items, uniform in [lo, hi]
+	serverSpreadHi = 10
+	serverDup      = 1.4 // records per distinct item
+	serverBatch    = 8192
+	serverSpec     = "sbitmap:n=1e4,eps=0.1" // per-key sketch (tiny, as deployed)
+)
+
+type serverResult struct {
+	Mode          string  `json:"mode"` // "frame1" (single node) or "frame3" (cluster)
+	Records       int     `json:"records"`
+	Requests      int     `json:"requests"`
+	Seconds       float64 `json:"seconds"`
+	RecordsPerSec float64 `json:"records_per_sec"`
+}
+
+// serverWorkload pre-generates the full record sequence: per-key spreads
+// uniform in [serverSpreadLo, serverSpreadHi], shuffled flat (worst-case
+// key locality, every batch touches ~batch distinct keys).
+func serverWorkload(seed uint64) (keys []string, items []uint64, spreads []int) {
+	r := xrand.New(seed ^ 0x5e27e5)
+	spreads = make([]int, serverKeys)
+	names := make([]string, serverKeys)
+	total := 0
+	for k := range spreads {
+		spreads[k] = serverSpreadLo + r.Intn(serverSpreadHi-serverSpreadLo+1)
+		names[k] = fmt.Sprintf("user-%06x", k)
+		recs := int(float64(spreads[k])*serverDup + 0.5)
+		total += recs
+	}
+	keys = make([]string, 0, total)
+	items = make([]uint64, 0, total)
+	for k, spread := range spreads {
+		recs := int(float64(spread)*serverDup + 0.5)
+		for i := 0; i < recs; i++ {
+			keys = append(keys, names[k])
+			items = append(items, xrand.Mix64(uint64(k)<<16|uint64(i%spread)))
+		}
+	}
+	// Fisher–Yates over the records, keeping (key, item) pairs together.
+	for i := len(keys) - 1; i > 0; i-- {
+		j := int(r.Uint64() % uint64(i+1))
+		keys[i], keys[j] = keys[j], keys[i]
+		items[i], items[j] = items[j], items[i]
+	}
+	return keys, items, spreads
+}
+
+// startServer binds a fresh counting service to a loopback port.
+func startServer(spec sbitmap.Spec) (*server.Server, *http.Server, string, error) {
+	srv, err := server.New(server.Config{Spec: spec})
+	if err != nil {
+		return nil, nil, "", err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, "", err
+	}
+	hs := &http.Server{Handler: srv}
+	go hs.Serve(ln) // returns ErrServerClosed via hs.Close
+	return srv, hs, "http://" + ln.Addr().String(), nil
+}
 
 type clusterNodeReport struct {
 	Peer string `json:"peer"`
@@ -90,9 +155,8 @@ func runCluster(jsonPath string, seed uint64) error {
 		clusterNodes, serverKeys, len(items), spec, serverBatch)
 	fmt.Printf("%-8s %10s %10s %9s %14s\n", "mode", "records", "requests", "seconds", "records/s")
 
-	// Baseline: the identical workload through ONE node (what
-	// BENCH_server.json's frame row measures) so the partitioning ratio
-	// is in-report, not cross-file.
+	// Baseline: the identical workload through ONE node, so the
+	// partitioning ratio is in-report, not cross-file.
 	oneSrv, oneHTTP, oneBase, err := startServer(spec)
 	if err != nil {
 		return err

@@ -19,6 +19,12 @@
 // figure, and notes comparing the measured shape against the paper's
 // published numbers. `sbench -run table2` regenerates the paper's memory
 // comparison (Table 2); `sbench -run all -full` is the full record.
+//
+// Four reports measure what the paper does not (throughput, memory,
+// cluster, alerts; see -list). They mix freely with experiment ids in
+// -run, and -json writes one report's JSON when -run names it alone:
+//
+//	sbench -run cluster -json BENCH_cluster.json
 package main
 
 import (
@@ -38,8 +44,8 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		run      = flag.String("run", "", "comma-separated experiment ids, or 'all'")
+		list     = flag.Bool("list", false, "list experiment and report ids and exit")
+		run      = flag.String("run", "", "comma-separated experiment and report ids, or 'all' (every experiment)")
 		full     = flag.Bool("full", false, "paper-fidelity run (cell budget 5e7, up to 1000 replicates)")
 		budget   = flag.Int("budget", 0, "override per-cell update budget (default 2e6; -full sets 5e7)")
 		seed     = flag.Uint64("seed", 1, "base PRNG seed")
@@ -49,68 +55,17 @@ func main() {
 		compare  = flag.String("compare", "", "semicolon-separated sketch specs for an ad-hoc accuracy comparison")
 		distinct = flag.Int("distinct", 100_000, "true distinct count for -compare")
 		reps     = flag.Int("reps", 20, "replicates per spec for -compare")
-		jsonOut  = flag.String("json", "", "with -run throughput/memory: also write the report as JSON to this file (e.g. BENCH_throughput.json)")
+		jsonOut  = flag.String("json", "", "with -run naming one report (throughput, memory, cluster or alerts): also write it as JSON to this file (e.g. BENCH_throughput.json)")
 	)
 	flag.Parse()
 
+	if _, ok := findReport(*run); *jsonOut != "" && !ok {
+		fmt.Fprintln(os.Stderr, "sbench: -json needs -run to name exactly one report")
+		os.Exit(2)
+	}
+
 	if *compare != "" {
 		if err := runCompare(*compare, *distinct, *reps, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "throughput" {
-		if err := runThroughput(*jsonOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "memory" {
-		if err := runMemory(*jsonOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "keyed" {
-		if err := runKeyed(*jsonOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "server" {
-		if err := runServer(*jsonOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "cluster" {
-		if err := runCluster(*jsonOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "window" {
-		if err := runWindow(*jsonOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *run == "alerts" {
-		if err := runAlerts(*jsonOut, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "sbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -122,20 +77,9 @@ func main() {
 		for _, id := range experiment.IDs() {
 			fmt.Printf("  %-16s %s\n", id, experiment.Title(id))
 		}
-		fmt.Printf("  %-16s %s\n", "throughput",
-			"ingest throughput benchmark (items/sec per sketch × key × path; -json writes BENCH_throughput.json)")
-		fmt.Printf("  %-16s %s\n", "memory",
-			"per-sketch memory + construction benchmark (bytes and ns across the zoo; -json writes BENCH_memory.json)")
-		fmt.Printf("  %-16s %s\n", "keyed",
-			"keyed Store ingest benchmark (1M keys × per-key S-bitmaps; -json writes BENCH_keyed.json)")
-		fmt.Printf("  %-16s %s\n", "server",
-			"counting-service benchmark (loopback HTTP ingest: per-item vs NDJSON vs binary frame, query latency; -json writes BENCH_server.json)")
-		fmt.Printf("  %-16s %s\n", "cluster",
-			"cluster-mode benchmark (3-node loopback ring: partitioned frame ingest vs single node, scatter-gather query latency; -json writes BENCH_cluster.json)")
-		fmt.Printf("  %-16s %s\n", "window",
-			"sliding-window benchmark (ring rotation cost, merge-on-query latency, per-key bytes at ring=5, loopback twin equivalence; -json writes BENCH_window.json)")
-		fmt.Printf("  %-16s %s\n", "alerts",
-			"superspreader detection benchmark (prefix rule over a scan trace with known ground truth; precision/recall hard-gated at 0.95, incremental vs full tick latency; -json writes BENCH_alerts.json)")
+		for _, r := range reports {
+			fmt.Printf("  %-16s %s\n", r.id, r.title)
+		}
 		if *run == "" && !*list {
 			fmt.Println("\nrun with: sbench -run <id>[,<id>...] | -run all")
 		}
@@ -162,6 +106,13 @@ func main() {
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		if id == "" {
+			continue
+		}
+		if r, ok := findReport(id); ok {
+			if err := r.run(*jsonOut, *seed); err != nil {
+				fmt.Fprintf(os.Stderr, "sbench: %s: %v\n", id, err)
+				failed = true
+			}
 			continue
 		}
 		start := time.Now()
@@ -196,6 +147,32 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// report is a measurement beyond the paper's experiments: run prints its
+// table and, when jsonPath is not empty, also writes it there as JSON.
+type report struct {
+	id, title string
+	run       func(jsonPath string, seed uint64) error
+}
+
+// reports is the one list of report ids: -list prints it and -run
+// dispatches through it, mixed freely with experiment ids.
+var reports = []report{
+	{"throughput", "ingest throughput benchmark (items/sec per sketch × key × path; -json writes BENCH_throughput.json)", runThroughput},
+	{"memory", "per-sketch memory + construction benchmark (bytes and ns across the zoo; -json writes BENCH_memory.json)", runMemory},
+	{"cluster", "cluster-mode benchmark (3-node loopback ring: partitioned frame ingest vs single node, scatter-gather query latency; -json writes BENCH_cluster.json)", runCluster},
+	{"alerts", "superspreader detection benchmark (prefix rule over a scan trace with known ground truth; precision/recall hard-gated at 0.95, incremental vs full tick latency; -json writes BENCH_alerts.json)", runAlerts},
+}
+
+// findReport returns the report named id.
+func findReport(id string) (report, bool) {
+	for _, r := range reports {
+		if r.id == id {
+			return r, true
+		}
+	}
+	return report{}, false
 }
 
 // runCompare measures each spec's empirical RRMSE at one cardinality over

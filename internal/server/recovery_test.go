@@ -203,6 +203,84 @@ func TestWALCheckpointRecovery(t *testing.T) {
 	assertBitIdentical(t, srv3.Store(), twin)
 }
 
+// TestIncrementalCheckpointWritesDirtyStripes: after a full checkpoint,
+// an incremental one writes only the stripes ingest touched since, so its
+// cost tracks the touched keys' stripes, not the key population.
+func TestIncrementalCheckpointWritesDirtyStripes(t *testing.T) {
+	const stripes, nKeys = 256, 4096
+	cfg := Config{
+		Spec:          sbitmap.MustSpec("sbitmap:n=1e4,eps=0.1,seed=4"),
+		Stripes:       stripes,
+		CheckpointDir: t.TempDir(),
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := sbitmap.NewStore[string](cfg.Spec, sbitmap.WithStripes(stripes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return fmt.Sprintf("user-%06x", i) }
+	var frames [][]byte
+	for lo := 0; lo < nKeys; lo += 1024 {
+		var keys []string
+		var items []uint64
+		for i := lo; i < lo+1024; i++ {
+			for j := 0; j < 4; j++ {
+				keys = append(keys, key(i))
+				items = append(items, uint64(i)<<8|uint64(j))
+			}
+		}
+		frames = append(frames, frameOf(keys, items))
+	}
+	ingestFrames(t, srv, twin, frames)
+	full, err := srv.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Incremental || full.StripesWritten != stripes {
+		t.Fatalf("first checkpoint: %+v, want a full pass over %d stripes", full, stripes)
+	}
+
+	ingestFrames(t, srv, twin, [][]byte{frameOf([]string{key(7)}, []uint64{1 << 40})})
+	one, err := srv.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !one.Incremental || one.StripesWritten != 1 {
+		t.Fatalf("checkpoint after touching one key: %+v, want incremental over 1 stripe", one)
+	}
+	if one.Bytes*50 >= full.Bytes {
+		t.Errorf("one dirty stripe wrote %d B, want under 2%% of the full pass's %d B", one.Bytes, full.Bytes)
+	}
+
+	var keys []string
+	var items []uint64
+	for i := 0; i < 16; i++ {
+		keys = append(keys, key(i*nKeys/16))
+		items = append(items, 1<<41|uint64(i))
+	}
+	ingestFrames(t, srv, twin, [][]byte{frameOf(keys, items)})
+	sixteen, err := srv.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sixteen.Incremental || sixteen.StripesWritten < 1 || sixteen.StripesWritten > 16 {
+		t.Fatalf("checkpoint after touching 16 keys: %+v, want incremental over 1..16 stripes", sixteen)
+	}
+	t.Logf("full %d stripes %d B; one key %d stripe %d B; 16 keys %d stripes %d B",
+		full.StripesWritten, full.Bytes, one.StripesWritten, one.Bytes, sixteen.StripesWritten, sixteen.Bytes)
+
+	srv.Close()
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	assertBitIdentical(t, srv2.Store(), twin)
+}
+
 func TestMergeRecordReplay(t *testing.T) {
 	// /v1/merge mutations are logged too: a merged peer snapshot must
 	// survive a crash just like acked frames.

@@ -91,7 +91,7 @@ type StoreKey interface {
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
 	m      map[K]Counter
-	arena  *sbitmapArena // nil unless slab allocation is on
+	arena  *sbitmapArena // nil for bounded or windowed stores and non-S-bitmap kinds
 	scr    uhash.Scratch // shared batch-hash buffers, under mu
 	free   []Counter     // released sub-window counters, Reset, under mu
 	modGen uint64        // generation of the last mutation, under mu
@@ -104,7 +104,6 @@ type StoreOption func(*storeConfig)
 type storeConfig struct {
 	stripes int
 	maxKeys int
-	noSlab  bool
 }
 
 // WithStripes sets the lock-stripe count (default 64). More stripes admit
@@ -120,19 +119,6 @@ func WithStripes(n int) StoreOption { return func(c *storeConfig) { c.stripes = 
 // Under concurrent ingest the bound can transiently overshoot by at
 // most the stripe count. 0 (the default) means unbounded.
 func WithMaxKeys(n int) StoreOption { return func(c *storeConfig) { c.maxKeys = n } }
-
-// WithSlabAllocator toggles the cold-path slab allocator (default on):
-// per-key S-bitmap state is carved out of per-stripe slabs (identically
-// specced sketches are identically sized). Estimates are bit-identical
-// either way; the toggle exists for before/after measurement (sbench -run
-// keyed) and as an escape hatch. Either way, every sketch's batch path
-// borrows one per-stripe hash scratch instead of lazily allocating ~4 KiB
-// each.
-//
-// Slabs are never reclaimed slot-wise, so the allocator is automatically
-// disabled when WithMaxKeys eviction is active (evicted counters would
-// leak their slots).
-func WithSlabAllocator(on bool) StoreOption { return func(c *storeConfig) { c.noSlab = !on } }
 
 // storeDefaultStripes is the default lock-stripe count.
 const storeDefaultStripes = 64
@@ -224,11 +210,12 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		win := s.win
 		s.newCounter = func() Counter { return newWindowRing(win) }
 	}
-	// Windowed stores skip the arena: their unit of allocation is the
-	// ring, not a single fixed-size sketch (sub-window counters are
-	// allocated lazily per slot and recycled through the stripe's free
-	// list).
-	arenas := !cfg.noSlab && s.limit == 0 && s.win == nil
+	// Bounded stores skip the arena: its slots are never reclaimed one
+	// by one, so evicted counters would leak them. Windowed stores skip it
+	// too: their unit of allocation is the ring, not a single fixed-size
+	// sketch (sub-window counters are allocated lazily per slot and
+	// recycled through the stripe's free list).
+	arenas := s.limit == 0 && s.win == nil
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[K]Counter)
 		if arenas {

@@ -12,13 +12,22 @@ import (
 	"repro/internal/xrand"
 )
 
+// dropArenas removes a new store's stripe arenas, so every key's counter
+// comes from newCounter on the heap: the path bounded and windowed stores
+// take.
+func dropArenas[K StoreKey](s *Store[K]) {
+	for i := range s.stripes {
+		s.stripes[i].arena = nil
+	}
+}
+
 // TestStoreSlabEquivalence is the slab allocator's safety rail: the same
-// records through a slab-allocated store and a WithSlabAllocator(false)
-// store must marshal to identical bytes — arena-materialized counters and
-// stripe-shared scratch change where state lives, never what it is. The
-// workload mixes scattered singleton runs (arena path) with long same-key
-// runs (borrowed-scratch batch path) and crosses several slab chunk
-// growths.
+// records through a slab-allocated store and a heap-allocated one
+// (dropArenas) must marshal to identical bytes — arena-materialized
+// counters and stripe-shared scratch change where state lives, never what
+// it is. The workload mixes scattered singleton runs (arena path) with
+// long same-key runs (borrowed-scratch batch path) and crosses several
+// slab chunk growths.
 func TestStoreSlabEquivalence(t *testing.T) {
 	keys, items := keyedWorkload(1500, 20000, 11)
 	// Append a few long single-key runs so runs ≥ storeRunBatchMin take
@@ -43,10 +52,11 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := NewStore[uint64](spec, WithSlabAllocator(false))
+		plain, err := NewStore[uint64](spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dropArenas(plain)
 		for i := 0; i < len(keys); i += 777 { // uneven batch sizes
 			end := min(i+777, len(keys))
 			slab.AddBatch64(keys[i:end], items[i:end])
@@ -62,10 +72,11 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := NewStore[string](spec, WithSlabAllocator(false))
+		plain, err := NewStore[string](spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dropArenas(plain)
 		slab.AddBatchString(strKeys, strItems)
 		plain.AddBatchString(strKeys, strItems)
 		assertStoresIdentical(t, slab, plain)
@@ -101,9 +112,12 @@ func TestStoreSlabEvictionDisablesArena(t *testing.T) {
 func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 	for _, slab := range []bool{true, false} {
 		t.Run(fmt.Sprintf("slab=%v", slab), func(t *testing.T) {
-			s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"), WithSlabAllocator(slab))
+			s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !slab {
+				dropArenas(s)
 			}
 			buf := []byte("flow-a")
 			alias := unsafe.String(&buf[0], len(buf)) // what a zero-copy decoder produces

@@ -76,9 +76,9 @@ func keyBlobsDigest(t *testing.T, s *Store[uint64]) string {
 
 // TestHLLStoreConcurrentLongRuns: a Store's HyperLogLogs share one state,
 // so writers on different stripes must never hash their long runs through
-// buffers they share — whatever WithSlabAllocator says, and inside
-// sub-window rings. Run under -race. HLL registers do not depend on
-// record order, so the result must equal a sequential twin's.
+// buffers they share — plain, and inside sub-window rings. Run under
+// -race. HLL registers do not depend on record order, so the result must
+// equal a sequential twin's.
 func TestHLLStoreConcurrentLongRuns(t *testing.T) {
 	const writers, batches, runKeys = 4, 30, 6
 	const run = 2 * storeRunBatchMin
@@ -100,7 +100,7 @@ func TestHLLStoreConcurrentLongRuns(t *testing.T) {
 		spec string
 		opts []StoreOption
 	}{
-		{"slab=false", "hll:mbits=512,seed=9", []StoreOption{WithSlabAllocator(false), WithStripes(8)}},
+		{"slab=false", "hll:mbits=512,seed=9", []StoreOption{WithStripes(8)}},
 		{"windowed", "hll:mbits=512,seed=9/windowed(width=1m,ring=5)", []StoreOption{WithStripes(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
