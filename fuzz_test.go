@@ -3,7 +3,9 @@ package sbitmap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -84,6 +86,134 @@ func storeBlobs(t *testing.T, s *Store[string]) map[string][]byte {
 		return true
 	})
 	return blobs
+}
+
+// FuzzStoreOps drives a slot store and a map-path twin (forceMapPath)
+// through the same operations decoded from the input — AddString,
+// AddBatch64 and AddBatchString (long same-key runs included), Remove,
+// Estimate, Reset, Merge, and a MarshalStripes checkpoint restored
+// through RestoreStripe into a fresh store that carries on — and requires
+// the same answers throughout and, at every checkpoint and at the end,
+// bit-identical counters key by key and a consistent slot index. An
+// operation is one byte; a key is a length byte and that many bytes. CI
+// runs a short fuzz smoke over this target.
+func FuzzStoreOps(f *testing.F) {
+	key := func(n int) []byte { return append([]byte{byte(n)}, strings.Repeat("k", n)...) }
+	var seed []byte
+	for _, n := range []int{0, 1, 16, 17, 200} {
+		seed = append(seed, 0)
+		seed = append(seed, key(n)...)
+		seed = append(seed, byte(n))
+	}
+	seed = append(append(seed, 1, 3), append(append(key(16), 7), append(key(17), 8)...)...)
+	seed = append(append(seed, 2), append(key(200), 9)...)
+	seed = append(append(seed, 3), key(16)...)
+	seed = append(append(seed, 4), key(17)...)
+	seed = append(seed, 7)
+	seed = append(append(seed, 3), key(0)...)
+	seed = append(seed, 6, 5)
+	seed = append(append(seed, 0), append(key(1), 2)...)
+	f.Add(seed)
+	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 7, 3, 'a', 'b', 'c', 0, 'q', 1})
+	spec := MustSpec("sbitmap:n=1e4,eps=0.1")
+	newPair := func(t *testing.T) (*Store[string], *Store[string]) {
+		s, err := NewStore[string](spec, WithStripes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewStore[string](spec, WithStripes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceMapPath(ref)
+		return s, ref
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, ref := newPair(t)
+		other, otherRef := newPair(t)
+		other.AddString("merge", "x")
+		otherRef.AddString("merge", "x")
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		readKey := func() string {
+			n := min(next(), len(data))
+			k := string(data[:n])
+			data = data[n:]
+			return k
+		}
+		for ops := 0; len(data) > 0 && ops < 256; ops++ {
+			switch op := next() % 8; op {
+			case 0:
+				k, item := readKey(), fmt.Sprint(next())
+				if x, y := s.AddString(k, item), ref.AddString(k, item); x != y {
+					t.Fatalf("AddString(%q): changed %v, map path %v", k, x, y)
+				}
+			case 1:
+				n := next()%8 + 1
+				keys, items := make([]string, n), make([]uint64, n)
+				for i := range keys {
+					keys[i], items[i] = readKey(), uint64(next())
+				}
+				if x, y := s.AddBatch64(keys, items), ref.AddBatch64(keys, items); x != y {
+					t.Fatalf("AddBatch64: changed %d, map path %d", x, y)
+				}
+			case 2:
+				k, base := readKey(), next()
+				keys, items := make([]string, 2*storeRunBatchMin), make([]string, 2*storeRunBatchMin)
+				for i := range keys {
+					keys[i], items[i] = k, fmt.Sprint(base*1000+i)
+				}
+				if x, y := s.AddBatchString(keys, items), ref.AddBatchString(keys, items); x != y {
+					t.Fatalf("AddBatchString(%q run): changed %d, map path %d", k, x, y)
+				}
+			case 3:
+				k := readKey()
+				if x, y := s.Remove(k), ref.Remove(k); x != y {
+					t.Fatalf("Remove(%q): %v, map path %v", k, x, y)
+				}
+			case 4:
+				k := readKey()
+				e1, ok1 := s.Estimate(k)
+				e2, ok2 := ref.Estimate(k)
+				if e1 != e2 || ok1 != ok2 {
+					t.Fatalf("Estimate(%q): %v %v, map path %v %v", k, e1, ok1, e2, ok2)
+				}
+			case 5:
+				s.Reset()
+				ref.Reset()
+			case 6:
+				if err1, err2 := s.Merge(other), ref.Merge(otherRef); !errors.Is(err1, ErrNotMergeable) || !errors.Is(err2, ErrNotMergeable) {
+					t.Fatalf("Merge: %v, map path %v; want ErrNotMergeable", err1, err2)
+				}
+			case 7:
+				checkSlotTables(t, s)
+				assertStoresIdentical(t, s, ref)
+				blobs, _, err := s.MarshalStripes(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored, err := NewStore[string](spec, WithStripes(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range blobs {
+					if _, err := restored.RestoreStripe(b); err != nil {
+						t.Fatalf("RestoreStripe: %v", err)
+					}
+				}
+				s = restored
+			}
+		}
+		checkSlotTables(t, s)
+		assertStoresIdentical(t, s, ref)
+		assertStoresIdentical(t, ref, s)
+	})
 }
 
 // FuzzParseSpec drives the spec grammar with arbitrary strings. The

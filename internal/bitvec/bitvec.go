@@ -229,8 +229,8 @@ func (v *Vector) MarshalBinary() ([]byte, error) {
 func EncodedLen(n int) int { return 12 + 8*((n+63)/64) }
 
 // AppendWords appends the MarshalBinary encoding of the n-bit vector held
-// in words, for callers that keep bitmap words outside a Vector (a slab of
-// sketch records, each owning a few words of one shared array).
+// in words, for callers that keep bitmap words outside a Vector (a sketch
+// whose words sit in a keyed store's slot).
 func AppendWords(buf []byte, words []uint64, n int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))

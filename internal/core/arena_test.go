@@ -7,14 +7,14 @@ import (
 	"repro/internal/uhash"
 )
 
-// slab carves n sketches out of one record array and one word array, all
-// under one Shared — the layout a keyed store's per-stripe arena uses.
+// slab carves n sketches' runs out of one word array, all under one
+// Shared — the layout a keyed store's slot table uses.
 func slab(sh *Shared, n int) []*Sketch {
 	recs := make([]Sketch, n)
-	words := make([]uint64, n*sh.Words())
+	words := make([]uint64, n*sh.RunWords())
 	out := make([]*Sketch, n)
 	for i := range recs {
-		sh.Init(&recs[i], words[i*sh.Words():(i+1)*sh.Words()])
+		sh.Init(&recs[i], words[i*sh.RunWords():(i+1)*sh.RunWords()])
 		out[i] = &recs[i]
 	}
 	return out
@@ -76,6 +76,46 @@ func TestArenaSketchEquivalence(t *testing.T) {
 	}
 }
 
+// TestViewWritesThrough: views bound to one run one at a time act as one
+// sketch — each sees what the last wrote, with nothing copied back — and
+// match a NewSketch sketch fed the same items.
+func TestViewWritesThrough(t *testing.T) {
+	cfg, err := NewConfigNE(1e4, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShared(cfg, 5)
+	run := make([]uint64, sh.RunWords())
+	var a, b Sketch
+	sh.Init(&a, run)
+	ref := NewSketch(cfg, 5)
+	for i := uint64(0); i < 3000; i++ {
+		v := &a
+		if i%2 == 1 {
+			v = &b
+		}
+		sh.View(v, run)
+		if got, want := v.AddUint64(i%1700), ref.AddUint64(i%1700); got != want {
+			t.Fatalf("item %d: view changed=%v, reference changed=%v", i, got, want)
+		}
+	}
+	sh.View(&b, run)
+	if b.L() != ref.L() || b.Estimate() != ref.Estimate() {
+		t.Fatalf("view L=%d estimate %g, reference L=%d estimate %g", b.L(), b.Estimate(), ref.L(), ref.Estimate())
+	}
+	got, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("view's run does not marshal to the reference's bytes")
+	}
+}
+
 // TestArenaOptions: resolution and hash-family options must reach the
 // slabbed sketches exactly as they reach NewSketch.
 func TestArenaOptions(t *testing.T) {
@@ -95,11 +135,11 @@ func TestArenaOptions(t *testing.T) {
 	}
 }
 
-// TestArenaAllocAmortized: materializing a sketch in place allocates
-// nothing, so a slab allocator pays only for its slabs (the root package's
-// TestSBitmapArenaAllocAmortized checks that the Store's arena does), and
-// a slabbed sketch's footprint is its record plus its words, the Shared
-// being counted once by whoever holds it.
+// TestArenaAllocAmortized: materializing a sketch in place, or binding a
+// view to one, allocates nothing, so a slot table pays only for its slots
+// (the root package's TestSBitmapArenaAllocAmortized checks that the
+// Store's does), and an in-place sketch's footprint is its handle plus its
+// run, the Shared being counted once by whoever holds it.
 func TestArenaAllocAmortized(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
@@ -107,13 +147,18 @@ func TestArenaAllocAmortized(t *testing.T) {
 	}
 	sh := NewShared(cfg, 1)
 	var rec Sketch
-	words := make([]uint64, sh.Words())
-	if allocs := testing.AllocsPerRun(100, func() { sh.Init(&rec, words) }); allocs != 0 {
+	run := make([]uint64, sh.RunWords())
+	if allocs := testing.AllocsPerRun(100, func() { sh.Init(&rec, run) }); allocs != 0 {
 		t.Errorf("Shared.Init: %.2f allocs/op, want 0", allocs)
 	}
-	const record = 48 // shared pointer, words slice header, L, threshold
+	if allocs := testing.AllocsPerRun(100, func() { sh.View(&rec, run) }); allocs != 0 {
+		t.Errorf("Shared.View: %.2f allocs/op, want 0", allocs)
+	}
+	// Shared pointer and run slice header, then the run: L, threshold and
+	// the bitmap words.
+	const record = 48
 	if got, want := rec.Footprint(), record+8*sh.Words(); got != want {
-		t.Errorf("slabbed sketch footprint %d, want record + words = %d", got, want)
+		t.Errorf("in-place sketch footprint %d, want handle + run = %d", got, want)
 	}
 	own := NewSketch(cfg, 1)
 	if got, want := own.Footprint(), record+8*sh.Words()+sh.Footprint(); got != want {
@@ -139,7 +184,7 @@ func TestUnmarshalInto(t *testing.T) {
 	}
 	sh := NewShared(cfg, 3)
 	var rec Sketch
-	words := make([]uint64, sh.Words())
+	words := make([]uint64, sh.RunWords())
 	if err := sh.UnmarshalInto(&rec, words, blob); err != nil {
 		t.Fatalf("UnmarshalInto: %v", err)
 	}
@@ -160,7 +205,7 @@ func TestUnmarshalInto(t *testing.T) {
 	}
 	foreign := NewShared(other, 3)
 	var untouched Sketch
-	fw := make([]uint64, foreign.Words())
+	fw := make([]uint64, foreign.RunWords())
 	if err := foreign.UnmarshalInto(&untouched, fw, blob); err == nil {
 		t.Fatal("foreign parameters accepted")
 	}

@@ -19,41 +19,51 @@ import (
 // occupied bucket is skipped outright, so processing duplicates costs one
 // hash and one bit probe.
 //
-// A Sketch value is only the per-sketch record: the bitmap words, the fill
-// level and the threshold register. Everything that is the same for every
-// sketch under one configuration and hash lives in a Shared, which a slab
-// allocator holds once for millions of records (see Shared.Init).
+// A sketch's whole state is one run of words (see runL): the fill level,
+// the threshold register and the bitmap. A Sketch value is a handle on a
+// run under a Shared, which holds everything that is the same for every
+// sketch under one configuration and hash; a keyed store keeps millions of
+// runs in flat slots and binds a handle to one per access (Shared.View).
 //
 // Sketch is not safe for concurrent use; wrap it in a mutex or shard by
 // stream if needed (the experiments shard).
 type Sketch struct {
-	sh    *Shared
-	words []uint64 // the m-bit bitmap, 64 buckets per word
-	l     int      // number of ones, the paper's L
-
-	// cur is the 64-bit scaled acceptance threshold for the CURRENT fill
-	// level: an item is sampled at level L iff u < cur, where u is the
-	// 64-bit sampling word. With dBits < 64, the threshold is quantized to
-	// the top dBits bits, reproducing the paper's finite-resolution
-	// "u·2^−d < p" test (d = 30 in the paper's implementation sketch).
-	//
-	// Because L only ever moves forward one step at a time, this single
-	// register replaces the per-level threshold table: cur is advanced via
-	// the closed-form schedule on each 0→1 transition — at most m
-	// recomputations (one exp each) over the sketch's whole lifetime, so
-	// the auxiliary state stays O(1) and the hot path compares against a
-	// register instead of loading from an O(m) table.
-	cur uint64
+	sh  *Shared
+	run []uint64
 }
+
+// The layout of a sketch's run of words.
+//
+// run[runL] is the number of ones, the paper's L.
+//
+// run[runCur] is the 64-bit scaled acceptance threshold for the CURRENT
+// fill level: an item is sampled at level L iff u < cur, where u is the
+// 64-bit sampling word. With dBits < 64, the threshold is quantized to the
+// top dBits bits, reproducing the paper's finite-resolution "u·2^−d < p"
+// test (d = 30 in the paper's implementation sketch). Because L only ever
+// moves forward one step at a time, this single register replaces the
+// per-level threshold table: cur is advanced via the closed-form schedule
+// on each 0→1 transition — at most m recomputations (one exp each) over
+// the sketch's whole lifetime, so the auxiliary state stays O(1) and the
+// hot path compares against a register instead of loading from an O(m)
+// table.
+//
+// run[runBitmap:] is the m-bit bitmap, 64 buckets per word.
+const (
+	runL = iota
+	runCur
+	runBitmap
+)
 
 // Shared is the state every sketch under one configuration and hash
 // shares: the Config, the Hasher, the sampling resolution, and the batch
 // hash buffers of AddBatch64/AddBatchString. Hashers are read-only after
 // construction (asserted by the uhash tests); sharing one also shares its
-// seed state (32 KiB of tables for tabulation hashing). A keyed store
-// holds one Shared per lock stripe; NewSketch gives each sketch its own.
-// The batch buffers make a Shared as unsafe for concurrent use as its
-// sketches.
+// seed state (32 KiB of tables for tabulation hashing). NewSketch gives
+// each sketch its own. The batch buffers make a Shared as unsafe for
+// concurrent use as its sketches, unless — as a keyed store does, holding
+// one Shared for all its slots — every batch hashes through caller-owned
+// scratch (AddBatch64Scratch).
 type Shared struct {
 	cfg   *Config
 	h     uhash.Hasher
@@ -103,15 +113,31 @@ func NewShared(cfg *Config, seed uint64, opts ...Option) *Shared {
 // Words returns the number of bitmap words each sketch under sh holds.
 func (sh *Shared) Words() int { return (sh.cfg.m + 63) / 64 }
 
-// Init makes *s an empty sketch under sh over the first Words() words of
-// words, which must be zero; the sketch owns them afterwards. It allocates
-// nothing: a slab allocator materializes a sketch in place, one record
-// slot and one run of a word slab. The capacity is clipped so a sketch
-// never writes (or accounts, via Footprint) beyond its run.
-func (sh *Shared) Init(s *Sketch, words []uint64) {
-	n := sh.Words()
-	*s = Sketch{sh: sh, words: words[:n:n]}
-	s.cur = s.thresholdAt(0)
+// Config returns the configuration every sketch under sh shares.
+func (sh *Shared) Config() *Config { return sh.cfg }
+
+// RunWords returns the length of each sketch's run under sh: the fill
+// level, the threshold register and the bitmap words.
+func (sh *Shared) RunWords() int { return runBitmap + sh.Words() }
+
+// Init makes *s an empty sketch under sh over the first RunWords() words
+// of run, whose bitmap words must be zero. It allocates nothing: a keyed
+// store materializes a sketch in place, in one of its slots.
+func (sh *Shared) Init(s *Sketch, run []uint64) {
+	sh.View(s, run)
+	s.run[runL] = 0
+	s.run[runCur] = s.thresholdAt(0)
+}
+
+// View makes *s a handle on the sketch whose state is the first
+// RunWords() words of run, as Init, UnmarshalInto or an earlier handle
+// left them. Every read and write goes to run — there is no copy to write
+// back — so any number of views over one run, one at a time, act as one
+// sketch. The capacity is clipped so a sketch never writes (or accounts,
+// via Footprint) beyond its run.
+func (sh *Shared) View(s *Sketch, run []uint64) {
+	n := sh.RunWords()
+	*s = Sketch{sh: sh, run: run[:n:n]}
 }
 
 // Footprint returns the shared state's resident memory in bytes: the
@@ -128,7 +154,7 @@ func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
 	sh := NewShared(cfg, seed, opts...)
 	sh.own = true
 	s := new(Sketch)
-	sh.Init(s, make([]uint64, sh.Words()))
+	sh.Init(s, make([]uint64, sh.RunWords()))
 	return s
 }
 
@@ -228,9 +254,10 @@ func (s *Sketch) AddBatchStringScratch(scr *uhash.Scratch, items []string) int {
 func (s *Sketch) insertBatch(hi, lo []uint64) int {
 	lo = lo[:len(hi)] // one bounds proof for the whole chunk
 	mm := uint64(s.sh.cfg.m)
-	words := s.words
-	cur := s.cur
-	l := s.l
+	run := s.run
+	words := run[runBitmap:]
+	cur := run[runCur]
+	l := int(run[runL])
 	changed := 0
 	for i, h := range hi {
 		j, _ := bits.Mul64(h, mm)
@@ -246,8 +273,8 @@ func (s *Sketch) insertBatch(hi, lo []uint64) int {
 		changed++
 		cur = s.thresholdAt(l)
 	}
-	s.l = l
-	s.cur = cur
+	run[runL] = uint64(l)
+	run[runCur] = cur
 	return changed
 }
 
@@ -256,27 +283,29 @@ func (s *Sketch) insert(bucketWord, sampleWord uint64) bool {
 	// Multiply-shift bucket selection: j = ⌊bucketWord · m / 2^64⌋ is
 	// uniform on [0, m) and works for any m, not only powers of two.
 	j, _ := bits.Mul64(bucketWord, uint64(s.sh.cfg.m))
-	w, bit := &s.words[j>>6], uint64(1)<<(j&63)
+	run := s.run
+	w, bit := &run[runBitmap:][j>>6], uint64(1)<<(j&63)
 	if *w&bit != 0 {
 		return false // case 1 of Figure 1: occupied bucket, skip
 	}
-	if sampleWord >= s.cur {
+	if sampleWord >= run[runCur] {
 		// Not sampled at rate p_{L+1}. A full bitmap (L = m, which cannot
 		// happen before kMax in practice) parks the threshold at 0, so this
 		// branch also rejects everything once no bucket is left.
 		return false
 	}
 	*w |= bit
-	s.l++
-	s.cur = s.thresholdAt(s.l)
+	l := int(run[runL]) + 1
+	run[runL] = uint64(l)
+	run[runCur] = s.thresholdAt(l)
 	return true
 }
 
 // L returns the current number of 1-bits (the paper's L).
-func (s *Sketch) L() int { return s.l }
+func (s *Sketch) L() int { return int(s.run[runL]) }
 
 // B returns the truncated output B = min(L, k*) of Equation (8).
-func (s *Sketch) B() int { return min(s.l, s.sh.cfg.kMax) }
+func (s *Sketch) B() int { return min(s.L(), s.sh.cfg.kMax) }
 
 // Estimate returns the cardinality estimate n̂ = t_B (Equation 2),
 // evaluated in closed form: t_B = C/2·(r^{−B} − 1).
@@ -284,10 +313,10 @@ func (s *Sketch) Estimate() float64 { return s.sh.cfg.sched.estimate(s.B()) }
 
 // Saturated reports whether the sketch has reached its truncation point;
 // estimates at or beyond N are pinned to t_{k*} ≈ N.
-func (s *Sketch) Saturated() bool { return s.l >= s.sh.cfg.kMax }
+func (s *Sketch) Saturated() bool { return s.L() >= s.sh.cfg.kMax }
 
 // FillRatio returns L/m, the fraction of buckets set.
-func (s *Sketch) FillRatio() float64 { return float64(s.l) / float64(s.sh.cfg.m) }
+func (s *Sketch) FillRatio() float64 { return float64(s.L()) / float64(s.sh.cfg.m) }
 
 // SizeBits returns the summary-statistic memory footprint in bits, the
 // quantity compared across algorithms in Section 6.2 (hash seeds excluded,
@@ -295,14 +324,14 @@ func (s *Sketch) FillRatio() float64 { return float64(s.l) / float64(s.sh.cfg.m)
 func (s *Sketch) SizeBits() int { return s.sh.cfg.m }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// record and its bitmap words, plus — for a NewSketch sketch, which owns
+// handle and its run of words, plus — for a NewSketch sketch, which owns
 // its Shared — the Config, hasher handle and batch buffers. For Theorem-2
 // configs this is m/8 plus a small constant: the paper's Table 2
-// accounting holds of the process, not just the bitmap. A slab-allocated
-// sketch counts only its record and words; its allocator counts the Shared
-// once for all of them.
+// accounting holds of the process, not just the bitmap. A sketch under a
+// Shared it does not own counts only its handle and run; whoever holds the
+// Shared counts it once for all of them.
 func (s *Sketch) Footprint() int {
-	n := int(unsafe.Sizeof(*s)) + 8*cap(s.words)
+	n := int(unsafe.Sizeof(*s)) + 8*cap(s.run)
 	if s.sh.own {
 		n += s.sh.Footprint()
 	}
@@ -311,9 +340,9 @@ func (s *Sketch) Footprint() int {
 
 // Reset clears the sketch for reuse under the same configuration and hash.
 func (s *Sketch) Reset() {
-	clear(s.words)
-	s.l = 0
-	s.cur = s.thresholdAt(0)
+	clear(s.run[runBitmap:])
+	s.run[runL] = 0
+	s.run[runCur] = s.thresholdAt(0)
 }
 
 // sketchMagic guards serialized sketches against format drift.
@@ -340,10 +369,10 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(cfg.m))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.n))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.c))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.l))
+	buf = binary.LittleEndian.AppendUint64(buf, s.run[runL])
 	buf = append(buf, byte(s.sh.dBits))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(vlen))
-	return bitvec.AppendWords(buf, s.words, cfg.m), nil
+	return bitvec.AppendWords(buf, s.run[runBitmap:], cfg.m), nil
 }
 
 // sketchParams is a serialized sketch's header.
@@ -405,12 +434,13 @@ func UnmarshalSketch(data []byte, opts ...Option) (*Sketch, error) {
 	return s, nil
 }
 
-// UnmarshalInto restores MarshalBinary output into *s as Init(s, words)
-// followed by the recorded state — the slab counterpart of UnmarshalSketch,
-// building no Config and no hasher. Data serialized under other parameters
-// than sh's (m, N, C or resolution d) is an error that touches neither s
-// nor words; on any other error the contents of words are unspecified.
-func (sh *Shared) UnmarshalInto(s *Sketch, words []uint64, data []byte) error {
+// UnmarshalInto restores MarshalBinary output into *s as Init(s, run)
+// followed by the recorded state — the in-place counterpart of
+// UnmarshalSketch, building no Config and no hasher. Data serialized under
+// other parameters than sh's (m, N, C or resolution d) is an error that
+// touches neither s nor run; on any other error the contents of run are
+// unspecified.
+func (sh *Shared) UnmarshalInto(s *Sketch, run []uint64, data []byte) error {
 	p, body, err := parseSketch(data)
 	if err != nil {
 		return err
@@ -421,14 +451,14 @@ func (sh *Shared) UnmarshalInto(s *Sketch, words []uint64, data []byte) error {
 		return fmt.Errorf("core: sketch serialized under m=%d N=%g C=%g d=%d, not m=%d N=%g C=%g d=%d",
 			p.m, p.n, p.c, p.d, cfg.m, cfg.n, cfg.c, sh.dBits)
 	}
-	sh.Init(s, words)
+	sh.Init(s, run)
 	return s.decode(p, body)
 }
 
 // decode loads a parsed body into the freshly initialized s. The bitmap's
 // length must match m and its popcount the recorded L.
 func (s *Sketch) decode(p sketchParams, body []byte) error {
-	n, ones, err := bitvec.DecodeWords(s.words, body)
+	n, ones, err := bitvec.DecodeWords(s.run[runBitmap:], body)
 	if err != nil {
 		return err
 	}
@@ -438,6 +468,6 @@ func (s *Sketch) decode(p sketchParams, body []byte) error {
 	if ones != p.l {
 		return fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", ones, p.l)
 	}
-	s.l, s.cur = p.l, s.thresholdAt(p.l)
+	s.run[runL], s.run[runCur] = uint64(p.l), s.thresholdAt(p.l)
 	return nil
 }

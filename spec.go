@@ -471,8 +471,8 @@ func (s Spec) newSBitmap(opts []Option) (Counter, error) {
 }
 
 // sbitmapConfig resolves the Spec's S-bitmap dimensioning — the pure math
-// of newSBitmap, shared with the arena allocator so a keyed Store computes
-// the Config once instead of once per materialized key.
+// of newSBitmap, shared with the slot tables so a keyed Store computes the
+// Config once instead of once per materialized key.
 func (s Spec) sbitmapConfig() (*core.Config, error) {
 	given := 0
 	for _, set := range []bool{s.N > 0, s.Eps > 0, s.MemoryBits > 0} {

@@ -3,6 +3,8 @@ package sbitmap
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/uhash"
 )
 
@@ -31,9 +34,12 @@ import (
 //
 // Keys are strings or 64-bit integers (any type whose underlying type is
 // one of the two). Access is lock-striped: keys hash onto independently
-// locked stripes of a key→counter map, so ingestion scales across
-// goroutines, and the keyed batch methods route a whole batch with one
-// hash pass and take each touched stripe's lock once per batch.
+// locked stripes, so ingestion scales across goroutines, and the keyed
+// batch methods route a whole batch with one hash pass and take each
+// touched stripe's lock once per batch. An unbounded, unwindowed S-bitmap
+// store keeps each stripe's keys in a flat slot table, key and sketch in
+// one slot found by one index probe (see slotTable); every other store
+// keeps a key→counter map per stripe.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
 // plus the OnEvict hook; unbounded otherwise (one counter per distinct
@@ -83,19 +89,37 @@ type StoreKey interface {
 }
 
 // storeStripe is one lock-striped segment of the key space. Beyond the
-// lock and map it owns the stripe's cold-path slab allocator, one hash
-// scratch lent to every per-key sketch's batch path, and the free list of
+// lock and its keys — a slot table or a map — it owns one hash scratch
+// lent to every per-key sketch's batch path and the free list of
 // sub-window counters its keys' rings released (all guarded by mu), so
-// neither per-key state nor the ~4 KiB batch buffers are allocated per
-// key, and ring rotation reuses counters instead of allocating them.
+// the ~4 KiB batch buffers are not allocated per key, and ring rotation
+// reuses counters instead of allocating them.
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
-	m      map[K]Counter
-	arena  *sbitmapArena // nil for bounded or windowed stores and non-S-bitmap kinds
+	m      map[K]Counter // keys and counters; nil when tab holds them
+	tab    *slotTable[K] // unbounded, unwindowed S-bitmap stores; nil otherwise
 	scr    uhash.Scratch // shared batch-hash buffers, under mu
 	free   []Counter     // released sub-window counters, Reset, under mu
 	modGen uint64        // generation of the last mutation, under mu
 	_      [24]byte      // pad to reduce false sharing between adjacent locks
+}
+
+// len returns the stripe's live key count, the stripe locked.
+func (st *storeStripe[K]) len() int {
+	if st.tab != nil {
+		return st.tab.keys
+	}
+	return len(st.m)
+}
+
+// all iterates the stripe's live keys and counters, the stripe locked. A
+// slot table's counter is a view valid until the next step; a string key
+// stays valid for good.
+func (st *storeStripe[K]) all() iter.Seq2[K, Counter] {
+	if st.tab != nil {
+		return st.tab.all()
+	}
+	return maps.All(st.m)
 }
 
 // StoreOption configures a Store at construction.
@@ -210,19 +234,23 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		win := s.win
 		s.newCounter = func() Counter { return newWindowRing(win) }
 	}
-	// Bounded stores skip the arena: its slots are never reclaimed one
-	// by one, so evicted counters would leak them. Windowed stores skip it
-	// too: their unit of allocation is the ring, not a single fixed-size
-	// sketch (sub-window counters are allocated lazily per slot and
-	// recycled through the stripe's free list).
-	arenas := s.limit == 0 && s.win == nil
+	// Slot tables serve unbounded, unwindowed S-bitmap stores. Bounded
+	// stores keep maps, whose eviction needs no slot bookkeeping; windowed
+	// stores too, because their unit of allocation is the ring, not a
+	// single fixed-size sketch (sub-window counters are allocated lazily
+	// per slot and recycled through the stripe's free list).
+	var sh *core.Shared
+	if s.limit == 0 && s.win == nil {
+		// The shared state uses Spec.New's dimensioning and options,
+		// already proven constructible above, so it cannot fail here;
+		// kinds without slot tables get nil.
+		sh, _ = spec.slotShared()
+	}
 	for i := range s.stripes {
-		s.stripes[i].m = make(map[K]Counter)
-		if arenas {
-			// The arena shares Spec.New's dimensioning and options, already
-			// proven constructible above, so it cannot fail here; kinds
-			// without an arena get nil.
-			s.stripes[i].arena, _ = spec.newArena()
+		if sh != nil {
+			s.stripes[i].tab = newSlotTable[K](sh, s.isStr)
+		} else {
+			s.stripes[i].m = make(map[K]Counter)
 		}
 	}
 	return s, nil
@@ -284,22 +312,25 @@ func (s *Store[K]) touchLocked(st *storeStripe[K]) { st.modGen = s.gen.Load() }
 
 // counterLocked returns key's counter, materializing (and, at the key
 // limit, evicting) under the stripe lock the caller holds. A string key
-// is cloned on materialization: the map must own its key storage, because
-// zero-copy ingest paths (the wire listener) pass keys aliasing reusable
-// frame buffers. Lookups of already-live keys never clone.
+// is copied on materialization — into the slot table's key log, or cloned
+// for the map: the store must own its key storage, because zero-copy
+// ingest paths (the wire listener) pass keys aliasing reusable frame
+// buffers. Lookups of already-live keys never copy.
 func (s *Store[K]) counterLocked(st *storeStripe[K], key K) Counter {
+	if st.tab != nil {
+		c, added := st.tab.counter(key)
+		if added {
+			s.keys.Add(1)
+		}
+		return c
+	}
 	if c, ok := st.m[key]; ok {
 		return c
 	}
 	if s.limit > 0 && int(s.keys.Load()) >= s.limit {
 		s.evictOneLocked(st, key)
 	}
-	var c Counter
-	if st.arena != nil {
-		c = st.arena.next()
-	} else {
-		c = s.newCounter()
-	}
+	c := s.newCounter()
 	if s.isStr {
 		key = keyFromString[K](strings.Clone(keyString(key)))
 	}
@@ -858,12 +889,22 @@ func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, sc *storeScratch[
 func (s *Store[K]) Estimate(key K) (estimate float64, ok bool) {
 	st := s.stripeFor(key)
 	st.mu.Lock()
-	c, ok := st.m[key]
+	c, ok := s.lookupLocked(st, key)
 	if ok {
 		estimate = estimateWith(c, &st.free)
 	}
 	st.mu.Unlock()
 	return estimate, ok
+}
+
+// lookupLocked returns key's counter without materializing it; ok is
+// false if the key is not live. Stripe lock held.
+func (s *Store[K]) lookupLocked(st *storeStripe[K], key K) (c Counter, ok bool) {
+	if st.tab != nil {
+		return st.tab.lookup(key)
+	}
+	c, ok = st.m[key]
+	return c, ok
 }
 
 // EstimateBatch answers Estimate for a whole batch of keys in one routed
@@ -892,7 +933,7 @@ func (s *Store[K]) EstimateBatch(keys []K, out []float64, ok []bool) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for _, rec := range sc.recs[offs[i]-n : offs[i]] {
-			c, hit := st.m[rec.key]
+			c, hit := s.lookupLocked(st, rec.key)
 			ok[rec.pos] = hit
 			if hit {
 				out[rec.pos] = estimateWith(c, &st.free)
@@ -1017,9 +1058,13 @@ func (s *Store[K]) Len() int { return int(s.keys.Load()) }
 func (s *Store[K]) Remove(key K) bool {
 	st := s.stripeFor(key)
 	st.mu.Lock()
-	_, ok := st.m[key]
-	if ok {
+	var ok bool
+	if st.tab != nil {
+		ok = st.tab.remove(key)
+	} else if _, ok = st.m[key]; ok {
 		delete(st.m, key)
+	}
+	if ok {
 		s.touchLocked(st)
 		s.keys.Add(-1)
 	}
@@ -1028,15 +1073,17 @@ func (s *Store[K]) Remove(key K) bool {
 }
 
 // ForEach calls fn for every live key until fn returns false. Stripes are
-// visited in order, keys within a stripe in map order (unspecified). fn
-// runs with the key's stripe locked: read the counter, do not mutate it,
-// and do not call Store methods (self-deadlock). Keys materialized or
-// evicted concurrently in not-yet-visited stripes may or may not be seen.
+// visited in order, keys within a stripe in an unspecified order. fn runs
+// with the key's stripe locked: read the counter, do not mutate it, and
+// do not call Store methods (self-deadlock). The counter is valid only
+// during fn — a slot table hands out one view, rebound key by key — while
+// the key stays valid after it. Keys materialized or evicted concurrently
+// in not-yet-visited stripes may or may not be seen.
 func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for k, c := range st.m {
+		for k, c := range st.all() {
 			if !fn(k, c) {
 				st.mu.Unlock()
 				return
@@ -1055,8 +1102,9 @@ func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
 // the generation advances before the scan, so a mutation racing the scan
 // stamps >= cut and is seen by the next pass even if this one missed it.
 // fn runs under the stripe lock with ForEach's contract: read the
-// counter, do not mutate it, do not call Store methods (self-deadlock).
-// fn returning false stops the scan early; the returned cut is still
+// counter, do not mutate it, do not call Store methods (self-deadlock);
+// the counter is valid only during fn, the key after it too. fn
+// returning false stops the scan early; the returned cut is still
 // valid (skipped stripes keep their stamps and stay dirty). Multiple
 // scanners with independent since values coexist with each other and
 // with checkpointing — each consumer only ever compares stamps against
@@ -1070,7 +1118,7 @@ func (s *Store[K]) ForEachDirty(since uint64, fn func(key K, c Counter) bool) (c
 			st.mu.Unlock()
 			continue
 		}
-		for k, c := range st.m {
+		for k, c := range st.all() {
 			if !fn(k, c) {
 				st.mu.Unlock()
 				return cut
@@ -1121,7 +1169,7 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 	for si := range s.stripes {
 		st := &s.stripes[si]
 		st.mu.Lock()
-		for key, c := range st.m {
+		for key, c := range st.all() {
 			e := KeyEstimate[K]{Key: key, Estimate: estimateWith(c, &st.free)}
 			if len(heap) < k {
 				heap = append(heap, e)
@@ -1146,8 +1194,12 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 
 // SizeBits returns the summed summary memory of every live counter (the
 // paper's accounting). Safe for concurrent use; a consistent total only
-// at a quiescent point.
+// at a quiescent point. A slot store, whose every key holds m bits,
+// answers from its key count.
 func (s *Store[K]) SizeBits() int {
+	if t := s.stripes[0].tab; t != nil {
+		return s.Len() * t.sh.Config().M()
+	}
 	total := 0
 	s.ForEach(func(_ K, c Counter) bool {
 		total += c.SizeBits()
@@ -1162,17 +1214,23 @@ func (s *Store[K]) SizeBits() int {
 const storeEntryOverhead = 48
 
 // Footprint returns the store's resident process memory in bytes: the
-// stripe array, the maps' per-entry overhead (approximate — Go maps do
-// not expose their exact layout), key storage (string bytes for string
-// keys), every counter's own footprint, the sub-window counters on the
-// stripes' free lists, once per stripe the state its slab-allocated
-// counters share, and once the state the Store's HyperLogLogs share. Safe
-// for concurrent use; one stripe is locked at a time.
+// stripe array, each stripe's batch scratch, and its keys. A slot table
+// is exact arithmetic over its capacities — index, slot chunks, key log —
+// with the state its sketches share counted once, so a slot store answers
+// without walking its keys. A map stripe counts its maps' per-entry
+// overhead (approximate — Go maps do not expose their exact layout), key
+// storage (string bytes for string keys), every counter's own footprint
+// and the sub-window counters on its free list; the state the Store's
+// HyperLogLogs share is counted once. Safe for concurrent use; one stripe
+// is locked at a time.
 func (s *Store[K]) Footprint() int {
 	var zero K
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
 	if s.hll != nil {
 		total += s.hll.sh.Footprint()
+	}
+	if t := s.stripes[0].tab; t != nil {
+		total += t.sh.Footprint()
 	}
 	isStr := s.isStr
 	for i := range s.stripes {
@@ -1182,8 +1240,8 @@ func (s *Store[K]) Footprint() int {
 		for _, c := range st.free {
 			total += c.Footprint()
 		}
-		if st.arena != nil {
-			total += st.arena.footprint()
+		if st.tab != nil {
+			total += st.tab.footprint()
 		}
 		total += len(st.m) * (int(unsafe.Sizeof(zero)) + storeEntryOverhead)
 		for k, c := range st.m {
@@ -1204,8 +1262,12 @@ func (s *Store[K]) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		s.keys.Add(-int64(len(st.m)))
-		st.m = make(map[K]Counter)
+		s.keys.Add(-int64(st.len()))
+		if st.tab != nil {
+			st.tab.reset()
+		} else {
+			st.m = make(map[K]Counter)
+		}
 		st.free = nil
 		s.touchLocked(st)
 		st.mu.Unlock()
@@ -1244,6 +1306,8 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 			s.advanceWatermark(owm)
 		}
 	}
+	// Slot tables hold S-bitmaps only, which the check above refuses, so
+	// only map stripes get here.
 	for i := range other.stripes {
 		ot := &other.stripes[i]
 		ot.mu.Lock()
@@ -1410,15 +1474,13 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 			return nil, err
 		}
 		payload = rest
-		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
-		c, err := s.decodeCounter(st.arena, key, blob, specOpts)
+		dup, err := s.restoreEntry(key, blob, specOpts)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := st.m[key]; dup {
+		if dup {
 			return nil, fmt.Errorf("sbitmap: store snapshot repeats key %v", key)
 		}
-		st.m[key] = c
 		s.keys.Add(1)
 	}
 	if len(payload) != 0 {
@@ -1480,21 +1542,39 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 	return key, payload[:blen], payload[blen:], nil
 }
 
-// decodeCounter restores key's counter from its snapshot blob. With a
-// non-nil arena — key's stripe's, the stripe locked or not yet shared —
-// the counter lands straight in it, and an hll store decodes its counters
-// under its shared state, so a restored store is laid out as one built by
-// ingest; to either, a blob of another kind or other parameters is a
-// corrupt snapshot. On a windowed store the blob is a sub-window ring
-// whose sub-windows decode the same way, and the store's watermark
-// advances to the ring's newest sub-window so restores re-derive the time
-// position from snapshot contents.
-func (s *Store[K]) decodeCounter(arena *sbitmapArena, key K, blob []byte, specOpts []Option) (Counter, error) {
+// restoreEntry adds key with the counter its snapshot blob holds and
+// reports a key already present as dup. A slot table decodes the blob
+// straight into a new slot under the stripe lock; a map stripe's counter
+// is decoded before the lock is taken.
+func (s *Store[K]) restoreEntry(key K, blob []byte, specOpts []Option) (dup bool, err error) {
+	st := s.stripeFor(key)
+	var c Counter
+	if st.tab == nil {
+		if c, err = s.decodeCounter(key, blob, specOpts); err != nil {
+			return false, err
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.tab != nil {
+		return st.tab.restore(key, blob)
+	}
+	if _, dup = st.m[key]; !dup {
+		st.m[key] = c
+	}
+	return dup, nil
+}
+
+// decodeCounter restores key's map-stripe counter from its snapshot blob.
+// An hll store decodes its counters under its shared state, so a restored
+// store is laid out as one built by ingest; to it, a blob of another kind
+// or other parameters is a corrupt snapshot. On a windowed store the blob
+// is a sub-window ring whose sub-windows decode the same way, and the
+// store's watermark advances to the ring's newest sub-window so restores
+// re-derive the time position from snapshot contents.
+func (s *Store[K]) decodeCounter(key K, blob []byte, specOpts []Option) (Counter, error) {
 	decode := func(b []byte) (Counter, error) {
-		switch {
-		case arena != nil:
-			return arena.restore(b)
-		case s.hll != nil:
+		if s.hll != nil {
 			return s.hll.restore(b)
 		}
 		return Unmarshal(b, specOpts...)
@@ -1598,11 +1678,11 @@ func (s *Store[K]) MarshalStripes(since uint64) (blobs map[int][]byte, cut uint6
 			st.mu.Unlock()
 			continue
 		}
-		payload := make([]byte, 0, stripeSnapHeader+48*len(st.m))
+		payload := make([]byte, 0, stripeSnapHeader+48*st.len())
 		payload = append(payload, stripeSnapMagic...)
 		payload = append(payload, stripeSnapVersion, storeKeyCode[K]())
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(st.m)))
-		for k, c := range st.m {
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(st.len()))
+		for k, c := range st.all() {
 			payload, err = s.appendStoreEntry(payload, k, c)
 			if err != nil {
 				st.mu.Unlock()
@@ -1650,28 +1730,13 @@ func (s *Store[K]) RestoreStripe(blob []byte) (int, error) {
 			return int(i), err
 		}
 		payload = rest
-		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
-		// A heap counter decodes before the stripe is locked; an arena
-		// hands out its slots only under the lock.
-		var c Counter
-		if st.arena == nil {
-			if c, err = s.decodeCounter(nil, key, cblob, specOpts); err != nil {
-				return int(i), err
-			}
+		dup, err := s.restoreEntry(key, cblob, specOpts)
+		if err != nil {
+			return int(i), err
 		}
-		st.mu.Lock()
-		if st.arena != nil {
-			if c, err = s.decodeCounter(st.arena, key, cblob, specOpts); err != nil {
-				st.mu.Unlock()
-				return int(i), err
-			}
-		}
-		if _, dup := st.m[key]; dup {
-			st.mu.Unlock()
+		if dup {
 			return int(i), fmt.Errorf("sbitmap: stripe snapshot repeats key %v", key)
 		}
-		st.m[key] = c
-		st.mu.Unlock()
 		if n := s.keys.Add(1); s.limit > 0 && n > int64(s.limit) {
 			return int(i) + 1, fmt.Errorf("sbitmap: stripe restore exceeds the WithMaxKeys limit %d", s.limit)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 	"time"
@@ -12,22 +13,23 @@ import (
 	"repro/internal/xrand"
 )
 
-// dropArenas removes a new store's stripe arenas, so every key's counter
-// comes from newCounter on the heap: the path bounded and windowed stores
-// take.
-func dropArenas[K StoreKey](s *Store[K]) {
+// forceMapPath moves a new, empty store onto the map path, so every key's
+// counter comes from newCounter on the heap and sits in a stripe map: the
+// path bounded and windowed stores take, and the reference the slot
+// tables are checked against.
+func forceMapPath[K StoreKey](s *Store[K]) {
 	for i := range s.stripes {
-		s.stripes[i].arena = nil
+		s.stripes[i].tab = nil
+		s.stripes[i].m = make(map[K]Counter)
 	}
 }
 
-// TestStoreSlabEquivalence is the slab allocator's safety rail: the same
-// records through a slab-allocated store and a heap-allocated one
-// (dropArenas) must marshal to identical bytes — arena-materialized
-// counters and stripe-shared scratch change where state lives, never what
-// it is. The workload mixes scattered singleton runs (arena path) with
-// long same-key runs (borrowed-scratch batch path) and crosses several
-// slab chunk growths.
+// TestStoreSlabEquivalence is the slot table's safety rail: the same
+// records through a slot store and a map-path one (forceMapPath) must
+// marshal to identical bytes — sketches kept in slots and stripe-shared
+// scratch change where state lives, never what it is. The workload mixes
+// scattered singleton runs with long same-key runs (borrowed-scratch
+// batch path) and crosses several chunk and index growths.
 func TestStoreSlabEquivalence(t *testing.T) {
 	keys, items := keyedWorkload(1500, 20000, 11)
 	// Append a few long single-key runs so runs ≥ storeRunBatchMin take
@@ -56,7 +58,7 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dropArenas(plain)
+		forceMapPath(plain)
 		for i := 0; i < len(keys); i += 777 { // uneven batch sizes
 			end := min(i+777, len(keys))
 			slab.AddBatch64(keys[i:end], items[i:end])
@@ -76,16 +78,16 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dropArenas(plain)
+		forceMapPath(plain)
 		slab.AddBatchString(strKeys, strItems)
 		plain.AddBatchString(strKeys, strItems)
 		assertStoresIdentical(t, slab, plain)
 	})
 }
 
-// TestStoreSlabEvictionDisablesArena: WithMaxKeys eviction may drop
-// counters at any time, and arena slots are never reclaimed — so a
-// bounded store must fall back to heap materialization while keeping the
+// TestStoreSlabEvictionDisablesArena: WithMaxKeys eviction drops
+// counters from any stripe at any time, which the map path handles — so a
+// bounded store keeps maps instead of slot tables, while keeping the
 // shared-scratch half of the optimization. Observable contract: the
 // bound holds and counting stays correct.
 func TestStoreSlabEvictionDisablesArena(t *testing.T) {
@@ -94,8 +96,8 @@ func TestStoreSlabEvictionDisablesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s.stripes {
-		if s.stripes[i].arena != nil {
-			t.Fatalf("stripe %d has an arena despite WithMaxKeys eviction", i)
+		if s.stripes[i].tab != nil {
+			t.Fatalf("stripe %d has a slot table despite WithMaxKeys eviction", i)
 		}
 	}
 	keys, items := keyedWorkload(500, 8000, 5)
@@ -107,8 +109,9 @@ func TestStoreSlabEvictionDisablesArena(t *testing.T) {
 
 // TestStoreClonesMaterializedStringKeys: zero-copy ingest paths hand the
 // store keys aliasing a reusable frame buffer; the store must not retain
-// that memory. Mutating the caller's backing bytes after ingest must not
-// corrupt the stored keys.
+// that memory, on the slot path (slab=true: keys copied into the key log)
+// or the map path. Mutating the caller's backing bytes after ingest must
+// not corrupt the stored keys.
 func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 	for _, slab := range []bool{true, false} {
 		t.Run(fmt.Sprintf("slab=%v", slab), func(t *testing.T) {
@@ -117,7 +120,7 @@ func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slab {
-				dropArenas(s)
+				forceMapPath(s)
 			}
 			buf := []byte("flow-a")
 			alias := unsafe.String(&buf[0], len(buf)) // what a zero-copy decoder produces
@@ -140,38 +143,42 @@ func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 	}
 }
 
-// TestSBitmapArenaEquivalence: counters an arena hands out across its 4,
-// 8, 16 and 32 chunk growths are bit-identical to Spec.New's under
-// interleaved ingest — no cross-talk through the shared word slab or the
-// Shared's batch buffers.
+// TestSBitmapArenaEquivalence: sketches a slot table holds across its
+// chunk doublings (4, 8, 16, 32 slots) and index growths are
+// bit-identical to Spec.New's under interleaved ingest, per item and
+// through the borrowed-scratch batch path — no cross-talk between
+// neighboring slots or through the state they share.
 func TestSBitmapArenaEquivalence(t *testing.T) {
 	spec := MustSpec("sbitmap:n=1e4,eps=0.1,seed=5")
-	a, err := spec.newArena()
+	s, err := NewStore[uint64](spec, WithStripes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
-	slabbed, heaped := make([]Counter, n), make([]Counter, n)
-	for i := range slabbed {
-		slabbed[i] = a.next()
+	heaped := make([]Counter, n)
+	for i := range heaped {
 		if heaped[i], err = spec.New(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for round := 0; round < 300; round++ {
-		for i := range slabbed {
+		for i := range heaped {
 			item := uint64(round*31+i*7) % 900 // duplicates included
-			if x, y := slabbed[i].AddUint64(item), heaped[i].AddUint64(item); x != y {
-				t.Fatalf("counter %d round %d: arena changed=%v heap changed=%v", i, round, x, y)
+			if x, y := s.AddUint64(uint64(i), item), heaped[i].AddUint64(item); x != y {
+				t.Fatalf("counter %d round %d: slot changed=%v heap changed=%v", i, round, x, y)
 			}
 		}
 	}
-	for i := range slabbed {
-		batch := []uint64{1, 2, 3, uint64(i), uint64(i), 1 << 40}
-		if x, y := slabbed[i].(BulkAdder).AddBatch64(batch), heaped[i].(BulkAdder).AddBatch64(batch); x != y {
-			t.Fatalf("counter %d: batch changed %d (arena) vs %d (heap)", i, x, y)
+	for i := range heaped {
+		keys := make([]uint64, 2*storeRunBatchMin)
+		batch := make([]uint64, len(keys))
+		for j := range keys {
+			keys[j], batch[j] = uint64(i), uint64(j*i)^1<<40
 		}
-		sb, err := Marshal(slabbed[i])
+		if x, y := s.AddBatch64(keys, batch), heaped[i].(BulkAdder).AddBatch64(batch); x != y {
+			t.Fatalf("counter %d: batch changed %d (slot) vs %d (heap)", i, x, y)
+		}
+		sb, err := storeBlob(s, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,26 +192,29 @@ func TestSBitmapArenaEquivalence(t *testing.T) {
 	}
 }
 
-// TestSBitmapArenaAllocAmortized: once an arena's chunks reach full size,
-// materializing counters costs only each chunk's two slabs, records and
-// words, per arenaChunkMax counters — no heap object per counter.
+// TestSBitmapArenaAllocAmortized: materializing keys in a slot table
+// allocates per chunk, never per key — a full chunk of new keys costs the
+// chunk's doublings from slotChunkMin to slotChunk slots, plus at most one
+// index doubling and one growth of the chunk list.
 func TestSBitmapArenaAllocAmortized(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
-	a, err := MustSpec("sbitmap:n=1e4,eps=0.1").newArena()
+	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a.chunk < arenaChunkMax {
-		a.next()
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		for range arenaChunkMax {
-			a.next()
+	next := uint64(0)
+	addChunk := func() {
+		for range slotChunk {
+			s.AddUint64(next, next)
+			next++
 		}
-	}); allocs > 2 {
-		t.Errorf("%.1f allocs per %d counters, want ≤ 2 (one record slab, one word slab)", allocs, arenaChunkMax)
+	}
+	addChunk()
+	want := bits.Len(slotChunk/slotChunkMin) + 2
+	if allocs := testing.AllocsPerRun(20, addChunk); allocs > float64(want) {
+		t.Errorf("%.1f allocs per %d new keys, want ≤ %d (chunk doublings, index, chunk list)", allocs, slotChunk, want)
 	}
 }
 
@@ -349,17 +359,47 @@ func windowedHeapStore(t *testing.T) (*Store[string], float64) {
 	return st, heap / float64(st.Len())
 }
 
-// TestStoreHeapPerKey is the heap rail: a slab-allocated S-bitmap key
-// costs its record, its bitmap words, and its map entry and key — not a
-// chain of per-key objects.
+// TestStoreHeapPerKey is the heap rail: an S-bitmap key costs its slot
+// (tag, key reference, inline key bytes, fill level, threshold and bitmap
+// words), its share of the stripe's index and its bytes in the key log —
+// not a chain of per-key objects.
 func TestStoreHeapPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
 	_, heap := heapStore(t)
 	t.Logf("cold-built store: %.1f B/key of live heap", heap)
-	if heap > 220 {
-		t.Errorf("cold-built store holds %.1f B/key of live heap, want ≤ 220", heap)
+	if heap > 119 {
+		t.Errorf("cold-built store holds %.1f B/key of live heap, want ≤ 119", heap)
+	}
+}
+
+// TestStoreFootprintMatchesLiveHeap: Footprint, the store's own
+// arithmetic over its capacities, is what the heap rail measures — within
+// 5% per key — so the bytes-per-key figure a server reports is the memory
+// its keys hold. After Reset the heap keeps no more of the store than the
+// empty store's Footprint (plus 64 KiB of slack): the keys' memory goes
+// back, none of it pinned by a counter view still bound to a slot.
+func TestStoreFootprintMatchesLiveHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	st, heap := heapStore(t)
+	fp := float64(st.Footprint()) / float64(st.Len())
+	t.Logf("Footprint %.1f B/key, live heap %.1f B/key", fp, heap)
+	if fp < 0.95*heap || fp > 1.05*heap {
+		t.Errorf("Footprint reports %.1f B/key, live heap %.1f B/key: more than 5%% apart", fp, heap)
+	}
+	var reset *Store[string]
+	kept := heapBytes(func() any {
+		reset, _ = heapStore(t)
+		reset.Reset()
+		return reset
+	})
+	empty := float64(reset.Footprint())
+	t.Logf("after Reset: %.0f B of live heap, Footprint %.0f B", kept, empty)
+	if kept > empty+64<<10 {
+		t.Errorf("after Reset the store still holds %.0f B of live heap, its Footprint %.0f B", kept, empty)
 	}
 }
 
@@ -379,12 +419,12 @@ func TestWindowedStoreHeapPerKey(t *testing.T) {
 }
 
 // TestStoreRestoreIntoArena: restoring a snapshot decodes every S-bitmap
-// into the stripe arenas, so the restored store is byte-identical to the
-// original (every counter marshals to the same bytes) and no bigger in
-// memory than its cold-built twin — through the
-// whole-store snapshot and the per-stripe checkpoint alike. (Whole-store
-// snapshots are compared key by key: map order makes their byte order
-// vary from one MarshalBinary to the next.)
+// straight into a slot of the stripe's table, so the restored store is
+// identical to the original key by key (every counter marshals to the same
+// bytes) and no bigger in memory than its cold-built twin — through the
+// whole-store snapshot and the per-stripe checkpoint alike. (Snapshots
+// are compared key by key, not byte by byte: a restored table lays its
+// slots out in snapshot order, not ingest order.)
 func TestStoreRestoreIntoArena(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
@@ -498,40 +538,41 @@ func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
 	}
 }
 
-// TestStoreSBitmapFootprintExact: an arena-built S-bitmap accounts
-// exactly its slab record plus its bitmap words, and the state its arena
-// shares (Config, hasher handle) is counted once per stripe, however many
-// keys the stripe holds.
+// TestStoreSBitmapFootprintExact: a slot store accounts exactly its
+// tables' capacities. An empty store is its header, its stripes, one table
+// per stripe and the state every slot shares, counted once; a full chunk
+// of uint64 keys adds exactly the chunk — 72 B per key: tag, key, fill
+// level, threshold and five bitmap words — the index it grew to and the
+// chunk list.
 func TestStoreSBitmapFootprintExact(t *testing.T) {
-	const stripes, nKeys = 4, 100
-	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(stripes))
+	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int(unsafe.Sizeof(*s)) + stripes*int(unsafe.Sizeof(storeStripe[uint64]{}))
-	for i := range s.stripes {
-		want += s.stripes[i].arena.footprint()
-	}
+	tab := s.stripes[0].tab
+	want := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[uint64]{})) +
+		int(unsafe.Sizeof(*tab)) + tab.sh.Footprint()
 	empty := s.Footprint()
 	if empty != want {
-		t.Fatalf("empty store footprint %d, want header + stripes + one shared state per stripe = %d", empty, want)
+		t.Fatalf("empty store footprint %d, want header + stripe + table + shared state = %d", empty, want)
 	}
-	for i := 0; i < nKeys; i++ {
+	for i := 0; i < slotChunk; i++ {
 		s.AddUint64(uint64(i), uint64(i)) // single adds: no stripe scratch
 	}
 	one, err := s.Spec().New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	record, words := int(unsafe.Sizeof(SBitmap{})), (one.SizeBits()+63)/64
-	s.ForEach(func(k uint64, c Counter) bool {
-		if got := c.Footprint(); got != record+8*words {
-			t.Fatalf("key %d: footprint %d, want record %d + 8·%d words = %d", k, got, record, words, record+8*words)
-		}
-		return true
-	})
-	perKey := record + 8*words + int(unsafe.Sizeof(uint64(0))) + storeEntryOverhead
-	if got := s.Footprint(); got != empty+nKeys*perKey {
-		t.Errorf("footprint %d after %d keys, want %d + %d·%d", got, nKeys, empty, nKeys, perKey)
+	slot := 8 * (4 + (one.SizeBits()+63)/64)
+	if slot != 72 {
+		t.Fatalf("slot of %d B, want 72", slot)
+	}
+	index := 4 * 2048 // 1,024 keys at load ≤ 3/4
+	chunkList := int(unsafe.Sizeof([]uint64(nil)))
+	if got := s.Footprint(); got != empty+slotChunk*slot+index+chunkList {
+		t.Errorf("footprint %d after %d keys, want %d + %d·%d + %d + %d", got, slotChunk, empty, slotChunk, slot, index, chunkList)
+	}
+	if got, want := s.SizeBits(), slotChunk*one.SizeBits(); got != want {
+		t.Errorf("SizeBits %d, want %d", got, want)
 	}
 }

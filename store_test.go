@@ -130,8 +130,7 @@ func assertStoresIdentical[K StoreKey](t *testing.T, a, b *Store[K]) {
 		if !ok {
 			t.Fatalf("key %v missing from second store", key)
 		}
-		st := &b.stripes[b.stripeIndex(b.hashKey(key))]
-		blobB, err := Marshal(st.m[key])
+		blobB, err := storeBlob(b, key)
 		if err != nil {
 			t.Fatalf("key %v: %v", key, err)
 		}
@@ -143,6 +142,19 @@ func assertStoresIdentical[K StoreKey](t *testing.T, a, b *Store[K]) {
 		}
 		return true
 	})
+}
+
+// storeBlob marshals key's counter in s, under its stripe lock: a slot
+// table's counter is a view valid only while the lock is held.
+func storeBlob[K StoreKey](s *Store[K], key K) ([]byte, error) {
+	st := s.stripeFor(key)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c, ok := s.lookupLocked(st, key)
+	if !ok {
+		return nil, fmt.Errorf("key %v not live", key)
+	}
+	return Marshal(c)
 }
 
 func TestStoreEstimateAccuracy(t *testing.T) {
