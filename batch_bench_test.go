@@ -37,19 +37,23 @@ func fillBatch(buf []uint64, next uint64) uint64 {
 	return next
 }
 
-func BenchmarkBatchAddSBitmap(b *testing.B) {
+// benchAdd64 runs the peritem and batch sub-benchmarks of uint64 ingest,
+// each into a fresh counter from mk: consecutive ids one at a time, or
+// batchBenchLen at a time through AddBatch64.
+func benchAdd64(b *testing.B, mk func(*testing.B) Counter) {
 	b.Run("peritem", func(b *testing.B) {
-		c := benchSBitmap(b)
+		c := mk(b)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.AddUint64(uint64(i))
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
-		c := benchSBitmap(b)
+		c := mk(b)
 		buf := make([]uint64, batchBenchLen)
 		var next uint64
-		c.(BulkAdder).AddBatch64(buf) // warm scratch buffers
+		AddBatch64(c, buf) // warm scratch buffers
 		b.ReportAllocs()
 		b.ResetTimer()
 		for rem := b.N; rem > 0; {
@@ -60,6 +64,36 @@ func BenchmarkBatchAddSBitmap(b *testing.B) {
 		}
 	})
 }
+
+// benchAddString is benchAdd64 for string items: 2^16 flow-like keys,
+// cycled, one at a time or through AddBatchString.
+func benchAddString(b *testing.B, mk func(*testing.B) Counter) {
+	keys := make([]string, 1<<16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("flow-%x-key-%08x", i%26, i)
+	}
+	b.Run("peritem", func(b *testing.B) {
+		c := mk(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.AddString(keys[i&(len(keys)-1)])
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		c := mk(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for rem := b.N; rem > 0; {
+			at := (b.N - rem) & (len(keys) - 1)
+			n := min(rem, batchBenchLen, len(keys)-at)
+			AddBatchString(c, keys[at:at+n])
+			rem -= n
+		}
+	})
+}
+
+func BenchmarkBatchAddSBitmap(b *testing.B) { benchAdd64(b, benchSBitmap) }
 
 // BenchmarkBatchAddSBitmapLarge is the same comparison at production
 // scale (N = 10^9, ≈1 MiB of bitmap — the "millions of users"
@@ -68,59 +102,35 @@ func BenchmarkBatchAddSBitmap(b *testing.B) {
 // the per-item path serializes each miss behind the next item's hash and
 // dispatch.
 func BenchmarkBatchAddSBitmapLarge(b *testing.B) {
-	mkLarge := func() Counter {
+	benchAdd64(b, func(b *testing.B) Counter {
 		sk, err := NewWithMemory(1<<23, 1e9)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return sk
-	}
-	b.Run("peritem", func(b *testing.B) {
-		c := mkLarge()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.AddUint64(uint64(i))
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		c := mkLarge()
-		buf := make([]uint64, batchBenchLen)
-		var next uint64
-		c.(BulkAdder).AddBatch64(buf) // warm scratch buffers
-		b.ReportAllocs()
-		b.ResetTimer()
-		for rem := b.N; rem > 0; {
-			n := min(rem, len(buf))
-			next = fillBatch(buf[:n], next)
-			AddBatch64(c, buf[:n])
-			rem -= n
-		}
 	})
 }
 
-func BenchmarkBatchAddString(b *testing.B) {
-	keys := make([]string, 1<<16)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("flow-%x-key-%08x", i%26, i)
+func BenchmarkBatchAddString(b *testing.B) { benchAddString(b, benchSBitmap) }
+
+// BenchmarkBatchAddKinds is the paper's Section 3 cost claim at equal
+// memory: uint64 and string ingest, per item and in batches, for the
+// S-bitmap and the five sketches of its Section 6 comparison, each at
+// 8,000 bits dimensioned for N = 10^6.
+func BenchmarkBatchAddKinds(b *testing.B) {
+	for _, kind := range []Kind{KindSBitmap, KindHLL, KindLogLog, KindFM, KindLinearCount, KindMRBitmap} {
+		mk := func(b *testing.B) Counter {
+			c, err := Spec{Kind: kind, N: 1e6, MemoryBits: 8000}.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return c
+		}
+		b.Run(string(kind), func(b *testing.B) {
+			b.Run("uint64", func(b *testing.B) { benchAdd64(b, mk) })
+			b.Run("string", func(b *testing.B) { benchAddString(b, mk) })
+		})
 	}
-	b.Run("peritem", func(b *testing.B) {
-		c := benchSBitmap(b)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.AddString(keys[i&(1<<16-1)])
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		c := benchSBitmap(b)
-		b.ReportAllocs()
-		for rem := b.N; rem > 0; {
-			at := (b.N - rem) & (1<<16 - 1)
-			n := min(rem, batchBenchLen, len(keys)-at)
-			AddBatchString(c, keys[at:at+n])
-			rem -= n
-		}
-	})
 }
 
 // BenchmarkBatchAddStore measures keyed batch ingest at the sketchd

@@ -19,12 +19,6 @@
 // figure, and notes comparing the measured shape against the paper's
 // published numbers. `sbench -run table2` regenerates the paper's memory
 // comparison (Table 2); `sbench -run all -full` is the full record.
-//
-// Four reports measure what the paper does not (throughput, memory,
-// cluster, alerts; see -list). They mix freely with experiment ids in
-// -run, and -json writes one report's JSON when -run names it alone:
-//
-//	sbench -run cluster -json BENCH_cluster.json
 package main
 
 import (
@@ -44,8 +38,8 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment and report ids and exit")
-		run      = flag.String("run", "", "comma-separated experiment and report ids, or 'all' (every experiment)")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		run      = flag.String("run", "", "comma-separated experiment ids, or 'all'")
 		full     = flag.Bool("full", false, "paper-fidelity run (cell budget 5e7, up to 1000 replicates)")
 		budget   = flag.Int("budget", 0, "override per-cell update budget (default 2e6; -full sets 5e7)")
 		seed     = flag.Uint64("seed", 1, "base PRNG seed")
@@ -55,14 +49,8 @@ func main() {
 		compare  = flag.String("compare", "", "semicolon-separated sketch specs for an ad-hoc accuracy comparison")
 		distinct = flag.Int("distinct", 100_000, "true distinct count for -compare")
 		reps     = flag.Int("reps", 20, "replicates per spec for -compare")
-		jsonOut  = flag.String("json", "", "with -run naming one report (throughput, memory, cluster or alerts): also write it as JSON to this file (e.g. BENCH_throughput.json)")
 	)
 	flag.Parse()
-
-	if _, ok := findReport(*run); *jsonOut != "" && !ok {
-		fmt.Fprintln(os.Stderr, "sbench: -json needs -run to name exactly one report")
-		os.Exit(2)
-	}
 
 	if *compare != "" {
 		if err := runCompare(*compare, *distinct, *reps, *seed); err != nil {
@@ -76,9 +64,6 @@ func main() {
 		fmt.Println("available experiments:")
 		for _, id := range experiment.IDs() {
 			fmt.Printf("  %-16s %s\n", id, experiment.Title(id))
-		}
-		for _, r := range reports {
-			fmt.Printf("  %-16s %s\n", r.id, r.title)
 		}
 		if *run == "" && !*list {
 			fmt.Println("\nrun with: sbench -run <id>[,<id>...] | -run all")
@@ -106,13 +91,6 @@ func main() {
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		if id == "" {
-			continue
-		}
-		if r, ok := findReport(id); ok {
-			if err := r.run(*jsonOut, *seed); err != nil {
-				fmt.Fprintf(os.Stderr, "sbench: %s: %v\n", id, err)
-				failed = true
-			}
 			continue
 		}
 		start := time.Now()
@@ -147,32 +125,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// report is a measurement beyond the paper's experiments: run prints its
-// table and, when jsonPath is not empty, also writes it there as JSON.
-type report struct {
-	id, title string
-	run       func(jsonPath string, seed uint64) error
-}
-
-// reports is the one list of report ids: -list prints it and -run
-// dispatches through it, mixed freely with experiment ids.
-var reports = []report{
-	{"throughput", "ingest throughput benchmark (items/sec per sketch × key × path; -json writes BENCH_throughput.json)", runThroughput},
-	{"memory", "per-sketch memory + construction benchmark (bytes and ns across the zoo; -json writes BENCH_memory.json)", runMemory},
-	{"cluster", "cluster-mode benchmark (3-node loopback ring: partitioned frame ingest vs single node, scatter-gather query latency; -json writes BENCH_cluster.json)", runCluster},
-	{"alerts", "superspreader detection benchmark (prefix rule over a scan trace with known ground truth; precision/recall hard-gated at 0.95, incremental vs full tick latency; -json writes BENCH_alerts.json)", runAlerts},
-}
-
-// findReport returns the report named id.
-func findReport(id string) (report, bool) {
-	for _, r := range reports {
-		if r.id == id {
-			return r, true
-		}
-	}
-	return report{}, false
 }
 
 // runCompare measures each spec's empirical RRMSE at one cardinality over

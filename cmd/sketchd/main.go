@@ -51,10 +51,10 @@
 //
 // Cluster mode (see internal/cluster): N sketchd processes become one
 // logical service. Start every node with the same -spec (seed included)
-// and the same -peers list; clients (cluster.Client, sbench -run
-// cluster) partition ingest by consistent-hash key owner and
-// scatter-gather queries. An edge node additionally pushes its whole
-// store into a central aggregator on a timer:
+// and the same -peers list; clients (cluster.Client) partition ingest
+// by consistent-hash key owner and scatter-gather queries. An edge node
+// additionally pushes its whole store into a central aggregator on a
+// timer:
 //
 //	sketchd -addr :8287 -spec "sbitmap:n=1e4,eps=0.1,seed=7" \
 //	        -peers http://n1:8287,http://n2:8287,http://n3:8287

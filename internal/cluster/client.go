@@ -121,9 +121,6 @@ func New(peers []string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Ring returns the placement ring (for inspection and tests).
-func (c *Client) Ring() *Ring { return c.ring }
-
 // Close releases any long-lived wire ingest connections (a no-op for a
 // pure-HTTP client). The client remains usable; wire connections redial
 // on the next ingest.

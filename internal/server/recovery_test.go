@@ -597,6 +597,74 @@ func TestHealthzDegradesOnDurabilityLag(t *testing.T) {
 	}
 }
 
+// TestHealthzDegradesOnWALWriteFailure: while every WAL append fails,
+// /v1/healthz answers a typed 503 (wal_write) so a load balancer stops
+// routing ingest to the node, the plain /healthz liveness probe stays
+// 200, and health is ok again once an append succeeds. One-byte segments
+// make every append rotate, so removing the WAL directory makes the next
+// segment's create fail until the directory is back.
+func TestHealthzDegradesOnWALWriteFailure(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	srv, ts, client := newTestServer(t, Config{
+		Spec:            sbitmap.MustSpec("hll:mbits=512"),
+		WALDir:          walDir,
+		WALSegmentBytes: 1,
+	})
+	defer srv.Close()
+	ctx := context.Background()
+	health := func() (int, HealthResult) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body HealthResult
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	add := func() error {
+		_, err := client.AddFrame(ctx, &Frame{Keys: []string{"k"}, ItemsString: []string{"v"}})
+		return err
+	}
+
+	if err := add(); err != nil {
+		t.Fatal(err)
+	}
+	if code, h := health(); code != http.StatusOK || h.Status != "ok" {
+		t.Fatalf("healthy node: %d %+v", code, h)
+	}
+
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := add(); !isAPICode(err, CodeWALWrite) {
+			t.Fatalf("ingest without a WAL directory: %v, want %s", err, CodeWALWrite)
+		}
+	}
+	code, h := health()
+	if code != http.StatusServiceUnavailable || h.Status != "degraded" ||
+		h.Error == nil || h.Error.Code != CodeWALWrite {
+		t.Fatalf("healthz while appends fail: %d %+v", code, h)
+	}
+	if err := client.Healthz(ctx); err != nil {
+		t.Fatalf("liveness probe while appends fail: %v", err)
+	}
+
+	if err := os.Mkdir(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := add(); err != nil {
+		t.Fatalf("ingest after the directory is back: %v", err)
+	}
+	if code, h := health(); code != http.StatusOK || h.Status != "ok" || h.Error != nil {
+		t.Fatalf("healthz after a successful append: %d %+v", code, h)
+	}
+}
+
 func TestStatsReportDurability(t *testing.T) {
 	base := t.TempDir()
 	cfg := Config{

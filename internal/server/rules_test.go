@@ -8,6 +8,7 @@ import (
 
 	sbitmap "repro"
 	"repro/internal/rules"
+	"repro/internal/stream"
 )
 
 func f64(v float64) *float64 { return &v }
@@ -409,5 +410,107 @@ func TestRulesRestartWithWAL(t *testing.T) {
 	alerts, err := client2.Alerts(ctx, 0)
 	if err != nil || len(alerts) != 1 || alerts[0].Key != "spreader" {
 		t.Fatalf("replayed data not seen by restored rule: %+v, %v", alerts, err)
+	}
+}
+
+// TestSuperspreaderDetectionGate holds a prefix rule to the paper's
+// Section 7 spreader monitor with known ground truth. A scan trace of
+// benign background sources, a borderline band straddling T and
+// injected scanners goes in over HTTP in 4,096-record string frames; the
+// engine ticks every 16 frames and once at the end. The keys the rule
+// ever fired on are scored against the sources whose exact spread
+// exceeds T: precision and recall must both reach 0.95. At eps = 3% only
+// borderline sources within a few percent of T are coin flips.
+func TestSuperspreaderDetectionGate(t *testing.T) {
+	if raceEnabled {
+		// The run takes about 40 s under the race detector, and it
+		// measures estimates, not concurrency: TestAlertStreamSSE and
+		// TestAlertsOverIngest keep the rules engine in the race run.
+		t.Skip("detection quality gate skipped under -race")
+	}
+	const (
+		threshold = 1000.0
+		frameLen  = 4096
+		tickEvery = 16 // frames between engine ticks
+		gate      = 0.95
+	)
+	srv, _, client := newTestServer(t, Config{
+		Spec:      sbitmap.MustSpec("sbitmap:n=1e4,eps=0.03,seed=1"),
+		AlertRing: 4096, // above the number of firings, so the ring keeps them all
+	})
+	ctx := context.Background()
+	if _, err := client.PutRule(ctx, rules.Spec{
+		ID: "superspreader", Type: rules.TypePrefix, Threshold: threshold,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := stream.NewScanTrace(stream.ScanTraceConfig{
+		BackgroundKeys: 16384,
+		BackgroundMax:  200,
+		Borderline:     40,
+		BorderlineLo:   600, // T lies inside the band
+		BorderlineHi:   1500,
+		Scanners:       100,
+		ScannerLo:      3000,
+		ScannerHi:      6000,
+		Dup:            1.2,
+		Seed:           1,
+	})
+	keys := make([]string, 0, frameLen)
+	items := make([]string, 0, frameLen)
+	addFrame := func() {
+		if _, err := client.AddFrame(ctx, &Frame{Keys: keys, ItemsString: items}); err != nil {
+			t.Fatal(err)
+		}
+		keys, items = keys[:0], items[:0]
+	}
+	frames := 0
+	stream.ForEachRecord(tr, func(key, item uint64) {
+		keys = append(keys, stream.KeyString(key))
+		items = append(items, stream.KeyString(item))
+		if len(keys) == frameLen {
+			addFrame()
+			if frames++; frames%tickEvery == 0 {
+				srv.Rules().Tick(time.Now())
+			}
+		}
+	})
+	if len(keys) > 0 {
+		addFrame()
+	}
+	srv.Rules().Tick(time.Now())
+
+	alerts, err := client.Alerts(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detected := make(map[string]bool)
+	for _, a := range alerts {
+		if a.Rule == "superspreader" && a.State == rules.StateFiring {
+			detected[a.Key] = true
+		}
+	}
+	truth := make(map[string]bool)
+	for _, k := range tr.TruePositives(threshold) {
+		truth[stream.KeyString(tr.Key(k))] = true
+	}
+	correct := 0
+	for k := range detected {
+		if truth[k] {
+			correct++
+		}
+	}
+	var precision, recall float64
+	if len(detected) > 0 {
+		precision = float64(correct) / float64(len(detected))
+	}
+	if len(truth) > 0 {
+		recall = float64(correct) / float64(len(truth))
+	}
+	t.Logf("%d records: %d true positives, %d detected, %d false positives, %d false negatives; precision %.4f, recall %.4f",
+		tr.Records(), len(truth), len(detected), len(detected)-correct, len(truth)-correct, precision, recall)
+	if precision < gate || recall < gate {
+		t.Errorf("precision %.4f, recall %.4f: both must reach %.2f", precision, recall, gate)
 	}
 }

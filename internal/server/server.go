@@ -1043,10 +1043,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // confirm the node is alive AND is the node it expects (same spec), at a
 // cost independent of the store size — plus the durability figures a
 // load balancer needs to drain a node whose acked data is drifting away
-// from stable storage. When Config.MaxDurabilityLag is exceeded, Status
-// is "degraded", Error carries the typed cause, and the endpoint serves
-// the same body with a 503 — so the response parses both as a
-// HealthResult and as the standard {"error":{...}} envelope.
+// from stable storage. While WAL appends fail (wal_write), or when
+// Config.MaxDurabilityLag is exceeded (durability_lag), Status is
+// "degraded", Error carries the typed cause, and the endpoint serves the
+// same body with a 503 — so the response parses both as a HealthResult
+// and as the standard {"error":{...}} envelope.
 type HealthResult struct {
 	Status               string    `json:"status"`
 	Spec                 string    `json:"spec"`
@@ -1068,6 +1069,17 @@ func (s *Server) Health() HealthResult {
 		UptimeSeconds:        time.Since(s.start).Seconds(),
 		DurabilityLagSeconds: lag,
 		WALPendingBytes:      s.walPending.Load(),
+	}
+	if s.wlog != nil {
+		if err := s.wlog.Stats().Err; err != nil {
+			h.Status = "degraded"
+			h.Error = &APIError{
+				Status:  http.StatusServiceUnavailable,
+				Code:    CodeWALWrite,
+				Message: fmt.Sprintf("WAL appends are failing, so ingest is refused: %v", err),
+			}
+			return h
+		}
 	}
 	if max := s.cfg.MaxDurabilityLag; max > 0 && lag > max.Seconds() {
 		h.Status = "degraded"

@@ -118,7 +118,7 @@ func (t *ScanTrace) TruePositives(threshold float64) []int {
 }
 
 // KeyString is the canonical string form of a trace key for the keyed
-// HTTP/NDJSON surfaces (the Store's string keys): 16 hex digits. Both
-// sbench and flowgen emit this form, so their traffic and ground truth
-// agree.
+// HTTP/NDJSON surfaces (the Store's string keys): 16 hex digits.
+// flowgen and the server's detection gate test emit this form, so their
+// traffic and ground truth agree.
 func KeyString(key uint64) string { return fmt.Sprintf("%016x", key) }

@@ -104,11 +104,13 @@ var (
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("wal: log is closed")
 	// ErrPoisoned reports use of a log after one of its writes or fsyncs
-	// failed. A failed write can leave a torn record mid-segment, and on
-	// Linux a retried fsync can report success after the kernel dropped
-	// the dirty pages, so the log refuses every later Append and Sync
-	// rather than ack records it may have lost. The error wraps the first
-	// failure; reopening the log recovers.
+	// failed, including the seal of a full segment (its close) and the
+	// directory fsync that makes a new segment durable. A failed write can
+	// leave a torn record mid-segment, and on Linux a retried fsync can
+	// report success after the kernel dropped the dirty pages, so the log
+	// refuses every later Append and Sync rather than ack records it may
+	// have lost. The error wraps the first failure; reopening the log
+	// recovers.
 	ErrPoisoned = errors.New("wal: log poisoned by an earlier write or fsync failure")
 )
 
@@ -134,6 +136,9 @@ const DefaultSyncInterval = 100 * time.Millisecond
 
 // recHeaderBytes is the per-record framing cost: length + CRC.
 const recHeaderBytes = 8
+
+// syncDir fsyncs a directory. Tests replace it to inject a failure.
+var syncDir = fsx.SyncDir
 
 // RecordOverhead is the on-disk framing cost per record beyond its
 // payload — exported so callers can account pending-replay bytes exactly.
@@ -174,6 +179,11 @@ type Stats struct {
 	// TailTruncatedBytes reports how many torn-tail bytes Open discarded
 	// (0 on a clean open).
 	TailTruncatedBytes int64
+	// Err is why appends fail, nil while they succeed: the poison error
+	// (see ErrPoisoned), or else the error of the last rotation when it
+	// could not create the next segment. The next rotation that creates
+	// one clears it.
+	Err error
 }
 
 // Log is an open write-ahead log. Append/Sync/NextLSN/Stats are safe for
@@ -192,7 +202,8 @@ type Log struct {
 	truncated int64 // torn-tail bytes discarded at Open
 	buf       []byte
 	closed    bool
-	failed    error // first failed write or fsync; poisons the log
+	failed    error // first failed write, fsync, seal or directory fsync; poisons the log
+	rotateErr error // last rotation's failure to create a segment; retried by the next Append
 }
 
 // segName renders a segment file name for its base LSN.
@@ -318,7 +329,7 @@ func (l *Log) scanSegment(s *segInfo, final bool) error {
 		if err := os.Truncate(s.path, off); err != nil {
 			return fmt.Errorf("wal: truncating torn tail of %s: %w", name, err)
 		}
-		if err := fsx.SyncDir(l.opts.Dir); err != nil {
+		if err := syncDir(l.opts.Dir); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		l.truncated += size - off
@@ -458,28 +469,35 @@ func (l *Log) Append(parts ...[]byte) (uint64, error) {
 
 // rotateLocked seals the active segment (fsync + close) and starts a new
 // one named by the next LSN, fsyncing the directory so the new segment's
-// existence survives power loss.
+// existence survives power loss. A failed seal or directory fsync
+// poisons the log: a close can report a lost write-back, and the new
+// segment already exists on disk. A failed create writes nothing, so it
+// only sets rotateErr and the next Append tries again.
 func (l *Log) rotateLocked() error {
 	if l.f != nil {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
-		if err := l.f.Close(); err != nil {
-			return fmt.Errorf("wal: sealing segment: %w", err)
+		err := l.f.Close()
+		l.f = nil // released even when Close fails
+		if err != nil {
+			l.failed = fmt.Errorf("wal: sealing segment: %w", err)
+			return l.failed
 		}
-		l.f = nil
 	}
 	path := filepath.Join(l.opts.Dir, segName(l.nextLSN))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: new segment: %w", err)
-	}
-	if err := fsx.SyncDir(l.opts.Dir); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+		l.rotateErr = fmt.Errorf("wal: new segment: %w", err)
+		return l.rotateErr
 	}
 	l.f = f
 	l.segs = append(l.segs, segInfo{base: l.nextLSN, path: path})
+	if err := syncDir(l.opts.Dir); err != nil {
+		l.failed = fmt.Errorf("wal: new segment: %w", err)
+		return l.failed
+	}
+	l.rotateErr = nil
 	return nil
 }
 
@@ -496,8 +514,8 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// poisoned returns ErrPoisoned wrapping the log's first failed write or
-// fsync, or nil while none has failed.
+// poisoned returns ErrPoisoned wrapping the log's first failed write,
+// fsync, seal or directory fsync, or nil while none has failed.
 func (l *Log) poisoned() error {
 	if l.failed == nil {
 		return nil
@@ -604,7 +622,7 @@ func (l *Log) TruncateBefore(lsn uint64) error {
 	}
 	l.segs = kept
 	if removed {
-		return fsx.SyncDir(l.opts.Dir)
+		return syncDir(l.opts.Dir)
 	}
 	return nil
 }
@@ -619,6 +637,10 @@ func (l *Log) Stats() Stats {
 		AppendedBytes:      l.appended,
 		UnsyncedBytes:      l.unsynced,
 		TailTruncatedBytes: l.truncated,
+		Err:                l.poisoned(),
+	}
+	if st.Err == nil {
+		st.Err = l.rotateErr
 	}
 	for _, s := range l.segs {
 		st.Bytes += s.bytes
@@ -642,10 +664,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.f == nil {
-		return nil
-	}
 	err := l.poisoned()
+	if l.f == nil {
+		return err
+	}
 	if err == nil {
 		err = l.syncLocked()
 	}

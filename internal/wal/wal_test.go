@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fsx"
 )
 
 // collect replays the whole log (from `from`) into copied payloads.
@@ -466,16 +468,20 @@ func TestClosedLog(t *testing.T) {
 	}
 }
 
-// TestPoisonedAfterFailedWriteOrFsync: the first failed write or fsync
-// poisons the log. Every later Append and Sync returns ErrPoisoned
-// wrapping that failure, even once the file handle works again; Close
-// still releases the file, and a reopen replays exactly the records
-// acked before the failure.
+// TestPoisonedAfterFailedWriteOrFsync: the first failed write, fsync,
+// seal close or directory fsync poisons the log. Every later Append and
+// Sync returns ErrPoisoned wrapping that failure, even once the file
+// handle works again; Close still releases the file, and a reopen
+// replays exactly the records acked before the failure.
 func TestPoisonedAfterFailedWriteOrFsync(t *testing.T) {
-	for _, fault := range []string{"write", "fsync"} {
+	for _, fault := range []string{"write", "fsync", "seal-close", "dir-fsync"} {
 		t.Run(fault, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(Options{Dir: dir, Policy: FsyncNever})
+			opts := Options{Dir: dir, Policy: FsyncNever}
+			if fault == "seal-close" || fault == "dir-fsync" {
+				opts.SegmentBytes = 1 // the next Append rotates
+			}
+			l, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -483,23 +489,40 @@ func TestPoisonedAfterFailedWriteOrFsync(t *testing.T) {
 				t.Fatal(err)
 			}
 			good := l.f
-			bad, err := os.Open(good.Name())
-			if err != nil {
-				t.Fatal(err)
-			}
 			var first error
-			if fault == "write" {
-				// A read-only handle: Write fails with EBADF.
-				l.f = bad
+			switch fault {
+			case "write", "fsync":
+				bad, err := os.Open(good.Name())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fault == "write" {
+					// A read-only handle: Write fails with EBADF.
+					l.f = bad
+					_, first = l.Append(record(1))
+					bad.Close()
+				} else {
+					// A closed handle: Sync fails.
+					bad.Close()
+					l.f = bad
+					first = l.Sync()
+				}
+				l.f = good
+			case "seal-close":
+				// Synced, so the rotation's seal is a bare close, and it
+				// fails on a handle closed out from under the log.
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				good.Close()
 				_, first = l.Append(record(1))
-				bad.Close()
-			} else {
-				// A closed handle: Sync fails.
-				bad.Close()
-				l.f = bad
-				first = l.Sync()
+			case "dir-fsync":
+				// The rotation creates the next segment, then its
+				// directory fsync fails.
+				syncDir = func(string) error { return errors.New("injected directory fsync failure") }
+				_, first = l.Append(record(1))
+				syncDir = fsx.SyncDir
 			}
-			l.f = good
 			if first == nil || errors.Is(first, ErrPoisoned) {
 				t.Fatalf("failed %s returned %v, want the failure itself", fault, first)
 			}
@@ -508,6 +531,9 @@ func TestPoisonedAfterFailedWriteOrFsync(t *testing.T) {
 			}
 			if err := l.Sync(); !errors.Is(err, ErrPoisoned) || !errors.Is(err, first) {
 				t.Errorf("sync after failed %s: %v, want ErrPoisoned wrapping %v", fault, err, first)
+			}
+			if err := l.Stats().Err; !errors.Is(err, ErrPoisoned) {
+				t.Errorf("Stats().Err after failed %s: %v, want ErrPoisoned", fault, err)
 			}
 			if n := l.NextLSN(); n != 1 {
 				t.Errorf("NextLSN %d after failed %s, want 1", n, fault)
@@ -518,7 +544,7 @@ func TestPoisonedAfterFailedWriteOrFsync(t *testing.T) {
 			if _, err := good.Write([]byte{0}); !errors.Is(err, os.ErrClosed) {
 				t.Errorf("segment still open after Close: write returned %v", err)
 			}
-			l2, err := Open(Options{Dir: dir, Policy: FsyncNever})
+			l2, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
