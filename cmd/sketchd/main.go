@@ -366,7 +366,13 @@ func run(args []string, stderr *os.File) int {
 		logger.Printf("edge role: pushing snapshots to %s every %v", cfg.server.Cluster.Aggregator, cfg.pushInterval)
 	}
 
+	// Shutdown waits for running handlers, and an open alert stream runs
+	// until its request context ends: cancel every request's context as
+	// Shutdown starts.
 	httpSrv := newHTTPServer(srv)
+	baseCtx, cancelBase := context.WithCancel(context.Background())
+	httpSrv.BaseContext = func(net.Listener) context.Context { return baseCtx }
+	httpSrv.RegisterOnShutdown(cancelBase)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

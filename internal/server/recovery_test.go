@@ -481,12 +481,12 @@ func firstStripeFile(t *testing.T, dir string) string {
 }
 
 // TestCrashTortureSimulated is the in-process half of the crash-torture
-// invariant (scripts/smoke_wal.sh is the kill -9 half): cycles of ingest
-// at interleaved checkpoints, each ended by an un-Closed abandonment of
-// the server — the process-internal equivalent of a crash, since nothing
-// is flushed on the way out — followed by recovery that must be
-// bit-identical to a twin fed exactly the acked frames. Runs under
-// -race in CI.
+// invariant (cmd/sketchd's TestE2ECrashTorture is the kill -9 half):
+// cycles of ingest at interleaved checkpoints, each ended by an
+// un-Closed abandonment of the server — the process-internal equivalent
+// of a crash, since nothing is flushed on the way out — followed by
+// recovery that must be bit-identical to a twin fed exactly the acked
+// frames. Runs under -race in CI.
 func TestCrashTortureSimulated(t *testing.T) {
 	base := t.TempDir()
 	cfg := Config{

@@ -612,7 +612,10 @@ func (l *Log) TruncateBefore(lsn uint64) error {
 	removed := false
 	for i, s := range l.segs {
 		if s.end() <= lsn && i < len(l.segs)-1 {
-			if err := os.Remove(s.path); err != nil {
+			// A file already gone counts as removed; on any other error
+			// the list keeps exactly the segments not yet removed.
+			if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+				l.segs = append(kept, l.segs[i:]...)
 				return fmt.Errorf("wal: truncate: %w", err)
 			}
 			removed = true

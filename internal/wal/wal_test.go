@@ -150,6 +150,44 @@ func TestRotationAndTruncateBefore(t *testing.T) {
 	}
 }
 
+// TestTruncateBeforeMissingSegment: a segment file removed behind the
+// log's back counts as truncated, so it neither fails this truncation
+// nor wedges every later one.
+func TestTruncateBeforeMissingSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, SegmentBytes: 1}) // every record rotates
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(record(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendN(10)
+	if err := os.Remove(l.segs[0].path); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.TruncateBefore(l.NextLSN()); err != nil {
+		t.Fatalf("truncate with the first segment file gone: %v", err)
+	}
+	appendN(10)
+	if err := l.TruncateBefore(l.NextLSN()); err != nil {
+		t.Fatalf("second truncate: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := l.Stats().Segments; segs != 1 || len(files) != 1 {
+		t.Fatalf("%d segments listed and %d files on disk after truncating everything, want 1 and 1", segs, len(files))
+	}
+}
+
 // lastSegment returns the path of the highest-base segment in dir.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
