@@ -108,14 +108,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *spec != "" {
 		counters, err = buildSpecCounters(*spec)
 	} else {
-		budget := *mbits
-		if budget == 0 {
-			budget, err = sbitmap.Memory(*n, *eps)
-			if err != nil {
-				return fail(err)
-			}
-		}
-		counters, err = buildCounters(*algo, *n, *eps, budget, *seed)
+		counters, err = buildCounters(*algo, *n, *eps, *mbits, *seed)
 	}
 	if err != nil {
 		return fail(err)
@@ -260,31 +253,33 @@ func keyedSpec(specStr, algo string, n, eps float64, mbits int, seed uint64) (sb
 		}
 		return sbitmap.ParseSpec(specStr)
 	}
+	return algoSpec(algo, n, eps, mbits, seed)
+}
+
+// algoSpec maps the classic flag vocabulary onto a Spec: the S-bitmap is
+// dimensioned from (n, eps), every budget-based competitor from the
+// budget mbits (0: what the S-bitmap needs), and mr/vb additionally from
+// n — the paper's like-for-like accounting.
+func algoSpec(algo string, n, eps float64, mbits int, seed uint64) (sbitmap.Spec, error) {
 	kind, err := sbitmap.ParseKind(algo)
-	if err != nil || kind == "" {
+	if err != nil {
 		return sbitmap.Spec{}, fmt.Errorf("unknown algorithm %q", algo)
 	}
 	spec := sbitmap.Spec{Kind: kind, Seed: seed}
 	switch kind {
 	case sbitmap.KindSBitmap:
 		spec.N, spec.Eps = n, eps
-	case sbitmap.KindMRBitmap, sbitmap.KindVirtualBitmap:
-		spec.N, spec.MemoryBits = n, mbits
-		if mbits == 0 {
-			spec.MemoryBits, err = sbitmap.Memory(n, eps)
-			if err != nil {
-				return sbitmap.Spec{}, err
-			}
-		}
 	case sbitmap.KindExact:
 		// no dimensioning
 	default:
-		spec.MemoryBits = mbits
 		if mbits == 0 {
-			spec.MemoryBits, err = sbitmap.Memory(n, eps)
-			if err != nil {
+			if mbits, err = sbitmap.Memory(n, eps); err != nil {
 				return sbitmap.Spec{}, err
 			}
+		}
+		spec.MemoryBits = mbits
+		if kind == sbitmap.KindMRBitmap || kind == sbitmap.KindVirtualBitmap {
+			spec.N = n
 		}
 	}
 	return spec, nil
@@ -321,26 +316,13 @@ func buildSpecCounters(specs string) ([]namedCounter, error) {
 	return out, nil
 }
 
-// buildCounters maps the classic flag vocabulary onto Specs: the S-bitmap
-// is dimensioned from (n, eps), every budget-based competitor from the
-// shared budget, and mr/vb additionally from n — the paper's like-for-like
-// accounting.
+// buildCounters builds one counter per algorithm name ("all" for every
+// one), each from algoSpec with the shared budget.
 func buildCounters(algo string, n, eps float64, budget int, seed uint64) ([]namedCounter, error) {
 	mk := func(name string) (namedCounter, error) {
-		kind, err := sbitmap.ParseKind(name)
+		spec, err := algoSpec(name, n, eps, budget, seed)
 		if err != nil {
-			return namedCounter{}, fmt.Errorf("unknown algorithm %q", name)
-		}
-		spec := sbitmap.Spec{Kind: kind, Seed: seed}
-		switch kind {
-		case sbitmap.KindSBitmap:
-			spec.N, spec.Eps = n, eps
-		case sbitmap.KindMRBitmap, sbitmap.KindVirtualBitmap:
-			spec.N, spec.MemoryBits = n, budget
-		case sbitmap.KindExact:
-			// no dimensioning
-		default:
-			spec.MemoryBits = budget
+			return namedCounter{}, err
 		}
 		c, err := spec.New()
 		if err != nil {

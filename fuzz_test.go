@@ -88,13 +88,14 @@ func storeBlobs(t *testing.T, s *Store[string]) map[string][]byte {
 	return blobs
 }
 
-// FuzzStoreOps drives a slot store and a map-path twin (forceMapPath)
-// through the same operations decoded from the input — AddString,
-// AddBatch64 and AddBatchString (long same-key runs included), Remove,
-// Estimate, Reset, Merge, and a MarshalStripes checkpoint restored
-// through RestoreStripe into a fresh store that carries on — and requires
-// the same answers throughout and, at every checkpoint and at the end,
-// bit-identical counters key by key and a consistent slot index. An
+// FuzzStoreOps drives an S-bitmap store with inline sketches and a twin
+// whose slot tables keep heap counters (forceHeapCounters) through the
+// same operations decoded from the input — AddString, AddBatch64 and
+// AddBatchString (long same-key runs included), Remove, Estimate, Reset,
+// Merge, and a MarshalStripes checkpoint restored through RestoreStripe
+// into a fresh store that carries on — and requires the same answers
+// throughout and, at every checkpoint and at the end, bit-identical
+// counters key by key and consistent slot tables in both stores. An
 // operation is one byte; a key is a length byte and that many bytes. CI
 // runs a short fuzz smoke over this target.
 func FuzzStoreOps(f *testing.F) {
@@ -125,7 +126,7 @@ func FuzzStoreOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forceMapPath(ref)
+		forceHeapCounters(ref)
 		return s, ref
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -152,7 +153,7 @@ func FuzzStoreOps(f *testing.F) {
 			case 0:
 				k, item := readKey(), fmt.Sprint(next())
 				if x, y := s.AddString(k, item), ref.AddString(k, item); x != y {
-					t.Fatalf("AddString(%q): changed %v, map path %v", k, x, y)
+					t.Fatalf("AddString(%q): changed %v, heap counters %v", k, x, y)
 				}
 			case 1:
 				n := next()%8 + 1
@@ -161,7 +162,7 @@ func FuzzStoreOps(f *testing.F) {
 					keys[i], items[i] = readKey(), uint64(next())
 				}
 				if x, y := s.AddBatch64(keys, items), ref.AddBatch64(keys, items); x != y {
-					t.Fatalf("AddBatch64: changed %d, map path %d", x, y)
+					t.Fatalf("AddBatch64: changed %d, heap counters %d", x, y)
 				}
 			case 2:
 				k, base := readKey(), next()
@@ -170,29 +171,30 @@ func FuzzStoreOps(f *testing.F) {
 					keys[i], items[i] = k, fmt.Sprint(base*1000+i)
 				}
 				if x, y := s.AddBatchString(keys, items), ref.AddBatchString(keys, items); x != y {
-					t.Fatalf("AddBatchString(%q run): changed %d, map path %d", k, x, y)
+					t.Fatalf("AddBatchString(%q run): changed %d, heap counters %d", k, x, y)
 				}
 			case 3:
 				k := readKey()
 				if x, y := s.Remove(k), ref.Remove(k); x != y {
-					t.Fatalf("Remove(%q): %v, map path %v", k, x, y)
+					t.Fatalf("Remove(%q): %v, heap counters %v", k, x, y)
 				}
 			case 4:
 				k := readKey()
 				e1, ok1 := s.Estimate(k)
 				e2, ok2 := ref.Estimate(k)
 				if e1 != e2 || ok1 != ok2 {
-					t.Fatalf("Estimate(%q): %v %v, map path %v %v", k, e1, ok1, e2, ok2)
+					t.Fatalf("Estimate(%q): %v %v, heap counters %v %v", k, e1, ok1, e2, ok2)
 				}
 			case 5:
 				s.Reset()
 				ref.Reset()
 			case 6:
 				if err1, err2 := s.Merge(other), ref.Merge(otherRef); !errors.Is(err1, ErrNotMergeable) || !errors.Is(err2, ErrNotMergeable) {
-					t.Fatalf("Merge: %v, map path %v; want ErrNotMergeable", err1, err2)
+					t.Fatalf("Merge: %v, heap counters %v; want ErrNotMergeable", err1, err2)
 				}
 			case 7:
 				checkSlotTables(t, s)
+				checkSlotTables(t, ref)
 				assertStoresIdentical(t, s, ref)
 				blobs, _, err := s.MarshalStripes(0)
 				if err != nil {
@@ -211,6 +213,7 @@ func FuzzStoreOps(f *testing.F) {
 			}
 		}
 		checkSlotTables(t, s)
+		checkSlotTables(t, ref)
 		assertStoresIdentical(t, s, ref)
 		assertStoresIdentical(t, ref, s)
 	})

@@ -48,6 +48,7 @@ func TestWindowErrorTable(t *testing.T) {
 		{"window zero", wts, "/v1/estimate?key=known&window=0s", 400, CodeBadWindow},
 		{"window negative", wts, "/v1/estimate?key=known&window=-5m", 400, CodeBadWindow},
 		{"window beyond retention", wts, "/v1/estimate?key=known&window=5m1s", 400, CodeBadWindow},
+		{"window near the largest duration", wts, "/v1/estimate?key=known&window=2562047h47m16s", 400, CodeBadWindow},
 		{"window unknown key", wts, "/v1/estimate?key=never-seen&window=5m", 404, CodeUnknownKey},
 		{"window missing key", wts, "/v1/estimate?window=5m", 400, CodeMissingKey},
 		{"window at retention ok", wts, "/v1/estimate?key=known&window=5m", 200, ""},

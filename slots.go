@@ -10,32 +10,36 @@ import (
 	"repro/internal/core"
 )
 
-// Slot tables. An unbounded, unwindowed S-bitmap Store — the paper's
-// deployment, one tiny sketch "for each of the links" (Section 7) — keeps
-// each stripe's keys in a slotTable instead of a map of counters: an
+// Slot tables. Every stripe of a Store keeps its keys in a slotTable: an
 // open-addressing index of uint32 slot numbers, probed linearly from the
 // key's probe hash (see hash), over fixed-stride slots in chunks of
-// pointer-free words. A slot holds everything one key owns:
+// pointer-free words. A slot holds the key and, for an inline table, its
+// sketch:
 //
 //	[0]      tag: the probe hash (uint64 keys), or its low 32 bits and
 //	         the key's length in the high 32 bits (string keys)
 //	[1]      the key (uint64 keys), or its key-log reference (string keys)
 //	[2:4]    string keys only: the key's bytes when it is at most
 //	         slotInline bytes long, zero-padded
-//	[hdr:]   the sketch's run (core.Shared.RunWords): fill level L,
-//	         threshold register, bitmap words
+//	[hdr:]   inline tables only: the sketch's run (core.Shared.RunWords):
+//	         fill level L, threshold register, bitmap words
 //
-// So a warm record costs a probe hash, one index probe and one slot
-// access — the paper's one hash and one bit probe, plus the lookup — and
-// the sketch is read and written in place through a core view bound to
-// the slot. Slots are dense: slots [0, keys) are live, Remove moves the
-// last slot into the hole, and iteration walks them in order. String
-// keys' bytes also go to a per-stripe append-only key log, so the keys
-// the Store hands out (ForEach, ForEachDirty, TopK) are views of memory
-// that is never rewritten and stay valid after the call. The GC scans
-// neither slots nor log.
+// An unbounded, unwindowed S-bitmap Store — the paper's deployment, one
+// tiny sketch "for each of the links" (Section 7) — keeps its sketches
+// inline, so a warm record costs a probe hash, one index probe and one
+// slot access — the paper's one hash and one bit probe, plus the lookup —
+// and the sketch is read and written in place through a core view bound
+// to the slot. Every other store keeps one heap Counter per slot in ctrs,
+// in slot order: a bounded store's evicted counter outlives its slot, and
+// a windowed store's unit of allocation is a ring of sub-window counters.
+// Slots are dense: slots [0, keys) are live, Remove moves the last slot
+// (and its counter) into the hole, and iteration walks them in order.
+// String keys' bytes also go to a per-stripe append-only key log, so the
+// keys the Store hands out (ForEach, ForEachDirty, TopK, OnEvict) are
+// views of memory that is never rewritten and stay valid after the call.
+// The GC scans neither slots nor log.
 type slotTable[K StoreKey] struct {
-	sh     *core.Shared // one for the whole store: batches hash through stripe scratch
+	sh     *core.Shared // inline sketches' shared state, one per store; nil for heap counters
 	seed   maphash.Seed // the probe hash's, random per table
 	str    bool         // K is string-kinded
 	hdr    int          // slot words before the sketch run
@@ -46,9 +50,10 @@ type slotTable[K StoreKey] struct {
 	keys   int        // live keys, in slots [0, keys)
 	bytes  int        // slot chunk capacities
 	log    keyLog
+	ctrs   []Counter // heap counters, one per live slot; nil for inline tables
 
-	// view is the Counter bound to one slot at a time, under the stripe
-	// lock: valid until the next table call.
+	// view is the Counter bound to one inline slot at a time, under the
+	// stripe lock: valid until the next table call.
 	view SBitmap
 }
 
@@ -69,8 +74,8 @@ const (
 	slotIndexMin = 8
 )
 
-// slotShared returns the state every slot of a Spec's store shares, or nil
-// for kinds other than the S-bitmap (only it has slot tables).
+// slotShared returns the state every inline sketch of a Spec's store
+// shares, or nil for kinds other than the S-bitmap (only it goes inline).
 func (s Spec) slotShared() (*core.Shared, error) {
 	if s.Kind != KindSBitmap {
 		return nil, nil
@@ -87,12 +92,18 @@ func (s Spec) slotShared() (*core.Shared, error) {
 	return core.NewShared(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(o.newHasher())), nil
 }
 
+// newSlotTable returns an empty table whose sketches sit inline under sh,
+// or, when sh is nil, one that keeps heap counters.
 func newSlotTable[K StoreKey](sh *core.Shared, str bool) *slotTable[K] {
 	hdr := 2
 	if str {
 		hdr += slotInline / 8
 	}
-	return &slotTable[K]{sh: sh, seed: maphash.MakeSeed(), str: str, hdr: hdr, stride: hdr + sh.RunWords()}
+	t := &slotTable[K]{sh: sh, seed: maphash.MakeSeed(), str: str, hdr: hdr, stride: hdr}
+	if sh != nil {
+		t.stride += sh.RunWords()
+	}
+	return t
 }
 
 // hash returns key's probe hash: hash/maphash under the table's own random
@@ -173,43 +184,56 @@ func (t *slotTable[K]) bind(sl []uint64) Counter {
 	return &t.view
 }
 
-// lookup returns key's counter, bound to its slot, if key is live.
+// at returns slot i's counter: its heap counter, or the view bound to its
+// inline sketch.
+func (t *slotTable[K]) at(i uint32) Counter {
+	if t.sh == nil {
+		return t.ctrs[i]
+	}
+	return t.bind(t.slot(i))
+}
+
+// lookup returns key's counter if key is live.
 func (t *slotTable[K]) lookup(key K) (Counter, bool) {
 	pos, ok := t.find(t.hash(key), key)
 	if !ok {
 		return nil, false
 	}
-	return t.bind(t.slot(t.idx[pos] - 1)), true
+	return t.at(t.idx[pos] - 1), true
 }
 
-// counter returns key's counter bound to its slot, materializing an empty
-// sketch on first sight; added reports whether it did.
-func (t *slotTable[K]) counter(key K) (c Counter, added bool) {
-	h := t.hash(key)
-	pos, ok := t.find(h, key)
-	if ok {
-		return t.bind(t.slot(t.idx[pos] - 1)), false
+// insert materializes key, absent, at index position pos — the empty
+// position find returned — with heap counter c, or, for an inline table
+// (c nil), an empty sketch in its slot; it returns the key's counter.
+func (t *slotTable[K]) insert(pos uint32, h uint64, key K, c Counter) Counter {
+	sl := t.add(pos, h, key, c)
+	if c != nil {
+		return c
 	}
-	sl := t.add(pos, h, key)
 	t.sh.Init(&t.view.sk, sl[t.hdr:])
-	return &t.view, true
+	return &t.view
 }
 
-// restore adds key with the sketch a counter snapshot (as Marshal writes
-// it) holds, decoded straight into a new slot. dup reports a key already
+// restore adds key with counter c, decoded from its snapshot blob, or,
+// for an inline table (c nil), with the sketch blob (as Marshal writes it)
+// holds, decoded straight into a new slot. dup reports a key already
 // present. A Store snapshot holds only counters built from its own spec,
 // so a blob of another kind or other parameters is a corrupt snapshot.
-func (t *slotTable[K]) restore(key K, blob []byte) (dup bool, err error) {
+func (t *slotTable[K]) restore(key K, c Counter, blob []byte) (dup bool, err error) {
 	h := t.hash(key)
 	pos, ok := t.find(h, key)
 	if ok {
 		return true, nil
 	}
+	if c != nil {
+		t.add(pos, h, key, c)
+		return false, nil
+	}
 	payload, err := payloadOfKind(blob, KindSBitmap)
 	if err != nil {
 		return false, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}
-	sl := t.add(pos, h, key)
+	sl := t.add(pos, h, key, nil)
 	if err := t.sh.UnmarshalInto(&t.view.sk, sl[t.hdr:], payload); err != nil {
 		t.remove(key)
 		return false, fmt.Errorf("sbitmap: store key %v: sbitmap: %w", key, err)
@@ -218,14 +242,15 @@ func (t *slotTable[K]) restore(key K, blob []byte) (dup bool, err error) {
 }
 
 // add materializes key in a new slot, indexed at pos — the empty position
-// find returned — unless the index grows first. The slot's run is zero.
-func (t *slotTable[K]) add(pos uint32, h uint64, key K) []uint64 {
+// find returned — unless the index grows first, with heap counter c (nil
+// for an inline table, whose slot's run is zero).
+func (t *slotTable[K]) add(pos uint32, h uint64, key K, c Counter) []uint64 {
 	if 4*(t.keys+1) > 3*len(t.idx) {
 		t.grow(max(slotIndexMin, 2*len(t.idx)))
 		pos, _ = t.find(h, key)
 	}
 	i := uint32(t.keys)
-	if c := int(i >> slotChunkBits); c == len(t.chunks) {
+	if ch := int(i >> slotChunkBits); ch == len(t.chunks) {
 		t.chunks = append(t.chunks, nil)
 	}
 	t.reserve(i)
@@ -240,6 +265,9 @@ func (t *slotTable[K]) add(pos uint32, h uint64, key K) []uint64 {
 		}
 	} else {
 		sl[1] = keyWord(key)
+	}
+	if c != nil {
+		t.ctrs = append(t.ctrs, c)
 	}
 	t.idx[pos] = i + 1
 	t.keys++
@@ -279,10 +307,11 @@ func (t *slotTable[K]) grow(n int) {
 
 // remove deletes key and reports whether it was live. The index entry
 // goes by backward-shift deletion (Knuth, TAOCP vol. 3, §6.4, Algorithm
-// R), so no tombstones accumulate; the last slot moves into the freed
-// one, so slots stay dense, and a chunk left empty is dropped. A string key's log bytes are dead from then on, and the log
-// is compacted once its dead bytes exceed half its live ones, so dead
-// bytes never hold more than a third of the log.
+// R), so no tombstones accumulate; the last slot, and its heap counter,
+// moves into the freed one, so slots stay dense, and a chunk left empty is
+// dropped. A string key's log bytes are dead from then on, and the log is
+// compacted once its dead bytes exceed half its live ones, so dead bytes
+// never hold more than a third of the log.
 func (t *slotTable[K]) remove(key K) bool {
 	pos, ok := t.find(t.hash(key), key)
 	if !ok {
@@ -311,6 +340,11 @@ func (t *slotTable[K]) remove(key K) bool {
 		copy(t.slot(i), src)
 		t.idx[pos] = i + 1
 	}
+	if t.sh == nil {
+		t.ctrs[i] = t.ctrs[last]
+		t.ctrs[last] = nil
+		t.ctrs = t.ctrs[:last]
+	}
 	t.keys--
 	if c := len(t.chunks) - 1; t.keys == c<<slotChunkBits {
 		t.bytes -= 8 * len(t.chunks[c])
@@ -335,14 +369,13 @@ func (t *slotTable[K]) compactLog() {
 	}
 }
 
-// all iterates the live keys and their counters in slot order; each
+// all iterates the live keys and their counters in slot order; an inline
 // counter is the table's view, bound to the key's slot until the next
 // step.
 func (t *slotTable[K]) all() iter.Seq2[K, Counter] {
 	return func(yield func(K, Counter) bool) {
 		for i := range uint32(t.keys) {
-			sl := t.slot(i)
-			if !yield(t.keyOf(sl), t.bind(sl)) {
+			if !yield(t.keyOf(t.slot(i)), t.at(i)) {
 				return
 			}
 		}
@@ -352,14 +385,16 @@ func (t *slotTable[K]) all() iter.Seq2[K, Counter] {
 // reset drops every key, and the table's memory with them: the view too,
 // which would otherwise keep the chunk of the slot it was last bound to.
 func (t *slotTable[K]) reset() {
-	t.idx, t.chunks, t.keys, t.bytes, t.log, t.view = nil, nil, 0, 0, keyLog{}, SBitmap{}
+	t.idx, t.chunks, t.keys, t.bytes, t.log, t.ctrs, t.view = nil, nil, 0, 0, keyLog{}, nil, SBitmap{}
 }
 
 // footprint returns the table's resident bytes, from its capacities: the
-// table itself, the index, the slot chunks and the key log.
+// table itself, the index, the slot chunks, the key log and the heap
+// counter slice (not the counters it points to).
 func (t *slotTable[K]) footprint() int {
 	return int(unsafe.Sizeof(*t)) + 4*cap(t.idx) + t.bytes + t.log.bytes +
-		int(unsafe.Sizeof([]uint64(nil)))*cap(t.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(t.log.chunks)
+		int(unsafe.Sizeof([]uint64(nil)))*cap(t.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(t.log.chunks) +
+		int(unsafe.Sizeof(Counter(nil)))*cap(t.ctrs)
 }
 
 // keyLog is a stripe's append-only store of string key bytes: chunks that

@@ -3,13 +3,11 @@ package sbitmap
 import (
 	"encoding/binary"
 	"fmt"
-	"iter"
-	"maps"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +34,10 @@ import (
 // one of the two). Access is lock-striped: keys hash onto independently
 // locked stripes, so ingestion scales across goroutines, and the keyed
 // batch methods route a whole batch with one hash pass and take each
-// touched stripe's lock once per batch. An unbounded, unwindowed S-bitmap
-// store keeps each stripe's keys in a flat slot table, key and sketch in
-// one slot found by one index probe (see slotTable); every other store
-// keeps a key→counter map per stripe.
+// touched stripe's lock once per batch. Each stripe keeps its keys in a
+// flat slot table found by one index probe (see slotTable): an unbounded,
+// unwindowed S-bitmap store keeps each key's sketch inline in its slot,
+// every other store one heap counter per slot.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
 // plus the OnEvict hook; unbounded otherwise (one counter per distinct
@@ -89,37 +87,18 @@ type StoreKey interface {
 }
 
 // storeStripe is one lock-striped segment of the key space. Beyond the
-// lock and its keys — a slot table or a map — it owns one hash scratch
-// lent to every per-key sketch's batch path and the free list of
-// sub-window counters its keys' rings released (all guarded by mu), so
-// the ~4 KiB batch buffers are not allocated per key, and ring rotation
-// reuses counters instead of allocating them.
+// lock and its keys' slot table it owns one hash scratch lent to every
+// per-key sketch's batch path and the free list of sub-window counters
+// its keys' rings released (all guarded by mu), so the ~4 KiB batch
+// buffers are not allocated per key, and ring rotation reuses counters
+// instead of allocating them.
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
-	m      map[K]Counter // keys and counters; nil when tab holds them
-	tab    *slotTable[K] // unbounded, unwindowed S-bitmap stores; nil otherwise
+	tab    *slotTable[K] // keys and counters, under mu
 	scr    uhash.Scratch // shared batch-hash buffers, under mu
 	free   []Counter     // released sub-window counters, Reset, under mu
 	modGen uint64        // generation of the last mutation, under mu
-	_      [24]byte      // pad to reduce false sharing between adjacent locks
-}
-
-// len returns the stripe's live key count, the stripe locked.
-func (st *storeStripe[K]) len() int {
-	if st.tab != nil {
-		return st.tab.keys
-	}
-	return len(st.m)
-}
-
-// all iterates the stripe's live keys and counters, the stripe locked. A
-// slot table's counter is a view valid until the next step; a string key
-// stays valid for good.
-func (st *storeStripe[K]) all() iter.Seq2[K, Counter] {
-	if st.tab != nil {
-		return st.tab.all()
-	}
-	return maps.All(st.m)
+	_      [32]byte      // pad to reduce false sharing between adjacent locks
 }
 
 // StoreOption configures a Store at construction.
@@ -136,7 +115,7 @@ type storeConfig struct {
 func WithStripes(n int) StoreOption { return func(c *storeConfig) { c.stripes = n } }
 
 // WithMaxKeys bounds the number of live keys: materializing a key beyond
-// the limit first evicts an arbitrary key — from the new key's own
+// the limit first evicts a random key — from the new key's own
 // stripe when it holds one, otherwise from another uncontended stripe
 // (sketch eviction is estimator-agnostic — any victim loses exactly its
 // own per-key count). Pair with OnEvict to spill evicted counters.
@@ -234,24 +213,21 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		win := s.win
 		s.newCounter = func() Counter { return newWindowRing(win) }
 	}
-	// Slot tables serve unbounded, unwindowed S-bitmap stores. Bounded
-	// stores keep maps, whose eviction needs no slot bookkeeping; windowed
-	// stores too, because their unit of allocation is the ring, not a
-	// single fixed-size sketch (sub-window counters are allocated lazily
-	// per slot and recycled through the stripe's free list).
+	// Unbounded, unwindowed S-bitmap stores keep their sketches inline in
+	// the slot tables. Every other store keeps heap counters: a bounded
+	// store's evicted counter goes to OnEvict and must outlive its slot,
+	// and a windowed store's unit of allocation is the ring, not a single
+	// fixed-size sketch (sub-window counters are allocated lazily per slot
+	// and recycled through the stripe's free list).
 	var sh *core.Shared
 	if s.limit == 0 && s.win == nil {
 		// The shared state uses Spec.New's dimensioning and options,
 		// already proven constructible above, so it cannot fail here;
-		// kinds without slot tables get nil.
+		// kinds that do not go inline get nil.
 		sh, _ = spec.slotShared()
 	}
 	for i := range s.stripes {
-		if sh != nil {
-			s.stripes[i].tab = newSlotTable[K](sh, s.isStr)
-		} else {
-			s.stripes[i].m = make(map[K]Counter)
-		}
+		s.stripes[i].tab = newSlotTable[K](sh, s.isStr)
 	}
 	return s, nil
 }
@@ -312,57 +288,37 @@ func (s *Store[K]) touchLocked(st *storeStripe[K]) { st.modGen = s.gen.Load() }
 
 // counterLocked returns key's counter, materializing (and, at the key
 // limit, evicting) under the stripe lock the caller holds. A string key
-// is copied on materialization — into the slot table's key log, or cloned
-// for the map: the store must own its key storage, because zero-copy
-// ingest paths (the wire listener) pass keys aliasing reusable frame
-// buffers. Lookups of already-live keys never copy.
+// is copied into the slot table's key log on materialization: the store
+// must own its key storage, because zero-copy ingest paths (the wire
+// listener) pass keys aliasing reusable frame buffers. Lookups of
+// already-live keys never copy.
 func (s *Store[K]) counterLocked(st *storeStripe[K], key K) Counter {
-	if st.tab != nil {
-		c, added := st.tab.counter(key)
-		if added {
-			s.keys.Add(1)
+	t := st.tab
+	h := t.hash(key)
+	pos, ok := t.find(h, key)
+	if ok {
+		return t.at(t.idx[pos] - 1)
+	}
+	var c Counter
+	if t.sh == nil {
+		if s.limit > 0 && int(s.keys.Load()) >= s.limit {
+			// key is not in the table yet, so it cannot be the victim; the
+			// victim's removal may move key's empty index position.
+			s.evictOneLocked(st)
+			pos, _ = t.find(h, key)
 		}
-		return c
+		c = s.newCounter()
 	}
-	if c, ok := st.m[key]; ok {
-		return c
-	}
-	if s.limit > 0 && int(s.keys.Load()) >= s.limit {
-		s.evictOneLocked(st, key)
-	}
-	c := s.newCounter()
-	if s.isStr {
-		key = keyFromString[K](strings.Clone(keyString(key)))
-	}
-	st.m[key] = c
 	s.keys.Add(1)
-	return c
+	return t.insert(pos, h, key, c)
 }
 
-// evictOneLocked removes one key (≠ incoming) and fires the eviction
-// hook: first from the locked stripe, else from another stripe taken
-// with TryLock (never a blocking second lock, so eviction cannot
-// deadlock against batch ingest or a concurrent evictor). Map iteration
-// order makes the victim effectively random, which is the right neutral
-// policy for sketches: no per-key access metadata, and any victim
-// forfeits exactly its own count.
-func (s *Store[K]) evictOneLocked(st *storeStripe[K], incoming K) {
-	evictFrom := func(cand *storeStripe[K], skipIncoming bool) bool {
-		for k, c := range cand.m {
-			if skipIncoming && k == incoming {
-				continue
-			}
-			delete(cand.m, k)
-			s.touchLocked(cand)
-			s.keys.Add(-1)
-			if s.onEvict != nil {
-				s.onEvict(k, c)
-			}
-			return true
-		}
-		return false
-	}
-	if evictFrom(st, true) {
+// evictOneLocked removes one key and fires the eviction hook: first from
+// the locked stripe, else from another stripe taken with TryLock (never a
+// blocking second lock, so eviction cannot deadlock against batch ingest
+// or a concurrent evictor).
+func (s *Store[K]) evictOneLocked(st *storeStripe[K]) {
+	if s.evictLocked(st) {
 		return
 	}
 	for i := range s.stripes {
@@ -370,7 +326,7 @@ func (s *Store[K]) evictOneLocked(st *storeStripe[K], incoming K) {
 		if cand == st || !cand.mu.TryLock() {
 			continue
 		}
-		ok := evictFrom(cand, false)
+		ok := s.evictLocked(cand)
 		cand.mu.Unlock()
 		if ok {
 			return
@@ -378,6 +334,27 @@ func (s *Store[K]) evictOneLocked(st *storeStripe[K], incoming K) {
 	}
 	// Every other stripe was empty or busy; the insert proceeds and the
 	// store transiently overshoots (bounded by the stripe count).
+}
+
+// evictLocked removes a uniformly random live key of the locked stripe
+// st, handing it and its heap counter to the eviction hook, and reports
+// whether st had a key. A random victim is the right neutral policy for
+// sketches: no per-key access metadata, and any victim forfeits exactly
+// its own count (the newest or oldest slot would make it LIFO or FIFO).
+func (s *Store[K]) evictLocked(st *storeStripe[K]) bool {
+	t := st.tab
+	if t.keys == 0 {
+		return false
+	}
+	i := uint32(rand.IntN(t.keys))
+	key, c := t.keyOf(t.slot(i)), t.ctrs[i]
+	t.remove(key)
+	s.touchLocked(st)
+	s.keys.Add(-1)
+	if s.onEvict != nil {
+		s.onEvict(key, c)
+	}
+	return true
 }
 
 // advanceWatermark raises the watermark sub-window index to at least
@@ -622,7 +599,7 @@ func (s *Store[K]) group(sc *storeScratch[K], keys []K) (counts, offs []int) {
 }
 
 // storeRunBatchMin is the run length at which a key's run switches from
-// looping the counter's per-item Add (map lookup already amortized per
+// looping the counter's per-item Add (key lookup already amortized per
 // run) to its BulkAdder path. Short runs must NOT use BulkAdder: its
 // setup — including the batch-hash scratch many sketches allocate lazily
 // on first use (~4 KiB) — would be paid per tiny per-key sketch, which at
@@ -638,7 +615,7 @@ const storeRunBatchMin = 64
 // for a batch of ≥ storeHelpMin records an idle process-wide helper (at
 // most GOMAXPROCS−1) — and applied under its lock, taken once per batch.
 // The call returns only after every record is applied. Within a stripe,
-// maximal runs of adjacent same-key records share one map lookup, and
+// maximal runs of adjacent same-key records share one key lookup, and
 // long runs (≥64 records — exporter flushes, hot keys) go through the
 // counter's BulkAdder fast path, hashing through the stripe's shared
 // scratch. Locks are taken with TryLock first and a busy stripe is
@@ -647,7 +624,7 @@ const storeRunBatchMin = 64
 //
 // State-equivalent to calling AddUint64(keys[i], items[i]) in slice
 // order: records are never reordered within a key (or at all within a
-// stripe), so the resulting counters are bit-identical. The store clones
+// stripe), so the resulting counters are bit-identical. The store copies
 // any string key it materializes, so callers may reuse the keys' backing
 // memory (a decoded frame buffer) across calls. Steady-state batches
 // allocate nothing. Safe for concurrent use. Panics if the slices'
@@ -889,22 +866,12 @@ func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, sc *storeScratch[
 func (s *Store[K]) Estimate(key K) (estimate float64, ok bool) {
 	st := s.stripeFor(key)
 	st.mu.Lock()
-	c, ok := s.lookupLocked(st, key)
+	c, ok := st.tab.lookup(key)
 	if ok {
 		estimate = estimateWith(c, &st.free)
 	}
 	st.mu.Unlock()
 	return estimate, ok
-}
-
-// lookupLocked returns key's counter without materializing it; ok is
-// false if the key is not live. Stripe lock held.
-func (s *Store[K]) lookupLocked(st *storeStripe[K], key K) (c Counter, ok bool) {
-	if st.tab != nil {
-		return st.tab.lookup(key)
-	}
-	c, ok = st.m[key]
-	return c, ok
 }
 
 // EstimateBatch answers Estimate for a whole batch of keys in one routed
@@ -933,7 +900,7 @@ func (s *Store[K]) EstimateBatch(keys []K, out []float64, ok []bool) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for _, rec := range sc.recs[offs[i]-n : offs[i]] {
-			c, hit := s.lookupLocked(st, rec.key)
+			c, hit := st.tab.lookup(rec.key)
 			ok[rec.pos] = hit
 			if hit {
 				out[rec.pos] = estimateWith(c, &st.free)
@@ -991,7 +958,7 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 	var we WindowEstimate
 	st := s.stripeFor(key)
 	st.mu.Lock()
-	c, ok := st.m[key]
+	c, ok := st.tab.lookup(key)
 	if ok {
 		we, err = c.(*windowRing).estimateWindow(wm, n, &st.free)
 	}
@@ -1058,12 +1025,7 @@ func (s *Store[K]) Len() int { return int(s.keys.Load()) }
 func (s *Store[K]) Remove(key K) bool {
 	st := s.stripeFor(key)
 	st.mu.Lock()
-	var ok bool
-	if st.tab != nil {
-		ok = st.tab.remove(key)
-	} else if _, ok = st.m[key]; ok {
-		delete(st.m, key)
-	}
+	ok := st.tab.remove(key)
 	if ok {
 		s.touchLocked(st)
 		s.keys.Add(-1)
@@ -1076,14 +1038,14 @@ func (s *Store[K]) Remove(key K) bool {
 // visited in order, keys within a stripe in an unspecified order. fn runs
 // with the key's stripe locked: read the counter, do not mutate it, and
 // do not call Store methods (self-deadlock). The counter is valid only
-// during fn — a slot table hands out one view, rebound key by key — while
-// the key stays valid after it. Keys materialized or evicted concurrently
-// in not-yet-visited stripes may or may not be seen.
+// during fn — an inline slot table hands out one view, rebound key by
+// key — while the key stays valid after it. Keys materialized or evicted
+// concurrently in not-yet-visited stripes may or may not be seen.
 func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for k, c := range st.all() {
+		for k, c := range st.tab.all() {
 			if !fn(k, c) {
 				st.mu.Unlock()
 				return
@@ -1118,7 +1080,7 @@ func (s *Store[K]) ForEachDirty(since uint64, fn func(key K, c Counter) bool) (c
 			st.mu.Unlock()
 			continue
 		}
-		for k, c := range st.all() {
+		for k, c := range st.tab.all() {
 			if !fn(k, c) {
 				st.mu.Unlock()
 				return cut
@@ -1169,7 +1131,7 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 	for si := range s.stripes {
 		st := &s.stripes[si]
 		st.mu.Lock()
-		for key, c := range st.all() {
+		for key, c := range st.tab.all() {
 			e := KeyEstimate[K]{Key: key, Estimate: estimateWith(c, &st.free)}
 			if len(heap) < k {
 				heap = append(heap, e)
@@ -1194,11 +1156,11 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 
 // SizeBits returns the summed summary memory of every live counter (the
 // paper's accounting). Safe for concurrent use; a consistent total only
-// at a quiescent point. A slot store, whose every key holds m bits,
-// answers from its key count.
+// at a quiescent point. An inline S-bitmap store, whose every key holds
+// m bits, answers from its key count.
 func (s *Store[K]) SizeBits() int {
-	if t := s.stripes[0].tab; t != nil {
-		return s.Len() * t.sh.Config().M()
+	if sh := s.stripes[0].tab.sh; sh != nil {
+		return s.Len() * sh.Config().M()
 	}
 	total := 0
 	s.ForEach(func(_ K, c Counter) bool {
@@ -1208,46 +1170,30 @@ func (s *Store[K]) SizeBits() int {
 	return total
 }
 
-// storeEntryOverhead approximates the per-key map cost beyond the key and
-// counter themselves: bucket slot (tophash byte, key and interface-value
-// cells at ~13/8 load factor) plus the counter interface header.
-const storeEntryOverhead = 48
-
 // Footprint returns the store's resident process memory in bytes: the
-// stripe array, each stripe's batch scratch, and its keys. A slot table
-// is exact arithmetic over its capacities — index, slot chunks, key log —
-// with the state its sketches share counted once, so a slot store answers
-// without walking its keys. A map stripe counts its maps' per-entry
-// overhead (approximate — Go maps do not expose their exact layout), key
-// storage (string bytes for string keys), every counter's own footprint
-// and the sub-window counters on its free list; the state the Store's
-// HyperLogLogs share is counted once. Safe for concurrent use; one stripe
-// is locked at a time.
+// stripe array, each stripe's batch scratch, slot table and free list of
+// sub-window counters, and every heap counter's own footprint. A slot
+// table is exact arithmetic over its capacities — index, slot chunks, key
+// log, counter slice — and the state the Store's inline sketches or
+// HyperLogLogs share is counted once, so an inline S-bitmap store answers
+// without walking its keys. Safe for concurrent use; one stripe is locked
+// at a time.
 func (s *Store[K]) Footprint() int {
-	var zero K
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
 	if s.hll != nil {
 		total += s.hll.sh.Footprint()
 	}
-	if t := s.stripes[0].tab; t != nil {
-		total += t.sh.Footprint()
+	if sh := s.stripes[0].tab.sh; sh != nil {
+		total += sh.Footprint()
 	}
-	isStr := s.isStr
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		total += st.scr.Footprint() + cap(st.free)*int(unsafe.Sizeof(Counter(nil)))
+		total += st.scr.Footprint() + st.tab.footprint() + cap(st.free)*int(unsafe.Sizeof(Counter(nil)))
 		for _, c := range st.free {
 			total += c.Footprint()
 		}
-		if st.tab != nil {
-			total += st.tab.footprint()
-		}
-		total += len(st.m) * (int(unsafe.Sizeof(zero)) + storeEntryOverhead)
-		for k, c := range st.m {
-			if isStr {
-				total += len(keyString(k))
-			}
+		for _, c := range st.tab.ctrs {
 			total += c.Footprint()
 		}
 		st.mu.Unlock()
@@ -1262,12 +1208,8 @@ func (s *Store[K]) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		s.keys.Add(-int64(st.len()))
-		if st.tab != nil {
-			st.tab.reset()
-		} else {
-			st.m = make(map[K]Counter)
-		}
+		s.keys.Add(-int64(st.tab.keys))
+		st.tab.reset()
 		st.free = nil
 		s.touchLocked(st)
 		st.mu.Unlock()
@@ -1306,14 +1248,14 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 			s.advanceWatermark(owm)
 		}
 	}
-	// Slot tables hold S-bitmaps only, which the check above refuses, so
-	// only map stripes get here.
+	// Only S-bitmaps go inline, which the check above refuses, so every
+	// counter here is on the heap and outlives the stripe lock.
 	for i := range other.stripes {
 		ot := &other.stripes[i]
 		ot.mu.Lock()
-		keys := make([]K, 0, len(ot.m))
-		srcs := make([]Counter, 0, len(ot.m))
-		for k, c := range ot.m {
+		keys := make([]K, 0, ot.tab.keys)
+		srcs := make([]Counter, 0, ot.tab.keys)
+		for k, c := range ot.tab.all() {
 			keys = append(keys, k)
 			srcs = append(srcs, c)
 		}
@@ -1543,29 +1485,23 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 }
 
 // restoreEntry adds key with the counter its snapshot blob holds and
-// reports a key already present as dup. A slot table decodes the blob
-// straight into a new slot under the stripe lock; a map stripe's counter
-// is decoded before the lock is taken.
+// reports a key already present as dup. An inline sketch is decoded
+// straight into a new slot under the stripe lock; a heap counter is
+// decoded before the lock is taken.
 func (s *Store[K]) restoreEntry(key K, blob []byte, specOpts []Option) (dup bool, err error) {
 	st := s.stripeFor(key)
 	var c Counter
-	if st.tab == nil {
+	if st.tab.sh == nil {
 		if c, err = s.decodeCounter(key, blob, specOpts); err != nil {
 			return false, err
 		}
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.tab != nil {
-		return st.tab.restore(key, blob)
-	}
-	if _, dup = st.m[key]; !dup {
-		st.m[key] = c
-	}
-	return dup, nil
+	return st.tab.restore(key, c, blob)
 }
 
-// decodeCounter restores key's map-stripe counter from its snapshot blob.
+// decodeCounter restores key's heap counter from its snapshot blob.
 // An hll store decodes its counters under its shared state, so a restored
 // store is laid out as one built by ingest; to it, a blob of another kind
 // or other parameters is a corrupt snapshot. On a windowed store the blob
@@ -1678,11 +1614,11 @@ func (s *Store[K]) MarshalStripes(since uint64) (blobs map[int][]byte, cut uint6
 			st.mu.Unlock()
 			continue
 		}
-		payload := make([]byte, 0, stripeSnapHeader+48*st.len())
+		payload := make([]byte, 0, stripeSnapHeader+48*st.tab.keys)
 		payload = append(payload, stripeSnapMagic...)
 		payload = append(payload, stripeSnapVersion, storeKeyCode[K]())
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(st.len()))
-		for k, c := range st.all() {
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(st.tab.keys))
+		for k, c := range st.tab.all() {
 			payload, err = s.appendStoreEntry(payload, k, c)
 			if err != nil {
 				st.mu.Unlock()

@@ -13,21 +13,21 @@ import (
 	"repro/internal/xrand"
 )
 
-// forceMapPath moves a new, empty store onto the map path, so every key's
-// counter comes from newCounter on the heap and sits in a stripe map: the
-// path bounded and windowed stores take, and the reference the slot
-// tables are checked against.
-func forceMapPath[K StoreKey](s *Store[K]) {
+// forceHeapCounters gives a new, empty store slot tables of heap
+// counters, so every key's counter comes from newCounter on the heap: the
+// layout bounded and windowed stores take, and the reference the inline
+// sketches are checked against.
+func forceHeapCounters[K StoreKey](s *Store[K]) {
 	for i := range s.stripes {
-		s.stripes[i].tab = nil
-		s.stripes[i].m = make(map[K]Counter)
+		s.stripes[i].tab = newSlotTable[K](nil, s.isStr)
 	}
 }
 
-// TestStoreSlabEquivalence is the slot table's safety rail: the same
-// records through a slot store and a map-path one (forceMapPath) must
-// marshal to identical bytes — sketches kept in slots and stripe-shared
-// scratch change where state lives, never what it is. The workload mixes
+// TestStoreSlabEquivalence is the inline sketches' safety rail: the same
+// records through an inline S-bitmap store and a heap-counter one
+// (forceHeapCounters) must marshal to identical bytes — sketches kept in
+// slots and stripe-shared scratch change where state lives, never what it
+// is. The workload mixes
 // scattered singleton runs with long same-key runs (borrowed-scratch
 // batch path) and crosses several chunk and index growths.
 func TestStoreSlabEquivalence(t *testing.T) {
@@ -58,7 +58,7 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forceMapPath(plain)
+		forceHeapCounters(plain)
 		for i := 0; i < len(keys); i += 777 { // uneven batch sizes
 			end := min(i+777, len(keys))
 			slab.AddBatch64(keys[i:end], items[i:end])
@@ -78,26 +78,26 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forceMapPath(plain)
+		forceHeapCounters(plain)
 		slab.AddBatchString(strKeys, strItems)
 		plain.AddBatchString(strKeys, strItems)
 		assertStoresIdentical(t, slab, plain)
 	})
 }
 
-// TestStoreSlabEvictionDisablesArena: WithMaxKeys eviction drops
-// counters from any stripe at any time, which the map path handles — so a
-// bounded store keeps maps instead of slot tables, while keeping the
-// shared-scratch half of the optimization. Observable contract: the
-// bound holds and counting stays correct.
+// TestStoreSlabEvictionDisablesArena: WithMaxKeys eviction hands the
+// victim's counter to OnEvict, which may keep it after its slot is gone —
+// so a bounded store keeps heap counters instead of inline sketches, while
+// keeping the shared-scratch half of the optimization. Observable
+// contract: the bound holds and counting stays correct.
 func TestStoreSlabEvictionDisablesArena(t *testing.T) {
 	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithMaxKeys(64), WithStripes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range s.stripes {
-		if s.stripes[i].tab != nil {
-			t.Fatalf("stripe %d has a slot table despite WithMaxKeys eviction", i)
+		if s.stripes[i].tab.sh != nil {
+			t.Fatalf("stripe %d keeps sketches inline despite WithMaxKeys eviction", i)
 		}
 	}
 	keys, items := keyedWorkload(500, 8000, 5)
@@ -109,9 +109,9 @@ func TestStoreSlabEvictionDisablesArena(t *testing.T) {
 
 // TestStoreClonesMaterializedStringKeys: zero-copy ingest paths hand the
 // store keys aliasing a reusable frame buffer; the store must not retain
-// that memory, on the slot path (slab=true: keys copied into the key log)
-// or the map path. Mutating the caller's backing bytes after ingest must
-// not corrupt the stored keys.
+// that memory, with inline sketches (slab=true) or heap counters, both of
+// which copy keys into the key log. Mutating the caller's backing bytes
+// after ingest must not corrupt the stored keys.
 func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 	for _, slab := range []bool{true, false} {
 		t.Run(fmt.Sprintf("slab=%v", slab), func(t *testing.T) {
@@ -120,7 +120,7 @@ func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slab {
-				forceMapPath(s)
+				forceHeapCounters(s)
 			}
 			buf := []byte("flow-a")
 			alias := unsafe.String(&buf[0], len(buf)) // what a zero-copy decoder produces
@@ -375,31 +375,35 @@ func TestStoreHeapPerKey(t *testing.T) {
 }
 
 // TestStoreFootprintMatchesLiveHeap: Footprint, the store's own
-// arithmetic over its capacities, is what the heap rail measures — within
-// 5% per key — so the bytes-per-key figure a server reports is the memory
-// its keys hold. After Reset the heap keeps no more of the store than the
-// empty store's Footprint (plus 64 KiB of slack): the keys' memory goes
-// back, none of it pinned by a counter view still bound to a slot.
+// arithmetic over its capacities, is what the heap rails measure — within
+// 5% per key, for the inline S-bitmap store and the windowed store of heap
+// counters alike — so the bytes-per-key figure a server reports is the
+// memory its keys hold. After Reset the heap keeps no more of the store
+// than the empty store's Footprint (plus 64 KiB of slack): the keys'
+// memory goes back, none of it pinned by a counter view still bound to a
+// slot.
 func TestStoreFootprintMatchesLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
-	st, heap := heapStore(t)
-	fp := float64(st.Footprint()) / float64(st.Len())
-	t.Logf("Footprint %.1f B/key, live heap %.1f B/key", fp, heap)
-	if fp < 0.95*heap || fp > 1.05*heap {
-		t.Errorf("Footprint reports %.1f B/key, live heap %.1f B/key: more than 5%% apart", fp, heap)
-	}
-	var reset *Store[string]
-	kept := heapBytes(func() any {
-		reset, _ = heapStore(t)
-		reset.Reset()
-		return reset
-	})
-	empty := float64(reset.Footprint())
-	t.Logf("after Reset: %.0f B of live heap, Footprint %.0f B", kept, empty)
-	if kept > empty+64<<10 {
-		t.Errorf("after Reset the store still holds %.0f B of live heap, its Footprint %.0f B", kept, empty)
+	for _, build := range []func(*testing.T) (*Store[string], float64){heapStore, windowedHeapStore} {
+		st, heap := build(t)
+		fp := float64(st.Footprint()) / float64(st.Len())
+		t.Logf("%s: Footprint %.1f B/key, live heap %.1f B/key", st.Spec(), fp, heap)
+		if fp < 0.95*heap || fp > 1.05*heap {
+			t.Errorf("%s: Footprint reports %.1f B/key, live heap %.1f B/key: more than 5%% apart", st.Spec(), fp, heap)
+		}
+		var reset *Store[string]
+		kept := heapBytes(func() any {
+			reset, _ = build(t)
+			reset.Reset()
+			return reset
+		})
+		empty := float64(reset.Footprint())
+		t.Logf("%s after Reset: %.0f B of live heap, Footprint %.0f B", st.Spec(), kept, empty)
+		if kept > empty+64<<10 {
+			t.Errorf("%s: after Reset the store still holds %.0f B of live heap, its Footprint %.0f B", st.Spec(), kept, empty)
+		}
 	}
 }
 
@@ -538,7 +542,7 @@ func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
 	}
 }
 
-// TestStoreSBitmapFootprintExact: a slot store accounts exactly its
+// TestStoreSBitmapFootprintExact: an inline store accounts exactly its
 // tables' capacities. An empty store is its header, its stripes, one table
 // per stripe and the state every slot shares, counted once; a full chunk
 // of uint64 keys adds exactly the chunk — 72 B per key: tag, key, fill

@@ -127,7 +127,7 @@ func checkHelperTwin[K StoreKey](t *testing.T, spec Spec, keys []K, items []uint
 		t.Errorf("changed counts: per-item %d, batch %d", oneChanged, batchChanged)
 	}
 	for i := range batch.stripes {
-		if batch.stripes[i].len() == 0 {
+		if batch.stripes[i].tab.keys == 0 {
 			t.Fatalf("stripe %d holds no key: the workload must touch every stripe", i)
 		}
 	}

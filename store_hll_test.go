@@ -230,7 +230,8 @@ func TestWindowRecyclingMatchesReference(t *testing.T) {
 			}
 		}
 		for _, key := range rotated {
-			rg := s.stripes[s.stripeIndex(s.hashKey(key))].m[key].(*windowRing)
+			c, _ := s.stripes[s.stripeIndex(s.hashKey(key))].tab.lookup(key)
+			rg := c.(*windowRing)
 			for _, sl := range rg.slots {
 				if sl.c != nil && sl.widx <= wm-ring {
 					t.Fatalf("step %d: key %s rotated but holds sub-window %d at or behind the horizon %d",
@@ -336,7 +337,8 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 		if len(s.stripes[0].free) == 0 {
 			t.Fatal("the free list holds no counter")
 		}
-		want := s.stripes[0].m["hot"].Estimate() // merges into a new counter
+		c, _ := s.stripes[0].tab.lookup("hot")
+		want := c.Estimate() // merges into a new counter
 		keys, out, ok := []string{"hot"}, make([]float64, 1), make([]bool, 1)
 		var est float64
 		if allocs := testing.AllocsPerRun(100, func() { est, _ = s.Estimate("hot") }); allocs != 0 {

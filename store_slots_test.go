@@ -32,8 +32,8 @@ func slotKey(prefix string, i int) string {
 
 // checkSlotTables verifies every stripe table's invariants: the index
 // holds exactly one entry per live slot, every live key is found from its
-// own probe hash at the entry naming its slot, and the tables' key counts
-// add up to Len.
+// own probe hash at the entry naming its slot, a heap table holds one
+// counter per live slot, and the tables' key counts add up to Len.
 func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 	t.Helper()
 	total := 0
@@ -51,6 +51,10 @@ func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 			st.mu.Unlock()
 			t.Fatalf("stripe %d: %d index entries for %d keys", i, entries, tab.keys)
 		}
+		if tab.sh == nil && len(tab.ctrs) != tab.keys {
+			st.mu.Unlock()
+			t.Fatalf("stripe %d: %d heap counters for %d keys", i, len(tab.ctrs), tab.keys)
+		}
 		for j := range uint32(tab.keys) {
 			key := tab.keyOf(tab.slot(j))
 			pos, ok := tab.find(tab.hash(key), key)
@@ -67,7 +71,7 @@ func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 	}
 }
 
-// slotRecount recounts a slot store's SizeBits and Footprint key by key
+// slotRecount recounts an inline store's SizeBits and Footprint key by key
 // and chunk by chunk: every live counter's bits, and the bytes of every
 // slot chunk, index and key-log chunk the tables hold at capacity.
 func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
@@ -85,7 +89,7 @@ func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 		for _, c := range tab.log.chunks {
 			footprint += cap(c)
 		}
-		for _, c := range st.all() {
+		for _, c := range st.tab.all() {
 			sizeBits += c.SizeBits()
 		}
 		st.mu.Unlock()
@@ -93,7 +97,7 @@ func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 	return sizeBits, footprint
 }
 
-// TestStoreSlotAccountingRecount: a slot store's SizeBits and Footprint,
+// TestStoreSlotAccountingRecount: an inline store's SizeBits and Footprint,
 // kept as per-stripe arithmetic, equal a key-by-key and chunk-by-chunk
 // recount after adds, removes (slot moves, chunk drops, key-log
 // compaction) and a reset.
@@ -140,7 +144,7 @@ func TestStoreSlotAccountingRecount(t *testing.T) {
 // TestStoreSlotChurnReclaims: Remove gives back what a key held — its
 // slot to the next key, its log bytes to the next compaction — so a slot
 // store whose key set turns over round after round stays the size it
-// started at, and stays bit-identical to a map-path twin fed the same
+// started at, and stays bit-identical to a heap-counter twin fed the same
 // operations. A stripe also holds memory in fixed steps — its last key-log
 // chunk (up to 4 KiB) and its last slot chunk's doubling — that move with
 // its key count, not with churn; the stripes hold 4,096 keys each, so
@@ -168,7 +172,7 @@ func churn[K StoreKey](t *testing.T, key func(int) K) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceMapPath(twin)
+	forceHeapCounters(twin)
 	live := make([]int, 0, keys)
 	next := 0
 	add := func(n int) {
@@ -230,7 +234,7 @@ func TestStoreSlotProbeChainRemove(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				forceMapPath(twin)
+				forceHeapCounters(twin)
 				// The probe hash's seed is the table's own: find the chain
 				// in this table.
 				tab := s.stripes[0].tab

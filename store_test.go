@@ -144,13 +144,13 @@ func assertStoresIdentical[K StoreKey](t *testing.T, a, b *Store[K]) {
 	})
 }
 
-// storeBlob marshals key's counter in s, under its stripe lock: a slot
-// table's counter is a view valid only while the lock is held.
+// storeBlob marshals key's counter in s, under its stripe lock: an inline
+// sketch's counter is a view valid only while the lock is held.
 func storeBlob[K StoreKey](s *Store[K], key K) ([]byte, error) {
 	st := s.stripeFor(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	c, ok := s.lookupLocked(st, key)
+	c, ok := st.tab.lookup(key)
 	if !ok {
 		return nil, fmt.Errorf("key %v not live", key)
 	}
@@ -464,6 +464,78 @@ func TestStoreEviction(t *testing.T) {
 	}
 	if wide.Len() != 2 {
 		t.Errorf("cross-stripe eviction: Len = %d, want 2", wide.Len())
+	}
+
+	// String keys: the counter OnEvict receives is the evicted key's own —
+	// it marshals like an unbounded twin's counter for that key — and it
+	// outlives its slot, which a later key takes over: after later inserts
+	// it marshals to the same bytes as inside the hook. Every evicted key is
+	// gone, and every surviving exact counter holds its key's true count.
+	for _, spec := range []string{"exact", "hll:mbits=512/windowed(width=1m,ring=5)"} {
+		const keys, limit = 300, 20
+		s, err := NewStore[string](MustSpec(spec), WithStripes(4), WithMaxKeys(limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewStore[string](MustSpec(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		type evictedCounter struct {
+			key  string
+			c    Counter
+			blob []byte
+		}
+		var gone []evictedCounter
+		s.OnEvict(func(key string, c Counter) {
+			blob, err := Marshal(c)
+			if err != nil {
+				t.Errorf("%s: marshal evicted key %q: %v", spec, key, err)
+			}
+			gone = append(gone, evictedCounter{key, c, blob})
+		})
+		truth := make(map[string]int, keys)
+		add := func(key, item string) {
+			s.AddString(key, item)
+			twin.AddString(key, item)
+			truth[key]++
+		}
+		for i := range keys {
+			key := fmt.Sprintf("flow-%d", i)
+			for j := range i%7 + 1 {
+				add(key, fmt.Sprintf("%s-item-%d", key, j))
+			}
+		}
+		var live []string
+		s.ForEach(func(key string, _ Counter) bool {
+			live = append(live, key)
+			return true
+		})
+		for _, key := range live {
+			add(key, key+"-late")
+		}
+		if s.Len() != limit || len(gone) != keys-limit {
+			t.Errorf("%s: Len %d after %d evictions, want %d after %d", spec, s.Len(), len(gone), limit, keys-limit)
+		}
+		for _, e := range gone {
+			if want, err := storeBlob(twin, e.key); err != nil || !bytes.Equal(e.blob, want) {
+				t.Errorf("%s: OnEvict got a counter other than key %q's own (err %v)", spec, e.key, err)
+			}
+			if blob, err := Marshal(e.c); err != nil || !bytes.Equal(blob, e.blob) {
+				t.Errorf("%s: evicted key %q's counter changed after its eviction (err %v)", spec, e.key, err)
+			}
+			if _, ok := s.Estimate(e.key); ok {
+				t.Errorf("%s: evicted key %q still live", spec, e.key)
+			}
+		}
+		if spec == "exact" {
+			s.ForEach(func(key string, c Counter) bool {
+				if got := c.Estimate(); got != float64(truth[key]) {
+					t.Errorf("exact: surviving key %q counts %v, want %d", key, got, truth[key])
+				}
+				return true
+			})
+		}
 	}
 }
 

@@ -77,17 +77,18 @@ type windowShared struct {
 func (w *windowShared) widthDur() time.Duration { return time.Duration(w.width) }
 
 // coveringWindows maps a query span onto the number of sub-windows that
-// cover it: ceil(span/width), which must fit the ring.
+// cover it: ceil(span/width), which must fit the ring. It is computed as
+// (span−1)/width + 1, which cannot overflow for a positive span.
 func (w *windowShared) coveringWindows(span time.Duration) (int, error) {
 	if span <= 0 {
 		return 0, fmt.Errorf("%w %s is not positive", ErrWindowSpan, span)
 	}
-	n := int((int64(span) + w.width - 1) / w.width)
-	if n > w.ring {
+	n := (int64(span)-1)/w.width + 1
+	if n > int64(w.ring) {
 		return 0, fmt.Errorf("%w %s exceeds the retention %s (windowed(width=%s,ring=%d))",
 			ErrWindowSpan, span, time.Duration(w.width*int64(w.ring)), w.widthDur(), w.ring)
 	}
-	return n, nil
+	return int(n), nil
 }
 
 // take hands out an empty sub-window counter: the one last pushed onto
