@@ -230,7 +230,7 @@ func parseFlags(args []string, stderr *os.File) (config, error) {
 	}
 	if len(peerList) > 0 {
 		// Fail on duplicate/empty peers now, not at first client routing.
-		if _, err := cluster.NewRing(peerList, 0); err != nil {
+		if _, err := cluster.NewRing(peerList); err != nil {
 			return config{}, fmt.Errorf("-peers: %w", err)
 		}
 	}

@@ -20,20 +20,9 @@ import (
 // fuzz smoke over this target.
 func FuzzUnmarshalStore(f *testing.F) {
 	specs := make(map[string]bool)
-	for _, spec := range []string{
-		"hll:mbits=256,seed=3",
-		"hll:mbits=256,seed=3/windowed(width=1m,ring=3)",
-		"sbitmap:n=1e3,eps=0.2",
-		"sbitmap:n=1e3,eps=0.2/windowed(width=1m,ring=3)",
-	} {
-		s, err := NewStore[string](MustSpec(spec))
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, spec := range fuzzStoreSpecs {
+		s := fuzzSeedStore(f, spec)
 		specs[s.Spec().String()] = true
-		for i := 0; i < 40; i++ {
-			s.AddStringAt(time.Unix(int64(i%4)*60, 0), fmt.Sprintf("k%d", i%5), fmt.Sprintf("i%d", i))
-		}
 		blob, err := s.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
@@ -69,6 +58,64 @@ func FuzzUnmarshalStore(f *testing.F) {
 			if !bytes.Equal(got[k], b) {
 				t.Fatalf("key %q: counter blob changed across the round trip", k)
 			}
+		}
+	})
+}
+
+// fuzzStoreSpecs are the specs of the snapshot decoders' fuzz seeds:
+// plain and windowed HLL and S-bitmap stores.
+var fuzzStoreSpecs = []string{
+	"hll:mbits=256,seed=3",
+	"hll:mbits=256,seed=3/windowed(width=1m,ring=3)",
+	"sbitmap:n=1e3,eps=0.2",
+	"sbitmap:n=1e3,eps=0.2/windowed(width=1m,ring=3)",
+}
+
+// fuzzSeedStore returns a string-keyed store of spec holding 5 keys fed
+// over 4 one-minute sub-windows.
+func fuzzSeedStore(f *testing.F, spec string) *Store[string] {
+	s, err := NewStore[string](MustSpec(spec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		s.AddStringAt(time.Unix(int64(i%4)*60, 0), fmt.Sprintf("k%d", i%5), fmt.Sprintf("i%d", i))
+	}
+	return s
+}
+
+// FuzzRestoreStripe drives the checkpoint stripe decoder, seeded with the
+// MarshalStripes blobs of stores of fuzzStoreSpecs; the first input byte
+// picks the spec of the fresh store the rest is restored into. The
+// invariants: RestoreStripe never panics, and on success the store holds
+// exactly the keys it reports restoring. CI runs a short fuzz smoke over
+// this target.
+func FuzzRestoreStripe(f *testing.F) {
+	for i, spec := range fuzzStoreSpecs {
+		blobs, _, err := fuzzSeedStore(f, spec).MarshalStripes(0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, blob := range blobs {
+			if n, _ := StripeSnapshotKeys(blob); n > 0 {
+				f.Add(append([]byte{byte(i)}, blob...))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		s, err := NewStore[string](MustSpec(fuzzStoreSpecs[int(data[0])%len(fuzzStoreSpecs)]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.RestoreStripe(data[1:])
+		if err != nil {
+			return // rejection is fine; panicking is not
+		}
+		if s.Len() != n {
+			t.Fatalf("RestoreStripe reported %d keys, the store holds %d", n, s.Len())
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -35,8 +34,6 @@ type Client struct {
 }
 
 type options struct {
-	vnodes    int
-	hc        *http.Client
 	retries   int
 	retryBase time.Duration
 	wireAddrs map[string]string
@@ -44,13 +41,6 @@ type options struct {
 
 // Option configures a cluster Client.
 type Option func(*options)
-
-// WithVirtualNodes overrides the ring's per-peer virtual-node count.
-func WithVirtualNodes(n int) Option { return func(o *options) { o.vnodes = n } }
-
-// WithHTTPClient substitutes the transport shared by every per-peer
-// client (timeouts, test doubles).
-func WithHTTPClient(hc *http.Client) Option { return func(o *options) { o.hc = hc } }
 
 // WithRetry overrides the per-peer retry policy (see server.WithRetry);
 // WithRetry(0, 0) disables retries.
@@ -99,7 +89,7 @@ func New(peers []string, opts ...Option) (*Client, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ring, err := NewRing(peers, o.vnodes)
+	ring, err := NewRing(peers)
 	if err != nil {
 		return nil, err
 	}
@@ -109,11 +99,7 @@ func New(peers []string, opts ...Option) (*Client, error) {
 		wire:  make([]*wirePeer, len(peers)),
 	}
 	for i, p := range peers {
-		copts := []server.ClientOption{server.WithRetry(o.retries, o.retryBase)}
-		if o.hc != nil {
-			copts = append(copts, server.WithHTTPClient(o.hc))
-		}
-		c.peers[i] = server.NewClient(p, copts...)
+		c.peers[i] = server.NewClient(p, server.WithRetry(o.retries, o.retryBase))
 		if addr, ok := o.wireAddrs[p]; ok {
 			c.wire[i] = &wirePeer{c: wire.NewClient(addr)}
 		}

@@ -68,7 +68,7 @@ func TestMergeTopK(t *testing.T) {
 // per-partition top-k must equal the unsharded ranking — the exhaustive
 // twin check, free of HTTP.
 func TestMergeTopKAgainstFlatRanking(t *testing.T) {
-	r, err := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	r, err := NewRing([]string{"http://n1", "http://n2", "http://n3"})
 	if err != nil {
 		t.Fatal(err)
 	}

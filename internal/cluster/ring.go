@@ -30,9 +30,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// DefaultVirtualNodes is the per-peer virtual-node count when NewRing is
-// given 0: enough points that the largest partition is within a few
-// percent of the mean for small clusters.
+// DefaultVirtualNodes is the ring's per-peer virtual-node count: enough
+// points that the largest partition is within a few percent of the mean
+// for small clusters.
 const DefaultVirtualNodes = 128
 
 // Ring is a consistent-hash ring over a static peer list. Immutable
@@ -49,19 +49,15 @@ type ringPoint struct {
 
 // NewRing builds a ring over peers (base URLs, order significant only
 // for reporting — placement depends on the set of strings, not their
-// order). vnodes is the virtual-node count per peer; 0 means
-// DefaultVirtualNodes.
-func NewRing(peers []string, vnodes int) (*Ring, error) {
+// order), with DefaultVirtualNodes points per peer.
+func NewRing(peers []string) (*Ring, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one peer")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(peers))
 	r := &Ring{
 		peers:  append([]string(nil), peers...),
-		points: make([]ringPoint, 0, len(peers)*vnodes),
+		points: make([]ringPoint, 0, len(peers)*DefaultVirtualNodes),
 	}
 	for i, p := range peers {
 		if p == "" {
@@ -71,7 +67,7 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer %q", p)
 		}
 		seen[p] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			// The vnode hash folds the replica index into the peer name's
 			// hash and finalizes through a full-avalanche mixer — raw
 			// FNV over near-identical inputs clusters badly on the ring.

@@ -6,13 +6,13 @@ import (
 )
 
 func TestRingErrors(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty peer list accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty peer accepted")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate peer accepted")
 	}
 }
@@ -20,11 +20,11 @@ func TestRingErrors(t *testing.T) {
 // Placement must be a pure function of the peer SET: clients and servers
 // agree on owners regardless of the order their -peers flags listed them.
 func TestRingOrderIndependence(t *testing.T) {
-	a, err := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	a, err := NewRing([]string{"http://n1", "http://n2", "http://n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"http://n3", "http://n1", "http://n2"}, 0)
+	b, err := NewRing([]string{"http://n3", "http://n1", "http://n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRingOrderIndependence(t *testing.T) {
 }
 
 func TestRingSinglePeer(t *testing.T) {
-	r, err := NewRing([]string{"http://only"}, 0)
+	r, err := NewRing([]string{"http://only"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRingSinglePeer(t *testing.T) {
 // within a loose band of the 1/3 mean — consistent hashing's point.
 func TestRingBalance(t *testing.T) {
 	peers := []string{"http://n1:8287", "http://n2:8287", "http://n3:8287"}
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingPartition(t *testing.T) {
-	r, err := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	r, err := NewRing([]string{"http://n1", "http://n2", "http://n3"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,6 @@ type Client struct {
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithHTTPClient substitutes the transport (timeouts, proxies, test
-// doubles); the default is a plain &http.Client{}.
-func WithHTTPClient(hc *http.Client) ClientOption { return func(c *Client) { c.hc = hc } }
-
 // WithRetry enables bounded retry on transient failures: transport errors
 // (connection refused/reset, broken pipe — anything the http.Client
 // returns instead of a response) and 5xx responses. Up to retries extra

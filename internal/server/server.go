@@ -666,21 +666,21 @@ func (s *Server) observeIngest(keys []string, affinity uintptr) {
 	s.rules.ObserveIngest(keys, time.Now(), affinity)
 }
 
-// applyFrame applies a decoded frame to the store, routing a version-2
-// frame's record timestamp onto the Store's timestamped batch path so a
-// windowed store files the records into the right sub-window. Callers
-// hold the ingest gate shared.
+// applyFrame applies a decoded frame to the store. A version-2 frame's
+// record timestamp goes to the Store as a value, so a windowed store
+// files the records into its sub-window; an unstamped frame passes the
+// zero time.Time, which the Store reads as no timestamp (time.Unix never
+// returns it). Callers hold the ingest gate shared.
 func (s *Server) applyFrame(f *Frame) AddResult {
+	var ts time.Time
+	if f.HasTS {
+		ts = time.Unix(0, f.TSNanos)
+	}
 	res := AddResult{Records: f.Records()}
-	switch {
-	case f.Items64 != nil && f.HasTS:
-		res.Changed = s.store.AddBatch64At(time.Unix(0, f.TSNanos), f.Keys, f.Items64)
-	case f.Items64 != nil:
-		res.Changed = s.store.AddBatch64(f.Keys, f.Items64)
-	case f.HasTS:
-		res.Changed = s.store.AddBatchStringAt(time.Unix(0, f.TSNanos), f.Keys, f.ItemsString)
-	default:
-		res.Changed = s.store.AddBatchString(f.Keys, f.ItemsString)
+	if f.Items64 != nil {
+		res.Changed = s.store.AddBatch64At(ts, f.Keys, f.Items64)
+	} else {
+		res.Changed = s.store.AddBatchStringAt(ts, f.Keys, f.ItemsString)
 	}
 	s.mutations.Add(1)
 	return res
@@ -908,11 +908,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		k = v
-	}
-	// TopK pre-allocates a k-sized heap; clamp to the live key count so a
-	// huge ?k= cannot allocate unboundedly.
-	if n := s.store.Len(); k > n {
-		k = n
 	}
 	ranked := s.store.TopK(k)
 	res := TopKResult{Top: make([]Entry, len(ranked))}

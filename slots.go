@@ -70,7 +70,8 @@ const (
 	// ones are compared in the key log.
 	slotInline = 16
 	// slotIndexMin is the smallest index; the index doubles when a key
-	// would raise its load above 3/4.
+	// would raise its load above 3/4 and halves when its load falls below
+	// 1/8.
 	slotIndexMin = 8
 )
 
@@ -292,7 +293,8 @@ func (t *slotTable[K]) reserve(i uint32) {
 	*c = grown
 }
 
-// grow rebuilds the index at size n, a power of two, from the slots' tags.
+// grow rebuilds the index at size n, a power of two, from the slots' tags;
+// remove shrinks it through here too.
 func (t *slotTable[K]) grow(n int) {
 	t.idx = make([]uint32, n)
 	mask := uint32(n - 1)
@@ -309,9 +311,13 @@ func (t *slotTable[K]) grow(n int) {
 // goes by backward-shift deletion (Knuth, TAOCP vol. 3, §6.4, Algorithm
 // R), so no tombstones accumulate; the last slot, and its heap counter,
 // moves into the freed one, so slots stay dense, and a chunk left empty is
-// dropped. A string key's log bytes are dead from then on, and the log is
-// compacted once its dead bytes exceed half its live ones, so dead bytes
-// never hold more than a third of the log.
+// dropped. The index halves once its load falls below 1/8, down to
+// slotIndexMin, and the counter slice is reallocated once less than a
+// quarter of it is in use, so a table that sheds keys gives their memory
+// back; growth at load 3/4 keeps both far from thrashing. A string key's
+// log bytes are dead from then on, and the log is compacted once its dead
+// bytes exceed half its live ones, so dead bytes never hold more than a
+// third of the log.
 func (t *slotTable[K]) remove(key K) bool {
 	pos, ok := t.find(t.hash(key), key)
 	if !ok {
@@ -344,6 +350,9 @@ func (t *slotTable[K]) remove(key K) bool {
 		t.ctrs[i] = t.ctrs[last]
 		t.ctrs[last] = nil
 		t.ctrs = t.ctrs[:last]
+		if 4*len(t.ctrs) < cap(t.ctrs) {
+			t.ctrs = append([]Counter(nil), t.ctrs...)
+		}
 	}
 	t.keys--
 	if c := len(t.chunks) - 1; t.keys == c<<slotChunkBits {
@@ -351,6 +360,9 @@ func (t *slotTable[K]) remove(key K) bool {
 		t.chunks[c] = nil
 		t.chunks = t.chunks[:c]
 		t.view = SBitmap{} // it may still be bound to a slot of the chunk
+	}
+	if len(t.idx) > slotIndexMin && 8*t.keys < len(t.idx) {
+		t.grow(len(t.idx) / 2)
 	}
 	if t.str && 2*t.log.dead > t.log.live {
 		t.compactLog()

@@ -372,17 +372,6 @@ func (s *Store[K]) advanceWatermark(widx int64) int64 {
 	}
 }
 
-// currentWidx returns the watermark sub-window, or sub-window 0 for a
-// windowed store that has never seen a record — untimestamped ingest is
-// deterministic (never wall-clock), so replaying the same records always
-// rebuilds the same state.
-func (s *Store[K]) currentWidx() int64 {
-	if wm := s.wm.Load(); wm != wmNone {
-		return wm
-	}
-	return 0
-}
-
 // resolveWidx resolves the sub-window an n-record ingest lands in, given
 // the timestamp's own sub-window: normally widx itself (advancing the
 // watermark when the batch moves time forward), but a record more than
@@ -412,16 +401,24 @@ func (s *Store[K]) slotLocked(st *storeStripe[K], key K, widx int64) Counter {
 	return c
 }
 
+// lockSlot resolves the sub-window a single record stamped ts lands in,
+// locks key's stripe, stamps it dirty and returns it with the counter
+// that receives the record. The caller unlocks the stripe.
+func (s *Store[K]) lockSlot(ts time.Time, key K) (*storeStripe[K], Counter) {
+	widx := s.resolveWidx(s.tsWidx(ts), 1)
+	st := s.stripeFor(key)
+	st.mu.Lock()
+	s.touchLocked(st)
+	return st, s.slotLocked(st, key, widx)
+}
+
 // Add offers item to key's counter, materializing it on first sight; it
 // reports whether the counter's state changed. On a windowed store the
 // item lands in the watermark sub-window (use AddUint64At or AddStringAt
 // to place it in time). Safe for concurrent use.
 func (s *Store[K]) Add(key K, item []byte) bool {
-	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).Add(item)
+	st, c := s.lockSlot(time.Time{}, key)
+	changed := c.Add(item)
 	st.mu.Unlock()
 	return changed
 }
@@ -429,13 +426,7 @@ func (s *Store[K]) Add(key K, item []byte) bool {
 // AddUint64 offers a 64-bit item to key's counter; safe for concurrent
 // use. On a windowed store the item lands in the watermark sub-window.
 func (s *Store[K]) AddUint64(key K, item uint64) bool {
-	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddUint64(item)
-	st.mu.Unlock()
-	return changed
+	return s.AddUint64At(time.Time{}, key, item)
 }
 
 // AddUint64At is AddUint64 with an explicit record timestamp: on a
@@ -443,12 +434,11 @@ func (s *Store[K]) AddUint64(key K, item uint64) bool {
 // unwindowed store ignores ts. Timestamps are caller-supplied — replayed
 // traces carry their own clock — and a record more than ring sub-windows
 // behind the watermark folds into the watermark window (see LateRecords).
+// The zero time.Time means no timestamp: the item lands where AddUint64
+// puts it, in the watermark sub-window (sub-window 0 before any record).
 func (s *Store[K]) AddUint64At(ts time.Time, key K, item uint64) bool {
-	widx := s.resolveWidx(s.tsWidx(ts), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddUint64(item)
+	st, c := s.lockSlot(ts, key)
+	changed := c.AddUint64(item)
 	st.mu.Unlock()
 	return changed
 }
@@ -456,32 +446,28 @@ func (s *Store[K]) AddUint64At(ts time.Time, key K, item uint64) bool {
 // AddString offers a string item to key's counter; safe for concurrent
 // use. On a windowed store the item lands in the watermark sub-window.
 func (s *Store[K]) AddString(key K, item string) bool {
-	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddString(item)
-	st.mu.Unlock()
-	return changed
+	return s.AddStringAt(time.Time{}, key, item)
 }
 
 // AddStringAt is AddString with an explicit record timestamp; see
 // AddUint64At.
 func (s *Store[K]) AddStringAt(ts time.Time, key K, item string) bool {
-	widx := s.resolveWidx(s.tsWidx(ts), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddString(item)
+	st, c := s.lockSlot(ts, key)
+	changed := c.AddString(item)
 	st.mu.Unlock()
 	return changed
 }
 
-// tsWidx discretizes a record timestamp into its sub-window index; 0 for
-// unwindowed stores (where it is never used).
+// tsWidx discretizes a record timestamp into its sub-window index: the
+// zero time.Time, which carries no timestamp, takes the watermark
+// sub-window (windowShared.now). 0 for unwindowed stores, where it is
+// never used.
 func (s *Store[K]) tsWidx(ts time.Time) int64 {
-	if s.win == nil {
+	switch {
+	case s.win == nil:
 		return 0
+	case ts.IsZero():
+		return s.win.now()
 	}
 	return widxOf(ts.UnixNano(), s.win.width)
 }
@@ -630,18 +616,14 @@ const storeRunBatchMin = 64
 // allocate nothing. Safe for concurrent use. Panics if the slices'
 // lengths differ.
 func (s *Store[K]) AddBatch64(keys []K, items []uint64) int {
-	return s.addBatch64(s.resolveWidx(s.currentWidx(), len(keys)), keys, items)
+	return s.AddBatch64At(time.Time{}, keys, items)
 }
 
 // AddBatch64At is AddBatch64 with an explicit record timestamp shared by
 // the whole batch (one frame = one capture instant): on a windowed store
 // every record lands in ts's sub-window; an unwindowed store ignores ts.
-// See AddUint64At for the timestamp contract.
+// See AddUint64At for the timestamp contract, the zero time.Time included.
 func (s *Store[K]) AddBatch64At(ts time.Time, keys []K, items []uint64) int {
-	return s.addBatch64(s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
-}
-
-func (s *Store[K]) addBatch64(widx int64, keys []K, items []uint64) int {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("sbitmap: Store.AddBatch64 with %d keys and %d items", len(keys), len(items)))
 	}
@@ -650,22 +632,18 @@ func (s *Store[K]) addBatch64(widx int64, keys []K, items []uint64) int {
 		sc.buf64 = make([]uint64, len(items))
 	}
 	sc.items64 = items
-	return s.addBatch(sc, widx, keys)
+	return s.addBatch(sc, s.resolveWidx(s.tsWidx(ts), len(keys)), keys)
 }
 
 // AddBatchString is AddBatch64 for string items; see AddBatch64 for the
 // routing, equivalence, and concurrency contract.
 func (s *Store[K]) AddBatchString(keys []K, items []string) int {
-	return s.addBatchString(s.resolveWidx(s.currentWidx(), len(keys)), keys, items)
+	return s.AddBatchStringAt(time.Time{}, keys, items)
 }
 
 // AddBatchStringAt is AddBatchString with an explicit record timestamp
 // shared by the whole batch; see AddBatch64At.
 func (s *Store[K]) AddBatchStringAt(ts time.Time, keys []K, items []string) int {
-	return s.addBatchString(s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
-}
-
-func (s *Store[K]) addBatchString(widx int64, keys []K, items []string) int {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("sbitmap: Store.AddBatchString with %d keys and %d items", len(keys), len(items)))
 	}
@@ -674,7 +652,7 @@ func (s *Store[K]) addBatchString(widx int64, keys []K, items []string) int {
 		sc.bufS = make([]string, len(items))
 	}
 	sc.itemsS = items
-	return s.addBatch(sc, widx, keys)
+	return s.addBatch(sc, s.resolveWidx(s.tsWidx(ts), len(keys)), keys)
 }
 
 // addBatch applies the batch whose items sc holds: it groups the keys,
@@ -951,10 +929,7 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 	if err != nil {
 		return WindowEstimate{}, false, err
 	}
-	wm := s.wm.Load()
-	if wm == wmNone {
-		wm = 0
-	}
+	wm := s.win.now()
 	var we WindowEstimate
 	st := s.stripeFor(key)
 	st.mu.Lock()
@@ -1041,19 +1016,7 @@ func (s *Store[K]) Remove(key K) bool {
 // during fn — an inline slot table hands out one view, rebound key by
 // key — while the key stays valid after it. Keys materialized or evicted
 // concurrently in not-yet-visited stripes may or may not be seen.
-func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for k, c := range st.tab.all() {
-			if !fn(k, c) {
-				st.mu.Unlock()
-				return
-			}
-		}
-		st.mu.Unlock()
-	}
-}
+func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) { s.visit(0, fn) }
 
 // ForEachDirty calls fn for every live key in every stripe mutated at or
 // after generation since, and returns the cut: the new generation that
@@ -1073,6 +1036,14 @@ func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
 // its own cuts.
 func (s *Store[K]) ForEachDirty(since uint64, fn func(key K, c Counter) bool) (cut uint64) {
 	cut = s.gen.Add(1)
+	s.visit(since, fn)
+	return cut
+}
+
+// visit calls fn for every live key of every stripe mutated at or after
+// generation since (every stripe when since is 0), one stripe locked at
+// a time, until fn returns false.
+func (s *Store[K]) visit(since uint64, fn func(key K, c Counter) bool) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
@@ -1083,12 +1054,11 @@ func (s *Store[K]) ForEachDirty(since uint64, fn func(key K, c Counter) bool) (c
 		for k, c := range st.tab.all() {
 			if !fn(k, c) {
 				st.mu.Unlock()
-				return cut
+				return
 			}
 		}
 		st.mu.Unlock()
 	}
-	return cut
 }
 
 // KeyEstimate is one TopK entry.
@@ -1099,11 +1069,13 @@ type KeyEstimate[K StoreKey] struct {
 
 // TopK returns the k keys with the largest estimates, in descending
 // order (ties broken by ascending key) — the heavy-hitter query of
-// per-flow monitoring. It holds one stripe lock at a time and maintains a
-// k-sized heap, so cost is O(keys·log k) with O(k) extra memory. The
-// result is a consistent ranking only at a quiescent point.
+// per-flow monitoring; k above the live key count returns every key. It
+// holds one stripe lock at a time and maintains a k-sized heap, so cost
+// is O(keys·log k) with O(k) extra memory. The result is a consistent
+// ranking only at a quiescent point.
 func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
-	if k <= 0 {
+	// Bounding k by the key count bounds the heap's preallocation.
+	if k = min(k, s.Len()); k <= 0 {
 		return nil
 	}
 	// Min-heap of the best k seen so far; heap[0] is the current cutoff.
@@ -1263,7 +1235,7 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 		for j, key := range keys {
 			// Same router (specs match), so the key lands on the same
 			// stripe index in both stores; locks are never held pairwise.
-			st := &s.stripes[s.stripeIndex(s.hashKey(key))]
+			st := s.stripeFor(key)
 			st.mu.Lock()
 			s.touchLocked(st)
 			dst := s.counterLocked(st, key)
@@ -1366,11 +1338,8 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 	if len(payload) < 11 {
 		return nil, fmt.Errorf("%w: store header", ErrTruncated)
 	}
-	keyCode := payload[0]
-	if keyCode != storeKeyCode[K]() {
-		kinds := map[byte]string{storeKeyUint64: "uint64", storeKeyString: "string"}
-		return nil, fmt.Errorf("sbitmap: store snapshot has %s keys, not %s",
-			kinds[keyCode], kinds[storeKeyCode[K]()])
+	if err := checkKeyCode[K](payload[0], "store"); err != nil {
+		return nil, err
 	}
 	specLen := int(binary.LittleEndian.Uint16(payload[1:]))
 	payload = payload[3:]
@@ -1404,31 +1373,55 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 		// explicit decision (restore unbounded, then Remove or re-limit).
 		return nil, fmt.Errorf("sbitmap: store snapshot holds %d keys, above the WithMaxKeys limit %d", count, s.limit)
 	}
+	if _, err := s.restoreEntries(payload, count, "store"); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// checkKeyCode refuses a store or stripe snapshot (what names which)
+// whose key type code is not K's.
+func checkKeyCode[K StoreKey](code byte, what string) error {
+	if want := storeKeyCode[K](); code != want {
+		kinds := map[byte]string{storeKeyUint64: "uint64", storeKeyString: "string"}
+		return fmt.Errorf("sbitmap: %s snapshot has %s keys, not %s", what, kinds[code], kinds[want])
+	}
+	return nil
+}
+
+// restoreEntries adds the count (key, counter) entries of a store or
+// stripe snapshot's payload (what names which) and returns how many keys
+// it added. A key already present, a key beyond the WithMaxKeys limit
+// and bytes after the last entry are errors: restoring never silently
+// drops or overwrites keys.
+func (s *Store[K]) restoreEntries(payload []byte, count uint64, what string) (int, error) {
 	// The spec's seed/hash options restore each counter's full hash
 	// configuration (Spec.options omits defaults, which Unmarshal shares).
-	specOpts, err := spec.options()
+	specOpts, err := s.spec.options()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for i := uint64(0); i < count; i++ {
 		key, blob, rest, err := decodeStoreEntry[K](payload, i)
 		if err != nil {
-			return nil, err
+			return int(i), err
 		}
 		payload = rest
 		dup, err := s.restoreEntry(key, blob, specOpts)
 		if err != nil {
-			return nil, err
+			return int(i), err
 		}
 		if dup {
-			return nil, fmt.Errorf("sbitmap: store snapshot repeats key %v", key)
+			return int(i), fmt.Errorf("sbitmap: %s snapshot repeats key %v", what, key)
 		}
-		s.keys.Add(1)
+		if n := s.keys.Add(1); s.limit > 0 && n > int64(s.limit) {
+			return int(i) + 1, fmt.Errorf("sbitmap: %s restore exceeds the WithMaxKeys limit %d", what, s.limit)
+		}
 	}
 	if len(payload) != 0 {
-		return nil, fmt.Errorf("sbitmap: %d trailing bytes after last store entry", len(payload))
+		return int(count), fmt.Errorf("sbitmap: %d trailing bytes after last %s entry", len(payload), what)
 	}
-	return s, nil
+	return int(count), nil
 }
 
 // appendStoreEntry appends one (key, counter) pair in the container's
@@ -1649,36 +1642,8 @@ func (s *Store[K]) RestoreStripe(blob []byte) (int, error) {
 	if blob[4] != stripeSnapVersion {
 		return 0, fmt.Errorf("sbitmap: stripe snapshot version %d, want %d", blob[4], stripeSnapVersion)
 	}
-	if blob[5] != storeKeyCode[K]() {
-		kinds := map[byte]string{storeKeyUint64: "uint64", storeKeyString: "string"}
-		return 0, fmt.Errorf("sbitmap: stripe snapshot has %s keys, not %s",
-			kinds[blob[5]], kinds[storeKeyCode[K]()])
-	}
-	count := binary.LittleEndian.Uint64(blob[6:])
-	payload := blob[stripeSnapHeader:]
-	specOpts, err := s.spec.options()
-	if err != nil {
+	if err := checkKeyCode[K](blob[5], "stripe"); err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < count; i++ {
-		key, cblob, rest, err := decodeStoreEntry[K](payload, i)
-		if err != nil {
-			return int(i), err
-		}
-		payload = rest
-		dup, err := s.restoreEntry(key, cblob, specOpts)
-		if err != nil {
-			return int(i), err
-		}
-		if dup {
-			return int(i), fmt.Errorf("sbitmap: stripe snapshot repeats key %v", key)
-		}
-		if n := s.keys.Add(1); s.limit > 0 && n > int64(s.limit) {
-			return int(i) + 1, fmt.Errorf("sbitmap: stripe restore exceeds the WithMaxKeys limit %d", s.limit)
-		}
-	}
-	if len(payload) != 0 {
-		return int(count), fmt.Errorf("sbitmap: %d trailing bytes after last stripe entry", len(payload))
-	}
-	return int(count), nil
+	return s.restoreEntries(blob[stripeSnapHeader:], binary.LittleEndian.Uint64(blob[6:]), "stripe")
 }

@@ -149,7 +149,9 @@ func TestStoreSlotAccountingRecount(t *testing.T) {
 // chunk (up to 4 KiB) and its last slot chunk's doubling — that move with
 // its key count, not with churn; the stripes hold 4,096 keys each, so
 // those steps stay near 1% of the footprint and the bound measures
-// reclamation.
+// reclamation. Once every key is removed, both stores are back within
+// 8 KiB of an empty store's footprint: the index and the heap-counter
+// slice shrink as keys leave.
 func TestStoreSlotChurnReclaims(t *testing.T) {
 	for _, kind := range []string{"uint64", "string"} {
 		t.Run(kind, func(t *testing.T) {
@@ -210,6 +212,34 @@ func churn[K StoreKey](t *testing.T, key func(int) K) {
 		t.Logf("round %d: footprint %d B (round 0: %d)", round, fp, base)
 		if float64(fp) > 1.05*float64(base) || float64(fp) < 0.95*float64(base) {
 			t.Fatalf("round %d: footprint %d B, more than 5%% off round 0's %d", round, fp, base)
+		}
+	}
+	for _, i := range live {
+		if !s.Remove(key(i)) || !twin.Remove(key(i)) {
+			t.Fatalf("key %v not removable", key(i))
+		}
+	}
+	checkSlotTables(t, s)
+	checkSlotTables(t, twin)
+	empty, err := NewStore[K](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyTwin, err := NewStore[K](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceHeapCounters(emptyTwin)
+	for _, c := range []struct {
+		name        string
+		fp, emptyFp int
+	}{
+		{"inline", s.Footprint(), empty.Footprint()},
+		{"heap-counter twin", twin.Footprint(), emptyTwin.Footprint()},
+	} {
+		t.Logf("%s: footprint %d B with every key removed, %d B empty", c.name, c.fp, c.emptyFp)
+		if c.fp > c.emptyFp+8<<10 {
+			t.Errorf("%s: footprint %d B with every key removed, more than 8 KiB above an empty store's %d B", c.name, c.fp, c.emptyFp)
 		}
 	}
 }

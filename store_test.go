@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -391,6 +392,15 @@ func TestStoreTopKAndForEach(t *testing.T) {
 	}
 	if got := st.TopK(0); got != nil {
 		t.Errorf("TopK(0) = %v, want nil", got)
+	}
+	// A k beyond the key count returns every key, ranked.
+	all := st.TopK(math.MaxInt)
+	var order []string
+	for _, e := range all {
+		order = append(order, e.Key)
+	}
+	if want := []string{"c", "b", "e", "a", "d"}; !slices.Equal(order, want) {
+		t.Errorf("TopK(math.MaxInt) ranks %v, want %v", order, want)
 	}
 
 	seen := map[string]float64{}

@@ -332,11 +332,21 @@ func TestWindowLateRecordsFoldIntoWatermark(t *testing.T) {
 	if got := s.LateRecords(); got != 4 {
 		t.Fatalf("LateRecords = %d, want 4", got)
 	}
+	// The zero time.Time means no timestamp: such records land in the
+	// watermark sub-window, as AddString's do, and are never late.
+	s.AddStringAt(time.Time{}, "k", "unstamped")
+	s.AddBatchStringAt(time.Time{}, []string{"k", "k"}, []string{"d", "e"})
+	for _, item := range []string{"unstamped", "d", "e"} {
+		ref.AddString(item)
+	}
+	if got := s.LateRecords(); got != 4 {
+		t.Fatalf("LateRecords after zero-timestamp records = %d, want 4", got)
+	}
 	we, ok, err := s.EstimateWindow("k", time.Second)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	// current, late-one, a, b, c — all folded into sub-window 10.
+	// current, late-one, a, b, c, unstamped, d, e — all in sub-window 10.
 	if we.Estimate != ref.Estimate() {
 		t.Errorf("watermark sub-window estimate = %.3f, want %.3f", we.Estimate, ref.Estimate())
 	}
@@ -673,5 +683,20 @@ func TestWindowWatermarkSentinel(t *testing.T) {
 	s.SetWindowState(3, -1)
 	if wm, late, _ := s.WindowState(); wm != 7 || late != 2 {
 		t.Errorf("WindowState after SetWindowState = (%d, %d), want (7, 2)", wm, late)
+	}
+	// A fresh store's first unstamped record, given by AddString or with
+	// the zero time.Time, opens sub-window 0.
+	for name, add := range map[string]func(*Store[string]){
+		"AddString":   func(s *Store[string]) { s.AddString("k", "x") },
+		"AddStringAt": func(s *Store[string]) { s.AddStringAt(time.Time{}, "k", "x") },
+	} {
+		fresh, err := NewStore[string](MustSpec("hll:mbits=1024/windowed(width=1m,ring=2)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fresh)
+		if wm, late, _ := fresh.WindowState(); wm != 0 || late != 0 {
+			t.Errorf("%s: WindowState after one unstamped record = (%d, %d), want (0, 0)", name, wm, late)
+		}
 	}
 }

@@ -73,6 +73,17 @@ type windowShared struct {
 	wm         *atomic.Int64 // the Store's watermark sub-window index
 }
 
+// now returns the watermark sub-window, or sub-window 0 before any
+// record: where a record without a timestamp lands, and where queries
+// end. Never the wall clock, so replaying the same records always
+// rebuilds the same state.
+func (w *windowShared) now() int64 {
+	if wm := w.wm.Load(); wm != wmNone {
+		return wm
+	}
+	return 0
+}
+
 // widthDur returns the sub-window width as a duration.
 func (w *windowShared) widthDur() time.Duration { return time.Duration(w.width) }
 
@@ -182,13 +193,7 @@ func (r *windowRing) slot(widx int64, free *[]Counter) Counter {
 // cur returns the watermark sub-window's sketch (sub-window 0 before
 // any record has carried a timestamp) — the target of the Counter
 // interface's own Add methods, which reach no free list.
-func (r *windowRing) cur() Counter {
-	wm := r.sh.wm.Load()
-	if wm == wmNone {
-		wm = 0
-	}
-	return r.slot(wm, nil)
-}
+func (r *windowRing) cur() Counter { return r.slot(r.sh.now(), nil) }
 
 // estimateRange estimates the union of the live sub-windows with widx in
 // [lo, hi] and reports how many contributed: none estimate 0, one answers
@@ -256,17 +261,8 @@ func (r *windowRing) Estimate() float64 { return r.estimate(nil) }
 // estimate is Estimate with the merge counter borrowed from free, the
 // free list of the stripe whose lock the caller holds, or nil.
 func (r *windowRing) estimate(free *[]Counter) float64 {
-	wm := r.sh.wm.Load()
-	if wm == wmNone {
-		wm = 0
-	}
-	var est float64
-	if r.sh.mergeable {
-		est, _, _ = r.estimateRange(wm-int64(len(r.slots))+1, wm, free)
-	} else {
-		est, _, _ = r.estimateRange(wm-1, wm-1, free)
-	}
-	return est
+	we, _ := r.estimateWindow(r.sh.now(), len(r.slots), free)
+	return we.Estimate
 }
 
 // estimateWith is c.Estimate() for a Store counter: a window ring
