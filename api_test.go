@@ -47,7 +47,7 @@ func TestNewErrors(t *testing.T) {
 	if _, err := Unmarshal([]byte("garbage")); err == nil {
 		t.Error("garbage unmarshal accepted")
 	}
-	if _, err := NewMRBitmap(8, 1e9); err == nil {
+	if _, err := (Spec{Kind: KindMRBitmap, MemoryBits: 8, N: 1e9}).New(); err == nil {
 		t.Error("impossible mr-bitmap accepted")
 	}
 }
@@ -152,19 +152,22 @@ func TestMarshalRoundTripFacade(t *testing.T) {
 }
 
 func TestBaselinesSatisfyCounter(t *testing.T) {
-	mr, err := NewMRBitmap(4000, 1e5)
-	if err != nil {
-		t.Fatal(err)
+	build := func(spec string) Counter {
+		c, err := MustSpec(spec).New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	counters := map[string]Counter{
-		"lc":       NewLinearCounting(4000),
-		"vb":       NewVirtualBitmap(4000, 1e5),
-		"mr":       mr,
-		"fm":       NewFM(4000),
-		"loglog":   NewLogLog(4000),
-		"hll":      NewHyperLogLog(4000),
-		"adaptive": NewAdaptiveSampler(4000),
-		"exact":    NewExact(),
+		"lc":       build("linearcount:mbits=4000"),
+		"vb":       build("virtualbitmap:mbits=4000,n=1e5"),
+		"mr":       build("mrbitmap:mbits=4000,n=1e5"),
+		"fm":       build("fm:mbits=4000"),
+		"loglog":   build("loglog:mbits=4000"),
+		"hll":      build("hll:mbits=4000"),
+		"adaptive": build("adaptive:mbits=4000"),
+		"exact":    build("exact"),
 	}
 	for name, c := range counters {
 		const n = 5000
@@ -194,8 +197,11 @@ func TestBaselinesSatisfyCounter(t *testing.T) {
 }
 
 func TestBaselinesHonorHashOptions(t *testing.T) {
-	// Constructors must accept hash-family options without breaking.
-	c := NewHyperLogLog(4000, WithCarterWegman(), WithSeed(7))
+	// Spec.New must accept hash-family options without breaking.
+	c, err := Spec{Kind: KindHLL, MemoryBits: 4000, Hash: "carterwegman", Seed: 7}.New()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := uint64(0); i < 10000; i++ {
 		c.AddUint64(i)
 	}

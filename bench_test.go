@@ -67,17 +67,20 @@ func benchCounters(b *testing.B) map[string]sbitmap.Counter {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mr, err := sbitmap.NewMRBitmap(8000, 1e6)
-	if err != nil {
-		b.Fatal(err)
+	build := func(spec string) sbitmap.Counter {
+		c, err := sbitmap.MustSpec(spec).New()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
 	}
 	return map[string]sbitmap.Counter{
 		"SBitmap":     sb,
-		"HyperLogLog": sbitmap.NewHyperLogLog(8000),
-		"LogLog":      sbitmap.NewLogLog(8000),
-		"MRBitmap":    mr,
-		"LinearCount": sbitmap.NewLinearCounting(8000),
-		"FM":          sbitmap.NewFM(8000),
+		"HyperLogLog": build("hll:mbits=8000"),
+		"LogLog":      build("loglog:mbits=8000"),
+		"MRBitmap":    build("mrbitmap:mbits=8000,n=1e6"),
+		"LinearCount": build("linearcount:mbits=8000"),
+		"FM":          build("fm:mbits=8000"),
 	}
 }
 

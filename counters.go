@@ -29,7 +29,7 @@ type Saturable interface {
 }
 
 // HyperLogLog is the root-package face of the Flajolet et al. (2007)
-// HyperLogLog counter. Create one with NewHyperLogLog or Unmarshal.
+// HyperLogLog counter. Create one with Spec.New or Unmarshal.
 type HyperLogLog struct{ sk hyperloglog.Sketch }
 
 // Add offers an item; it reports whether a register grew.
@@ -81,7 +81,7 @@ func (c *HyperLogLog) UnmarshalBinary(data []byte) error {
 }
 
 // LogLog is the root-package face of the Durand–Flajolet (2003) LogLog
-// counter. Create one with NewLogLog or Unmarshal.
+// counter. Create one with Spec.New or Unmarshal.
 type LogLog struct{ sk *loglog.Sketch }
 
 // Add offers an item; it reports whether a register grew.
@@ -132,7 +132,7 @@ func (c *LogLog) UnmarshalBinary(data []byte) error {
 }
 
 // FM is the root-package face of the Flajolet–Martin (1985) PCSA counter.
-// Create one with NewFM or Unmarshal.
+// Create one with Spec.New or Unmarshal.
 type FM struct{ sk *fm.Sketch }
 
 // Add offers an item; it reports whether any register bit changed.
@@ -183,7 +183,8 @@ func (c *FM) UnmarshalBinary(data []byte) error {
 }
 
 // LinearCounting is the root-package face of the Whang et al. (1990)
-// linear-counting sketch. Create one with NewLinearCounting or Unmarshal.
+// linear-counting sketch, accurate while n stays well below mbits·ln(mbits).
+// Create one with Spec.New or Unmarshal.
 type LinearCounting struct{ sk *linearcount.Sketch }
 
 // Add offers an item; it reports whether a bucket changed.
@@ -238,7 +239,8 @@ func (c *LinearCounting) UnmarshalBinary(data []byte) error {
 }
 
 // VirtualBitmap is the root-package face of the Estan et al. (2006)
-// virtual bitmap. Create one with NewVirtualBitmap or Unmarshal.
+// virtual bitmap: linear counting over a hash-sampled substream. Create
+// one with Spec.New or Unmarshal.
 type VirtualBitmap struct{ sk *virtualbitmap.Sketch }
 
 // Add offers an item; it reports whether the underlying bitmap changed.
@@ -283,7 +285,7 @@ func (c *VirtualBitmap) UnmarshalBinary(data []byte) error {
 }
 
 // MRBitmap is the root-package face of the Estan et al. (2006)
-// multiresolution bitmap. Create one with NewMRBitmap or Unmarshal.
+// multiresolution bitmap. Create one with Spec.New or Unmarshal.
 type MRBitmap struct{ sk *mrbitmap.Sketch }
 
 // Add offers an item; it reports whether a bucket changed.
@@ -339,7 +341,7 @@ func (c *MRBitmap) UnmarshalBinary(data []byte) error {
 }
 
 // AdaptiveSampler is the root-package face of Wegman's adaptive sampler.
-// Create one with NewAdaptiveSampler or Unmarshal.
+// Create one with Spec.New or Unmarshal.
 type AdaptiveSampler struct{ sk *adaptive.Sampler }
 
 // Add offers an item; it reports whether the sample changed.
@@ -381,7 +383,7 @@ func (c *AdaptiveSampler) UnmarshalBinary(data []byte) error {
 }
 
 // Exact is the root-package face of the exact (linear-memory) counter.
-// Create one with NewExact or Unmarshal.
+// Create one with Spec.New or Unmarshal.
 type Exact struct{ c *exact.Counter }
 
 // Add offers an item and reports whether it was new.

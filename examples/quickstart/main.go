@@ -23,7 +23,10 @@ func main() {
 
 	// Feed a stream with heavy duplication: 250k distinct user IDs, each
 	// appearing 1-8 times (2M stream records overall).
-	exact := sbitmap.NewExact()
+	exact, err := sbitmap.MustSpec("exact").New()
+	if err != nil {
+		log.Fatal(err)
+	}
 	records := 0
 	for user := uint64(0); user < 250_000; user++ {
 		times := int(user%8) + 1

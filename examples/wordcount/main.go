@@ -41,7 +41,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth := sbitmap.NewExact()
+	truth, err := sbitmap.MustSpec("exact").New()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Volume 1 and volume 2 draw from the same vocabulary with Zipf token
 	// frequencies, so their word sets overlap heavily (but not totally) —

@@ -158,10 +158,10 @@ func (s *Sampler) Footprint() int {
 	return int(unsafe.Sizeof(*s)) + s.capacity*(8+16) + s.scr.Footprint()
 }
 
-// Reset clears the sampler for reuse.
+// Reset clears the sampler for reuse, keeping the set's storage.
 func (s *Sampler) Reset() {
 	s.depth = 0
-	s.set = make(map[uint64]struct{}, s.capacity)
+	clear(s.set)
 }
 
 // MarshalBinary serializes the capacity, depth, and retained hashes (sorted
@@ -204,7 +204,10 @@ func (s *Sampler) UnmarshalBinary(data []byte) error {
 	if len(data) != 16+8*count {
 		return fmt.Errorf("adaptive: sample body %d bytes, want %d", len(data)-16, 8*count)
 	}
-	set := make(map[uint64]struct{}, capacity)
+	// Sized by the retained hashes, which the body's length bounds, not by
+	// the capacity, which is only a claim: the set grows toward it as
+	// items arrive.
+	set := make(map[uint64]struct{}, count)
 	for i := 0; i < count; i++ {
 		h := binary.LittleEndian.Uint64(data[16+8*i:])
 		if uint(bits.LeadingZeros64(h)) < depth {

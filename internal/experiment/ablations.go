@@ -11,8 +11,8 @@ import (
 )
 
 // The ablation experiments isolate the design decisions the paper argues
-// for (DESIGN.md §6): the Theorem-2 rate schedule, the Equation-8
-// truncation, hash-family insensitivity, and the sampling resolution d.
+// for: the Theorem-2 rate schedule, the Equation-8 truncation,
+// hash-family insensitivity, and the sampling resolution d.
 
 func init() {
 	register("ablation_rates",

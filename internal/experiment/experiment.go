@@ -1,6 +1,6 @@
 // Package experiment is the reproduction harness: one registered runner
 // per table or figure in the paper's evaluation (Sections 5-7), plus the
-// ablation studies listed in DESIGN.md.
+// ablation studies of ablations.go.
 //
 // Each runner produces a Result holding the regenerated tables and ASCII
 // figures together with paper-comparison notes. Runners accept an Options

@@ -29,7 +29,8 @@
 // fewest components whose coverage reaches N — fewer components mean
 // larger, more accurate components — subject to the last component's
 // expected load at n = N staying within the linear-counting comfort zone
-// (ρ ≤ 1.6, i.e. ≈80% fill). See DESIGN.md §4 for the substitution note.
+// (ρ ≤ 1.6, i.e. ≈80% fill). The procedure is a reconstruction, so a
+// bitmap dimensioned here may differ from the ones Estan et al. measured.
 package mrbitmap
 
 import (

@@ -22,7 +22,7 @@
 // counts drawn from a piecewise log-linear quantile function through the
 // published quantile points. The estimators only ever see (distinct-count,
 // key-stream) pairs, so matching scale, burstiness and tail shape is what
-// matters; DESIGN.md §4 records the substitution.
+// matters, and the synthetic sources substitute for the real ones.
 package netflow
 
 import (

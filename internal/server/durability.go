@@ -366,12 +366,12 @@ func (s *Server) replayWAL(from uint64) (records int, pending int64, err error) 
 			}
 			s.applyFrame(&f)
 		case walRecMerge:
-			peer, err := sbitmap.UnmarshalStore[string](payload[1:])
+			peer, spec, err := s.decodePeer(payload[1:])
 			if err != nil {
 				return fmt.Errorf("record %d does not decode as a merge snapshot (%v): %w", lsn, err, wal.ErrCorrupt)
 			}
-			if peer.Spec() != s.store.Spec() {
-				return fmt.Errorf("record %d merges spec %s into a %s store: %w", lsn, peer.Spec(), s.store.Spec(), wal.ErrCorrupt)
+			if peer == nil {
+				return fmt.Errorf("record %d merges spec %s into a %s store: %w", lsn, spec, s.store.Spec(), wal.ErrCorrupt)
 			}
 			if err := s.store.Merge(peer); err != nil {
 				return fmt.Errorf("record %d: %w", lsn, err)

@@ -975,14 +975,14 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		bodyReadError(w, err)
 		return
 	}
-	peer, err := sbitmap.UnmarshalStore[string](data)
+	peer, spec, err := s.decodePeer(data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadSnapshot, "%v", err)
 		return
 	}
-	if peer.Spec() != s.store.Spec() {
+	if peer == nil {
 		writeError(w, http.StatusConflict, CodeSpecMismatch,
-			"peer snapshot spec %s differs from this store's %s", peer.Spec(), s.store.Spec())
+			"peer snapshot spec %s differs from this store's %s", spec, s.store.Spec())
 		return
 	}
 	// Apply, then log. A merge can fail validation deep inside the store,
@@ -1013,6 +1013,19 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	s.gate.RUnlock()
 	s.mergedKeys.Add(int64(peer.Len()))
 	writeJSON(w, http.StatusOK, MergeResult{KeysMerged: peer.Len()})
+}
+
+// decodePeer decodes a merge snapshot — a POST /v1/merge body or a WAL
+// merge record — for this store. It reads the spec from the snapshot's
+// header first, and refuses one that is not the store's before building
+// anything: peer is nil and spec names it. The spec sizes what decoding
+// allocates, and whoever sends the snapshot picks it.
+func (s *Server) decodePeer(data []byte) (peer *sbitmap.Store[string], spec sbitmap.Spec, err error) {
+	if spec, err = sbitmap.StoreSnapshotSpec(data); err != nil || spec != s.store.Spec() {
+		return nil, spec, err
+	}
+	peer, err = sbitmap.UnmarshalStore[string](data)
+	return peer, spec, err
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -252,6 +253,41 @@ func TestMergeNotMergeable(t *testing.T) {
 	status, code := apiErrorOf(t, ts, "POST", "/v1/merge", "application/octet-stream", blob)
 	if status != 422 || code != CodeNotMergeable {
 		t.Fatalf("got %d %q, want 422 %q", status, code, CodeNotMergeable)
+	}
+}
+
+// TestMergeSpecMismatchRefusedFromHeader: a merge body naming another
+// spec is refused from its header, before anything it describes is built.
+// The 44-byte snapshot of an empty linearcount:mbits=134217728 store
+// allocated 16.8 MB per request when the body was decoded first; around
+// ServeHTTP it must now cost under 1 MB and still answer 409
+// spec_mismatch.
+func TestMergeSpecMismatchRefusedFromHeader(t *testing.T) {
+	srv, err := New(Config{Spec: sbitmap.MustSpec("sbitmap:n=1e4,eps=0.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer, err := sbitmap.NewStore[string](sbitmap.MustSpec("linearcount:mbits=134217728"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := peer.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/merge", bytes.NewReader(blob))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	var eb errorBody
+	if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil || rec.Code != 409 || eb.Error.Code != CodeSpecMismatch {
+		t.Fatalf("got %d %q (%v), want 409 %q", rec.Code, eb.Error.Code, err, CodeSpecMismatch)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a %d-byte merge body of another spec allocated %d B, want under 1 MB", len(blob), got)
 	}
 }
 

@@ -130,7 +130,11 @@ func TestUnmarshalBinaryCorruptionTyped(t *testing.T) {
 	// The in-place UnmarshalBinary methods must report the same typed
 	// errors, plus ErrKindMismatch for a well-formed snapshot of another
 	// kind.
-	hllBlob, err := Marshal(NewHyperLogLog(1024))
+	hll, err := MustSpec("hll:mbits=1024").New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hllBlob, err := Marshal(hll)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package sbitmap
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -128,6 +130,30 @@ func TestUnmarshalCorruptSnapshotsFailCleanly(t *testing.T) {
 	copy(adaptivePayload[4:8], []byte{0, 0xca, 0x9a, 0x3b}) // depth ≈ 1e9
 	if _, err := Unmarshal(appendEnvelope(KindAdaptive, adaptivePayload)); err == nil {
 		t.Error("adaptive depth beyond 64 accepted")
+	}
+}
+
+// TestUnmarshalAdaptiveClaimedCapacity: an adaptive snapshot's capacity is
+// a claim of its input, not a size to allocate. A 22-byte envelope that
+// claims capacity 2^22 and retains no hashes decodes in under 1 MB of
+// allocation (a set sized by the claim took 151 MB), and the sampler it
+// yields counts.
+func TestUnmarshalAdaptiveClaimedCapacity(t *testing.T) {
+	payload := make([]byte, 16) // depth 0, no retained hashes
+	binary.LittleEndian.PutUint32(payload, 1<<22)
+	blob := appendEnvelope(KindAdaptive, payload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Unmarshal(blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("decoding a %d-byte adaptive snapshot allocated %d B, want under 1 MB", len(blob), got)
+	}
+	if !c.AddUint64(7) || c.Estimate() != 1 {
+		t.Errorf("decoded sampler: estimate %v after one item, want 1", c.Estimate())
 	}
 }
 

@@ -75,24 +75,6 @@ const (
 	slotIndexMin = 8
 )
 
-// slotShared returns the state every inline sketch of a Spec's store
-// shares, or nil for kinds other than the S-bitmap (only it goes inline).
-func (s Spec) slotShared() (*core.Shared, error) {
-	if s.Kind != KindSBitmap {
-		return nil, nil
-	}
-	cfg, err := s.sbitmapConfig()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := s.options()
-	if err != nil {
-		return nil, err
-	}
-	o := buildOptions(opts)
-	return core.NewShared(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(o.newHasher())), nil
-}
-
 // newSlotTable returns an empty table whose sketches sit inline under sh,
 // or, when sh is nil, one that keeps heap counters.
 func newSlotTable[K StoreKey](sh *core.Shared, str bool) *slotTable[K] {
@@ -283,14 +265,19 @@ func (t *slotTable[K]) reserve(i uint32) {
 	if need <= len(*c) {
 		return
 	}
-	slots := min(slotChunk, max(slotChunkMin, 2*(len(*c)/t.stride)))
-	// Grown through append, so the capacity is the allocation's size
+	t.resize(c, min(slotChunk, max(slotChunkMin, 2*(len(*c)/t.stride))))
+}
+
+// resize reallocates chunk c with room for at least slots slots, keeping
+// as many of its leading words as fit.
+func (t *slotTable[K]) resize(c *[]uint64, slots int) {
+	// Allocated through append, so the capacity is the allocation's size
 	// class and Footprint counts exactly what the heap holds.
-	grown := slices.Grow([]uint64(nil), slots*t.stride)
-	grown = grown[:cap(grown)]
-	copy(grown, *c)
-	t.bytes += 8 * (len(grown) - len(*c))
-	*c = grown
+	sized := slices.Grow([]uint64(nil), slots*t.stride)
+	sized = sized[:cap(sized)]
+	copy(sized, *c)
+	t.bytes += 8 * (len(sized) - len(*c))
+	*c = sized
 }
 
 // grow rebuilds the index at size n, a power of two, from the slots' tags;
@@ -311,13 +298,15 @@ func (t *slotTable[K]) grow(n int) {
 // goes by backward-shift deletion (Knuth, TAOCP vol. 3, §6.4, Algorithm
 // R), so no tombstones accumulate; the last slot, and its heap counter,
 // moves into the freed one, so slots stay dense, and a chunk left empty is
-// dropped. The index halves once its load falls below 1/8, down to
-// slotIndexMin, and the counter slice is reallocated once less than a
-// quarter of it is in use, so a table that sheds keys gives their memory
-// back; growth at load 3/4 keeps both far from thrashing. A string key's
-// log bytes are dead from then on, and the log is compacted once its dead
-// bytes exceed half its live ones, so dead bytes never hold more than a
-// third of the log.
+// dropped. The last chunk is reallocated at half its size, down to
+// slotChunkMin slots, once less than a quarter of it is live; the index
+// halves once its load falls below 1/8, down to slotIndexMin; and the
+// counter slice is reallocated once less than a quarter of it is in use.
+// So a table that sheds keys gives their memory back, and growth — a
+// chunk doubles only when full, the index at load 3/4 — keeps all three
+// far from thrashing. A string key's log bytes are dead from then on, and
+// the log is compacted once its dead bytes exceed half its live ones, so
+// dead bytes never hold more than a third of the log.
 func (t *slotTable[K]) remove(key K) bool {
 	pos, ok := t.find(t.hash(key), key)
 	if !ok {
@@ -355,11 +344,16 @@ func (t *slotTable[K]) remove(key K) bool {
 		}
 	}
 	t.keys--
-	if c := len(t.chunks) - 1; t.keys == c<<slotChunkBits {
+	c := len(t.chunks) - 1
+	switch live, slots := t.keys-c<<slotChunkBits, len(t.chunks[c])/t.stride; {
+	case live == 0:
 		t.bytes -= 8 * len(t.chunks[c])
 		t.chunks[c] = nil
 		t.chunks = t.chunks[:c]
 		t.view = SBitmap{} // it may still be bound to a slot of the chunk
+	case 4*live < slots && slots >= 2*slotChunkMin:
+		t.resize(&t.chunks[c], slots/2)
+		t.view = SBitmap{} // it may still be bound to a slot of the old chunk
 	}
 	if len(t.idx) > slotIndexMin && 8*t.keys < len(t.idx) {
 		t.grow(len(t.idx) / 2)

@@ -8,7 +8,15 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/core"
+	"repro/internal/exact"
+	"repro/internal/fm"
+	"repro/internal/hyperloglog"
+	"repro/internal/linearcount"
+	"repro/internal/loglog"
+	"repro/internal/mrbitmap"
+	"repro/internal/virtualbitmap"
 )
 
 // Spec is the declarative face of the module: one value that names a
@@ -391,7 +399,7 @@ func (s Spec) budget() (int, error) {
 // not describe a single counter — build a keyed Store from it instead.
 func (s Spec) New() (Counter, error) {
 	if s.Window != 0 {
-		return nil, fmt.Errorf("sbitmap: spec %s is windowed; build a keyed Store from it (NewStore / NewStoreUint64)", s)
+		return nil, fmt.Errorf("sbitmap: spec %s is windowed; build a keyed Store from it (NewStore)", s)
 	}
 	if s.Ring != 0 {
 		return nil, fmt.Errorf("sbitmap: spec ring=%d without a window width", s.Ring)
@@ -403,60 +411,48 @@ func (s Spec) New() (Counter, error) {
 	switch s.Kind {
 	case KindSBitmap:
 		return s.newSBitmap(opts)
-	case KindHLL:
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewHyperLogLog(b, opts...), nil
-	case KindLogLog:
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewLogLog(b, opts...), nil
-	case KindFM:
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewFM(b, opts...), nil
-	case KindLinearCount:
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewLinearCounting(b, opts...), nil
-	case KindAdaptive:
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewAdaptiveSampler(b, opts...), nil
+	case KindExact:
+		return &Exact{c: exact.New()}, nil
+	case KindHLL, KindLogLog, KindFM, KindLinearCount, KindAdaptive:
 	case KindVirtualBitmap:
 		if !(s.N > 0) {
 			return nil, fmt.Errorf("sbitmap: spec virtualbitmap needs n (the center of its accurate band)")
 		}
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewVirtualBitmap(b, s.N, opts...), nil
 	case KindMRBitmap:
 		if !(s.N > 0) {
 			return nil, fmt.Errorf("sbitmap: spec mrbitmap needs n (its coverage bound)")
 		}
-		b, err := s.budget()
-		if err != nil {
-			return nil, err
-		}
-		return NewMRBitmap(b, s.N, opts...)
-	case KindExact:
-		return NewExact(), nil
 	case "":
 		return nil, fmt.Errorf("sbitmap: spec has no kind")
 	default:
 		return nil, fmt.Errorf("sbitmap: unknown sketch kind %q", s.Kind)
+	}
+	// The baselines are fitted into one memory budget, the like-for-like
+	// accounting of the paper's Section 6.2.
+	b, err := s.budget()
+	if err != nil {
+		return nil, err
+	}
+	h := buildOptions(opts).newHasher()
+	switch s.Kind {
+	case KindHLL: // 5-bit registers, power-of-two register count
+		return &HyperLogLog{sk: *hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(b), h)}, nil
+	case KindLogLog: // 5-bit registers, power-of-two register count
+		return &LogLog{sk: loglog.NewWithHasher(loglog.KBitsForBudget(b), h)}, nil
+	case KindFM: // 32-bit registers
+		return &FM{sk: fm.NewWithHasher(fm.MemoryForBits(b), h)}, nil
+	case KindLinearCount:
+		return &LinearCounting{sk: linearcount.NewWithHasher(b, h)}, nil
+	case KindAdaptive: // 64 bits per retained hash
+		return &AdaptiveSampler{sk: adaptive.NewSamplerWithHasher(adaptive.CapacityForBits(b), h)}, nil
+	case KindVirtualBitmap: // sampling rate centering the accurate band on N
+		return &VirtualBitmap{sk: virtualbitmap.NewWithHasher(b, virtualbitmap.RateFor(b, s.N), h)}, nil
+	default: // KindMRBitmap, quasi-optimal for cardinalities up to N
+		cfg, err := mrbitmap.Dimension(b, s.N)
+		if err != nil {
+			return nil, err
+		}
+		return &MRBitmap{sk: mrbitmap.NewWithHasher(cfg, h)}, nil
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/hyperloglog"
+	"repro/internal/uhash"
 )
 
 func TestSpecStringRoundTrip(t *testing.T) {
@@ -182,7 +185,7 @@ func TestSpecNewMatchesClassicConstructors(t *testing.T) {
 		t.Errorf("spec-built SizeBits %d != classic %d", viaSpec.SizeBits(), classic.SizeBits())
 	}
 
-	hllClassic := NewHyperLogLog(4096, WithSeed(5))
+	hllClassic := &HyperLogLog{sk: *hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(4096), uhash.NewMixer(5))}
 	hllSpec, err := Spec{Kind: KindHLL, MemoryBits: 4096, Seed: 5}.New()
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/uhash"
 )
 
@@ -56,14 +55,10 @@ type Store[K StoreKey] struct {
 	// a new checkpoint epoch. See MarshalStripes for the protocol.
 	gen atomic.Uint64
 
-	// newCounter is the per-key factory: Spec.New with the construction
-	// validated once in NewStore, so materialization cannot fail later.
-	newCounter func() Counter
-
-	// hll builds every HyperLogLog of an hll spec — per key or per
-	// sub-window, new, recycled or restored — under one shared state; nil
-	// for other kinds.
-	hll *hllSource
+	// src builds, decodes and measures every heap counter — per key or
+	// per sub-window, new, recycled or restored — and holds the state the
+	// store's sketches share.
+	src *counterSource
 
 	// win is the sliding-window configuration of a windowed(...) spec; nil
 	// otherwise. When set, per-key counters are windowRings, wm is the
@@ -168,9 +163,15 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		}
 	}
 	// The per-sub-window sketch is dimensioned by the spec minus the
-	// window modifier; for unwindowed specs base == spec.
-	base := spec.base()
-	if _, err := base.New(); err != nil {
+	// window modifier; for unwindowed specs base == spec. Unbounded,
+	// unwindowed S-bitmap stores keep their sketches inline in the slot
+	// tables. Every other store keeps heap counters: a bounded store's
+	// evicted counter goes to OnEvict and must outlive its slot, and a
+	// windowed store's unit of allocation is the ring, not a single
+	// fixed-size sketch (sub-window counters are allocated lazily per slot
+	// and recycled through the stripe's free list).
+	src, err := newCounterSource(spec.base(), cfg.maxKeys == 0 && spec.Window == 0)
+	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store spec: %w", err)
 	}
 	seed := spec.Seed
@@ -183,51 +184,14 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		router:  uhash.NewMixer(seed ^ storeRouterSalt),
 		limit:   cfg.maxKeys,
 		isStr:   keyIsString[K](),
+		src:     src,
 	}
-	newBase := func() Counter {
-		c, err := base.New()
-		if err != nil {
-			// The spec built a counter above; a deterministic
-			// constructor cannot fail on the same input later.
-			panic(fmt.Sprintf("sbitmap: store spec stopped constructing: %v", err))
-		}
-		return c
-	}
-	// The HLL source shares Spec.New's dimensioning and options, proven
-	// constructible above, so it cannot fail here; other kinds get nil.
-	if s.hll, _ = base.newHLLSource(); s.hll != nil {
-		newBase = s.hll.next
-	}
-	s.newCounter = newBase
 	s.wm.Store(wmNone)
 	if spec.Window != 0 {
-		probe := newBase()
-		_, mergeable := probe.(Mergeable)
-		s.win = &windowShared{
-			width:      int64(spec.Window),
-			ring:       spec.Ring,
-			mergeable:  mergeable,
-			newCounter: newBase,
-			wm:         &s.wm,
-		}
-		win := s.win
-		s.newCounter = func() Counter { return newWindowRing(win) }
-	}
-	// Unbounded, unwindowed S-bitmap stores keep their sketches inline in
-	// the slot tables. Every other store keeps heap counters: a bounded
-	// store's evicted counter goes to OnEvict and must outlive its slot,
-	// and a windowed store's unit of allocation is the ring, not a single
-	// fixed-size sketch (sub-window counters are allocated lazily per slot
-	// and recycled through the stripe's free list).
-	var sh *core.Shared
-	if s.limit == 0 && s.win == nil {
-		// The shared state uses Spec.New's dimensioning and options,
-		// already proven constructible above, so it cannot fail here;
-		// kinds that do not go inline get nil.
-		sh, _ = spec.slotShared()
+		s.win = &windowShared{width: int64(spec.Window), ring: spec.Ring, src: src, wm: &s.wm}
 	}
 	for i := range s.stripes {
-		s.stripes[i].tab = newSlotTable[K](sh, s.isStr)
+		s.stripes[i].tab = newSlotTable[K](src.inline, s.isStr)
 	}
 	return s, nil
 }
@@ -307,7 +271,11 @@ func (s *Store[K]) counterLocked(st *storeStripe[K], key K) Counter {
 			s.evictOneLocked(st)
 			pos, _ = t.find(h, key)
 		}
-		c = s.newCounter()
+		if s.win != nil {
+			c = newWindowRing(s.win)
+		} else {
+			c = s.src.new()
+		}
 	}
 	s.keys.Add(1)
 	return t.insert(pos, h, key, c)
@@ -941,7 +909,7 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 	if err != nil {
 		return WindowEstimate{}, false, err
 	}
-	we.Tumbling = !s.win.mergeable
+	we.Tumbling = !s.src.mergeable
 	lo := wm - int64(n) + 1
 	if we.Tumbling {
 		we.Windows = 1
@@ -1151,13 +1119,7 @@ func (s *Store[K]) SizeBits() int {
 // without walking its keys. Safe for concurrent use; one stripe is locked
 // at a time.
 func (s *Store[K]) Footprint() int {
-	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
-	if s.hll != nil {
-		total += s.hll.sh.Footprint()
-	}
-	if sh := s.stripes[0].tab.sh; sh != nil {
-		total += sh.Footprint()
-	}
+	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) + s.src.footprint()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
@@ -1206,11 +1168,7 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 	// empty adopted counters). For windowed stores the question is about
 	// the base kind — every ring merges structurally, but only by merging
 	// same-sub-window sketches.
-	if s.win != nil {
-		if !s.win.mergeable {
-			return fmt.Errorf("sbitmap: windowed store of kind %s: %w", s.spec.Kind, ErrNotMergeable)
-		}
-	} else if _, ok := s.newCounter().(Mergeable); !ok {
+	if !s.src.mergeable {
 		return fmt.Errorf("sbitmap: store of kind %s: %w", s.spec.Kind, ErrNotMergeable)
 	}
 	if other.win != nil {
@@ -1331,26 +1289,13 @@ func (s *Store[K]) MarshalBinary() ([]byte, error) {
 // record. A WithMaxKeys limit smaller than the snapshot's key count is an
 // error — restoring never silently drops keys.
 func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], error) {
-	payload, err := payloadOfKind(data, kindStore)
+	code, spec, payload, err := openStoreSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) < 11 {
-		return nil, fmt.Errorf("%w: store header", ErrTruncated)
-	}
-	if err := checkKeyCode[K](payload[0], "store"); err != nil {
+	if err := checkKeyCode[K](code, "store"); err != nil {
 		return nil, err
 	}
-	specLen := int(binary.LittleEndian.Uint16(payload[1:]))
-	payload = payload[3:]
-	if len(payload) < specLen+8 {
-		return nil, fmt.Errorf("%w: store spec", ErrTruncated)
-	}
-	spec, err := ParseSpec(string(payload[:specLen]))
-	if err != nil {
-		return nil, fmt.Errorf("sbitmap: store snapshot spec: %w", err)
-	}
-	payload = payload[specLen:]
 	watermark := int64(wmNone)
 	if spec.Windowed() {
 		if len(payload) < 16 {
@@ -1379,6 +1324,36 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 	return s, nil
 }
 
+// StoreSnapshotSpec returns the Spec a MarshalBinary snapshot names,
+// reading only its header. The spec sizes everything decoding the
+// snapshot builds, so a receiver that accepts only its own spec refuses
+// any other here, before UnmarshalStore allocates by it.
+func StoreSnapshotSpec(data []byte) (Spec, error) {
+	_, spec, _, err := openStoreSnapshot(data)
+	return spec, err
+}
+
+// openStoreSnapshot parses a store snapshot's header: it returns the key
+// type code, the spec, and the payload after the spec.
+func openStoreSnapshot(data []byte) (code byte, spec Spec, rest []byte, err error) {
+	payload, err := payloadOfKind(data, kindStore)
+	if err != nil {
+		return 0, Spec{}, nil, err
+	}
+	if len(payload) < 11 {
+		return 0, Spec{}, nil, fmt.Errorf("%w: store header", ErrTruncated)
+	}
+	specLen := int(binary.LittleEndian.Uint16(payload[1:]))
+	rest = payload[3:]
+	if len(rest) < specLen+8 {
+		return 0, Spec{}, nil, fmt.Errorf("%w: store spec", ErrTruncated)
+	}
+	if spec, err = ParseSpec(string(rest[:specLen])); err != nil {
+		return 0, Spec{}, nil, fmt.Errorf("sbitmap: store snapshot spec: %w", err)
+	}
+	return payload[0], spec, rest[specLen:], nil
+}
+
 // checkKeyCode refuses a store or stripe snapshot (what names which)
 // whose key type code is not K's.
 func checkKeyCode[K StoreKey](code byte, what string) error {
@@ -1395,19 +1370,13 @@ func checkKeyCode[K StoreKey](code byte, what string) error {
 // and bytes after the last entry are errors: restoring never silently
 // drops or overwrites keys.
 func (s *Store[K]) restoreEntries(payload []byte, count uint64, what string) (int, error) {
-	// The spec's seed/hash options restore each counter's full hash
-	// configuration (Spec.options omits defaults, which Unmarshal shares).
-	specOpts, err := s.spec.options()
-	if err != nil {
-		return 0, err
-	}
 	for i := uint64(0); i < count; i++ {
 		key, blob, rest, err := decodeStoreEntry[K](payload, i)
 		if err != nil {
 			return int(i), err
 		}
 		payload = rest
-		dup, err := s.restoreEntry(key, blob, specOpts)
+		dup, err := s.restoreEntry(key, blob)
 		if err != nil {
 			return int(i), err
 		}
@@ -1481,11 +1450,11 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 // reports a key already present as dup. An inline sketch is decoded
 // straight into a new slot under the stripe lock; a heap counter is
 // decoded before the lock is taken.
-func (s *Store[K]) restoreEntry(key K, blob []byte, specOpts []Option) (dup bool, err error) {
+func (s *Store[K]) restoreEntry(key K, blob []byte) (dup bool, err error) {
 	st := s.stripeFor(key)
 	var c Counter
 	if st.tab.sh == nil {
-		if c, err = s.decodeCounter(key, blob, specOpts); err != nil {
+		if c, err = s.decodeCounter(key, blob); err != nil {
 			return false, err
 		}
 	}
@@ -1494,28 +1463,21 @@ func (s *Store[K]) restoreEntry(key K, blob []byte, specOpts []Option) (dup bool
 	return st.tab.restore(key, c, blob)
 }
 
-// decodeCounter restores key's heap counter from its snapshot blob.
-// An hll store decodes its counters under its shared state, so a restored
-// store is laid out as one built by ingest; to it, a blob of another kind
-// or other parameters is a corrupt snapshot. On a windowed store the blob
-// is a sub-window ring whose sub-windows decode the same way, and the
-// store's watermark advances to the ring's newest sub-window so restores
-// re-derive the time position from snapshot contents.
-func (s *Store[K]) decodeCounter(key K, blob []byte, specOpts []Option) (Counter, error) {
-	decode := func(b []byte) (Counter, error) {
-		if s.hll != nil {
-			return s.hll.restore(b)
-		}
-		return Unmarshal(b, specOpts...)
-	}
+// decodeCounter restores key's heap counter from its snapshot blob
+// through the store's counterSource, so a restored store is laid out as
+// one built by ingest. On a windowed store the blob is a sub-window ring
+// whose sub-windows decode the same way, and the store's watermark
+// advances to the ring's newest sub-window so restores re-derive the time
+// position from snapshot contents.
+func (s *Store[K]) decodeCounter(key K, blob []byte) (Counter, error) {
 	if s.win == nil {
-		c, err := decode(blob)
+		c, err := s.src.decode(blob)
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 		}
 		return c, nil
 	}
-	r, err := unmarshalWindowRing(s.win, blob, decode)
+	r, err := unmarshalWindowRing(s.win, blob)
 	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}

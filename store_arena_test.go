@@ -14,9 +14,9 @@ import (
 )
 
 // forceHeapCounters gives a new, empty store slot tables of heap
-// counters, so every key's counter comes from newCounter on the heap: the
-// layout bounded and windowed stores take, and the reference the inline
-// sketches are checked against.
+// counters, so every key's counter comes from its counterSource on the
+// heap: the layout bounded and windowed stores take, and the reference the
+// inline sketches are checked against.
 func forceHeapCounters[K StoreKey](s *Store[K]) {
 	for i := range s.stripes {
 		s.stripes[i].tab = newSlotTable[K](nil, s.isStr)

@@ -17,7 +17,7 @@ import (
 // a snapshot holds — standalone, per key inside a Store, and per
 // sub-window inside a ring that has released nothing.
 func TestHLLMarshalGolden(t *testing.T) {
-	c := NewHyperLogLog(4096, WithSeed(3))
+	c, _ := MustSpec("hll:mbits=4096,seed=3").New()
 	for i := uint64(0); i < 20000; i++ {
 		c.AddUint64(i * 0x9e3779b97f4a7c15)
 	}

@@ -244,6 +244,50 @@ func churn[K StoreKey](t *testing.T, key func(int) K) {
 	}
 }
 
+// TestStoreSlotRemovalShrinksChunks: a stripe's last slot chunk shrinks
+// as its keys leave, so a store that lost 99% of its keys holds about what
+// a fresh store of the survivors does. 100,000 keys over 64 stripes, 99%
+// of them removed: Footprint must be within 3× of a fresh store holding
+// the same 1,000 keys (it read 32× for sbitmap and 10× for exact while a
+// last chunk kept its peak capacity), the tables intact, and the store
+// still identical to its heap-counter twin.
+func TestStoreSlotRemovalShrinksChunks(t *testing.T) {
+	const keys = 100_000
+	key := func(i int) string { return fmt.Sprintf("user-%06x", i) }
+	for _, spec := range []string{"sbitmap:n=1e4,eps=0.1", "exact"} {
+		t.Run(spec, func(t *testing.T) {
+			var stores [3]*Store[string]
+			for j := range stores {
+				var err error
+				if stores[j], err = NewStore[string](MustSpec(spec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, twin, fresh := stores[0], stores[1], stores[2]
+			forceHeapCounters(twin)
+			for i := range keys {
+				s.AddUint64(key(i), uint64(i))
+				twin.AddUint64(key(i), uint64(i))
+			}
+			for i := range keys {
+				if i%100 == 0 {
+					fresh.AddUint64(key(i), uint64(i))
+				} else if !s.Remove(key(i)) || !twin.Remove(key(i)) {
+					t.Fatalf("key %s not removable", key(i))
+				}
+			}
+			checkSlotTables(t, s)
+			checkSlotTables(t, twin)
+			assertStoresIdentical(t, s, twin)
+			got, want := s.Footprint(), fresh.Footprint()
+			t.Logf("footprint %d B after removing 99%% of %d keys, %d B fresh", got, keys, want)
+			if got > 3*want {
+				t.Errorf("footprint %d B after removing 99%% of %d keys, more than 3× a fresh store's %d B", got, keys, want)
+			}
+		})
+	}
+}
+
 // TestStoreSlotProbeChainRemove: deleting from the head, the middle and
 // the tail of a probe chain — keys whose probe hashes share a home in a
 // small index, wrapping past its end, with a key of the next home

@@ -517,9 +517,11 @@ func TestPreWindowSnapshotsStillDecode(t *testing.T) {
 		t.Error("unwindowed snapshot restored as windowed")
 	}
 	// A bare ring envelope is not a Counter snapshot this build hands out.
-	ring := newWindowRing(&windowShared{width: int64(time.Second), ring: 2, mergeable: true,
-		newCounter: func() Counter { c, _ := MustSpec("hll:mbits=2048").New(); return c },
-		wm:         new(atomic.Int64)})
+	src, err := newCounterSource(MustSpec("hll:mbits=2048"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := newWindowRing(&windowShared{width: int64(time.Second), ring: 2, src: src, wm: new(atomic.Int64)})
 	ring.slot(1, nil).AddString("x")
 	rblob, err := ring.MarshalBinary()
 	if err != nil {

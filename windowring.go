@@ -25,7 +25,7 @@ package sbitmap
 // and steady-state rotation allocates nothing.
 //
 // Queries merge on demand. For Mergeable kinds (HLL, LogLog, FM,
-// LinearCount, MRBitmap, Exact) EstimateWindow unions the covering
+// LinearCount, MRBitmap) EstimateWindow unions the covering
 // sub-window sketches into a scratch counter borrowed from the stripe's
 // free list. The paper's S-bitmap is deliberately not union-mergeable
 // (see ErrNotMergeable), so windowed S-bitmap stores fall back to
@@ -66,11 +66,10 @@ const wmNone = WindowWatermarkNone
 // windowShared is the per-Store window configuration every ring points
 // at, so a ring costs one pointer beyond its slots.
 type windowShared struct {
-	width      int64 // sub-window width in nanoseconds, > 0
-	ring       int   // slots per key, ≥ 1
-	mergeable  bool  // base kind supports merge-on-query
-	newCounter func() Counter
-	wm         *atomic.Int64 // the Store's watermark sub-window index
+	width int64          // sub-window width in nanoseconds, > 0
+	ring  int            // slots per key, ≥ 1
+	src   *counterSource // builds and decodes sub-window counters of the base spec
+	wm    *atomic.Int64  // the Store's watermark sub-window index
 }
 
 // now returns the watermark sub-window, or sub-window 0 before any
@@ -107,7 +106,7 @@ func (w *windowShared) coveringWindows(span time.Duration) (int, error) {
 // the free list of the stripe whose lock the caller holds, or nil.
 func (w *windowShared) take(free *[]Counter) (c Counter, recycled bool) {
 	if free == nil || len(*free) == 0 {
-		return w.newCounter(), false
+		return w.src.new(), false
 	}
 	n := len(*free) - 1
 	c = (*free)[n]
@@ -236,7 +235,7 @@ func (r *windowRing) estimateRange(lo, hi int64, free *[]Counter) (est float64, 
 // sub-window (wm−1) for the tumbling fallback. Start/End are filled in
 // by the Store; free is the stripe's free list, under its lock.
 func (r *windowRing) estimateWindow(wm int64, n int, free *[]Counter) (WindowEstimate, error) {
-	if !r.sh.mergeable {
+	if !r.sh.src.mergeable {
 		est, _, err := r.estimateRange(wm-1, wm-1, free)
 		return WindowEstimate{Estimate: est, Windows: 1, Tumbling: true}, err
 	}
@@ -331,7 +330,7 @@ func (r *windowRing) Merge(other Counter) error {
 		sl := &r.slots[i]
 		switch {
 		case sl.c == nil:
-			sl.c = r.sh.newCounter()
+			sl.c = r.sh.src.new()
 			sl.widx = os.widx
 		case sl.widx == wmNone || sl.widx < os.widx:
 			sl.c.Reset()
@@ -393,9 +392,9 @@ func (r *windowRing) MarshalBinary() ([]byte, error) {
 }
 
 // unmarshalWindowRing reconstructs a ring snapshot under a store's
-// window configuration, decoding each sub-window with decode; the
+// window configuration, decoding each sub-window through its source; the
 // snapshot's ring size must match the spec's.
-func unmarshalWindowRing(sh *windowShared, data []byte, decode func(blob []byte) (Counter, error)) (*windowRing, error) {
+func unmarshalWindowRing(sh *windowShared, data []byte) (*windowRing, error) {
 	payload, err := payloadOfKind(data, kindWindowRing)
 	if err != nil {
 		return nil, err
@@ -423,7 +422,7 @@ func unmarshalWindowRing(sh *windowShared, data []byte, decode func(blob []byte)
 		if widx == wmNone {
 			return nil, fmt.Errorf("sbitmap: ring snapshot sub-window %d has a reserved index", j)
 		}
-		c, err := decode(payload[:blen])
+		c, err := sh.src.decode(payload[:blen])
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: ring sub-window %d: %w", widx, err)
 		}
