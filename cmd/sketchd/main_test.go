@@ -134,7 +134,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"ring out of range", []string{"-window", "1m", "-ring", "70000"}, "ring"},
 		{"window conflicts with spec modifier", []string{
 			"-spec", "hll:mbits=4096/windowed(width=1m)", "-window", "2m"}, "conflicts"},
-		{"flag retention overflow", []string{"-window", "2562047h", "-ring", "65536"}, "overflow"},
+		{"flag retention overflow", []string{"-window", "2562047h", "-ring", "65535"}, "overflow"},
+		{"ring past the snapshot's 16 bits", []string{"-window", "1m", "-ring", "65536"}, "ring"},
 		{"unknown role", []string{"-role", "router"}, "-role"},
 		{"edge without aggregator", []string{"-role", "edge"}, "-aggregator"},
 		{"edge with zero push interval", []string{"-role", "edge", "-aggregator", "http://agg:8287", "-push-interval", "0s"}, "push-interval"},

@@ -189,36 +189,48 @@ func storeBlobs(t *testing.T, s *Store[string]) map[string][]byte {
 	return blobs
 }
 
-// FuzzStoreOps drives an S-bitmap store with inline sketches and a twin
-// whose slot tables keep heap counters (forceHeapCounters) through the
-// same operations decoded from the input — AddString, AddBatch64 and
-// AddBatchString (long same-key runs included), Remove, Estimate, Reset,
-// Merge, and a MarshalStripes checkpoint restored through RestoreStripe
-// into a fresh store that carries on — and requires the same answers
-// throughout and, at every checkpoint and at the end, bit-identical
-// counters key by key and consistent slot tables in both stores. An
-// operation is one byte; a key is a length byte and that many bytes. CI
-// runs a short fuzz smoke over this target.
+// FuzzStoreOps drives two stores that keep words — an S-bitmap store
+// with inline sketches and a windowed HyperLogLog store with run rings —
+// each against a twin whose slot tables keep heap counters and heap rings
+// (forceHeapCounters), through the same operations decoded from the
+// input: AddStringAt, AddBatch64At and AddBatchStringAt (long same-key
+// runs included) stamped forward in time, back inside the horizon, late
+// behind it or not at all; Remove; Estimate and EstimateWindow over every
+// span; Reset; Merge, crossed between the layouts; and a MarshalStripes
+// checkpoint restored through RestoreStripe into a fresh store that
+// carries on. It requires the same answers throughout and, at every
+// checkpoint and at the end, bit-identical counters key by key and
+// consistent slot tables and run pools in both stores. An operation is
+// one byte, a timestamp one byte, a key a length byte and that many
+// bytes. CI runs a short fuzz smoke over this target.
 func FuzzStoreOps(f *testing.F) {
 	key := func(n int) []byte { return append([]byte{byte(n)}, strings.Repeat("k", n)...) }
 	var seed []byte
-	for _, n := range []int{0, 1, 16, 17, 200} {
-		seed = append(seed, 0)
+	for i, n := range []int{0, 1, 16, 17, 200} {
+		seed = append(seed, 0, byte(4*i+1))
 		seed = append(seed, key(n)...)
 		seed = append(seed, byte(n))
 	}
-	seed = append(append(seed, 1, 3), append(append(key(16), 7), append(key(17), 8)...)...)
-	seed = append(append(seed, 2), append(key(200), 9)...)
+	seed = append(append(seed, 1, 2, 3), append(append(key(16), 7), append(key(17), 8)...)...)
+	seed = append(append(seed, 2, 3), append(key(200), 9)...)
 	seed = append(append(seed, 3), key(16)...)
 	seed = append(append(seed, 4), key(17)...)
 	seed = append(seed, 7)
 	seed = append(append(seed, 3), key(0)...)
 	seed = append(seed, 6, 5)
-	seed = append(append(seed, 0), append(key(1), 2)...)
+	seed = append(append(seed, 0, 0), append(key(1), 2)...)
 	f.Add(seed)
-	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 7, 3, 'a', 'b', 'c', 0, 'q', 1})
-	spec := MustSpec("sbitmap:n=1e4,eps=0.1")
-	newPair := func(t *testing.T) (*Store[string], *Store[string]) {
+	f.Add([]byte{0, 5, 3, 'a', 'b', 'c', 1, 6, 7, 3, 'a', 'b', 'c', 0, 'q', 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		storeOps(t, MustSpec("sbitmap:n=1e4,eps=0.1"), data)
+		storeOps(t, MustSpec("hll:mbits=512/windowed(width=1s,ring=3)"), data)
+	})
+}
+
+// storeOps runs FuzzStoreOps' operations from data against a store of
+// spec and its heap-counter twin.
+func storeOps(t *testing.T, spec Spec, data []byte) {
+	newPair := func() (*Store[string], *Store[string]) {
 		s, err := NewStore[string](spec, WithStripes(2))
 		if err != nil {
 			t.Fatal(err)
@@ -230,94 +242,129 @@ func FuzzStoreOps(f *testing.F) {
 		forceHeapCounters(ref)
 		return s, ref
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, ref := newPair(t)
-		other, otherRef := newPair(t)
-		other.AddString("merge", "x")
-		otherRef.AddString("merge", "x")
-		next := func() int {
-			if len(data) == 0 {
-				return 0
+	s, ref := newPair()
+	other, otherRef := newPair()
+	for _, o := range []*Store[string]{other, otherRef} {
+		o.AddString("merge", "x")
+		o.AddStringAt(time.Unix(2, 0), "later", "y")
+	}
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	readKey := func() string {
+		n := min(next(), len(data))
+		k := string(data[:n])
+		data = data[n:]
+		return k
+	}
+	// readTime stamps a record: unstamped, forward, back inside the
+	// horizon, or late behind it, in sub-windows of one second.
+	ring := int64(max(spec.Ring, 1))
+	clock := int64(0)
+	readTime := func() time.Time {
+		b := next()
+		switch step := int64(b / 4); b % 4 {
+		case 0:
+			return time.Time{}
+		case 1:
+			clock += step % 3
+			return time.Unix(clock, 0)
+		case 2:
+			return time.Unix(clock-1-step%max(ring-1, 1), 0)
+		default:
+			return time.Unix(clock-ring-step%3, 0)
+		}
+	}
+	for ops := 0; len(data) > 0 && ops < 256; ops++ {
+		switch op := next() % 8; op {
+		case 0:
+			ts, k, item := readTime(), readKey(), fmt.Sprint(next())
+			if x, y := s.AddStringAt(ts, k, item), ref.AddStringAt(ts, k, item); x != y {
+				t.Fatalf("AddStringAt(%q): changed %v, heap counters %v", k, x, y)
 			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		readKey := func() string {
-			n := min(next(), len(data))
-			k := string(data[:n])
-			data = data[n:]
-			return k
-		}
-		for ops := 0; len(data) > 0 && ops < 256; ops++ {
-			switch op := next() % 8; op {
-			case 0:
-				k, item := readKey(), fmt.Sprint(next())
-				if x, y := s.AddString(k, item), ref.AddString(k, item); x != y {
-					t.Fatalf("AddString(%q): changed %v, heap counters %v", k, x, y)
+		case 1:
+			ts, n := readTime(), next()%8+1
+			keys, items := make([]string, n), make([]uint64, n)
+			for i := range keys {
+				keys[i], items[i] = readKey(), uint64(next())
+			}
+			if x, y := s.AddBatch64At(ts, keys, items), ref.AddBatch64At(ts, keys, items); x != y {
+				t.Fatalf("AddBatch64At: changed %d, heap counters %d", x, y)
+			}
+		case 2:
+			ts, k, base := readTime(), readKey(), next()
+			keys, items := make([]string, 2*storeRunBatchMin), make([]string, 2*storeRunBatchMin)
+			for i := range keys {
+				keys[i], items[i] = k, fmt.Sprint(base*1000+i)
+			}
+			if x, y := s.AddBatchStringAt(ts, keys, items), ref.AddBatchStringAt(ts, keys, items); x != y {
+				t.Fatalf("AddBatchStringAt(%q run): changed %d, heap counters %d", k, x, y)
+			}
+		case 3:
+			k := readKey()
+			if x, y := s.Remove(k), ref.Remove(k); x != y {
+				t.Fatalf("Remove(%q): %v, heap counters %v", k, x, y)
+			}
+		case 4:
+			k := readKey()
+			e1, ok1 := s.Estimate(k)
+			e2, ok2 := ref.Estimate(k)
+			if e1 != e2 || ok1 != ok2 {
+				t.Fatalf("Estimate(%q): %v %v, heap counters %v %v", k, e1, ok1, e2, ok2)
+			}
+			for n := range ring {
+				span := time.Duration(n+1) * time.Second
+				w1, ok1, err1 := s.EstimateWindow(k, span)
+				w2, ok2, err2 := ref.EstimateWindow(k, span)
+				if w1 != w2 || ok1 != ok2 || (err1 == nil) != (err2 == nil) {
+					t.Fatalf("EstimateWindow(%q, %s): %+v %v %v, heap counters %+v %v %v", k, span, w1, ok1, err1, w2, ok2, err2)
 				}
-			case 1:
-				n := next()%8 + 1
-				keys, items := make([]string, n), make([]uint64, n)
-				for i := range keys {
-					keys[i], items[i] = readKey(), uint64(next())
-				}
-				if x, y := s.AddBatch64(keys, items), ref.AddBatch64(keys, items); x != y {
-					t.Fatalf("AddBatch64: changed %d, heap counters %d", x, y)
-				}
-			case 2:
-				k, base := readKey(), next()
-				keys, items := make([]string, 2*storeRunBatchMin), make([]string, 2*storeRunBatchMin)
-				for i := range keys {
-					keys[i], items[i] = k, fmt.Sprint(base*1000+i)
-				}
-				if x, y := s.AddBatchString(keys, items), ref.AddBatchString(keys, items); x != y {
-					t.Fatalf("AddBatchString(%q run): changed %d, heap counters %d", k, x, y)
-				}
-			case 3:
-				k := readKey()
-				if x, y := s.Remove(k), ref.Remove(k); x != y {
-					t.Fatalf("Remove(%q): %v, heap counters %v", k, x, y)
-				}
-			case 4:
-				k := readKey()
-				e1, ok1 := s.Estimate(k)
-				e2, ok2 := ref.Estimate(k)
-				if e1 != e2 || ok1 != ok2 {
-					t.Fatalf("Estimate(%q): %v %v, heap counters %v %v", k, e1, ok1, e2, ok2)
-				}
-			case 5:
-				s.Reset()
-				ref.Reset()
-			case 6:
-				if err1, err2 := s.Merge(other), ref.Merge(otherRef); !errors.Is(err1, ErrNotMergeable) || !errors.Is(err2, ErrNotMergeable) {
+			}
+		case 5:
+			s.Reset()
+			ref.Reset()
+		case 6:
+			// Crossed, so each layout is merged from the other.
+			err1, err2 := s.Merge(otherRef), ref.Merge(other)
+			if spec.Kind == KindSBitmap {
+				if !errors.Is(err1, ErrNotMergeable) || !errors.Is(err2, ErrNotMergeable) {
 					t.Fatalf("Merge: %v, heap counters %v; want ErrNotMergeable", err1, err2)
 				}
-			case 7:
-				checkSlotTables(t, s)
-				checkSlotTables(t, ref)
-				assertStoresIdentical(t, s, ref)
-				blobs, _, err := s.MarshalStripes(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored, err := NewStore[string](spec, WithStripes(3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, b := range blobs {
-					if _, err := restored.RestoreStripe(b); err != nil {
-						t.Fatalf("RestoreStripe: %v", err)
-					}
-				}
-				s = restored
+			} else if err1 != nil || err2 != nil {
+				t.Fatalf("Merge: %v, heap counters %v", err1, err2)
 			}
+		case 7:
+			checkSlotTables(t, s)
+			checkSlotTables(t, ref)
+			assertStoresIdentical(t, s, ref)
+			blobs, _, err := s.MarshalStripes(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := NewStore[string](spec, WithStripes(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range blobs {
+				if _, err := restored.RestoreStripe(b); err != nil {
+					t.Fatalf("RestoreStripe: %v", err)
+				}
+			}
+			// A checkpoint carries the watermark beside the stripes.
+			wm, late, _ := s.WindowState()
+			restored.SetWindowState(wm, late)
+			s = restored
 		}
-		checkSlotTables(t, s)
-		checkSlotTables(t, ref)
-		assertStoresIdentical(t, s, ref)
-		assertStoresIdentical(t, ref, s)
-	})
+	}
+	checkSlotTables(t, s)
+	checkSlotTables(t, ref)
+	assertStoresIdentical(t, s, ref)
+	assertStoresIdentical(t, ref, s)
 }
 
 // FuzzParseSpec drives the spec grammar with arbitrary strings. The

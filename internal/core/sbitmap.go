@@ -140,6 +140,14 @@ func (sh *Shared) View(s *Sketch, run []uint64) {
 	*s = Sketch{sh: sh, run: run[:n:n]}
 }
 
+// Detach gives s shared state of its own: sh's Config, hasher and
+// resolution with batch buffers of its own, so s may be fed on another
+// goroutine than the sketches it shared state with, and its Footprint
+// counts the state — the sketch NewSketch would have built.
+func (s *Sketch) Detach() {
+	s.sh = &Shared{cfg: s.sh.cfg, h: s.sh.h, dBits: s.sh.dBits, own: true}
+}
+
 // Footprint returns the shared state's resident memory in bytes: the
 // struct, the Config (including any schedule tables) and the lazily
 // allocated batch buffers.

@@ -38,10 +38,11 @@ const RegisterBits = 5
 const maxRank = 1<<RegisterBits - 1
 
 // Sketch is a HyperLogLog counter. A Sketch value is only the per-sketch
-// record: the register array. Everything that is the same for every
-// sketch under one register count and hash lives in a Shared, which a
-// keyed store holds once for all its sketches (see Shared.Init). Not safe
-// for concurrent use.
+// record: the register array, a byte view over a run of words. Everything
+// that is the same for every sketch under one register count and hash
+// lives in a Shared, which a keyed store holds once for all its sketches;
+// the store keeps the runs in flat slots and binds a handle to one per
+// access (Shared.View). Not safe for concurrent use.
 type Sketch struct {
 	sh  *Shared
 	reg []uint8
@@ -72,10 +73,34 @@ func NewShared(kBits uint, h uhash.Hasher) *Shared {
 	return &Shared{kBits: kBits, alpha: alpha(1 << kBits), h: h}
 }
 
-// Init makes *s an empty sketch under sh, with a register array of its
-// own.
-func (sh *Shared) Init(s *Sketch) {
-	*s = Sketch{sh: sh, reg: make([]uint8, 1<<sh.kBits)}
+// RunWords returns the length of each sketch's run under sh: m one-byte
+// registers, m/8 words (m ≥ 16, so a whole number of them).
+func (sh *Shared) RunWords() int { return (1 << sh.kBits) / 8 }
+
+// Init makes *s an empty sketch under sh over the first RunWords() words
+// of run. It allocates nothing: a keyed store materializes a sketch in
+// place, in one of its slots.
+func (sh *Shared) Init(s *Sketch, run []uint64) {
+	sh.View(s, run)
+	clear(s.reg)
+}
+
+// View makes *s a handle on the sketch whose registers are the first
+// RunWords() words of run, as Init, UnmarshalInto or an earlier handle
+// left them. Every read and write goes to run, so any number of views over
+// one run, one at a time, act as one sketch. The registers are the run's
+// bytes in memory order, so MarshalBinary writes them as they lie.
+func (sh *Shared) View(s *Sketch, run []uint64) {
+	run = run[:sh.RunWords()]
+	m := 1 << sh.kBits
+	*s = Sketch{sh: sh, reg: unsafe.Slice((*uint8)(unsafe.Pointer(&run[0])), m)}
+}
+
+// Detach gives s shared state of its own: sh's register count and hasher
+// with batch buffers of its own, so s may be fed on another goroutine than
+// the sketches it shared state with, and its Footprint counts the state.
+func (s *Sketch) Detach() {
+	s.sh = &Shared{kBits: s.sh.kBits, alpha: s.sh.alpha, h: s.sh.h, own: true}
 }
 
 // Footprint returns the shared state's resident memory in bytes: the
@@ -95,7 +120,7 @@ func NewWithHasher(kBits uint, h uhash.Hasher) *Sketch {
 	sh := NewShared(kBits, h)
 	sh.own = true
 	s := new(Sketch)
-	sh.Init(s)
+	sh.Init(s, make([]uint64, sh.RunWords()))
 	return s
 }
 
@@ -320,10 +345,11 @@ func parse(data []byte) (uint, error) {
 	return kBits, nil
 }
 
-// UnmarshalInto restores MarshalBinary output into *s as Init(s) followed
-// by the recorded registers, building no hasher. Data serialized with
-// another register count than sh's is an error that leaves s untouched.
-func (sh *Shared) UnmarshalInto(s *Sketch, data []byte) error {
+// UnmarshalInto restores MarshalBinary output into *s as Init(s, run)
+// followed by the recorded registers, building no hasher. Data that does
+// not parse, or was serialized with another register count than sh's, is
+// an error that touches neither s nor run.
+func (sh *Shared) UnmarshalInto(s *Sketch, run []uint64, data []byte) error {
 	kBits, err := parse(data)
 	if err != nil {
 		return err
@@ -331,7 +357,7 @@ func (sh *Shared) UnmarshalInto(s *Sketch, data []byte) error {
 	if kBits != sh.kBits {
 		return fmt.Errorf("hyperloglog: sketch serialized with m=%d registers, not m=%d", 1<<kBits, 1<<sh.kBits)
 	}
-	sh.Init(s)
+	sh.View(s, run)
 	copy(s.reg, data[1:])
 	return nil
 }

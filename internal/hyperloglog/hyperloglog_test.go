@@ -228,7 +228,7 @@ func TestSharedRecords(t *testing.T) {
 	recs := make([]Sketch, 8)
 	var scr uhash.Scratch
 	for i := range recs {
-		sh.Init(&recs[i])
+		sh.Init(&recs[i], make([]uint64, sh.RunWords()))
 		own := New(6, 4)
 		items := []uint64{uint64(i), 1, 2, 3, uint64(i) << 30}
 		if a, b := recs[i].AddBatch64Scratch(&scr, items), own.AddBatch64(items); a != b {
@@ -250,14 +250,14 @@ func TestSharedRecords(t *testing.T) {
 
 	blob, _ := recs[3].MarshalBinary()
 	var back Sketch
-	if err := sh.UnmarshalInto(&back, blob); err != nil {
+	if err := sh.UnmarshalInto(&back, make([]uint64, sh.RunWords()), blob); err != nil {
 		t.Fatal(err)
 	}
 	if back.Estimate() != recs[3].Estimate() || back.sh != sh {
 		t.Fatal("UnmarshalInto did not restore the registers under sh")
 	}
 	var untouched Sketch
-	if err := NewShared(7, uhash.NewMixer(4)).UnmarshalInto(&untouched, blob); err == nil || untouched.sh != nil {
+	if err := NewShared(7, uhash.NewMixer(4)).UnmarshalInto(&untouched, make([]uint64, 16), blob); err == nil || untouched.sh != nil {
 		t.Fatalf("foreign register count: err=%v, record written=%v", err, untouched.sh != nil)
 	}
 }

@@ -6,55 +6,60 @@ import (
 	"iter"
 	"slices"
 	"unsafe"
-
-	"repro/internal/core"
 )
 
 // Slot tables. Every stripe of a Store keeps its keys in a slotTable: an
 // open-addressing index of uint32 slot numbers, probed linearly from the
 // key's probe hash (see hash), over fixed-stride slots in chunks of
-// pointer-free words. A slot holds the key and, for an inline table, its
-// sketch:
+// pointer-free words (wordChunks). A slot holds the key and, in a word
+// table, its counter's words:
 //
 //	[0]      tag: the probe hash (uint64 keys), or its low 32 bits and
 //	         the key's length in the high 32 bits (string keys)
 //	[1]      the key (uint64 keys), or its key-log reference (string keys)
 //	[2:4]    string keys only: the key's bytes when it is at most
 //	         slotInline bytes long, zero-padded
-//	[hdr:]   inline tables only: the sketch's run (core.Shared.RunWords):
-//	         fill level L, threshold register, bitmap words
+//	[hdr:]   word tables only: the sketch's run — an S-bitmap's fill level
+//	         L, threshold register and bitmap words (core.Shared.RunWords),
+//	         or a HyperLogLog's registers, eight to a word
+//	         (hyperloglog.Shared.RunWords) — or, on a windowed store, the
+//	         key's ring: one uint32 run reference per sub-window, two to a
+//	         word, 0 for an empty sub-window, else the number of its run in
+//	         the stripe's run pool plus one (see runRings)
 //
-// An unbounded, unwindowed S-bitmap Store — the paper's deployment, one
-// tiny sketch "for each of the links" (Section 7) — keeps its sketches
-// inline, so a warm record costs a probe hash, one index probe and one
+// A store keeps words when it is unbounded and its kind has a run view
+// (counterSource.runView): the paper's deployment, one tiny sketch "for
+// each of the links" (Section 7), per minute interval on a windowed
+// store. A warm record then costs a probe hash, one index probe and one
 // slot access — the paper's one hash and one bit probe, plus the lookup —
-// and the sketch is read and written in place through a core view bound
-// to the slot. Every other store keeps one heap Counter per slot in ctrs,
-// in slot order: a bounded store's evicted counter outlives its slot, and
-// a windowed store's unit of allocation is a ring of sub-window counters.
-// Slots are dense: slots [0, keys) are live, Remove moves the last slot
-// (and its counter) into the hole, and iteration walks them in order.
-// String keys' bytes also go to a per-stripe append-only key log, so the
-// keys the Store hands out (ForEach, ForEachDirty, TopK, OnEvict) are
-// views of memory that is never rewritten and stay valid after the call.
-// The GC scans neither slots nor log.
+// and the sketch is read and written in place through a view bound to
+// its run. Every other store keeps one heap Counter per slot in ctrs, in
+// slot order: a bounded store's evicted counter outlives its slot, and a
+// kind without a run view has no words to keep. Slots are dense: slots
+// [0, keys) are live, Remove moves the last slot (and its counter) into
+// the hole, and iteration walks them in order. String keys' bytes also go
+// to a per-stripe append-only key log, so the keys the Store hands out
+// (ForEach, ForEachDirty, TopK, OnEvict) are views of memory that is never
+// rewritten and stay valid after the call. The GC scans neither slots,
+// log nor runs.
 type slotTable[K StoreKey] struct {
-	sh     *core.Shared // inline sketches' shared state, one per store; nil for heap counters
 	seed   maphash.Seed // the probe hash's, random per table
 	str    bool         // K is string-kinded
-	hdr    int          // slot words before the sketch run
-	stride int          // words per slot
+	inline bool         // a slot holds its key's sketch run
+	hdr    int          // slot words before the sketch run or ring references
 
-	idx    []uint32   // power-of-two length; 0 = empty, else slot number + 1
-	chunks [][]uint64 // slotChunk slots each; the last one grows by doubling
-	keys   int        // live keys, in slots [0, keys)
-	bytes  int        // slot chunk capacities
-	log    keyLog
-	ctrs   []Counter // heap counters, one per live slot; nil for inline tables
+	idx   []uint32   // power-of-two length; 0 = empty, else slot number + 1
+	slots wordChunks // slotChunk slots a chunk
+	keys  int        // live keys, in slots [0, keys)
+	log   keyLog
+	ctrs  []Counter // heap counters, one per live slot; nil for word tables
 
-	// view is the Counter bound to one inline slot at a time, under the
-	// stripe lock: valid until the next table call.
-	view SBitmap
+	// v binds a word table's sketches: their shared state (both nil in a
+	// heap table) and one view of each kind, bound to one run at a time
+	// under the stripe lock — valid until the next table call.
+	v runViews
+	// rings holds a windowed word table's sub-window runs; nil otherwise.
+	rings *runRings
 }
 
 const (
@@ -63,8 +68,9 @@ const (
 	// full chunk wastes no allocation rounding.
 	slotChunkBits = 10
 	slotChunk     = 1 << slotChunkBits
-	// slotChunkMin is the slot capacity of a chunk's first allocation; a
-	// chunk doubles until full, so a small stripe stays small.
+	// slotChunkMin is the capacity of a chunk's first allocation, in
+	// slots or runs; a chunk doubles until full, so a small stripe stays
+	// small.
 	slotChunkMin = 4
 	// slotInline is the longest string key compared in its slot; longer
 	// ones are compared in the key log.
@@ -75,19 +81,33 @@ const (
 	slotIndexMin = 8
 )
 
-// newSlotTable returns an empty table whose sketches sit inline under sh,
-// or, when sh is nil, one that keeps heap counters.
-func newSlotTable[K StoreKey](sh *core.Shared, str bool) *slotTable[K] {
+// newSlotTable returns an empty table for a store whose counters come
+// from src: a word table when words is set — the sketch run inline in
+// each slot, or on a windowed store (win set) the key's ring of run
+// references — and a table of heap counters otherwise.
+func newSlotTable[K StoreKey](src *counterSource, win *windowShared, words, str bool) *slotTable[K] {
 	hdr := 2
 	if str {
 		hdr += slotInline / 8
 	}
-	t := &slotTable[K]{sh: sh, seed: maphash.MakeSeed(), str: str, hdr: hdr, stride: hdr}
-	if sh != nil {
-		t.stride += sh.RunWords()
+	t := &slotTable[K]{seed: maphash.MakeSeed(), str: str, hdr: hdr}
+	stride := hdr
+	if words {
+		t.v = runViews{sb: src.sb, hll: src.hll}
+		if win == nil {
+			t.inline = true
+			stride += t.v.words()
+		} else {
+			stride += (win.ring + 1) / 2
+			t.rings = newRunRings(src, win, &t.slots, &t.v, hdr)
+		}
 	}
+	t.slots = wordChunks{stride: stride, bits: slotChunkBits}
 	return t
 }
+
+// words reports whether the table keeps its counters in words.
+func (t *slotTable[K]) words() bool { return t.v.sb != nil || t.v.hll != nil }
 
 // hash returns key's probe hash: hash/maphash under the table's own random
 // seed, which never leaves the process. The router hash cannot serve: its
@@ -103,10 +123,7 @@ func (t *slotTable[K]) hash(key K) uint64 {
 }
 
 // slot returns slot i's words.
-func (t *slotTable[K]) slot(i uint32) []uint64 {
-	off := int(i&(slotChunk-1)) * t.stride
-	return t.chunks[i>>slotChunkBits][off : off+t.stride : off+t.stride]
-}
+func (t *slotTable[K]) slot(i uint32) []uint64 { return t.slots.at(i) }
 
 // tag is the slot tag of a key with probe hash h.
 func (t *slotTable[K]) tag(h uint64, key K) uint64 {
@@ -161,84 +178,107 @@ func (t *slotTable[K]) find(h uint64, key K) (pos uint32, ok bool) {
 	}
 }
 
-// bind points the table's view at slot sl's sketch and returns it.
-func (t *slotTable[K]) bind(sl []uint64) Counter {
-	t.sh.View(&t.view.sk, sl[t.hdr:])
-	return &t.view
+// at returns slot i's counter: its heap counter, the sketch view bound to
+// its run, or the ring view bound to its ring.
+func (t *slotTable[K]) at(i uint32) Counter {
+	if t.inline {
+		return t.v.bind(t.slot(i)[t.hdr:])
+	}
+	if t.rings != nil {
+		return t.rings.bind(i)
+	}
+	return t.ctrs[i]
 }
 
-// at returns slot i's counter: its heap counter, or the view bound to its
-// inline sketch.
-func (t *slotTable[K]) at(i uint32) Counter {
-	if t.sh == nil {
-		return t.ctrs[i]
+// ringAt returns slot i's ring on a windowed store: its heap ring, or the
+// ring view bound to its run references.
+func (t *slotTable[K]) ringAt(i uint32) ringEntries {
+	if t.rings != nil {
+		return t.rings.bind(i)
 	}
-	return t.bind(t.slot(i))
+	return t.ctrs[i].(*windowRing)
+}
+
+// detach returns slot i's counter in a form that outlives the stripe
+// lock: a heap counter as it is, a sketch or ring kept in words as a heap
+// copy built through src.
+func (t *slotTable[K]) detach(i uint32, src *counterSource) Counter {
+	switch {
+	case t.inline:
+		return src.copyOf(t.slot(i)[t.hdr:])
+	case t.rings != nil:
+		return t.rings.copyOf(i)
+	}
+	return t.ctrs[i]
+}
+
+// slotOf returns key's slot if key is live.
+func (t *slotTable[K]) slotOf(key K) (uint32, bool) {
+	pos, ok := t.find(t.hash(key), key)
+	if !ok {
+		return 0, false
+	}
+	return t.idx[pos] - 1, true
 }
 
 // lookup returns key's counter if key is live.
 func (t *slotTable[K]) lookup(key K) (Counter, bool) {
-	pos, ok := t.find(t.hash(key), key)
+	i, ok := t.slotOf(key)
 	if !ok {
 		return nil, false
 	}
-	return t.at(t.idx[pos] - 1), true
+	return t.at(i), true
 }
 
 // insert materializes key, absent, at index position pos — the empty
-// position find returned — with heap counter c, or, for an inline table
-// (c nil), an empty sketch in its slot; it returns the key's counter.
-func (t *slotTable[K]) insert(pos uint32, h uint64, key K, c Counter) Counter {
-	sl := t.add(pos, h, key, c)
-	if c != nil {
-		return c
+// position find returned — with heap counter c, or, in a word table (c
+// nil), an empty sketch or ring in its slot; it returns the key's slot.
+func (t *slotTable[K]) insert(pos uint32, h uint64, key K, c Counter) uint32 {
+	i := t.add(pos, h, key, c)
+	if t.inline {
+		t.v.init(t.slot(i)[t.hdr:])
 	}
-	t.sh.Init(&t.view.sk, sl[t.hdr:])
-	return &t.view
+	return i
 }
 
 // restore adds key with counter c, decoded from its snapshot blob, or,
-// for an inline table (c nil), with the sketch blob (as Marshal writes it)
-// holds, decoded straight into a new slot. dup reports a key already
-// present. A Store snapshot holds only counters built from its own spec,
-// so a blob of another kind or other parameters is a corrupt snapshot.
-func (t *slotTable[K]) restore(key K, c Counter, blob []byte) (dup bool, err error) {
+// in a word table (c nil), with the sketch or ring blob (as Marshal
+// writes it) holds, decoded straight into a new slot and fresh runs. It
+// returns the key's slot; dup reports a key already present. A Store
+// snapshot holds only counters built from its own spec, so a blob of
+// another kind or other parameters is a corrupt snapshot.
+func (t *slotTable[K]) restore(key K, c Counter, blob []byte) (i uint32, dup bool, err error) {
 	h := t.hash(key)
 	pos, ok := t.find(h, key)
 	if ok {
-		return true, nil
+		return 0, true, nil
 	}
-	if c != nil {
-		t.add(pos, h, key, c)
-		return false, nil
+	i = t.add(pos, h, key, c)
+	switch {
+	case c != nil:
+		return i, false, nil
+	case t.rings != nil:
+		err = unmarshalRing(t.rings.bind(i), blob)
+	default:
+		err = t.v.unmarshalInto(t.slot(i)[t.hdr:], blob)
 	}
-	payload, err := payloadOfKind(blob, KindSBitmap)
 	if err != nil {
-		return false, fmt.Errorf("sbitmap: store key %v: %w", key, err)
-	}
-	sl := t.add(pos, h, key, nil)
-	if err := t.sh.UnmarshalInto(&t.view.sk, sl[t.hdr:], payload); err != nil {
 		t.remove(key)
-		return false, fmt.Errorf("sbitmap: store key %v: sbitmap: %w", key, err)
+		return 0, false, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}
-	return false, nil
+	return i, false, nil
 }
 
 // add materializes key in a new slot, indexed at pos — the empty position
 // find returned — unless the index grows first, with heap counter c (nil
-// for an inline table, whose slot's run is zero).
-func (t *slotTable[K]) add(pos uint32, h uint64, key K, c Counter) []uint64 {
+// in a word table, whose slot words are zero), and returns the slot.
+func (t *slotTable[K]) add(pos uint32, h uint64, key K, c Counter) uint32 {
 	if 4*(t.keys+1) > 3*len(t.idx) {
 		t.grow(max(slotIndexMin, 2*len(t.idx)))
 		pos, _ = t.find(h, key)
 	}
 	i := uint32(t.keys)
-	if ch := int(i >> slotChunkBits); ch == len(t.chunks) {
-		t.chunks = append(t.chunks, nil)
-	}
-	t.reserve(i)
-	sl := t.slot(i)
-	clear(sl)
+	sl := t.slots.push(i)
 	sl[0] = t.tag(h, key)
 	if t.str {
 		k := keyString(key)
@@ -254,30 +294,7 @@ func (t *slotTable[K]) add(pos uint32, h uint64, key K, c Counter) []uint64 {
 	}
 	t.idx[pos] = i + 1
 	t.keys++
-	return sl
-}
-
-// reserve makes room for slot i at the end of the last chunk, doubling
-// the chunk (up to slotChunk slots) when it is full.
-func (t *slotTable[K]) reserve(i uint32) {
-	c := &t.chunks[i>>slotChunkBits]
-	need := (int(i&(slotChunk-1)) + 1) * t.stride
-	if need <= len(*c) {
-		return
-	}
-	t.resize(c, min(slotChunk, max(slotChunkMin, 2*(len(*c)/t.stride))))
-}
-
-// resize reallocates chunk c with room for at least slots slots, keeping
-// as many of its leading words as fit.
-func (t *slotTable[K]) resize(c *[]uint64, slots int) {
-	// Allocated through append, so the capacity is the allocation's size
-	// class and Footprint counts exactly what the heap holds.
-	sized := slices.Grow([]uint64(nil), slots*t.stride)
-	sized = sized[:cap(sized)]
-	copy(sized, *c)
-	t.bytes += 8 * (len(sized) - len(*c))
-	*c = sized
+	return i
 }
 
 // grow rebuilds the index at size n, a power of two, from the slots' tags;
@@ -294,19 +311,19 @@ func (t *slotTable[K]) grow(n int) {
 	}
 }
 
-// remove deletes key and reports whether it was live. The index entry
-// goes by backward-shift deletion (Knuth, TAOCP vol. 3, §6.4, Algorithm
-// R), so no tombstones accumulate; the last slot, and its heap counter,
-// moves into the freed one, so slots stay dense, and a chunk left empty is
-// dropped. The last chunk is reallocated at half its size, down to
-// slotChunkMin slots, once less than a quarter of it is live; the index
-// halves once its load falls below 1/8, down to slotIndexMin; and the
-// counter slice is reallocated once less than a quarter of it is in use.
-// So a table that sheds keys gives their memory back, and growth — a
-// chunk doubles only when full, the index at load 3/4 — keeps all three
-// far from thrashing. A string key's log bytes are dead from then on, and
-// the log is compacted once its dead bytes exceed half its live ones, so
-// dead bytes never hold more than a third of the log.
+// remove deletes key and reports whether it was live. A ring's runs go
+// back to the pool first. The index entry goes by backward-shift deletion
+// (Knuth, TAOCP vol. 3, §6.4, Algorithm R), so no tombstones accumulate;
+// the last slot, and its heap counter, moves into the freed one, so slots
+// stay dense, and the moved ring's runs learn their new owner. The slot
+// chunks give memory back by wordChunks.shrink's rules; the index halves
+// once its load falls below 1/8, down to slotIndexMin; and the counter
+// slice is reallocated once less than a quarter of it is in use. So a
+// table that sheds keys gives their memory back, and growth — a chunk
+// doubles only when full, the index at load 3/4 — keeps all three far
+// from thrashing. A string key's log bytes are dead from then on, and the
+// log is compacted once its dead bytes exceed half its live ones, so dead
+// bytes never hold more than a third of the log.
 func (t *slotTable[K]) remove(key K) bool {
 	pos, ok := t.find(t.hash(key), key)
 	if !ok {
@@ -315,6 +332,9 @@ func (t *slotTable[K]) remove(key K) bool {
 	i := t.idx[pos] - 1
 	if t.str {
 		t.log.kill(int(t.slot(i)[0] >> 32))
+	}
+	if t.rings != nil {
+		t.rings.releaseAll(i)
 	}
 	mask := uint32(len(t.idx) - 1)
 	for j := (pos + 1) & mask; t.idx[j] != 0; j = (j + 1) & mask {
@@ -334,8 +354,11 @@ func (t *slotTable[K]) remove(key K) bool {
 		}
 		copy(t.slot(i), src)
 		t.idx[pos] = i + 1
+		if t.rings != nil {
+			t.rings.reown(i)
+		}
 	}
-	if t.sh == nil {
+	if !t.words() {
 		t.ctrs[i] = t.ctrs[last]
 		t.ctrs[last] = nil
 		t.ctrs = t.ctrs[:last]
@@ -344,16 +367,8 @@ func (t *slotTable[K]) remove(key K) bool {
 		}
 	}
 	t.keys--
-	c := len(t.chunks) - 1
-	switch live, slots := t.keys-c<<slotChunkBits, len(t.chunks[c])/t.stride; {
-	case live == 0:
-		t.bytes -= 8 * len(t.chunks[c])
-		t.chunks[c] = nil
-		t.chunks = t.chunks[:c]
-		t.view = SBitmap{} // it may still be bound to a slot of the chunk
-	case 4*live < slots && slots >= 2*slotChunkMin:
-		t.resize(&t.chunks[c], slots/2)
-		t.view = SBitmap{} // it may still be bound to a slot of the old chunk
+	if t.slots.shrink(t.keys) {
+		t.unbind() // a view may still be bound to a slot of the old chunk
 	}
 	if len(t.idx) > slotIndexMin && 8*t.keys < len(t.idx) {
 		t.grow(len(t.idx) / 2)
@@ -362,6 +377,15 @@ func (t *slotTable[K]) remove(key K) bool {
 		t.compactLog()
 	}
 	return true
+}
+
+// unbind drops the views' references, which would otherwise keep the
+// chunks they were last bound to.
+func (t *slotTable[K]) unbind() {
+	t.v.unbind()
+	if t.rings != nil {
+		t.rings.ring.refs = nil
+	}
 }
 
 // compactLog copies the live keys into a fresh key log. The old chunks are
@@ -375,9 +399,9 @@ func (t *slotTable[K]) compactLog() {
 	}
 }
 
-// all iterates the live keys and their counters in slot order; an inline
-// counter is the table's view, bound to the key's slot until the next
-// step.
+// all iterates the live keys and their counters in slot order; a word
+// table's counter is its view, bound to the key's run or ring until the
+// next step.
 func (t *slotTable[K]) all() iter.Seq2[K, Counter] {
 	return func(yield func(K, Counter) bool) {
 		for i := range uint32(t.keys) {
@@ -388,19 +412,120 @@ func (t *slotTable[K]) all() iter.Seq2[K, Counter] {
 	}
 }
 
-// reset drops every key, and the table's memory with them: the view too,
-// which would otherwise keep the chunk of the slot it was last bound to.
+// reset drops every key, and the table's memory with them: the views
+// too, which would otherwise keep the chunks they were last bound to.
 func (t *slotTable[K]) reset() {
-	t.idx, t.chunks, t.keys, t.bytes, t.log, t.ctrs, t.view = nil, nil, 0, 0, keyLog{}, nil, SBitmap{}
+	t.idx, t.keys, t.log, t.ctrs = nil, 0, keyLog{}, nil
+	t.slots = wordChunks{stride: t.slots.stride, bits: t.slots.bits}
+	t.unbind()
+	if t.rings != nil {
+		t.rings.reset()
+	}
 }
 
 // footprint returns the table's resident bytes, from its capacities: the
-// table itself, the index, the slot chunks, the key log and the heap
-// counter slice (not the counters it points to).
+// table itself, the index, the slot chunks, the key log, the run pool and
+// the heap counter slice (not the counters it points to).
 func (t *slotTable[K]) footprint() int {
-	return int(unsafe.Sizeof(*t)) + 4*cap(t.idx) + t.bytes + t.log.bytes +
-		int(unsafe.Sizeof([]uint64(nil)))*cap(t.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(t.log.chunks) +
-		int(unsafe.Sizeof(Counter(nil)))*cap(t.ctrs)
+	n := int(unsafe.Sizeof(*t)) + 4*cap(t.idx) + t.slots.footprint() + t.log.bytes +
+		int(unsafe.Sizeof([]byte(nil)))*cap(t.log.chunks) + int(unsafe.Sizeof(Counter(nil)))*cap(t.ctrs)
+	if t.rings != nil {
+		n += t.rings.footprint()
+	}
+	return n
+}
+
+// sizeBits returns a word table's summary bits: its sketches' — one per
+// key, or one per live sub-window — times the bits of one.
+func (t *slotTable[K]) sizeBits() int {
+	if t.rings != nil {
+		return t.rings.runs * t.v.sizeBits()
+	}
+	return t.keys * t.v.sizeBits()
+}
+
+// wordChunks is a dense array of fixed-stride records of pointer-free
+// words — a table's slots, or a run pool's runs — in chunks of 1<<bits
+// records: records [0, n) are live for the count n its owner keeps. The
+// last chunk grows by doubling from slotChunkMin records until full; as
+// records leave it is dropped once empty, and halved once less than a
+// quarter of it is live and it holds at least 2·slotChunkMin records (so
+// a size class that rounds slotChunkMin up is never reallocated to
+// itself). So an owner that sheds records gives their memory back, and
+// growth keeps far from thrashing.
+type wordChunks struct {
+	chunks [][]uint64
+	stride int // words per record
+	bits   int // log2 of a full chunk's records
+	bytes  int // chunk capacities
+}
+
+// at returns record i's words.
+func (c *wordChunks) at(i uint32) []uint64 {
+	off := int(i&(1<<c.bits-1)) * c.stride
+	return c.chunks[i>>c.bits][off : off+c.stride : off+c.stride]
+}
+
+// push makes room for record i, the first past the live ones, doubling
+// the last chunk (or starting a new one) when it is full, and returns its
+// words, zeroed.
+func (c *wordChunks) push(i uint32) []uint64 {
+	ch := int(i >> c.bits)
+	if ch == len(c.chunks) {
+		c.chunks = append(c.chunks, nil)
+	}
+	last := &c.chunks[ch]
+	if need := (int(i&(1<<c.bits-1)) + 1) * c.stride; need > len(*last) {
+		c.resize(last, min(1<<c.bits, max(slotChunkMin, 2*(len(*last)/c.stride))))
+	}
+	rec := c.at(i)
+	clear(rec)
+	return rec
+}
+
+// shrink gives back the chunk memory records past the first n held, and
+// reports whether it dropped or reallocated a chunk, so views into one
+// are stale.
+func (c *wordChunks) shrink(n int) bool {
+	changed := false
+	for len(c.chunks) > 0 && n <= (len(c.chunks)-1)<<c.bits {
+		last := len(c.chunks) - 1
+		c.bytes -= 8 * len(c.chunks[last])
+		c.chunks[last] = nil
+		c.chunks = c.chunks[:last]
+		changed = true
+	}
+	if len(c.chunks) == 0 {
+		return changed
+	}
+	last := len(c.chunks) - 1
+	live, recs := n-last<<c.bits, len(c.chunks[last])/c.stride
+	to := recs
+	for 4*live < to && to >= 2*slotChunkMin {
+		to /= 2
+	}
+	if to == recs {
+		return changed
+	}
+	c.resize(&c.chunks[last], to)
+	return true
+}
+
+// resize reallocates chunk ch with room for at least recs records,
+// keeping as many of its leading words as fit.
+func (c *wordChunks) resize(ch *[]uint64, recs int) {
+	// Allocated through append, so the capacity is the allocation's size
+	// class and Footprint counts exactly what the heap holds.
+	sized := slices.Grow([]uint64(nil), recs*c.stride)
+	sized = sized[:cap(sized)]
+	copy(sized, *ch)
+	c.bytes += 8 * (len(sized) - len(*ch))
+	*ch = sized
+}
+
+// footprint returns the chunks' bytes and the chunk list's.
+func (c *wordChunks) footprint() int {
+	return c.bytes + int(unsafe.Sizeof([]uint64(nil)))*cap(c.chunks)
 }
 
 // keyLog is a stripe's append-only store of string key bytes: chunks that

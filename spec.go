@@ -317,8 +317,10 @@ func (s Spec) String() string {
 }
 
 // maxWindowRing bounds the per-key sub-window count; beyond this the
-// per-key footprint, not the windowing, is the problem.
-const maxWindowRing = 1 << 16
+// per-key footprint, not the windowing, is the problem. A ring snapshot
+// records the ring size and its live count in 16 bits each, so the bound
+// is the largest count they hold.
+const maxWindowRing = 1<<16 - 1
 
 // Windowed reports whether the Spec carries a windowed(...) modifier,
 // i.e. whether a Store built from it keeps per-key sub-window rings.

@@ -34,8 +34,9 @@ import (
 // locked stripes, so ingestion scales across goroutines, and the keyed
 // batch methods route a whole batch with one hash pass and take each
 // touched stripe's lock once per batch. Each stripe keeps its keys in a
-// flat slot table found by one index probe (see slotTable): an unbounded,
-// unwindowed S-bitmap store keeps each key's sketch inline in its slot,
+// flat slot table found by one index probe (see slotTable): an unbounded
+// S-bitmap or HyperLogLog store keeps each key's sketch inline in its
+// slot — or, windowed, its ring of sub-window runs (see runRings) — and
 // every other store one heap counter per slot.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
@@ -56,16 +57,16 @@ type Store[K StoreKey] struct {
 	gen atomic.Uint64
 
 	// src builds, decodes and measures every heap counter — per key or
-	// per sub-window, new, recycled or restored — and holds the state the
-	// store's sketches share.
+	// per sub-window, new or restored — and holds the state the store's
+	// sketches share.
 	src *counterSource
 
 	// win is the sliding-window configuration of a windowed(...) spec; nil
-	// otherwise. When set, per-key counters are windowRings, wm is the
-	// watermark sub-window index (the highest any record has reached;
-	// wmNone before the first), and late counts records that arrived more
-	// than ring sub-windows behind the watermark and were folded into the
-	// watermark window.
+	// otherwise. When set, per-key counters are sub-window rings (run
+	// rings or heap windowRings), wm is the watermark sub-window index
+	// (the highest any record has reached; wmNone before the first), and
+	// late counts records that arrived more than ring sub-windows behind
+	// the watermark and were folded into the watermark window.
 	win  *windowShared
 	wm   atomic.Int64
 	late atomic.Int64
@@ -83,17 +84,14 @@ type StoreKey interface {
 
 // storeStripe is one lock-striped segment of the key space. Beyond the
 // lock and its keys' slot table it owns one hash scratch lent to every
-// per-key sketch's batch path and the free list of sub-window counters
-// its keys' rings released (all guarded by mu), so the ~4 KiB batch
-// buffers are not allocated per key, and ring rotation reuses counters
-// instead of allocating them.
+// per-key sketch's batch path (both guarded by mu), so the ~4 KiB batch
+// buffers are not allocated per key.
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
 	tab    *slotTable[K] // keys and counters, under mu
 	scr    uhash.Scratch // shared batch-hash buffers, under mu
-	free   []Counter     // released sub-window counters, Reset, under mu
 	modGen uint64        // generation of the last mutation, under mu
-	_      [32]byte      // pad to reduce false sharing between adjacent locks
+	_      [56]byte      // pad to reduce false sharing between adjacent locks
 }
 
 // StoreOption configures a Store at construction.
@@ -163,14 +161,8 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		}
 	}
 	// The per-sub-window sketch is dimensioned by the spec minus the
-	// window modifier; for unwindowed specs base == spec. Unbounded,
-	// unwindowed S-bitmap stores keep their sketches inline in the slot
-	// tables. Every other store keeps heap counters: a bounded store's
-	// evicted counter goes to OnEvict and must outlive its slot, and a
-	// windowed store's unit of allocation is the ring, not a single
-	// fixed-size sketch (sub-window counters are allocated lazily per slot
-	// and recycled through the stripe's free list).
-	src, err := newCounterSource(spec.base(), cfg.maxKeys == 0 && spec.Window == 0)
+	// window modifier; for unwindowed specs base == spec.
+	src, err := newCounterSource(spec.base())
 	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store spec: %w", err)
 	}
@@ -190,8 +182,13 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 	if spec.Window != 0 {
 		s.win = &windowShared{width: int64(spec.Window), ring: spec.Ring, src: src, wm: &s.wm}
 	}
+	// An unbounded store of a kind with a run view keeps its sketches in
+	// the slot tables' words. Every other store keeps heap counters: a
+	// bounded store's evicted counter goes to OnEvict and must outlive its
+	// slot.
+	words := cfg.maxKeys == 0 && src.runView()
 	for i := range s.stripes {
-		s.stripes[i].tab = newSlotTable[K](src.inline, s.isStr)
+		s.stripes[i].tab = newSlotTable[K](src, s.win, words, s.isStr)
 	}
 	return s, nil
 }
@@ -250,21 +247,21 @@ func (s *Store[K]) stripeFor(key K) *storeStripe[K] {
 // MarshalStripes can encode exactly the stripes touched since a cut.
 func (s *Store[K]) touchLocked(st *storeStripe[K]) { st.modGen = s.gen.Load() }
 
-// counterLocked returns key's counter, materializing (and, at the key
-// limit, evicting) under the stripe lock the caller holds. A string key
-// is copied into the slot table's key log on materialization: the store
-// must own its key storage, because zero-copy ingest paths (the wire
-// listener) pass keys aliasing reusable frame buffers. Lookups of
-// already-live keys never copy.
-func (s *Store[K]) counterLocked(st *storeStripe[K], key K) Counter {
+// keyLocked returns key's slot, materializing it (and, at the key limit,
+// evicting) under the stripe lock the caller holds. A string key is
+// copied into the slot table's key log on materialization: the store must
+// own its key storage, because zero-copy ingest paths (the wire listener)
+// pass keys aliasing reusable frame buffers. Lookups of already-live keys
+// never copy.
+func (s *Store[K]) keyLocked(st *storeStripe[K], key K) uint32 {
 	t := st.tab
 	h := t.hash(key)
 	pos, ok := t.find(h, key)
 	if ok {
-		return t.at(t.idx[pos] - 1)
+		return t.idx[pos] - 1
 	}
 	var c Counter
-	if t.sh == nil {
+	if !t.words() {
 		if s.limit > 0 && int(s.keys.Load()) >= s.limit {
 			// key is not in the table yet, so it cannot be the victim; the
 			// victim's removal may move key's empty index position.
@@ -305,10 +302,11 @@ func (s *Store[K]) evictOneLocked(st *storeStripe[K]) {
 }
 
 // evictLocked removes a uniformly random live key of the locked stripe
-// st, handing it and its heap counter to the eviction hook, and reports
-// whether st had a key. A random victim is the right neutral policy for
-// sketches: no per-key access metadata, and any victim forfeits exactly
-// its own count (the newest or oldest slot would make it LIFO or FIFO).
+// st, handing it and its heap counter, with shared state of its own, to
+// the eviction hook, and reports whether st had a key. A random victim is
+// the right neutral policy for sketches: no per-key access metadata, and
+// any victim forfeits exactly its own count (the newest or oldest slot
+// would make it LIFO or FIFO).
 func (s *Store[K]) evictLocked(st *storeStripe[K]) bool {
 	t := st.tab
 	if t.keys == 0 {
@@ -320,7 +318,7 @@ func (s *Store[K]) evictLocked(st *storeStripe[K]) bool {
 	s.touchLocked(st)
 	s.keys.Add(-1)
 	if s.onEvict != nil {
-		s.onEvict(key, c)
+		s.onEvict(key, s.src.evicted(c))
 	}
 	return true
 }
@@ -360,13 +358,13 @@ func (s *Store[K]) resolveWidx(widx int64, n int) int64 {
 
 // slotLocked resolves the counter that receives sub-window widx's
 // records for key — the key's counter itself for unwindowed stores, the
-// ring slot rotated to widx for windowed ones. Stripe lock held.
+// ring's sketch rotated to widx for windowed ones. Stripe lock held.
 func (s *Store[K]) slotLocked(st *storeStripe[K], key K, widx int64) Counter {
-	c := s.counterLocked(st, key)
-	if s.win != nil {
-		c = c.(*windowRing).slot(widx, &st.free)
+	i := s.keyLocked(st, key)
+	if s.win == nil {
+		return st.tab.at(i)
 	}
-	return c
+	return s.win.rotate(st.tab.ringAt(i), widx)
 }
 
 // lockSlot resolves the sub-window a single record stamped ts lands in,
@@ -814,7 +812,7 @@ func (s *Store[K]) Estimate(key K) (estimate float64, ok bool) {
 	st.mu.Lock()
 	c, ok := st.tab.lookup(key)
 	if ok {
-		estimate = estimateWith(c, &st.free)
+		estimate = c.Estimate()
 	}
 	st.mu.Unlock()
 	return estimate, ok
@@ -849,7 +847,7 @@ func (s *Store[K]) EstimateBatch(keys []K, out []float64, ok []bool) {
 			c, hit := st.tab.lookup(rec.key)
 			ok[rec.pos] = hit
 			if hit {
-				out[rec.pos] = estimateWith(c, &st.free)
+				out[rec.pos] = c.Estimate()
 			} else {
 				out[rec.pos] = 0
 			}
@@ -901,9 +899,9 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 	var we WindowEstimate
 	st := s.stripeFor(key)
 	st.mu.Lock()
-	c, ok := st.tab.lookup(key)
+	i, ok := st.tab.slotOf(key)
 	if ok {
-		we, err = c.(*windowRing).estimateWindow(wm, n, &st.free)
+		we, err = s.win.estimateWindow(st.tab.ringAt(i), wm, n)
 	}
 	st.mu.Unlock()
 	if err != nil {
@@ -1072,7 +1070,7 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 		st := &s.stripes[si]
 		st.mu.Lock()
 		for key, c := range st.tab.all() {
-			e := KeyEstimate[K]{Key: key, Estimate: estimateWith(c, &st.free)}
+			e := KeyEstimate[K]{Key: key, Estimate: c.Estimate()}
 			if len(heap) < k {
 				heap = append(heap, e)
 				for i := len(heap) - 1; i > 0; {
@@ -1096,13 +1094,20 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 
 // SizeBits returns the summed summary memory of every live counter (the
 // paper's accounting). Safe for concurrent use; a consistent total only
-// at a quiescent point. An inline S-bitmap store, whose every key holds
-// m bits, answers from its key count.
+// at a quiescent point. A store that keeps words answers from each
+// stripe's sketch count — its keys, or its live sub-windows — without
+// walking them.
 func (s *Store[K]) SizeBits() int {
-	if sh := s.stripes[0].tab.sh; sh != nil {
-		return s.Len() * sh.Config().M()
-	}
 	total := 0
+	if s.stripes[0].tab.words() {
+		for i := range s.stripes {
+			st := &s.stripes[i]
+			st.mu.Lock()
+			total += st.tab.sizeBits()
+			st.mu.Unlock()
+		}
+		return total
+	}
 	s.ForEach(func(_ K, c Counter) bool {
 		total += c.SizeBits()
 		return true
@@ -1111,22 +1116,18 @@ func (s *Store[K]) SizeBits() int {
 }
 
 // Footprint returns the store's resident process memory in bytes: the
-// stripe array, each stripe's batch scratch, slot table and free list of
-// sub-window counters, and every heap counter's own footprint. A slot
-// table is exact arithmetic over its capacities — index, slot chunks, key
-// log, counter slice — and the state the Store's inline sketches or
-// HyperLogLogs share is counted once, so an inline S-bitmap store answers
-// without walking its keys. Safe for concurrent use; one stripe is locked
-// at a time.
+// stripe array, each stripe's batch scratch and slot table, and every heap
+// counter's own footprint. A slot table is exact arithmetic over its
+// capacities — index, slot chunks, key log, run pool, counter slice — and
+// the state the Store's sketches share is counted once, so a store that
+// keeps words answers without walking its keys. Safe for concurrent use;
+// one stripe is locked at a time.
 func (s *Store[K]) Footprint() int {
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) + s.src.footprint()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		total += st.scr.Footprint() + st.tab.footprint() + cap(st.free)*int(unsafe.Sizeof(Counter(nil)))
-		for _, c := range st.free {
-			total += c.Footprint()
-		}
+		total += st.scr.Footprint() + st.tab.footprint()
 		for _, c := range st.tab.ctrs {
 			total += c.Footprint()
 		}
@@ -1135,16 +1136,14 @@ func (s *Store[K]) Footprint() int {
 	return total
 }
 
-// Reset drops every key and its counter, and the stripes' free lists
-// with them; the eviction hook does not fire. Not atomic with respect to
-// concurrent Adds.
+// Reset drops every key and its counter; the eviction hook does not
+// fire. Not atomic with respect to concurrent Adds.
 func (s *Store[K]) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		s.keys.Add(-int64(st.tab.keys))
 		st.tab.reset()
-		st.free = nil
 		s.touchLocked(st)
 		st.mu.Unlock()
 	}
@@ -1178,25 +1177,24 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 			s.advanceWatermark(owm)
 		}
 	}
-	// Only S-bitmaps go inline, which the check above refuses, so every
-	// counter here is on the heap and outlives the stripe lock.
+	// Each of other's stripes is copied out under its lock — a heap
+	// counter as it is, a sketch or ring kept in words as a heap copy —
+	// and merged in under s's: locks are never held pairwise.
 	for i := range other.stripes {
 		ot := &other.stripes[i]
 		ot.mu.Lock()
 		keys := make([]K, 0, ot.tab.keys)
 		srcs := make([]Counter, 0, ot.tab.keys)
-		for k, c := range ot.tab.all() {
-			keys = append(keys, k)
-			srcs = append(srcs, c)
+		for j := range uint32(ot.tab.keys) {
+			keys = append(keys, ot.tab.keyOf(ot.tab.slot(j)))
+			srcs = append(srcs, ot.tab.detach(j, other.src))
 		}
 		ot.mu.Unlock()
 		for j, key := range keys {
-			// Same router (specs match), so the key lands on the same
-			// stripe index in both stores; locks are never held pairwise.
 			st := s.stripeFor(key)
 			st.mu.Lock()
 			s.touchLocked(st)
-			dst := s.counterLocked(st, key)
+			dst := st.tab.at(s.keyLocked(st, key))
 			err := Merge(dst, srcs[j])
 			st.mu.Unlock()
 			if err != nil {
@@ -1447,44 +1445,47 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 }
 
 // restoreEntry adds key with the counter its snapshot blob holds and
-// reports a key already present as dup. An inline sketch is decoded
-// straight into a new slot under the stripe lock; a heap counter is
-// decoded before the lock is taken.
+// reports a key already present as dup. A sketch or ring kept in words is
+// decoded straight into a new slot and fresh runs under the stripe lock;
+// a heap counter is decoded before the lock is taken. On a windowed store
+// the watermark advances to the ring's newest sub-window, so restores
+// re-derive the time position from snapshot contents.
 func (s *Store[K]) restoreEntry(key K, blob []byte) (dup bool, err error) {
 	st := s.stripeFor(key)
 	var c Counter
-	if st.tab.sh == nil {
+	if !st.tab.words() {
 		if c, err = s.decodeCounter(key, blob); err != nil {
 			return false, err
 		}
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.tab.restore(key, c, blob)
+	i, dup, err := st.tab.restore(key, c, blob)
+	if err == nil && !dup && s.win != nil {
+		if maxW := maxWidx(st.tab.ringAt(i)); maxW != wmNone {
+			s.advanceWatermark(maxW)
+		}
+	}
+	return dup, err
 }
 
 // decodeCounter restores key's heap counter from its snapshot blob
 // through the store's counterSource, so a restored store is laid out as
 // one built by ingest. On a windowed store the blob is a sub-window ring
-// whose sub-windows decode the same way, and the store's watermark
-// advances to the ring's newest sub-window so restores re-derive the time
-// position from snapshot contents.
+// whose sub-windows decode the same way.
 func (s *Store[K]) decodeCounter(key K, blob []byte) (Counter, error) {
+	var c Counter
+	var err error
 	if s.win == nil {
-		c, err := s.src.decode(blob)
-		if err != nil {
-			return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
-		}
-		return c, nil
+		c, err = s.src.decode(blob)
+	} else {
+		r := newWindowRing(s.win)
+		c, err = r, unmarshalRing(r, blob)
 	}
-	r, err := unmarshalWindowRing(s.win, blob)
 	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
 	}
-	if maxW := r.maxWidx(); maxW != wmNone {
-		s.advanceWatermark(maxW)
-	}
-	return r, nil
+	return c, nil
 }
 
 // Per-stripe snapshot format (the unit of an incremental checkpoint):

@@ -19,15 +19,15 @@ import (
 // inline sketches are checked against.
 func forceHeapCounters[K StoreKey](s *Store[K]) {
 	for i := range s.stripes {
-		s.stripes[i].tab = newSlotTable[K](nil, s.isStr)
+		s.stripes[i].tab = newSlotTable[K](s.src, s.win, false, s.isStr)
 	}
 }
 
 // TestStoreSlabEquivalence is the inline sketches' safety rail: the same
-// records through an inline S-bitmap store and a heap-counter one
-// (forceHeapCounters) must marshal to identical bytes — sketches kept in
-// slots and stripe-shared scratch change where state lives, never what it
-// is. The workload mixes
+// records through an inline S-bitmap or HyperLogLog store and a
+// heap-counter one (forceHeapCounters) must marshal to identical bytes —
+// sketches kept in slots and stripe-shared scratch change where state
+// lives, never what it is. The workload mixes
 // scattered singleton runs with long same-key runs (borrowed-scratch
 // batch path) and crosses several chunk and index growths.
 func TestStoreSlabEquivalence(t *testing.T) {
@@ -47,9 +47,17 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		strKeys[i] = fmt.Sprintf("key-%x", keys[i])
 		strItems[i] = fmt.Sprintf("item-%x", items[i])
 	}
-	spec := MustSpec("sbitmap:n=1e4,eps=0.1,seed=3")
+	for _, tc := range []struct{ prefix, spec string }{
+		{"", "sbitmap:n=1e4,eps=0.1,seed=3"},
+		{"hll/", "hll:mbits=512,seed=3"},
+	} {
+		spec := MustSpec(tc.spec)
+		slabEquivalence(t, tc.prefix, spec, keys, items, strKeys, strItems)
+	}
+}
 
-	t.Run("uint64", func(t *testing.T) {
+func slabEquivalence(t *testing.T, prefix string, spec Spec, keys, items []uint64, strKeys, strItems []string) {
+	t.Run(prefix+"uint64", func(t *testing.T) {
 		slab, err := NewStore[uint64](spec)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +77,7 @@ func TestStoreSlabEquivalence(t *testing.T) {
 		assertStoresIdentical(t, slab, plain)
 	})
 
-	t.Run("string", func(t *testing.T) {
+	t.Run(prefix+"string", func(t *testing.T) {
 		slab, err := NewStore[string](spec)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +104,7 @@ func TestStoreSlabEvictionDisablesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s.stripes {
-		if s.stripes[i].tab.sh != nil {
+		if s.stripes[i].tab.words() {
 			t.Fatalf("stripe %d keeps sketches inline despite WithMaxKeys eviction", i)
 		}
 	}
@@ -376,8 +384,8 @@ func TestStoreHeapPerKey(t *testing.T) {
 
 // TestStoreFootprintMatchesLiveHeap: Footprint, the store's own
 // arithmetic over its capacities, is what the heap rails measure — within
-// 5% per key, for the inline S-bitmap store and the windowed store of heap
-// counters alike — so the bytes-per-key figure a server reports is the
+// 5% per key, for the inline S-bitmap store and the windowed store of run
+// rings alike — so the bytes-per-key figure a server reports is the
 // memory its keys hold. After Reset the heap keeps no more of the store
 // than the empty store's Footprint (plus 64 KiB of slack): the keys'
 // memory goes back, none of it pinned by a counter view still bound to a
@@ -407,18 +415,19 @@ func TestStoreFootprintMatchesLiveHeap(t *testing.T) {
 	}
 }
 
-// TestWindowedStoreHeapPerKey is the windowed heap rail: a key holds only
-// the sub-windows a query can still read, each a 32 B HyperLogLog record
-// plus its registers under state the Store shares — not every sub-window
-// it ever touched, each a chain of four heap objects.
+// TestWindowedStoreHeapPerKey is the windowed heap rail: a key is its
+// slot, with one 4 B run reference per sub-window, and holds only the
+// sub-windows a query can still read, each an 80 B run of its stripe's
+// pool — no heap object per key or per sub-window (389 B/key with a heap
+// ring and a heap HyperLogLog per sub-window).
 func TestWindowedStoreHeapPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
 	st, heap := windowedHeapStore(t)
 	t.Logf("%d keys: %.1f B/key of live heap", st.Len(), heap)
-	if heap > 460 {
-		t.Errorf("windowed store holds %.1f B/key of live heap, want ≤ 460", heap)
+	if heap > 235 {
+		t.Errorf("windowed store holds %.1f B/key of live heap, want ≤ 235", heap)
 	}
 }
 
@@ -555,7 +564,7 @@ func TestStoreSBitmapFootprintExact(t *testing.T) {
 	}
 	tab := s.stripes[0].tab
 	want := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[uint64]{})) +
-		int(unsafe.Sizeof(*tab)) + tab.sh.Footprint()
+		int(unsafe.Sizeof(*tab)) + tab.v.sb.Footprint()
 	empty := s.Footprint()
 	if empty != want {
 		t.Fatalf("empty store footprint %d, want header + stripe + table + shared state = %d", empty, want)

@@ -3,6 +3,7 @@ package sbitmap
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -230,12 +231,13 @@ func TestWindowRecyclingMatchesReference(t *testing.T) {
 			}
 		}
 		for _, key := range rotated {
-			c, _ := s.stripes[s.stripeIndex(s.hashKey(key))].tab.lookup(key)
-			rg := c.(*windowRing)
-			for _, sl := range rg.slots {
-				if sl.c != nil && sl.widx <= wm-ring {
+			tab := s.stripes[s.stripeIndex(s.hashKey(key))].tab
+			i, _ := tab.slotOf(key)
+			rg := tab.ringAt(i)
+			for j := range rg.size() {
+				if widx, live := rg.entry(j); live && widx <= wm-ring {
 					t.Fatalf("step %d: key %s rotated but holds sub-window %d at or behind the horizon %d",
-						step, key, sl.widx, wm-ring)
+						step, key, widx, wm-ring)
 				}
 			}
 		}
@@ -248,9 +250,9 @@ func TestWindowRecyclingMatchesReference(t *testing.T) {
 
 // TestWindowedStoreAllocFree pins the windowed Store's steady state: a
 // warm HLL store rotates every key of a batch into a new sub-window —
-// releasing the slot that fell behind the horizon and taking a recycled
-// counter for the new one — and merges a five-sub-window query into a
-// borrowed counter, both without allocating.
+// releasing the run that fell behind the horizon to its stripe's pool and
+// taking a run for the new one — and merges a five-sub-window query into
+// the stripe's scratch run, both without allocating.
 func TestWindowedStoreAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -269,7 +271,7 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 			keys[i] = fmt.Sprintf("user-%06x", i)
 		}
 		// Every batch jumps two sub-windows, so each key releases one
-		// expired slot and takes one counter per batch.
+		// expired run and takes one per batch.
 		widx := int64(1000)
 		feed := func() {
 			for i := range items {
@@ -279,7 +281,7 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 			widx += 2
 		}
 		for range 8 {
-			feed() // materialize keys, size the free lists and scratch
+			feed() // materialize keys, size the run pools and scratch
 		}
 		if allocs := testing.AllocsPerRun(20, feed); allocs != 0 {
 			t.Errorf("rotating batch: %.1f allocs/op, want 0", allocs)
@@ -292,7 +294,7 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		// "hot" holds five live sub-windows; "cold" fell behind the horizon,
-		// so its next record releases its sub-windows onto the free list.
+		// so its next record releases its sub-windows to the run pool.
 		for w := int64(0); w < 3; w++ {
 			s.AddStringAt(at(w, width), "cold", "x")
 		}
@@ -314,8 +316,8 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 	})
 
 	// Estimate, EstimateBatch and TopK answer over the whole retention,
-	// merging "hot"'s three live sub-windows into a counter borrowed from
-	// the stripe's free list, which "cold"'s released sub-windows stock.
+	// merging "hot"'s three live sub-windows into the table's scratch run,
+	// after "cold"'s rotation gave its two expired runs back to the pool.
 	t.Run("point estimates", func(t *testing.T) {
 		build := func(spec Spec) *Store[string] {
 			s, err := NewStore[string](spec, WithStripes(1))
@@ -334,11 +336,11 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 			return s
 		}
 		s := build(spec)
-		if len(s.stripes[0].free) == 0 {
-			t.Fatal("the free list holds no counter")
+		if n := s.stripes[0].tab.rings.runs; n != 4 {
+			t.Fatalf("the run pool holds %d runs, want 4: hot's three and cold's newest", n)
 		}
 		c, _ := s.stripes[0].tab.lookup("hot")
-		want := c.Estimate() // merges into a new counter
+		want := c.Estimate() // merges into the scratch run
 		keys, out, ok := []string{"hot"}, make([]float64, 1), make([]bool, 1)
 		var est float64
 		if allocs := testing.AllocsPerRun(100, func() { est, _ = s.Estimate("hot") }); allocs != 0 {
@@ -358,4 +360,144 @@ func TestWindowedStoreAllocFree(t *testing.T) {
 			t.Errorf("TopK(1): %.1f allocs/op, want %.1f as on the unwindowed kind", allocs, base)
 		}
 	})
+}
+
+// TestWindowedRunRingsMatchHeapRings is the run rings' safety rail: the
+// windowed heap rail's trace — Zipf(1.1)-ranked string keys in one-second
+// batches through one-minute sub-windows and rings of 5 — plus
+// out-of-order batches inside the horizon, late batches behind it and
+// batches fed record by record, through a store of run rings and a twin
+// of heap rings (forceHeapCounters), leaves the two bit-identical key by
+// key, window span by span and in their watermarks: after ingest, after
+// Remove of a third of the keys, after Merge of a second pair crossed
+// between the layouts (which the S-bitmap refuses on both), and through
+// both restore paths.
+func TestWindowedRunRingsMatchHeapRings(t *testing.T) {
+	for _, spec := range []string{
+		"hll:mbits=512/windowed(width=1m,ring=5)",
+		"sbitmap:n=1e4,eps=0.1/windowed(width=1m,ring=5)",
+	} {
+		t.Run(spec, func(t *testing.T) { runRingsMatchHeapRings(t, MustSpec(spec)) })
+	}
+}
+
+func runRingsMatchHeapRings(t *testing.T, spec Spec) {
+	const nKeys, batches, batchLen = 1 << 13, 640, 512
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user-%06x", i)
+	}
+	r := xrand.New(11)
+	perm := r.Perm(nKeys)
+	zipf := xrand.NewZipf(r, 1.1, nKeys)
+	epoch := time.Unix(1_700_000_000, 0)
+	feed := func(shift int, stores ...*Store[string]) {
+		bk := make([]string, batchLen)
+		bi := make([]uint64, batchLen)
+		for b := range batches {
+			for i := range bk {
+				bk[i] = keys[perm[zipf.Next()]]
+				bi[i] = uint64(shift)<<32 | uint64(b*batchLen+i)
+			}
+			ts := epoch.Add(time.Duration(b+shift) * time.Second)
+			switch b % 13 {
+			case 5:
+				ts = ts.Add(-2 * time.Minute) // out of order, inside the horizon
+			case 11:
+				ts = ts.Add(-7 * time.Minute) // late: behind the horizon
+			}
+			for _, s := range stores {
+				if b%17 == 3 {
+					for i := range bk {
+						s.AddUint64At(ts, bk[i], bi[i])
+					}
+				} else {
+					s.AddBatch64At(ts, bk, bi)
+				}
+			}
+		}
+	}
+	pair := func() (*Store[string], *Store[string]) {
+		s, err := NewStore[string](spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewStore[string](spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceHeapCounters(twin)
+		return s, twin
+	}
+	same := func(stage string, a, b *Store[string]) {
+		t.Helper()
+		checkSlotTables(t, a)
+		checkSlotTables(t, b)
+		assertStoresIdentical(t, a, b)
+		if aw, bw := a.wm.Load(), b.wm.Load(); aw != bw {
+			t.Fatalf("%s: watermarks %d and %d", stage, aw, bw)
+		}
+		var live []string
+		a.ForEach(func(k string, _ Counter) bool {
+			live = append(live, k)
+			return true
+		})
+		for _, k := range live {
+			for n := 1; n <= spec.Ring; n++ {
+				span := time.Duration(n) * spec.Window
+				wa, _, errA := a.EstimateWindow(k, span)
+				wb, _, errB := b.EstimateWindow(k, span)
+				if errA != nil || errB != nil || wa != wb {
+					t.Fatalf("%s: key %s span %s: %+v (%v), heap rings %+v (%v)", stage, k, span, wa, errA, wb, errB)
+				}
+			}
+		}
+	}
+
+	s, twin := pair()
+	feed(0, s, twin)
+	if s.LateRecords() == 0 || s.LateRecords() != twin.LateRecords() {
+		t.Fatalf("late records %d and %d: the trace must fold some", s.LateRecords(), twin.LateRecords())
+	}
+	same("ingest", s, twin)
+
+	for i := 0; i < nKeys; i += 3 {
+		if x, y := s.Remove(keys[i]), twin.Remove(keys[i]); x != y {
+			t.Fatalf("Remove(%s): %v, heap rings %v", keys[i], x, y)
+		}
+	}
+	same("remove", s, twin)
+
+	other, otherTwin := pair()
+	feed(90, other, otherTwin)
+	err1, err2 := s.Merge(otherTwin), twin.Merge(other)
+	if spec.Kind == KindSBitmap {
+		if !errors.Is(err1, ErrNotMergeable) || !errors.Is(err2, ErrNotMergeable) {
+			t.Fatalf("Merge: %v, heap rings %v; want ErrNotMergeable", err1, err2)
+		}
+	} else if err1 != nil || err2 != nil {
+		t.Fatalf("Merge: %v, heap rings %v", err1, err2)
+	}
+	same("merge", s, twin)
+
+	snap, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := UnmarshalStore[string](snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("UnmarshalStore", restored, twin)
+	blobs, _, err := s.MarshalStripes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _ = pair()
+	for _, b := range blobs {
+		if _, err := restored.RestoreStripe(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("RestoreStripe", restored, twin)
 }

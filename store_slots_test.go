@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -33,7 +34,9 @@ func slotKey(prefix string, i int) string {
 // checkSlotTables verifies every stripe table's invariants: the index
 // holds exactly one entry per live slot, every live key is found from its
 // own probe hash at the entry naming its slot, a heap table holds one
-// counter per live slot, and the tables' key counts add up to Len.
+// counter per live slot, a run pool holds exactly the runs its rings
+// reference — each referenced once, its header naming the reference back
+// — and the tables' key counts add up to Len.
 func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 	t.Helper()
 	total := 0
@@ -51,7 +54,7 @@ func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 			st.mu.Unlock()
 			t.Fatalf("stripe %d: %d index entries for %d keys", i, entries, tab.keys)
 		}
-		if tab.sh == nil && len(tab.ctrs) != tab.keys {
+		if !tab.words() && len(tab.ctrs) != tab.keys {
 			st.mu.Unlock()
 			t.Fatalf("stripe %d: %d heap counters for %d keys", i, len(tab.ctrs), tab.keys)
 		}
@@ -63,6 +66,12 @@ func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 				t.Fatalf("stripe %d: key %v of slot %d not found through the index", i, key, j)
 			}
 		}
+		if p := tab.rings; p != nil {
+			if err := checkRunPool(p, tab.keys); err != nil {
+				st.mu.Unlock()
+				t.Fatalf("stripe %d: %v", i, err)
+			}
+		}
 		total += tab.keys
 		st.mu.Unlock()
 	}
@@ -71,19 +80,50 @@ func checkSlotTables[K StoreKey](t *testing.T, s *Store[K]) {
 	}
 }
 
+// checkRunPool checks a run pool against the rings of the first keys
+// slots: every live reference names a live run whose owner word names the
+// reference back, no run is referenced twice, and every live run is
+// referenced.
+func checkRunPool(p *runRings, keys int) error {
+	seen := make([]bool, p.runs)
+	refs := 0
+	for j := range uint32(keys) {
+		for pos, ref := range p.refs(j) {
+			if ref == 0 {
+				continue
+			}
+			run := ref - 1
+			switch owner := uint64(j) | uint64(pos)<<32; {
+			case int(run) >= p.runs:
+				return fmt.Errorf("slot %d entry %d references run %d of %d", j, pos, run, p.runs)
+			case seen[run]:
+				return fmt.Errorf("run %d referenced twice", run)
+			case p.run(run)[runOwner] != owner:
+				return fmt.Errorf("run %d names owner %#x, referenced by %#x", run, p.run(run)[runOwner], owner)
+			}
+			seen[run] = true
+			refs++
+		}
+	}
+	if refs != p.runs {
+		return fmt.Errorf("%d references for %d live runs", refs, p.runs)
+	}
+	return nil
+}
+
 // slotRecount recounts an inline store's SizeBits and Footprint key by key
 // and chunk by chunk: every live counter's bits, and the bytes of every
 // slot chunk, index and key-log chunk the tables hold at capacity.
 func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 	footprint = int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) +
-		s.stripes[0].tab.sh.Footprint()
+		s.stripes[0].tab.v.sb.Footprint()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		tab := st.tab
 		footprint += st.scr.Footprint() + int(unsafe.Sizeof(*tab)) + 4*cap(tab.idx) +
-			int(unsafe.Sizeof([]uint64(nil)))*cap(tab.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(tab.log.chunks)
-		for _, c := range tab.chunks {
+			int(unsafe.Sizeof([]uint64(nil)))*cap(tab.slots.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(tab.log.chunks)
+		for _, c := range tab.slots.chunks {
 			footprint += 8 * cap(c)
 		}
 		for _, c := range tab.log.chunks {
@@ -244,17 +284,19 @@ func churn[K StoreKey](t *testing.T, key func(int) K) {
 	}
 }
 
-// TestStoreSlotRemovalShrinksChunks: a stripe's last slot chunk shrinks
-// as its keys leave, so a store that lost 99% of its keys holds about what
-// a fresh store of the survivors does. 100,000 keys over 64 stripes, 99%
-// of them removed: Footprint must be within 3× of a fresh store holding
-// the same 1,000 keys (it read 32× for sbitmap and 10× for exact while a
-// last chunk kept its peak capacity), the tables intact, and the store
-// still identical to its heap-counter twin.
+// TestStoreSlotRemovalShrinksChunks: a stripe's last slot chunk — and a
+// windowed store's last run-pool chunk — shrinks as its keys leave, so a
+// store that lost 99% of its keys holds about what a fresh store of the
+// survivors does. 100,000 keys over 64 stripes, 99% of them removed:
+// Footprint must be within 3× of a fresh store holding the same 1,000
+// keys (it read 32× for sbitmap and 10× for exact while a last chunk kept
+// its peak capacity), the tables and run pools intact, and the store
+// still identical to its heap-counter twin. Each key of the windowed
+// store holds three sub-window runs.
 func TestStoreSlotRemovalShrinksChunks(t *testing.T) {
 	const keys = 100_000
 	key := func(i int) string { return fmt.Sprintf("user-%06x", i) }
-	for _, spec := range []string{"sbitmap:n=1e4,eps=0.1", "exact"} {
+	for _, spec := range []string{"sbitmap:n=1e4,eps=0.1", "exact", "hll:mbits=512/windowed(width=1s,ring=5)"} {
 		t.Run(spec, func(t *testing.T) {
 			var stores [3]*Store[string]
 			for j := range stores {
@@ -265,13 +307,22 @@ func TestStoreSlotRemovalShrinksChunks(t *testing.T) {
 			}
 			s, twin, fresh := stores[0], stores[1], stores[2]
 			forceHeapCounters(twin)
+			windows := 1
+			if s.Spec().Windowed() {
+				windows = 3
+			}
+			add := func(s *Store[string], i int) {
+				for w := range windows {
+					s.AddUint64At(time.Unix(int64(w), 0), key(i), uint64(i))
+				}
+			}
 			for i := range keys {
-				s.AddUint64(key(i), uint64(i))
-				twin.AddUint64(key(i), uint64(i))
+				add(s, i)
+				add(twin, i)
 			}
 			for i := range keys {
 				if i%100 == 0 {
-					fresh.AddUint64(key(i), uint64(i))
+					add(fresh, i)
 				} else if !s.Remove(key(i)) || !twin.Remove(key(i)) {
 					t.Fatalf("key %s not removable", key(i))
 				}

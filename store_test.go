@@ -810,3 +810,113 @@ func TestStoreSnapshotUnderConcurrentWriters(t *testing.T) {
 		return true
 	})
 }
+
+// TestEvictedCountersOwnTheirState: a bounded hll store builds its heap
+// HyperLogLogs under one shared state, and with it one set of batch-hash
+// buffers, which the counters it hands to OnEvict must not share: the
+// hook may feed them anywhere. Two evicted counters fed through their
+// batch paths on two goroutines — a data race on those buffers unless
+// each has its own, which the race detector reports — must each end as a
+// Spec.New counter fed the same items does.
+func TestEvictedCountersOwnTheirState(t *testing.T) {
+	spec := MustSpec("hll:mbits=512")
+	s, err := NewStore[uint64](spec, WithStripes(1), WithMaxKeys(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evicted []Counter
+	s.OnEvict(func(_ uint64, c Counter) { evicted = append(evicted, c) })
+	for k := range uint64(3) {
+		s.AddUint64(k, k)
+	}
+	if len(evicted) != 2 {
+		t.Fatalf("%d evictions, want 2", len(evicted))
+	}
+	items := func(w int) []uint64 {
+		items := make([]uint64, 4096)
+		for i := range items {
+			items[i] = uint64(w)<<32 | uint64(i)*0x9e3779b97f4a7c15
+		}
+		return items
+	}
+	var wg sync.WaitGroup
+	for w, c := range evicted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				c.(BulkAdder).AddBatch64(items(w))
+			}
+		}()
+	}
+	wg.Wait()
+	for w, c := range evicted {
+		want, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.AddUint64(uint64(w)) // key w's item before its eviction
+		want.(BulkAdder).AddBatch64(items(w))
+		got, err := Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob, _ := Marshal(want); !bytes.Equal(got, blob) {
+			t.Errorf("evicted counter %d fed concurrently differs from a Spec.New counter fed the same items", w)
+		}
+	}
+}
+
+// TestCounterSourceHeapSBitmaps: a store builds its heap S-bitmaps — a
+// bounded store's keys, a windowed heap ring's sub-windows — from the
+// spec it resolved once, not through Spec.New, which re-derives the
+// options, the Config and the hasher per counter (10 allocations, 416 B);
+// each with shared state of its own, so each one's batch buffers stay its
+// own. A built counter marshals and estimates exactly as Spec.New's after
+// the same items, per item and batched, under the default, Carter-Wegman
+// and tabulation hashing, and accounts the same 272 B.
+func TestCounterSourceHeapSBitmaps(t *testing.T) {
+	for _, text := range []string{
+		"sbitmap:n=1e4,eps=0.1",
+		"sbitmap:n=1e4,eps=0.1,hash=carterwegman",
+		"sbitmap:n=1e4,eps=0.1,hash=tabulation,d=30,seed=7",
+	} {
+		spec := MustSpec(text)
+		src, err := newCounterSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, other := src.new(), src.new()
+		want, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fg, fw := got.Footprint(), want.Footprint(); fg != 272 || fw != 272 {
+			t.Errorf("%s: footprint %d B, Spec.New's %d B, want 272", text, fg, fw)
+		}
+		items := make([]uint64, 3000)
+		for i := range items {
+			items[i] = uint64(i) * 0x9e3779b97f4a7c15
+		}
+		for _, c := range []Counter{got, want} {
+			for _, it := range items[:1000] {
+				c.AddUint64(it)
+			}
+			c.(BulkAdder).AddBatch64(items[1000:])
+		}
+		gb, _ := Marshal(got)
+		wb, _ := Marshal(want)
+		if !bytes.Equal(gb, wb) || got.Estimate() != want.Estimate() {
+			t.Errorf("%s: source-built counter diverged from Spec.New's", text)
+		}
+		if ob, _ := Marshal(other); bytes.Equal(ob, gb) {
+			t.Errorf("%s: feeding one source-built counter changed another", text)
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { src.new() }); allocs > 5 {
+			t.Errorf("%s: %.0f allocations per counter, want ≤ 5", text, allocs)
+		}
+	}
+}

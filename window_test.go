@@ -78,7 +78,7 @@ func TestWindowedSpecErrors(t *testing.T) {
 		"hll:mbits=2048/windowed(width=1m",                   // unterminated
 		"hll:mbits=2048/windowed(width)",                     // not key=value
 		"hll:mbits=2048/tumbling(width=1m)",                  // unknown modifier
-		"hll:mbits=2048/windowed(width=2562047h,ring=65536)", // retention overflows
+		"hll:mbits=2048/windowed(width=2562047h,ring=65535)", // retention overflows
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {
@@ -517,12 +517,13 @@ func TestPreWindowSnapshotsStillDecode(t *testing.T) {
 		t.Error("unwindowed snapshot restored as windowed")
 	}
 	// A bare ring envelope is not a Counter snapshot this build hands out.
-	src, err := newCounterSource(MustSpec("hll:mbits=2048"), false)
+	src, err := newCounterSource(MustSpec("hll:mbits=2048"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := newWindowRing(&windowShared{width: int64(time.Second), ring: 2, src: src, wm: new(atomic.Int64)})
-	ring.slot(1, nil).AddString("x")
+	win := &windowShared{width: int64(time.Second), ring: 2, src: src, wm: new(atomic.Int64)}
+	ring := newWindowRing(win)
+	win.rotate(ring, 1).AddString("x")
 	rblob, err := ring.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -700,5 +701,56 @@ func TestWindowWatermarkSentinel(t *testing.T) {
 		if wm, late, _ := fresh.WindowState(); wm != 0 || late != 0 {
 			t.Errorf("%s: WindowState after one unstamped record = (%d, %d), want (0, 0)", name, wm, late)
 		}
+	}
+}
+
+// TestWindowedStoreLargestRingRoundTrips: a ring snapshot records the
+// ring size and its live sub-window count in 16 bits each, so the largest
+// ring a spec takes is 65,535, and a store of that ring restores its own
+// snapshots — run rings and heap rings, through UnmarshalStore and
+// RestoreStripe. ParseSpec and NewStore refuse 65,536, which a snapshot
+// would record as 0 sub-windows.
+func TestWindowedStoreLargestRingRoundTrips(t *testing.T) {
+	if _, err := ParseSpec("hll:mbits=512/windowed(width=1s,ring=65536)"); err == nil {
+		t.Error("ParseSpec accepted ring=65536")
+	}
+	if _, err := NewStore[string](Spec{Kind: KindHLL, MemoryBits: 512, Window: time.Second, Ring: 65536}); err == nil {
+		t.Error("NewStore accepted ring 65536")
+	}
+	spec := MustSpec("hll:mbits=512/windowed(width=1s,ring=65535)")
+	for _, heap := range []bool{false, true} {
+		s, err := NewStore[string](spec, WithStripes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if heap {
+			forceHeapCounters(s)
+		}
+		for _, w := range []int64{0, 3, 65534, 70000} {
+			s.AddStringAt(at(w, time.Second), "k", fmt.Sprint(w))
+			s.AddStringAt(at(w, time.Second), "j", fmt.Sprint(w+1))
+		}
+		snap, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalStore[string](snap)
+		if err != nil {
+			t.Fatalf("heap=%v: UnmarshalStore: %v", heap, err)
+		}
+		assertStoresIdentical(t, got, s)
+		blobs, _, err := s.MarshalStripes(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = NewStore[string](spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blobs {
+			if _, err := got.RestoreStripe(b); err != nil {
+				t.Fatalf("heap=%v: RestoreStripe: %v", heap, err)
+			}
+		}
+		assertStoresIdentical(t, got, s)
 	}
 }
