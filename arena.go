@@ -1,6 +1,7 @@
 package sbitmap
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -11,21 +12,21 @@ import (
 
 // Per-key construction. A keyed Store materializes one counter per
 // distinct key (per sub-window, on a windowed store), so at millions of
-// keys the per-key constructor cost and heap objects dominate cold ingest
-// and the Store's heap. A Store resolves its spec once, into a
-// counterSource that builds, decodes and measures every heap counter it
-// holds and keeps the state its sketches share. Two kinds have a run
-// view — a sketch whose whole state is a run of pointer-free words, bound
-// to a handle per access: the S-bitmap (core.Shared.View) and
-// HyperLogLog (hyperloglog.Shared.View). An unbounded store of either
-// kind keeps no per-key heap object at all: its slot tables (slots.go)
-// hold each key's sketch inline in its slot, or, windowed, each key's
-// ring of run references, with every live sub-window one run in the
-// stripe's run pool (windowring.go). Every other store keeps heap
-// counters: a bounded one's evicted counter goes to OnEvict and must
-// outlive its slot. scratchBulkAdder lets the Store lend one per-stripe
-// hash scratch to every tiny sketch instead of each lazily allocating its
-// own ~4 KiB.
+// keys per-key heap objects would dominate cold ingest and the Store's
+// heap. A Store resolves its spec once, into a counterSource that builds,
+// decodes and copies out its counters and keeps the state its sketches
+// share. Two kinds have a run view — a sketch whose whole state is a run
+// of pointer-free words, bound to a handle per access: the S-bitmap
+// (core.Shared.View) and HyperLogLog (hyperloglog.Shared.View). The kind
+// alone decides a store's layout. A store of either kind, bounded or not,
+// keeps no per-key heap object: its slot tables (slots.go) hold each
+// key's sketch inline in its slot, or, windowed, each key's ring of run
+// references, with every live sub-window one run in the stripe's run pool
+// (windowring.go). A key that leaves such a store for an OnEvict hook, or
+// for another store's Merge, leaves as a heap copy. A store of any other
+// kind keeps one heap counter per key, built by Spec.New. scratchBulkAdder
+// lets the Store lend one per-stripe hash scratch to every tiny sketch
+// instead of each lazily allocating its own ~4 KiB.
 
 // scratchBulkAdder is the BulkAdder variant whose batch path hashes
 // through caller-owned scratch instead of per-sketch buffers. The state
@@ -60,14 +61,13 @@ type counterSource struct {
 	spec      Spec
 	opts      []Option // the spec's seed and hash options, which decoding restores
 	mergeable bool     // the kind implements Mergeable
+	empty     []byte   // an empty counter's snapshot, as Marshal writes it
 
 	// sb is an sbitmap spec's state — its Config, hasher and resolution —
-	// which the sketches of word tables share and every heap S-bitmap
-	// copies (core.Sketch.Detach), so a heap counter's batch buffers are
-	// its own; nil for other kinds.
+	// which the sketches of word tables share; nil for other kinds.
 	sb *core.Shared
 	// hll is the state every HyperLogLog of an hll spec shares, so a heap
-	// counter is one 32 B record plus its registers; nil for other kinds.
+	// copy is one 32 B record plus its registers; nil for other kinds.
 	hll *hyperloglog.Shared
 }
 
@@ -78,11 +78,15 @@ func newCounterSource(base Spec) (*counterSource, error) {
 	if err != nil {
 		return nil, err
 	}
+	empty, err := Marshal(probe)
+	if err != nil {
+		return nil, err
+	}
 	// New computed these from the same spec, so they cannot fail here.
 	opts, _ := base.options()
 	o := buildOptions(opts)
 	_, mergeable := probe.(Mergeable)
-	src := &counterSource{spec: base, opts: opts, mergeable: mergeable}
+	src := &counterSource{spec: base, opts: opts, mergeable: mergeable, empty: empty}
 	switch base.Kind {
 	case KindHLL:
 		b, _ := base.budget()
@@ -94,23 +98,12 @@ func newCounterSource(base Spec) (*counterSource, error) {
 	return src, nil
 }
 
-// runView reports whether the kind has a run view, so an unbounded
-// store keeps its sketches in words (see newSlotTable).
+// runView reports whether the kind has a run view, so a store keeps its
+// sketches in words (see newSlotTable).
 func (src *counterSource) runView() bool { return src.sb != nil || src.hll != nil }
 
-// new builds an empty heap counter, bit-identical to Spec.New's.
+// new builds an empty heap counter: Spec.New's.
 func (src *counterSource) new() Counter {
-	switch {
-	case src.hll != nil:
-		c := new(HyperLogLog)
-		src.hll.Init(&c.sk, make([]uint64, src.hll.RunWords()))
-		return c
-	case src.sb != nil:
-		c := new(SBitmap)
-		src.sb.Init(&c.sk, make([]uint64, src.sb.RunWords()))
-		c.sk.Detach()
-		return c
-	}
 	c, err := src.spec.New()
 	if err != nil {
 		// newCounterSource built one; a deterministic constructor cannot
@@ -122,47 +115,44 @@ func (src *counterSource) new() Counter {
 
 // copyOf returns a heap counter holding a copy of the sketch in run, a
 // word table's: a counter that outlives the stripe lock it was read
-// under.
-func (src *counterSource) copyOf(run []uint64) Counter {
+// under. With own set it gets shared state of its own
+// (core.Sketch.Detach, hyperloglog.Sketch.Detach), so it may be fed on any
+// goroutine, through its batch path too; otherwise it shares the store's.
+func (src *counterSource) copyOf(run []uint64, own bool) Counter {
 	if src.hll != nil {
 		c := new(HyperLogLog)
 		src.hll.View(&c.sk, slices.Clone(run[:src.hll.RunWords()]))
+		if own {
+			c.sk.Detach()
+		}
 		return c
 	}
 	c := new(SBitmap)
 	src.sb.View(&c.sk, slices.Clone(run[:src.sb.RunWords()]))
-	c.sk.Detach()
-	return c
-}
-
-// evicted returns c, a heap counter leaving the store for an OnEvict
-// hook, with shared state of its own: the hook may feed it on any
-// goroutine, and a HyperLogLog's batch path hashes through its Shared's
-// buffers. (Heap S-bitmaps have their own from birth; a heap ring exposes
-// no batch path.)
-func (src *counterSource) evicted(c Counter) Counter {
-	if h, ok := c.(*HyperLogLog); ok {
-		h.sk.Detach()
+	if own {
+		c.sk.Detach()
 	}
 	return c
 }
 
 // decode restores a heap counter from its snapshot blob (as Marshal
-// writes it) under the spec's seed and hash options. An hll spec's
-// counters decode under the shared state, building no hasher; a Store
-// snapshot holds only counters built from its own spec, so to them a blob
-// of another kind or register count is a corrupt snapshot.
+// writes it) under the spec's seed and hash options. A Store snapshot
+// holds only counters built from its own spec, so a blob of another kind
+// (ErrKindMismatch) or configured otherwise — a second decoded copy,
+// reset, marshals other than an empty counter of the spec — is a corrupt
+// snapshot.
 func (src *counterSource) decode(blob []byte) (Counter, error) {
-	if src.hll == nil {
-		return Unmarshal(blob, src.opts...)
+	if _, err := payloadOfKind(blob, src.spec.Kind); err != nil {
+		return nil, err
 	}
-	payload, err := payloadOfKind(blob, KindHLL)
+	c, err := Unmarshal(blob, src.opts...)
 	if err != nil {
 		return nil, err
 	}
-	c := new(HyperLogLog)
-	if err := src.hll.UnmarshalInto(&c.sk, make([]uint64, src.hll.RunWords()), payload); err != nil {
-		return nil, fmt.Errorf("sbitmap: %w", err)
+	probe, _ := Unmarshal(blob, src.opts...) // the bytes that just decoded
+	probe.Reset()
+	if b, err := Marshal(probe); err != nil || !bytes.Equal(b, src.empty) {
+		return nil, fmt.Errorf("sbitmap: snapshot holds a %s counter configured otherwise than %s", src.spec.Kind, src.spec)
 	}
 	return c, nil
 }

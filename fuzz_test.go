@@ -11,10 +11,10 @@ import (
 )
 
 // FuzzUnmarshalStore drives the whole-store snapshot decoder, seeded with
-// snapshots of plain and windowed HLL and S-bitmap stores. The
-// invariants: UnmarshalStore never panics, and a store it decodes
-// re-encodes to a snapshot that decodes to the same per-key counter
-// blobs. A snapshot's spec string dimensions the store it decodes into,
+// snapshots of plain and windowed HLL, S-bitmap and LogLog stores. The
+// invariants: UnmarshalStore never panics, and a store it decodes holds
+// only counters of its own kind (checkCounterKinds) and re-encodes to a
+// snapshot that decodes to the same per-key counter blobs. A snapshot's spec string dimensions the store it decodes into,
 // so a mutated one can ask for any amount of memory; inputs keep one of
 // the seeds' specs, and everything after it is fuzzed. CI runs a short
 // fuzz smoke over this target.
@@ -42,6 +42,7 @@ func FuzzUnmarshalStore(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panicking or drifting is not
 		}
+		checkCounterKinds(t, s)
 		again, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatalf("decoded store does not re-encode: %v", err)
@@ -63,12 +64,45 @@ func FuzzUnmarshalStore(f *testing.F) {
 }
 
 // fuzzStoreSpecs are the specs of the snapshot decoders' fuzz seeds:
-// plain and windowed HLL and S-bitmap stores.
+// plain and windowed HLL and S-bitmap stores, which keep words, and
+// LogLog stores, which keep heap counters and heap rings.
 var fuzzStoreSpecs = []string{
 	"hll:mbits=256,seed=3",
 	"hll:mbits=256,seed=3/windowed(width=1m,ring=3)",
 	"sbitmap:n=1e3,eps=0.2",
 	"sbitmap:n=1e3,eps=0.2/windowed(width=1m,ring=3)",
+	"loglog:mbits=256,seed=3",
+	"loglog:mbits=256,seed=3/windowed(width=1m,ring=3)",
+}
+
+// checkCounterKinds requires every counter s holds — every live
+// sub-window's, on a windowed store — to marshal as a counter of s's own
+// kind.
+func checkCounterKinds(t *testing.T, s *Store[string]) {
+	t.Helper()
+	kind := s.src.spec.Kind
+	check := func(key string, c Counter) {
+		blob, err := Marshal(c)
+		if err != nil {
+			t.Fatalf("key %q: %v", key, err)
+		}
+		if _, err := payloadOfKind(blob, kind); err != nil {
+			t.Fatalf("key %q holds a counter other than the store's %s: %v", key, kind, err)
+		}
+	}
+	s.ForEach(func(key string, c Counter) bool {
+		r, ok := c.(ringEntries)
+		if !ok {
+			check(key, c)
+			return true
+		}
+		for i := range r.size() {
+			if _, live := r.entry(i); live {
+				check(key, r.sketch(i))
+			}
+		}
+		return true
+	})
 }
 
 // fuzzSeedStore returns a string-keyed store of spec holding 5 keys fed
@@ -86,10 +120,11 @@ func fuzzSeedStore(f *testing.F, spec string) *Store[string] {
 
 // FuzzRestoreStripe drives the checkpoint stripe decoder, seeded with the
 // MarshalStripes blobs of stores of fuzzStoreSpecs; the first input byte
-// picks the spec of the fresh store the rest is restored into. The
-// invariants: RestoreStripe never panics, and on success the store holds
-// exactly the keys it reports restoring. CI runs a short fuzz smoke over
-// this target.
+// picks the spec of the fresh store the rest is restored into — the
+// blob's own, or, in the cross-spec seeds, every other. The invariants:
+// RestoreStripe never panics, and on success the store holds exactly the
+// keys it reports restoring, each a counter of the store's own kind. CI
+// runs a short fuzz smoke over this target.
 func FuzzRestoreStripe(f *testing.F) {
 	for i, spec := range fuzzStoreSpecs {
 		blobs, _, err := fuzzSeedStore(f, spec).MarshalStripes(0)
@@ -98,7 +133,9 @@ func FuzzRestoreStripe(f *testing.F) {
 		}
 		for _, blob := range blobs {
 			if n, _ := StripeSnapshotKeys(blob); n > 0 {
-				f.Add(append([]byte{byte(i)}, blob...))
+				for j := range fuzzStoreSpecs {
+					f.Add(append([]byte{byte((i + j) % len(fuzzStoreSpecs))}, blob...))
+				}
 			}
 		}
 	}
@@ -117,6 +154,7 @@ func FuzzRestoreStripe(f *testing.F) {
 		if s.Len() != n {
 			t.Fatalf("RestoreStripe reported %d keys, the store holds %d", n, s.Len())
 		}
+		checkCounterKinds(t, s)
 	})
 }
 

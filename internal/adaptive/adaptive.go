@@ -36,14 +36,8 @@ type Sampler struct {
 	scr      uhash.Scratch // reusable batch hash buffers (not serialized)
 }
 
-// NewSampler returns an adaptive sampler that retains at most capacity
-// hashed values, hashing with the default Mixer seeded by seed. It panics
-// if capacity < 2.
-func NewSampler(capacity int, seed uint64) *Sampler {
-	return NewSamplerWithHasher(capacity, uhash.NewMixer(seed))
-}
-
-// NewSamplerWithHasher returns an adaptive sampler with an explicit hasher.
+// NewSamplerWithHasher returns an adaptive sampler that retains at most
+// capacity hashed values, hashing with h. It panics if capacity < 2.
 func NewSamplerWithHasher(capacity int, h uhash.Hasher) *Sampler {
 	if capacity < 2 {
 		panic(fmt.Sprintf("adaptive: capacity %d < 2", capacity))

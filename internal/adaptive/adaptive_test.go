@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/uhash"
 )
 
 func TestSamplerExactWhileUnderCapacity(t *testing.T) {
 	// Until the capacity is first exceeded, depth stays 0 and the
 	// estimate is exact.
-	s := NewSampler(128, 1)
+	s := NewSamplerWithHasher(128, uhash.NewMixer(1))
 	for i := uint64(0); i < 100; i++ {
 		s.AddUint64(i)
 	}
@@ -28,7 +29,7 @@ func TestSamplerAccuracy(t *testing.T) {
 	const capacity, n, reps = 256, 50000, 150
 	var sum stats.ErrorSummary
 	for rep := 0; rep < reps; rep++ {
-		s := NewSampler(capacity, uint64(rep)+3)
+		s := NewSamplerWithHasher(capacity, uhash.NewMixer(uint64(rep)+3))
 		base := uint64(rep) << 36
 		for i := 0; i < n; i++ {
 			s.AddUint64(base + uint64(i))
@@ -45,7 +46,7 @@ func TestSamplerAccuracy(t *testing.T) {
 }
 
 func TestSamplerInvariants(t *testing.T) {
-	s := NewSampler(64, 5)
+	s := NewSamplerWithHasher(64, uhash.NewMixer(5))
 	for i := uint64(0); i < 100000; i++ {
 		s.AddUint64(i)
 		if s.SampleSize() > 64 {
@@ -58,7 +59,7 @@ func TestSamplerInvariants(t *testing.T) {
 }
 
 func TestSamplerDuplicatesIgnored(t *testing.T) {
-	s := NewSampler(32, 7)
+	s := NewSamplerWithHasher(32, uhash.NewMixer(7))
 	s.AddUint64(42)
 	size := s.SampleSize()
 	for i := 0; i < 1000; i++ {
@@ -72,7 +73,7 @@ func TestSamplerDuplicatesIgnored(t *testing.T) {
 }
 
 func TestSamplerResetSizePanic(t *testing.T) {
-	s := NewSampler(16, 1)
+	s := NewSamplerWithHasher(16, uhash.NewMixer(1))
 	if s.SizeBits() != 16*64 {
 		t.Errorf("SizeBits = %d, want 1024", s.SizeBits())
 	}
@@ -88,7 +89,7 @@ func TestSamplerResetSizePanic(t *testing.T) {
 			t.Error("expected panic for capacity < 2")
 		}
 	}()
-	NewSampler(1, 1)
+	NewSamplerWithHasher(1, uhash.NewMixer(1))
 }
 
 func TestCapacityForBits(t *testing.T) {
@@ -121,8 +122,12 @@ func TestDistinctSamplerCounts(t *testing.T) {
 		}
 	}
 	// Total stream length = 1+2+...+10 = 55, all retained (under capacity).
-	if got := s.EstimateTotal(); got != 55 {
-		t.Errorf("EstimateTotal = %g, want 55", got)
+	total := uint64(0)
+	for _, it := range s.Sample() {
+		total += it.Count
+	}
+	if total != 55 {
+		t.Errorf("sampled counts sum to %d, want 55", total)
 	}
 	for _, it := range s.Sample() {
 		var i int
@@ -173,7 +178,7 @@ func TestDistinctSamplerCapacityAndReset(t *testing.T) {
 }
 
 func BenchmarkSamplerAdd(b *testing.B) {
-	s := NewSampler(1024, 1)
+	s := NewSamplerWithHasher(1024, uhash.NewMixer(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.AddUint64(uint64(i))

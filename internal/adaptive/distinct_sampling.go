@@ -33,16 +33,10 @@ type SampledItem struct {
 // items, hashing with the default Mixer seeded by seed. It panics if
 // capacity < 2.
 func NewDistinctSampler(capacity int, seed uint64) *DistinctSampler {
-	return NewDistinctSamplerWithHasher(capacity, uhash.NewMixer(seed))
-}
-
-// NewDistinctSamplerWithHasher returns a distinct sampler with an explicit
-// hasher.
-func NewDistinctSamplerWithHasher(capacity int, h uhash.Hasher) *DistinctSampler {
 	if capacity < 2 {
 		panic(fmt.Sprintf("adaptive: capacity %d < 2", capacity))
 	}
-	return &DistinctSampler{capacity: capacity, items: make(map[string]*SampledItem, capacity), h: h}
+	return &DistinctSampler{capacity: capacity, items: make(map[string]*SampledItem, capacity), h: uhash.NewMixer(seed)}
 }
 
 // Add offers an item; it reports whether the sample gained a new distinct
@@ -96,18 +90,6 @@ func (s *DistinctSampler) Sample() []SampledItem {
 // Estimate returns the distinct-count estimate |S|·2^d.
 func (s *DistinctSampler) Estimate() float64 {
 	return float64(len(s.items)) * math.Pow(2, float64(s.depth))
-}
-
-// EstimateTotal returns the estimated total stream length (with
-// duplicates) over the distinct population: Σ counts · 2^d. This is the
-// subset-sum capability that distinguishes Gibbons' sampler from pure
-// cardinality sketches.
-func (s *DistinctSampler) EstimateTotal() float64 {
-	var sum uint64
-	for _, it := range s.items {
-		sum += it.Count
-	}
-	return float64(sum) * math.Pow(2, float64(s.depth))
 }
 
 // SizeBits reports the allocation-based footprint: capacity slots of a

@@ -81,17 +81,11 @@ func (v *Vector) Set(i int) bool {
 	return true
 }
 
-// GetUnchecked reports whether bit i is set, without the range check of
-// Get: the caller must have proven 0 ≤ i < Len(). The sketches' batch
-// ingestion paths use it for indexes produced by a multiply-shift onto the
-// vector length — in range by construction, proven once per batch rather
-// than re-checked per probe. Public callers should use Get.
-func (v *Vector) GetUnchecked(i int) bool {
-	return v.words[uint(i)>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// SetUnchecked is Set without the range check of Set; the caller must have
-// proven 0 ≤ i < Len() (see GetUnchecked). It reports whether the bit was
+// SetUnchecked is Set without the range check of Set: the caller must
+// have proven 0 ≤ i < Len(). The sketches' batch ingestion paths use it
+// for indexes produced by a multiply-shift onto the vector length — in
+// range by construction, proven once per batch rather than re-checked per
+// probe. Public callers should use Set. It reports whether the bit was
 // previously clear.
 func (v *Vector) SetUnchecked(i int) bool {
 	mask := uint64(1) << (uint(i) & 63)

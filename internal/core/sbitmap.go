@@ -323,9 +323,6 @@ func (s *Sketch) Estimate() float64 { return s.sh.cfg.sched.estimate(s.B()) }
 // estimates at or beyond N are pinned to t_{k*} ≈ N.
 func (s *Sketch) Saturated() bool { return s.L() >= s.sh.cfg.kMax }
 
-// FillRatio returns L/m, the fraction of buckets set.
-func (s *Sketch) FillRatio() float64 { return float64(s.L()) / float64(s.sh.cfg.m) }
-
 // SizeBits returns the summary-statistic memory footprint in bits, the
 // quantity compared across algorithms in Section 6.2 (hash seeds excluded,
 // as in the paper).

@@ -28,9 +28,6 @@ func TestSketchEmpty(t *testing.T) {
 	if s.Saturated() {
 		t.Error("empty sketch reports saturated")
 	}
-	if s.FillRatio() != 0 {
-		t.Error("empty sketch has nonzero fill ratio")
-	}
 	if s.SizeBits() != 500 {
 		t.Errorf("SizeBits = %d, want 500", s.SizeBits())
 	}

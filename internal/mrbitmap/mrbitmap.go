@@ -143,9 +143,6 @@ func NewWithHasher(cfg Config, h uhash.Hasher) *Sketch {
 	return s
 }
 
-// Components returns the number of components.
-func (s *Sketch) Components() int { return len(s.comps) }
-
 // Add offers an item to the sketch; it reports whether a bucket changed.
 func (s *Sketch) Add(item []byte) bool {
 	hi, lo := s.h.Sum128(item)

@@ -140,8 +140,8 @@ func TestDuplicatesIgnored(t *testing.T) {
 func TestComponentsAndSize(t *testing.T) {
 	cfg := Config{B: 100, C: 5}
 	s := New(cfg, 1)
-	if s.Components() != 5 {
-		t.Errorf("Components = %d, want 5", s.Components())
+	if len(s.comps) != 5 {
+		t.Errorf("%d components, want 5", len(s.comps))
 	}
 	// 4 normal × 100 + last 200 = 600.
 	if s.SizeBits() != 600 {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -288,6 +289,64 @@ func TestMergeSpecMismatchRefusedFromHeader(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("refusing a %d-byte merge body of another spec allocated %d B, want under 1 MB", len(blob), got)
+	}
+}
+
+// TestMergeForeignCounterRefused: a merge body whose header names the
+// store's spec but which holds a counter of another kind is a corrupt
+// snapshot, refused whole with 400 bad_snapshot before any key merges.
+// The body is crafted in the store container's layout: 50 loglog keys
+// and one fm counter, to a WAL-backed loglog server; the live store and
+// the one recovered from its WAL keep their one key.
+func TestMergeForeignCounterRefused(t *testing.T) {
+	spec := sbitmap.MustSpec("loglog:mbits=512")
+	cfg := Config{Spec: spec, WALDir: t.TempDir(), FsyncPolicy: wal.FsyncAlways}
+	srv, ts, client := newTestServer(t, cfg)
+	defer srv.Close()
+	if _, err := client.AddNDJSON(context.Background(), []string{"mine"}, []string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	entry := func(payload []byte, key string, kind string) []byte {
+		c, err := sbitmap.MustSpec(kind).New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AddString(key)
+		blob, err := sbitmap.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(key)))
+		payload = append(payload, key...)
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(blob)))
+		return append(payload, blob...)
+	}
+	text := spec.String()
+	body := []byte("SKZ1\x01\x0c\x02") // envelope magic, version 1, store kind; string keys
+	body = binary.LittleEndian.AppendUint16(body, uint16(len(text)))
+	body = append(body, text...)
+	body = binary.LittleEndian.AppendUint64(body, 51)
+	for i := range 50 {
+		body = entry(body, fmt.Sprintf("peer-%02d", i), "loglog:mbits=512")
+	}
+	body = entry(body, "foreign", "fm:mbits=512")
+	status, code := apiErrorOf(t, ts, "POST", "/v1/merge", "application/octet-stream", body)
+	if status != 400 || code != CodeBadSnapshot {
+		t.Errorf("got %d %q, want 400 %q", status, code, CodeBadSnapshot)
+	}
+	if n := srv.Store().Len(); n != 1 {
+		t.Errorf("refused merge left %d keys in the store, want 1", n)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if n := again.Store().Len(); n != 1 {
+		t.Errorf("recovered store holds %d keys, want 1", n)
 	}
 }
 

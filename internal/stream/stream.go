@@ -271,15 +271,10 @@ type Words struct {
 	current string
 }
 
-// NewWords returns a word stream of the given length over a vocabulary of
-// vocab words, Zipf exponent 1.05 (typical for text). The seed determines
-// both the vocabulary identity and the draw sequence.
-func NewWords(vocab, length int, seed uint64) *Words {
-	return NewWordsShared(vocab, length, seed, seed)
-}
-
-// NewWordsShared returns a word stream whose vocabulary identity comes
-// from vocabSeed while the token draws come from drawSeed: streams sharing
+// NewWordsShared returns a word stream of the given length over a
+// vocabulary of vocab words, Zipf exponent 1.05 (typical for text), whose
+// vocabulary identity comes from vocabSeed while the token draws come
+// from drawSeed: streams sharing
 // vocabSeed draw overlapping word sets (e.g. two volumes of one book),
 // with the overlap governed by Zipf coverage rather than being all or
 // nothing.

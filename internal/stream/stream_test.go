@@ -112,7 +112,7 @@ func TestInterleavedSameContents(t *testing.T) {
 }
 
 func TestWordsStream(t *testing.T) {
-	w := NewWords(1000, 20000, 3)
+	w := NewWordsShared(1000, 20000, 3, 3)
 	n := 0
 	for {
 		word, ok := w.NextWord()
@@ -139,8 +139,8 @@ func TestPanics(t *testing.T) {
 		"length < n":          func() { NewDuplicated(10, 5, DupUniform, 0) },
 		"zero population":     func() { NewDuplicated(0, 5, DupUniform, 0) },
 		"bad model":           func() { NewDuplicated(5, 10, DupModel(99), 0) },
-		"words zero vocab":    func() { NewWords(0, 10, 0) },
-		"words negative text": func() { NewWords(10, -1, 0) },
+		"words zero vocab":    func() { NewWordsShared(0, 10, 0, 0) },
+		"words negative text": func() { NewWordsShared(10, -1, 0, 0) },
 	} {
 		func() {
 			defer func() {

@@ -27,21 +27,23 @@ import (
 //	         word, 0 for an empty sub-window, else the number of its run in
 //	         the stripe's run pool plus one (see runRings)
 //
-// A store keeps words when it is unbounded and its kind has a run view
-// (counterSource.runView): the paper's deployment, one tiny sketch "for
-// each of the links" (Section 7), per minute interval on a windowed
-// store. A warm record then costs a probe hash, one index probe and one
-// slot access — the paper's one hash and one bit probe, plus the lookup —
-// and the sketch is read and written in place through a view bound to
-// its run. Every other store keeps one heap Counter per slot in ctrs, in
-// slot order: a bounded store's evicted counter outlives its slot, and a
-// kind without a run view has no words to keep. Slots are dense: slots
-// [0, keys) are live, Remove moves the last slot (and its counter) into
-// the hole, and iteration walks them in order. String keys' bytes also go
-// to a per-stripe append-only key log, so the keys the Store hands out
-// (ForEach, ForEachDirty, TopK, OnEvict) are views of memory that is never
-// rewritten and stay valid after the call. The GC scans neither slots,
-// log nor runs.
+// The kind alone decides the layout. A store whose kind has a run view
+// (counterSource.runView) keeps words, bounded or not: the paper's
+// deployment, one tiny sketch "for each of the links" (Section 7), per
+// minute interval on a windowed store. A warm record then costs a probe
+// hash, one index probe and one slot access — the paper's one hash and
+// one bit probe, plus the lookup — and the sketch is read and written in
+// place through a view bound to its run; a key that leaves for an OnEvict
+// hook or a Merge leaves as a heap copy (detach). A kind without a run
+// view has no words to keep: its table keeps one heap Counter per slot in
+// ctrs, in slot order. The table builds, decodes, copies out and accounts
+// every counter it holds, in either layout, so the Store never sees which
+// one it has. Slots are dense: slots [0, keys) are live, Remove moves the
+// last slot (and its counter) into the hole, and iteration walks them in
+// order. String keys' bytes also go to a per-stripe append-only key log,
+// so the keys the Store hands out (ForEach, ForEachDirty, TopK, OnEvict)
+// are views of memory that is never rewritten and stay valid after the
+// call. The GC scans neither slots, log nor runs.
 type slotTable[K StoreKey] struct {
 	seed   maphash.Seed // the probe hash's, random per table
 	str    bool         // K is string-kinded
@@ -53,6 +55,9 @@ type slotTable[K StoreKey] struct {
 	keys  int        // live keys, in slots [0, keys)
 	log   keyLog
 	ctrs  []Counter // heap counters, one per live slot; nil for word tables
+
+	src *counterSource // builds, decodes and copies out the table's counters
+	win *windowShared  // a windowed store's window configuration; nil otherwise
 
 	// v binds a word table's sketches: their shared state (both nil in a
 	// heap table) and one view of each kind, bound to one run at a time
@@ -84,13 +89,13 @@ const (
 // newSlotTable returns an empty table for a store whose counters come
 // from src: a word table when words is set — the sketch run inline in
 // each slot, or on a windowed store (win set) the key's ring of run
-// references — and a table of heap counters otherwise.
+// references — and a table of heap counters, or heap rings, otherwise.
 func newSlotTable[K StoreKey](src *counterSource, win *windowShared, words, str bool) *slotTable[K] {
 	hdr := 2
 	if str {
 		hdr += slotInline / 8
 	}
-	t := &slotTable[K]{seed: maphash.MakeSeed(), str: str, hdr: hdr}
+	t := &slotTable[K]{seed: maphash.MakeSeed(), str: str, hdr: hdr, src: src, win: win}
 	stride := hdr
 	if words {
 		t.v = runViews{sb: src.sb, hll: src.hll}
@@ -200,12 +205,14 @@ func (t *slotTable[K]) ringAt(i uint32) ringEntries {
 }
 
 // detach returns slot i's counter in a form that outlives the stripe
-// lock: a heap counter as it is, a sketch or ring kept in words as a heap
-// copy built through src.
-func (t *slotTable[K]) detach(i uint32, src *counterSource) Counter {
+// lock and the slot, with shared state of its own: a heap counter as it
+// is, a sketch kept in words as a heap copy with its own shared state, a
+// ring kept in words as a heap ring of copies (a ring exposes no batch
+// path, so its sub-windows may share the store's state).
+func (t *slotTable[K]) detach(i uint32) Counter {
 	switch {
 	case t.inline:
-		return src.copyOf(t.slot(i)[t.hdr:])
+		return t.src.copyOf(t.slot(i)[t.hdr:], true)
 	case t.rings != nil:
 		return t.rings.copyOf(i)
 	}
@@ -231,9 +238,18 @@ func (t *slotTable[K]) lookup(key K) (Counter, bool) {
 }
 
 // insert materializes key, absent, at index position pos — the empty
-// position find returned — with heap counter c, or, in a word table (c
-// nil), an empty sketch or ring in its slot; it returns the key's slot.
-func (t *slotTable[K]) insert(pos uint32, h uint64, key K, c Counter) uint32 {
+// position find returned — with an empty counter: a sketch or ring in its
+// slot's words, or a new heap counter or heap ring. It returns the key's
+// slot.
+func (t *slotTable[K]) insert(pos uint32, h uint64, key K) uint32 {
+	var c Counter
+	switch {
+	case t.words():
+	case t.win != nil:
+		c = newWindowRing(t.win)
+	default:
+		c = t.src.new()
+	}
 	i := t.add(pos, h, key, c)
 	if t.inline {
 		t.v.init(t.slot(i)[t.hdr:])
@@ -241,25 +257,30 @@ func (t *slotTable[K]) insert(pos uint32, h uint64, key K, c Counter) uint32 {
 	return i
 }
 
-// restore adds key with counter c, decoded from its snapshot blob, or,
-// in a word table (c nil), with the sketch or ring blob (as Marshal
-// writes it) holds, decoded straight into a new slot and fresh runs. It
-// returns the key's slot; dup reports a key already present. A Store
-// snapshot holds only counters built from its own spec, so a blob of
-// another kind or other parameters is a corrupt snapshot.
-func (t *slotTable[K]) restore(key K, c Counter, blob []byte) (i uint32, dup bool, err error) {
+// restore adds key with the counter its snapshot blob (as Marshal writes
+// it) holds and returns the key's slot; dup reports a key already
+// present. A heap counter is decoded before its slot is made; a sketch or
+// ring kept in words, and a heap ring, are decoded into the empty one
+// insert makes. A Store snapshot holds only counters built from its own
+// spec, so a blob of another kind or other parameters is a corrupt
+// snapshot.
+func (t *slotTable[K]) restore(key K, blob []byte) (i uint32, dup bool, err error) {
 	h := t.hash(key)
 	pos, ok := t.find(h, key)
 	if ok {
 		return 0, true, nil
 	}
-	i = t.add(pos, h, key, c)
-	switch {
-	case c != nil:
-		return i, false, nil
-	case t.rings != nil:
-		err = unmarshalRing(t.rings.bind(i), blob)
-	default:
+	if !t.words() && t.win == nil {
+		c, err := t.src.decode(blob)
+		if err != nil {
+			return 0, false, fmt.Errorf("sbitmap: store key %v: %w", key, err)
+		}
+		return t.add(pos, h, key, c), false, nil
+	}
+	i = t.insert(pos, h, key)
+	if t.win != nil {
+		err = unmarshalRing(t.ringAt(i), blob)
+	} else {
 		err = t.v.unmarshalInto(t.slot(i)[t.hdr:], blob)
 	}
 	if err != nil {
@@ -423,25 +444,37 @@ func (t *slotTable[K]) reset() {
 	}
 }
 
-// footprint returns the table's resident bytes, from its capacities: the
-// table itself, the index, the slot chunks, the key log, the run pool and
-// the heap counter slice (not the counters it points to).
+// footprint returns the table's resident bytes: the table itself, the
+// index, the slot chunks, the key log, the run pool and the heap counter
+// slice, from their capacities, plus each heap counter's own footprint. A
+// word table answers without walking its keys.
 func (t *slotTable[K]) footprint() int {
 	n := int(unsafe.Sizeof(*t)) + 4*cap(t.idx) + t.slots.footprint() + t.log.bytes +
 		int(unsafe.Sizeof([]byte(nil)))*cap(t.log.chunks) + int(unsafe.Sizeof(Counter(nil)))*cap(t.ctrs)
 	if t.rings != nil {
 		n += t.rings.footprint()
 	}
+	for _, c := range t.ctrs {
+		n += c.Footprint()
+	}
 	return n
 }
 
-// sizeBits returns a word table's summary bits: its sketches' — one per
-// key, or one per live sub-window — times the bits of one.
+// sizeBits returns the table's summary bits. A word table's are its
+// sketches' — one per key, or one per live sub-window — times the bits of
+// one; a heap table sums its counters'.
 func (t *slotTable[K]) sizeBits() int {
-	if t.rings != nil {
+	switch {
+	case t.rings != nil:
 		return t.rings.runs * t.v.sizeBits()
+	case t.inline:
+		return t.keys * t.v.sizeBits()
 	}
-	return t.keys * t.v.sizeBits()
+	total := 0
+	for _, c := range t.ctrs {
+		total += c.SizeBits()
+	}
+	return total
 }
 
 // wordChunks is a dense array of fixed-stride records of pointer-free

@@ -34,10 +34,11 @@ import (
 // locked stripes, so ingestion scales across goroutines, and the keyed
 // batch methods route a whole batch with one hash pass and take each
 // touched stripe's lock once per batch. Each stripe keeps its keys in a
-// flat slot table found by one index probe (see slotTable): an unbounded
-// S-bitmap or HyperLogLog store keeps each key's sketch inline in its
-// slot — or, windowed, its ring of sub-window runs (see runRings) — and
-// every other store one heap counter per slot.
+// flat slot table found by one index probe (see slotTable), laid out by
+// the spec's kind alone: an S-bitmap or HyperLogLog store, bounded or
+// not, keeps each key's sketch inline in its slot — or, windowed, its ring
+// of sub-window runs (see runRings) — and a store of any other kind one
+// heap counter per slot.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
 // plus the OnEvict hook; unbounded otherwise (one counter per distinct
@@ -56,9 +57,9 @@ type Store[K StoreKey] struct {
 	// a new checkpoint epoch. See MarshalStripes for the protocol.
 	gen atomic.Uint64
 
-	// src builds, decodes and measures every heap counter — per key or
-	// per sub-window, new or restored — and holds the state the store's
-	// sketches share.
+	// src is the resolved base spec: the state the store's sketches share,
+	// and the source every slot table builds, decodes and copies out its
+	// counters through.
 	src *counterSource
 
 	// win is the sliding-window configuration of a windowed(...) spec; nil
@@ -182,11 +183,9 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 	if spec.Window != 0 {
 		s.win = &windowShared{width: int64(spec.Window), ring: spec.Ring, src: src, wm: &s.wm}
 	}
-	// An unbounded store of a kind with a run view keeps its sketches in
-	// the slot tables' words. Every other store keeps heap counters: a
-	// bounded store's evicted counter goes to OnEvict and must outlive its
-	// slot.
-	words := cfg.maxKeys == 0 && src.runView()
+	// A store of a kind with a run view keeps its sketches in the slot
+	// tables' words; every other store keeps heap counters.
+	words := src.runView()
 	for i := range s.stripes {
 		s.stripes[i].tab = newSlotTable[K](src, s.win, words, s.isStr)
 	}
@@ -195,10 +194,12 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 
 // OnEvict installs the eviction hook: fn runs whenever WithMaxKeys
 // removes a key, receiving the key and its final counter — snapshot it,
-// sum it into a coarser aggregate, or drop it. fn runs with the key's
-// stripe locked and must be cheap, must not call back into the Store,
-// and must be safe for concurrent use: even one batch call may run it on
-// several goroutines at once. Install before concurrent use.
+// sum it into a coarser aggregate, or drop it. The counter is a copy that
+// fn owns: it outlives the key's slot and shares no state with the
+// store, so fn may keep it and feed it on any goroutine. fn runs with the
+// key's stripe locked and must be cheap, must not call back into the
+// Store, and must be safe for concurrent use: even one batch call may run
+// it on several goroutines at once. Install before concurrent use.
 func (s *Store[K]) OnEvict(fn func(key K, c Counter)) { s.onEvict = fn }
 
 // Spec returns the Spec every per-key counter is built from.
@@ -260,22 +261,14 @@ func (s *Store[K]) keyLocked(st *storeStripe[K], key K) uint32 {
 	if ok {
 		return t.idx[pos] - 1
 	}
-	var c Counter
-	if !t.words() {
-		if s.limit > 0 && int(s.keys.Load()) >= s.limit {
-			// key is not in the table yet, so it cannot be the victim; the
-			// victim's removal may move key's empty index position.
-			s.evictOneLocked(st)
-			pos, _ = t.find(h, key)
-		}
-		if s.win != nil {
-			c = newWindowRing(s.win)
-		} else {
-			c = s.src.new()
-		}
+	if s.limit > 0 && int(s.keys.Load()) >= s.limit {
+		// key is not in the table yet, so it cannot be the victim; the
+		// victim's removal may move key's empty index position.
+		s.evictOneLocked(st)
+		pos, _ = t.find(h, key)
 	}
 	s.keys.Add(1)
-	return t.insert(pos, h, key, c)
+	return t.insert(pos, h, key)
 }
 
 // evictOneLocked removes one key and fires the eviction hook: first from
@@ -302,23 +295,28 @@ func (s *Store[K]) evictOneLocked(st *storeStripe[K]) {
 }
 
 // evictLocked removes a uniformly random live key of the locked stripe
-// st, handing it and its heap counter, with shared state of its own, to
-// the eviction hook, and reports whether st had a key. A random victim is
-// the right neutral policy for sketches: no per-key access metadata, and
-// any victim forfeits exactly its own count (the newest or oldest slot
-// would make it LIFO or FIFO).
+// st, handing it and a copy of its counter that outlives its slot
+// (slotTable.detach, taken only for a hook) to the eviction hook, and
+// reports whether st had a key. A random victim is the right neutral
+// policy for sketches: no per-key access metadata, and any victim
+// forfeits exactly its own count (the newest or oldest slot would make it
+// LIFO or FIFO).
 func (s *Store[K]) evictLocked(st *storeStripe[K]) bool {
 	t := st.tab
 	if t.keys == 0 {
 		return false
 	}
 	i := uint32(rand.IntN(t.keys))
-	key, c := t.keyOf(t.slot(i)), t.ctrs[i]
+	key := t.keyOf(t.slot(i))
+	var c Counter
+	if s.onEvict != nil {
+		c = t.detach(i)
+	}
 	t.remove(key)
 	s.touchLocked(st)
 	s.keys.Add(-1)
 	if s.onEvict != nil {
-		s.onEvict(key, s.src.evicted(c))
+		s.onEvict(key, c)
 	}
 	return true
 }
@@ -1094,43 +1092,33 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 
 // SizeBits returns the summed summary memory of every live counter (the
 // paper's accounting). Safe for concurrent use; a consistent total only
-// at a quiescent point. A store that keeps words answers from each
-// stripe's sketch count — its keys, or its live sub-windows — without
-// walking them.
+// at a quiescent point. A store that keeps words — every S-bitmap and
+// HyperLogLog store — answers from each stripe's sketch count, its keys
+// or its live sub-windows, without walking them.
 func (s *Store[K]) SizeBits() int {
 	total := 0
-	if s.stripes[0].tab.words() {
-		for i := range s.stripes {
-			st := &s.stripes[i]
-			st.mu.Lock()
-			total += st.tab.sizeBits()
-			st.mu.Unlock()
-		}
-		return total
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		total += st.tab.sizeBits()
+		st.mu.Unlock()
 	}
-	s.ForEach(func(_ K, c Counter) bool {
-		total += c.SizeBits()
-		return true
-	})
 	return total
 }
 
 // Footprint returns the store's resident process memory in bytes: the
-// stripe array, each stripe's batch scratch and slot table, and every heap
-// counter's own footprint. A slot table is exact arithmetic over its
-// capacities — index, slot chunks, key log, run pool, counter slice — and
-// the state the Store's sketches share is counted once, so a store that
-// keeps words answers without walking its keys. Safe for concurrent use;
-// one stripe is locked at a time.
+// stripe array, each stripe's batch scratch and slot table, and the state
+// the store's sketches share, counted once. A slot table of words is
+// exact arithmetic over its capacities — index, slot chunks, key log, run
+// pool — so a store that keeps words answers without walking its keys; a
+// heap table adds each heap counter's own footprint. Safe for concurrent
+// use; one stripe is locked at a time.
 func (s *Store[K]) Footprint() int {
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) + s.src.footprint()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		total += st.scr.Footprint() + st.tab.footprint()
-		for _, c := range st.tab.ctrs {
-			total += c.Footprint()
-		}
 		st.mu.Unlock()
 	}
 	return total
@@ -1177,9 +1165,9 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 			s.advanceWatermark(owm)
 		}
 	}
-	// Each of other's stripes is copied out under its lock — a heap
-	// counter as it is, a sketch or ring kept in words as a heap copy —
-	// and merged in under s's: locks are never held pairwise.
+	// Each of other's stripes is copied out under its lock
+	// (slotTable.detach) and merged in under s's: locks are never held
+	// pairwise.
 	for i := range other.stripes {
 		ot := &other.stripes[i]
 		ot.mu.Lock()
@@ -1187,7 +1175,7 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 		srcs := make([]Counter, 0, ot.tab.keys)
 		for j := range uint32(ot.tab.keys) {
 			keys = append(keys, ot.tab.keyOf(ot.tab.slot(j)))
-			srcs = append(srcs, ot.tab.detach(j, other.src))
+			srcs = append(srcs, ot.tab.detach(j))
 		}
 		ot.mu.Unlock()
 		for j, key := range keys {
@@ -1444,48 +1432,24 @@ func decodeStoreEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest [
 	return key, payload[:blen], payload[blen:], nil
 }
 
-// restoreEntry adds key with the counter its snapshot blob holds and
-// reports a key already present as dup. A sketch or ring kept in words is
-// decoded straight into a new slot and fresh runs under the stripe lock;
-// a heap counter is decoded before the lock is taken. On a windowed store
-// the watermark advances to the ring's newest sub-window, so restores
+// restoreEntry adds key with the counter its snapshot blob holds, decoded
+// by the slot table under the stripe lock, and reports a key already
+// present as dup. Restores run before a store serves (UnmarshalStore
+// builds a fresh store; a server restores its checkpoint at startup), so
+// decoding under the lock delays no ingest. On a windowed store the
+// watermark advances to the ring's newest sub-window, so restores
 // re-derive the time position from snapshot contents.
 func (s *Store[K]) restoreEntry(key K, blob []byte) (dup bool, err error) {
 	st := s.stripeFor(key)
-	var c Counter
-	if !st.tab.words() {
-		if c, err = s.decodeCounter(key, blob); err != nil {
-			return false, err
-		}
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	i, dup, err := st.tab.restore(key, c, blob)
+	i, dup, err := st.tab.restore(key, blob)
 	if err == nil && !dup && s.win != nil {
 		if maxW := maxWidx(st.tab.ringAt(i)); maxW != wmNone {
 			s.advanceWatermark(maxW)
 		}
 	}
 	return dup, err
-}
-
-// decodeCounter restores key's heap counter from its snapshot blob
-// through the store's counterSource, so a restored store is laid out as
-// one built by ingest. On a windowed store the blob is a sub-window ring
-// whose sub-windows decode the same way.
-func (s *Store[K]) decodeCounter(key K, blob []byte) (Counter, error) {
-	var c Counter
-	var err error
-	if s.win == nil {
-		c, err = s.src.decode(blob)
-	} else {
-		r := newWindowRing(s.win)
-		c, err = r, unmarshalRing(r, blob)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
-	}
-	return c, nil
 }
 
 // Per-stripe snapshot format (the unit of an incremental checkpoint):

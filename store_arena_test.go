@@ -14,9 +14,10 @@ import (
 )
 
 // forceHeapCounters gives a new, empty store slot tables of heap
-// counters, so every key's counter comes from its counterSource on the
-// heap: the layout bounded and windowed stores take, and the reference the
-// inline sketches are checked against.
+// counters, so every key's counter is a heap counter of its base spec (in
+// a heap ring, on a windowed store): the layout of kinds without a run
+// view, and the reference the sketches kept in words are checked
+// against.
 func forceHeapCounters[K StoreKey](s *Store[K]) {
 	for i := range s.stripes {
 		s.stripes[i].tab = newSlotTable[K](s.src, s.win, false, s.isStr)
@@ -93,25 +94,188 @@ func slabEquivalence(t *testing.T, prefix string, spec Spec, keys, items []uint6
 	})
 }
 
-// TestStoreSlabEvictionDisablesArena: WithMaxKeys eviction hands the
-// victim's counter to OnEvict, which may keep it after its slot is gone —
-// so a bounded store keeps heap counters instead of inline sketches, while
-// keeping the shared-scratch half of the optimization. Observable
-// contract: the bound holds and counting stays correct.
-func TestStoreSlabEvictionDisablesArena(t *testing.T) {
-	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithMaxKeys(64), WithStripes(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.stripes {
-		if s.stripes[i].tab.words() {
-			t.Fatalf("stripe %d keeps sketches inline despite WithMaxKeys eviction", i)
+// boundedSpecs are the bounded-store rails' specs: one of each layout of
+// words — inline S-bitmaps, inline HyperLogLogs and run rings.
+var boundedSpecs = []string{
+	"sbitmap:n=1e4,eps=0.1",
+	"hll:mbits=512",
+	"hll:mbits=512/windowed(width=1m,ring=5)",
+}
+
+// TestBoundedStoreKeepsWords: a store's kind alone decides its layout, so
+// a WithMaxKeys store of a kind with a run view keeps its sketches in
+// words like an unbounded one, and eviction holds Len within the limit
+// plus the stripe count.
+func TestBoundedStoreKeepsWords(t *testing.T) {
+	for _, spec := range boundedSpecs {
+		s, err := NewStore[uint64](MustSpec(spec), WithMaxKeys(64), WithStripes(4))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := range s.stripes {
+			if !s.stripes[i].tab.words() {
+				t.Fatalf("%s: stripe %d keeps heap counters under WithMaxKeys", spec, i)
+			}
+		}
+		keys, items := keyedWorkload(500, 8000, 5)
+		s.AddBatch64(keys, items)
+		if got := s.Len(); got > 64+4 { // limit + stripe-count transient overshoot
+			t.Fatalf("%s: Len() = %d, want ≤ 68", spec, got)
+		}
+		checkSlotTables(t, s)
 	}
-	keys, items := keyedWorkload(500, 8000, 5)
-	s.AddBatch64(keys, items)
-	if got := s.Len(); got > 64+4 { // limit + stripe-count transient overshoot
-		t.Fatalf("Len() = %d, want ≤ 68", got)
+}
+
+// TestBoundedStoreMatchesHeapTwin is the bounded stores' bit-identity
+// rail. Single-record adds go to a bounded store of words with an OnEvict
+// hook and to an unbounded twin of heap counters (forceHeapCounters). At
+// each eviction the twin's counter for the victim must marshal to the
+// bytes of the copy the hook got, and the twin then drops the victim, so
+// the two hold the same keys throughout. They must stay identical key by
+// key after ingest, after Remove, and restored through UnmarshalStore and
+// through RestoreStripe; and every copy the hook got must outlive its
+// slot unchanged.
+func TestBoundedStoreMatchesHeapTwin(t *testing.T) {
+	const nKeys, limit, stripes = 400, 64, 4
+	for _, text := range boundedSpecs {
+		t.Run(text, func(t *testing.T) {
+			spec := MustSpec(text)
+			s, err := NewStore[string](spec, WithMaxKeys(limit), WithStripes(stripes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewStore[string](spec, WithStripes(stripes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			forceHeapCounters(twin)
+			type copied struct {
+				c    Counter
+				blob []byte
+			}
+			var gone []copied
+			s.OnEvict(func(key string, c Counter) {
+				blob, err := Marshal(c)
+				if err != nil {
+					t.Fatalf("evicted %q: %v", key, err)
+				}
+				want, err := storeBlob(twin, key)
+				if err != nil || !bytes.Equal(blob, want) {
+					t.Fatalf("evicted %q: the hook's copy differs from the twin's counter (err %v)", key, err)
+				}
+				twin.Remove(key)
+				gone = append(gone, copied{c, blob})
+			})
+			r := xrand.New(3)
+			epoch := time.Unix(1_700_000_000, 0)
+			for i := range 6000 {
+				key := fmt.Sprintf("k%d", r.Intn(nKeys))
+				ts := epoch.Add(time.Duration(i/400) * time.Minute)
+				s.AddUint64At(ts, key, uint64(i))
+				twin.AddUint64At(ts, key, uint64(i))
+			}
+			if len(gone) == 0 || s.Len() > limit+stripes {
+				t.Fatalf("%d evictions, Len %d: want evictions within %d keys", len(gone), s.Len(), limit+stripes)
+			}
+			checkSlotTables(t, s)
+			assertStoresIdentical(t, s, twin)
+			for i := range nKeys / 4 {
+				key := fmt.Sprintf("k%d", 4*i)
+				if x, y := s.Remove(key), twin.Remove(key); x != y {
+					t.Fatalf("Remove(%q): %v, twin %v", key, x, y)
+				}
+			}
+			assertStoresIdentical(t, s, twin)
+			assertStoresIdentical(t, twin, s)
+
+			snap, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := UnmarshalStore[string](snap, WithMaxKeys(limit), WithStripes(stripes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStoresIdentical(t, back, twin)
+			blobs, _, err := s.MarshalStripes(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinBlobs, _, err := twin.MarshalStripes(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := NewStore[string](spec, WithMaxKeys(limit), WithStripes(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restoredTwin, err := NewStore[string](spec, WithStripes(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			forceHeapCounters(restoredTwin)
+			for _, b := range blobs {
+				if _, err := restored.RestoreStripe(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, b := range twinBlobs {
+				if _, err := restoredTwin.RestoreStripe(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkSlotTables(t, restored)
+			checkSlotTables(t, restoredTwin)
+			assertStoresIdentical(t, restored, twin)
+			assertStoresIdentical(t, restoredTwin, s)
+			for _, g := range gone {
+				if blob, err := Marshal(g.c); err != nil || !bytes.Equal(blob, g.blob) {
+					t.Fatalf("an evicted copy changed after its eviction (err %v)", err)
+				}
+			}
+		})
+	}
+}
+
+// TestBoundedStoreEvictionAllocFree is the bounded stores' allocation
+// rail: at steady eviction with no hook, a new key takes the victim's
+// memory — its slot, and on a windowed store its run — so materializing
+// it allocates nothing. With a hook, the copy the hook gets costs at most
+// the counter record, its words and its own shared state (3 allocations),
+// or a heap ring and its entries with one copied sub-window (4).
+func TestBoundedStoreEvictionAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const limit = 1024
+	for i, spec := range boundedSpecs {
+		s, err := NewStore[uint64](MustSpec(spec), WithStripes(1), WithMaxKeys(limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := uint64(0)
+		add := func() {
+			s.AddUint64(next, next)
+			next++
+		}
+		for next < 2*limit {
+			add()
+		}
+		allocs := testing.AllocsPerRun(1000, add)
+		t.Logf("%s: %.2f allocations per new key at steady eviction", spec, allocs)
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per new key at steady eviction, want 0", spec, allocs)
+		}
+		var kept Counter
+		s.OnEvict(func(_ uint64, c Counter) { kept = c })
+		hookAllocs, want := testing.AllocsPerRun(1000, add), []float64{3, 3, 4}[i]
+		t.Logf("%s: %.2f allocations per new key with a hook", spec, hookAllocs)
+		if hookAllocs > want || kept == nil {
+			t.Errorf("%s: %.2f allocations per new key with a hook, want ≤ %.0f", spec, hookAllocs, want)
+		}
+		if s.Len() != limit {
+			t.Errorf("%s: Len %d, want %d", spec, s.Len(), limit)
+		}
 	}
 }
 
@@ -298,10 +462,10 @@ func heapBytes(build func() any) float64 {
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
-// heapStore builds the rails' store — every key gets 8 distinct items,
-// fed as 8,192-record batches like the benchmark's wire frames — and
-// returns it with its live heap per key.
-func heapStore(t *testing.T) (*Store[string], float64) {
+// heapStore builds the rails' store, with opts — every key gets 8
+// distinct items, fed as 8,192-record batches like the benchmark's wire
+// frames — and returns it with its live heap per key.
+func heapStore(t *testing.T, opts ...StoreOption) (*Store[string], float64) {
 	keys := make([]string, heapKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("user-%06x", i)
@@ -311,7 +475,7 @@ func heapStore(t *testing.T) (*Store[string], float64) {
 	bi := make([]uint64, 0, batch)
 	var st *Store[string]
 	heap := heapBytes(func() any {
-		s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"))
+		s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +527,10 @@ func windowedHeapStore(t *testing.T) (*Store[string], float64) {
 		st = s
 		return s
 	})
+	// Inputs freed mid-measurement would offset the store.
 	runtime.KeepAlive(keys)
+	runtime.KeepAlive(perm)
+	runtime.KeepAlive(zipf)
 	return st, heap / float64(st.Len())
 }
 
@@ -384,9 +551,10 @@ func TestStoreHeapPerKey(t *testing.T) {
 
 // TestStoreFootprintMatchesLiveHeap: Footprint, the store's own
 // arithmetic over its capacities, is what the heap rails measure — within
-// 5% per key, for the inline S-bitmap store and the windowed store of run
-// rings alike — so the bytes-per-key figure a server reports is the
-// memory its keys hold. After Reset the heap keeps no more of the store
+// 5% per key, for the inline S-bitmap store, unbounded and bounded (a key
+// limit above the key count), and the windowed store of run rings alike —
+// so the bytes-per-key figure a server reports is the memory its keys
+// hold. After Reset the heap keeps no more of the store
 // than the empty store's Footprint (plus 64 KiB of slack): the keys'
 // memory goes back, none of it pinned by a counter view still bound to a
 // slot.
@@ -394,7 +562,9 @@ func TestStoreFootprintMatchesLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
-	for _, build := range []func(*testing.T) (*Store[string], float64){heapStore, windowedHeapStore} {
+	plain := func(t *testing.T) (*Store[string], float64) { return heapStore(t) }
+	bounded := func(t *testing.T) (*Store[string], float64) { return heapStore(t, WithMaxKeys(200000)) }
+	for _, build := range []func(*testing.T) (*Store[string], float64){plain, bounded, windowedHeapStore} {
 		st, heap := build(t)
 		fp := float64(st.Footprint()) / float64(st.Len())
 		t.Logf("%s: Footprint %.1f B/key, live heap %.1f B/key", st.Spec(), fp, heap)
@@ -513,27 +683,43 @@ func assertRestoreHeap(t *testing.T, orig *Store[string], cold float64) {
 
 // TestStoreRestoreRejectsForeignCounters: a stripe snapshot holding
 // counters of another kind or other parameters than the store's spec —
-// S-bitmap dimensions, HLL register counts, per key or per sub-window —
-// is a corrupt snapshot to a store that builds its counters under shared
-// state, not a counter to adopt.
+// S-bitmap dimensions, HLL register counts, any other kind's
+// configuration, per key or per sub-window, bounded or not — is a corrupt
+// snapshot to a store, not a counter to adopt: a blob of another kind is
+// ErrKindMismatch. Every store still restores its own spec's counters.
 func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
-	for dstSpec, srcSpecs := range map[string][]string{
-		"sbitmap:n=1e4,eps=0.1": {"sbitmap:n=1e4,eps=0.05", "sbitmap:n=1e4,eps=0.1,d=30", "hll:mbits=512"},
-		"hll:mbits=512":         {"hll:mbits=1024", "sbitmap:n=1e4,eps=0.1"},
-		"hll:mbits=512/windowed(width=1m,ring=5)": {
-			"hll:mbits=1024/windowed(width=1m,ring=5)", "loglog:mbits=512/windowed(width=1m,ring=5)"},
+	for _, tc := range []struct {
+		dst  string
+		opts []StoreOption
+		srcs []string
+	}{
+		{"sbitmap:n=1e4,eps=0.1", nil, []string{"sbitmap:n=1e4,eps=0.05", "sbitmap:n=1e4,eps=0.1,d=30", "hll:mbits=512"}},
+		{"sbitmap:n=1e4,eps=0.1", []StoreOption{WithMaxKeys(100)}, []string{"hll:mbits=512", "sbitmap:n=1e4,eps=0.05"}},
+		{"hll:mbits=512", nil, []string{"hll:mbits=1024", "sbitmap:n=1e4,eps=0.1"}},
+		{"hll:mbits=512/windowed(width=1m,ring=5)", nil, []string{
+			"hll:mbits=1024/windowed(width=1m,ring=5)", "loglog:mbits=512/windowed(width=1m,ring=5)"}},
+		{"loglog:mbits=512", nil, []string{"fm:mbits=512", "loglog:mbits=1024", "exact"}},
+		{"exact", nil, []string{"loglog:mbits=512"}},
+		{"linearcount:mbits=512", nil, []string{"linearcount:mbits=1024"}},
+		{"fm:mbits=512", nil, []string{"fm:mbits=1024"}},
+		{"virtualbitmap:n=1e4,mbits=2000", nil, []string{"virtualbitmap:n=1e5,mbits=2000"}},
+		{"mrbitmap:n=1e4,mbits=4000", nil, []string{"mrbitmap:n=1e5,mbits=4000", "mrbitmap:n=1e4,mbits=8000"}},
+		{"adaptive:mbits=4096", nil, []string{"adaptive:mbits=2048"}},
+		{"loglog:mbits=512/windowed(width=1m,ring=5)", nil, []string{"fm:mbits=512/windowed(width=1m,ring=5)"}},
 	} {
-		dst, err := NewStore[uint64](MustSpec(dstSpec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, spec := range srcSpecs {
-			src, err := NewStore[uint64](MustSpec(spec))
+		restore := func(srcSpec string) error {
+			src, err := NewStore[uint64](MustSpec(srcSpec))
 			if err != nil {
 				t.Fatal(err)
 			}
-			src.AddUint64(1, 2)
+			for i := range uint64(40) {
+				src.AddUint64(i%3, i)
+			}
 			blobs, _, err := src.MarshalStripes(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := NewStore[uint64](MustSpec(tc.dst), tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -541,11 +727,23 @@ func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
 				if n, _ := StripeSnapshotKeys(b); n == 0 {
 					continue
 				}
-				if _, err := dst.RestoreStripe(b); err == nil {
-					t.Errorf("%s counter restored into a %s store", spec, dstSpec)
-				} else if MustSpec(spec).Kind != MustSpec(dstSpec).Kind && !errors.Is(err, ErrKindMismatch) {
-					t.Errorf("%s counter in a %s store: %v, want ErrKindMismatch", spec, dstSpec, err)
+				if _, err := dst.RestoreStripe(b); err != nil {
+					return err
 				}
+			}
+			if dst.Len() != 3 {
+				t.Fatalf("%s restored %d keys of %s, want 3", tc.dst, dst.Len(), srcSpec)
+			}
+			return nil
+		}
+		if err := restore(tc.dst); err != nil {
+			t.Errorf("%s store refused its own spec's counters: %v", tc.dst, err)
+		}
+		for _, spec := range tc.srcs {
+			if err := restore(spec); err == nil {
+				t.Errorf("%s counter restored into a %s store", spec, tc.dst)
+			} else if MustSpec(spec).Kind != MustSpec(tc.dst).Kind && !errors.Is(err, ErrKindMismatch) {
+				t.Errorf("%s counter in a %s store: %v, want ErrKindMismatch", spec, tc.dst, err)
 			}
 		}
 	}

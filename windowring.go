@@ -16,18 +16,19 @@ package sbitmap
 // behind it have lost their entry — they fold into the watermark window
 // and are surfaced via the Store's late-record counter.
 //
-// A ring has two layouts. An unbounded store whose kind has a run view
-// (the S-bitmap and HyperLogLog; see counterSource) keeps run rings: the
-// key's slot holds one uint32 reference per sub-window, and each live
-// sub-window is one run of pointer-free words in its stripe's run pool
-// (runRings) — no heap object per key or per sub-window. A bounded store,
-// whose evicted counters outlive their slots, and a kind without a run
-// view keep one heap windowRing per key, holding one heap counter per
-// live sub-window. Both answer through one implementation of each ring
-// rule, over the ringEntries interface: rotation (windowShared.rotate),
-// the covering-span selection (estimateRange), the alignment rule of a
-// merge (mergeRings) and the snapshot payload codec (marshalRing,
-// unmarshalRing).
+// A ring has two layouts, and the base kind alone picks one. A store whose
+// kind has a run view (the S-bitmap and HyperLogLog; see counterSource),
+// bounded or not, keeps run rings: the key's slot holds one uint32
+// reference per sub-window, and each live sub-window is one run of
+// pointer-free words in its stripe's run pool (runRings) — no heap object
+// per key or per sub-window. A kind without a run view keeps one heap
+// windowRing per key, holding one heap counter per live sub-window; a run
+// ring leaving its store, for an OnEvict hook or a Merge, leaves as a
+// heap windowRing of copies (runRings.copyOf). Both answer through one
+// implementation of each ring rule, over the ringEntries interface:
+// rotation (windowShared.rotate), the covering-span selection
+// (estimateRange), the alignment rule of a merge (mergeRings) and the
+// snapshot payload codec (marshalRing, unmarshalRing).
 //
 // A key holds only the sub-windows a query can still read. When its ring
 // rotates into a new sub-window, every other entry at or behind the
@@ -381,10 +382,10 @@ type ringSlot struct {
 	c    Counter
 }
 
-// windowRing is a key's heap ring: the layout of bounded stores and of
-// kinds without a run view. All mutation happens under the key's stripe
-// lock (the Store's usual contract); sh.wm is atomic so estimate paths
-// may read the watermark without it.
+// windowRing is a key's heap ring: the layout of kinds without a run
+// view, and the copy a run ring leaves its store as. All mutation happens
+// under the key's stripe lock (the Store's usual contract); sh.wm is
+// atomic so estimate paths may read the watermark without it.
 type windowRing struct {
 	sh    *windowShared
 	slots []ringSlot
@@ -549,13 +550,15 @@ func (p *runRings) reown(i uint32) {
 	}
 }
 
-// copyOf returns a heap ring holding a copy of slot i's ring.
+// copyOf returns a heap ring holding a copy of slot i's ring. A ring
+// exposes no batch path, so its sub-window copies share the store's
+// state.
 func (p *runRings) copyOf(i uint32) *windowRing {
 	r := newWindowRing(p.win)
 	for pos, ref := range p.refs(i) {
 		if ref != 0 {
 			run := p.run(ref - 1)
-			r.slots[pos] = ringSlot{widx: int64(run[runWidx]), c: p.win.src.copyOf(run[runHdr:])}
+			r.slots[pos] = ringSlot{widx: int64(run[runWidx]), c: p.win.src.copyOf(run[runHdr:], false)}
 		}
 	}
 	return r
