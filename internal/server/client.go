@@ -137,6 +137,9 @@ func (c *Client) AddNDJSON(ctx context.Context, keys, items []string) (AddResult
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
+	// Unescaped <, > and & keep every line on the server's fast path,
+	// which declines any escape.
+	enc.SetEscapeHTML(false)
 	for i := range keys {
 		if err := enc.Encode(ndjsonRecord{Key: keys[i], Item: items[i]}); err != nil {
 			return AddResult{}, err

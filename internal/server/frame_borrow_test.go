@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,21 +150,11 @@ func TestHandleAddBorrowedKeysSurviveBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(body []byte) {
-		t.Helper()
-		req := httptest.NewRequest("POST", "/v1/add", bytes.NewReader(body))
-		req.Header.Set("Content-Type", FrameContentType)
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			t.Fatalf("POST /v1/add: %d %s", rec.Code, rec.Body)
-		}
-	}
-	post(AppendFrame(nil, &Frame{Keys: []string{"keep-me"}, Items64: []uint64{42}}))
+	postAdd(t, srv, FrameContentType, AppendFrame(nil, &Frame{Keys: []string{"keep-me"}, Items64: []uint64{42}}))
 	// Same-size frame with different keys: forces the pooled body buffer
 	// (and borrowed frame) to be rewritten in place if reused.
 	for i := 0; i < 8; i++ {
-		post(AppendFrame(nil, &Frame{Keys: []string{fmt.Sprintf("other-%d", i)}, Items64: []uint64{uint64(i)}}))
+		postAdd(t, srv, FrameContentType, AppendFrame(nil, &Frame{Keys: []string{fmt.Sprintf("other-%d", i)}, Items64: []uint64{uint64(i)}}))
 	}
 	if _, ok := srv.Store().Estimate("keep-me"); !ok {
 		t.Fatal("key from first request lost after pooled buffer reuse")

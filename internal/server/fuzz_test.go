@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -82,6 +83,56 @@ func FuzzFrame(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fr, fr2) {
 			t.Fatalf("re-decode differs:\n%+v\n%+v", fr, fr2)
+		}
+	})
+}
+
+// FuzzNDJSONLine holds the NDJSON fast path to encoding/json: for any
+// line, decodeNDJSONLine either declines it or returns exactly the
+// record json.Unmarshal decodes from it, and it never accepts a line
+// json.Unmarshal rejects. CI runs a short smoke over this target;
+// `go test -fuzz FuzzNDJSONLine ./internal/server` digs deeper.
+func FuzzNDJSONLine(f *testing.F) {
+	// The ndjson-window benchmark's line, and the same record reordered,
+	// spaced and unstamped.
+	f.Add([]byte(`{"key":"user-00002a","item":"0123456789abcdef","ts":1723000000000000000}`))
+	f.Add([]byte(" {\t\"ts\" : -42 ,\r\"item\":\"\" , \"key\":\"k\"} "))
+	f.Add([]byte(`{"key":"a","item":"b"}`))
+	f.Add([]byte(`{}`))
+	// Each decline case, beside the accepted lines at its edge (0x7f,
+	// -0, the int64 bounds): a name not exactly key, item or ts; a
+	// repeated name; an escape; a control byte; a byte at or above 0x80;
+	// null; a ts with a fraction, an exponent, a plus, a leading zero, or
+	// out of int64 range; and lines that are not one object.
+	for _, line := range []string{
+		`{"Key":"a"}`, `{"KEY":"a","item":"b"}`, `{"key":"a","other":[1,{"x":null}]}`,
+		`{"key":"a","key":"b"}`, `{"ts":1,"key":"a","ts":2}`,
+		`{"key":"a\"b"}`, `{"key":"\u0041"}`, `{"item":"\/"}`,
+		"{\"key\":\"a\x01\"}", "{\"key\":\"a\x7f\"}",
+		"{\"key\":\"caf\xc3\xa9\"}", "{\"key\":\"\xff\xfe\"}",
+		`{"key":null}`, `{"key":"a","item":null}`, `{"key":"a","ts":null}`,
+		`{"key":"a","ts":1.5}`, `{"key":"a","ts":1e9}`, `{"key":"a","ts":1E9}`,
+		`{"key":"a","ts":+1}`, `{"key":"a","ts":01}`, `{"key":"a","ts":-01}`, `{"key":"a","ts":-0}`,
+		`{"key":"a","ts":9223372036854775807}`, `{"key":"a","ts":9223372036854775808}`,
+		`{"key":"a","ts":-9223372036854775808}`, `{"key":"a","ts":-9223372036854775809}`,
+		`{"key":"a","ts":10000000000000000000}`, `{"key":"a","ts":-}`,
+		`{"key":"a","ts":"7"}`, `{"key":7}`, `{"key":"a","item":true}`,
+		`{"key":"a",}`, `{"key" "a"}`, `{"key":"a"}{}`, `{"key":"a"`, `[]`, `null`, `"key"`, "{\"key\":\"a\"}\v",
+	} {
+		f.Add([]byte(line))
+	}
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		got, ok := decodeNDJSONLine(line)
+		if !ok {
+			return
+		}
+		var want ndjsonRecord
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("fast path accepted %q as %+v; encoding/json rejects it: %v", line, got, err)
+		}
+		if got != want {
+			t.Fatalf("%q: fast path %+v, encoding/json %+v", line, got, want)
 		}
 	})
 }

@@ -578,19 +578,6 @@ func bodyReadError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 }
 
-// ndjsonMaxLine bounds one NDJSON record line, its newline excluded.
-const ndjsonMaxLine = 1 << 20
-
-// ndjsonRecord is one NDJSON ingest line. TS is an optional record
-// timestamp in unix nanoseconds for windowed stores (0 means
-// unstamped: the record lands in the store's current watermark
-// sub-window, exactly like an untimestamped frame).
-type ndjsonRecord struct {
-	Key  string `json:"key"`
-	Item string `json:"item"`
-	TS   int64  `json:"ts,omitempty"`
-}
-
 // ingestScratch is the pooled per-request state of the ingest path: the
 // body buffer, the decode-in-place frame, and the NDJSON record slices.
 // Pooling it makes a warm /v1/add frame request allocation-free through
@@ -612,7 +599,8 @@ var ingestPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 const ingestBodyKeep = 1 << 20
 
 // release drops every reference into request memory (the frame's
-// borrowed strings alias sc.body) and returns the scratch to the pool.
+// strings and the NDJSON keys and items borrowed by decodeNDJSONLine
+// alias sc.body) and returns the scratch to the pool.
 // Slices are cleared through their full capacity: an error path may have
 // appended past the length the caller last assigned.
 func (sc *ingestScratch) release() {
@@ -768,8 +756,11 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		keys, items, tss := sc.keys, sc.items, sc.tss
-		// Lines are split in place over the pooled body; decoding copies
-		// every key and item out of it.
+		// Lines are split in place over the pooled body, and a flat line's
+		// key and item alias it (decodeNDJSONLine), as a frame's do: the
+		// Store hashes items at once and copies any key it keeps, and the
+		// rules engine keeps nothing. Any other line goes to encoding/json,
+		// so its error texts are encoding/json's.
 		for line, rest := 1, data; len(rest) > 0; line++ {
 			raw := rest
 			if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
@@ -785,10 +776,16 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			if len(raw) == 0 {
 				continue
 			}
-			var rec ndjsonRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				writeError(w, http.StatusBadRequest, CodeBadNDJSON, "line %d: %v", line, err)
-				return
+			rec, ok := decodeNDJSONLine(raw)
+			if !ok {
+				// A variable of its own: taking rec's address would move
+				// it, and every fast-path line with it, to the heap.
+				var slow ndjsonRecord
+				if err := json.Unmarshal(raw, &slow); err != nil {
+					writeError(w, http.StatusBadRequest, CodeBadNDJSON, "line %d: %v", line, err)
+					return
+				}
+				rec = slow
 			}
 			if rec.Key == "" {
 				writeError(w, http.StatusBadRequest, CodeBadNDJSON, "line %d: missing key", line)

@@ -811,10 +811,11 @@ func TestStoreSnapshotUnderConcurrentWriters(t *testing.T) {
 	})
 }
 
-// TestEvictedCountersOwnTheirState: a bounded hll store builds its heap
-// HyperLogLogs under one shared state, and with it one set of batch-hash
-// buffers, which the counters it hands to OnEvict must not share: the
-// hook may feed them anywhere. Two evicted counters fed through their
+// TestEvictedCountersOwnTheirState: a bounded hll store keeps its
+// sketches in slot words under one shared state, and with it one set of
+// batch-hash buffers. The counter it hands to OnEvict is a heap copy
+// made by slotTable.detach, which must carry shared state of its own:
+// the hook may feed it anywhere. Two evicted counters fed through their
 // batch paths on two goroutines — a data race on those buffers unless
 // each has its own, which the race detector reports — must each end as a
 // Spec.New counter fed the same items does.
