@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hyperloglog"
-	"repro/internal/uhash"
 )
 
 // Per-key construction. A keyed Store materializes one counter per
@@ -24,39 +23,13 @@ import (
 // references, with every live sub-window one run in the stripe's run pool
 // (windowring.go). A key that leaves such a store for an OnEvict hook, or
 // for another store's Merge, leaves as a heap copy. A store of any other
-// kind keeps one heap counter per key, built by Spec.New. scratchBulkAdder
-// lets the Store lend one per-stripe hash scratch to every tiny sketch
-// instead of each lazily allocating its own ~4 KiB.
-
-// scratchBulkAdder is the BulkAdder variant whose batch path hashes
-// through caller-owned scratch instead of per-sketch buffers. The state
-// after a call is bit-identical to the corresponding BulkAdder call.
-type scratchBulkAdder interface {
-	addBatch64Scratch(scr *uhash.Scratch, items []uint64) int
-	addBatchStringScratch(scr *uhash.Scratch, items []string) int
-}
-
-func (s *SBitmap) addBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
-	return s.sk.AddBatch64Scratch(scr, items)
-}
-
-func (s *SBitmap) addBatchStringScratch(scr *uhash.Scratch, items []string) int {
-	return s.sk.AddBatchStringScratch(scr, items)
-}
-
-func (c *HyperLogLog) addBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
-	return c.sk.AddBatch64Scratch(scr, items)
-}
-
-func (c *HyperLogLog) addBatchStringScratch(scr *uhash.Scratch, items []string) int {
-	return c.sk.AddBatchStringScratch(scr, items)
-}
+// kind keeps one heap counter per key, built by Spec.New. No counter keeps
+// batch-hash buffers: a batch borrows them for the call (uhash.Batch64).
 
 // counterSource is a Store's base spec — the spec minus the windowed
 // modifier, the Spec of one per-key or sub-window counter — resolved
-// once. Shared state is read-only to the Store's stripes, because the
-// Store hashes every batch through stripe scratch (scratchBulkAdder),
-// never through a Shared's own buffers.
+// once. Its shared state is read-only, so the Store's stripes, and the
+// heap copies that leave them, share it on any goroutine.
 type counterSource struct {
 	spec      Spec
 	opts      []Option // the spec's seed and hash options, which decoding restores
@@ -115,23 +88,16 @@ func (src *counterSource) new() Counter {
 
 // copyOf returns a heap counter holding a copy of the sketch in run, a
 // word table's: a counter that outlives the stripe lock it was read
-// under. With own set it gets shared state of its own
-// (core.Sketch.Detach, hyperloglog.Sketch.Detach), so it may be fed on any
-// goroutine, through its batch path too; otherwise it shares the store's.
-func (src *counterSource) copyOf(run []uint64, own bool) Counter {
+// under. It shares the store's read-only state, so it may be fed on any
+// goroutine, through its batch path too.
+func (src *counterSource) copyOf(run []uint64) Counter {
 	if src.hll != nil {
 		c := new(HyperLogLog)
 		src.hll.View(&c.sk, slices.Clone(run[:src.hll.RunWords()]))
-		if own {
-			c.sk.Detach()
-		}
 		return c
 	}
 	c := new(SBitmap)
 	src.sb.View(&c.sk, slices.Clone(run[:src.sb.RunWords()]))
-	if own {
-		c.sk.Detach()
-	}
 	return c
 }
 

@@ -33,7 +33,6 @@ type Sampler struct {
 	depth    uint
 	set      map[uint64]struct{}
 	h        uhash.Hasher
-	scr      uhash.Scratch // reusable batch hash buffers (not serialized)
 }
 
 // NewSamplerWithHasher returns an adaptive sampler that retains at most
@@ -100,12 +99,12 @@ func (s *Sampler) insert(hi, lo uint64) bool {
 // insert itself is sample-state-dependent (depth can change mid-batch), so
 // only the hashing is batched.
 func (s *Sampler) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sampler) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.h, nil, items, s.insertBatch)
 }
 
 func (s *Sampler) insertBatch(hi, lo []uint64) int {
@@ -147,9 +146,9 @@ func (s *Sampler) SizeBits() int { return s.capacity * 64 }
 // Footprint returns the sampler's resident process memory in bytes: the
 // struct, the fingerprint set (estimated at Go's map cost of roughly
 // key + 16 bytes of bucket overhead per CAPACITY slot — the map grows to
-// capacity and stays there), and the batch-hash scratch.
+// capacity and stays there).
 func (s *Sampler) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + s.capacity*(8+16) + s.scr.Footprint()
+	return int(unsafe.Sizeof(*s)) + s.capacity*(8+16)
 }
 
 // Reset clears the sampler for reuse, keeping the set's storage.

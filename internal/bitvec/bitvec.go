@@ -4,8 +4,8 @@
 //
 // A Vector is a fixed-length sequence of bits stored 64 per word. Besides
 // get/set it provides the operations the sketches need: a maintained
-// population count, rank queries, union/intersection for mergeable sketches,
-// and a compact binary serialization.
+// population count, union for mergeable sketches, and a compact binary
+// serialization.
 package bitvec
 
 import (
@@ -98,58 +98,12 @@ func (v *Vector) SetUnchecked(i int) bool {
 	return true
 }
 
-// Clear clears bit i and reports whether the bit was previously set.
-func (v *Vector) Clear(i int) bool {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-	mask := uint64(1) << (uint(i) & 63)
-	w := &v.words[i>>6]
-	if *w&mask == 0 {
-		return false
-	}
-	*w &^= mask
-	v.ones--
-	return true
-}
-
 // Reset clears every bit.
 func (v *Vector) Reset() {
 	for i := range v.words {
 		v.words[i] = 0
 	}
 	v.ones = 0
-}
-
-// Rank returns the number of set bits in [0, i). Rank(Len()) == Ones().
-func (v *Vector) Rank(i int) int {
-	if i < 0 || i > v.n {
-		panic(fmt.Sprintf("bitvec: rank index %d out of range [0,%d]", i, v.n))
-	}
-	full := i >> 6
-	count := 0
-	for _, w := range v.words[:full] {
-		count += bits.OnesCount64(w)
-	}
-	if rem := uint(i) & 63; rem != 0 {
-		count += bits.OnesCount64(v.words[full] & (1<<rem - 1))
-	}
-	return count
-}
-
-// CountRange returns the number of set bits in [lo, hi).
-func (v *Vector) CountRange(lo, hi int) int {
-	if lo > hi {
-		panic("bitvec: CountRange with lo > hi")
-	}
-	return v.Rank(hi) - v.Rank(lo)
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	w := &Vector{words: make([]uint64, len(v.words)), n: v.n, ones: v.ones}
-	copy(w.words, v.words)
-	return w
 }
 
 // Equal reports whether v and o have identical length and contents.
@@ -173,20 +127,6 @@ func (v *Vector) UnionWith(o *Vector) error {
 	ones := 0
 	for i := range v.words {
 		v.words[i] |= o.words[i]
-		ones += bits.OnesCount64(v.words[i])
-	}
-	v.ones = ones
-	return nil
-}
-
-// IntersectWith ANDs o into v. The vectors must have equal length.
-func (v *Vector) IntersectWith(o *Vector) error {
-	if v.n != o.n {
-		return fmt.Errorf("bitvec: intersection of unequal lengths %d and %d", v.n, o.n)
-	}
-	ones := 0
-	for i := range v.words {
-		v.words[i] &= o.words[i]
 		ones += bits.OnesCount64(v.words[i])
 	}
 	v.ones = ones

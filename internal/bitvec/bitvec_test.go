@@ -14,7 +14,7 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
-func TestSetGetClear(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	v := New(200)
 	if !v.Set(63) {
 		t.Error("Set(63) on fresh vector returned false")
@@ -31,15 +31,6 @@ func TestSetGetClear(t *testing.T) {
 	if v.Ones() != 1 || v.Zeros() != 199 {
 		t.Errorf("ones=%d zeros=%d after one set", v.Ones(), v.Zeros())
 	}
-	if !v.Clear(63) {
-		t.Error("Clear(63) returned false")
-	}
-	if v.Clear(63) {
-		t.Error("second Clear(63) returned true")
-	}
-	if v.Ones() != 0 {
-		t.Errorf("ones=%d after clear", v.Ones())
-	}
 }
 
 func TestOnesMatchesBruteForce(t *testing.T) {
@@ -47,14 +38,17 @@ func TestOnesMatchesBruteForce(t *testing.T) {
 	v := New(1000)
 	ref := make(map[int]bool)
 	for step := 0; step < 5000; step++ {
+		if step%700 == 699 {
+			v.Reset()
+			clear(ref)
+		}
 		i := r.Intn(1000)
 		if r.Uint64()&1 == 0 {
 			v.Set(i)
-			ref[i] = true
 		} else {
-			v.Clear(i)
-			delete(ref, i)
+			v.SetUnchecked(i)
 		}
+		ref[i] = true
 	}
 	if v.Ones() != len(ref) {
 		t.Fatalf("maintained ones=%d, brute force=%d", v.Ones(), len(ref))
@@ -66,91 +60,20 @@ func TestOnesMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRank(t *testing.T) {
-	v := New(300)
-	set := []int{0, 1, 63, 64, 65, 128, 299}
-	for _, i := range set {
-		v.Set(i)
-	}
-	cases := []struct{ i, want int }{
-		{0, 0}, {1, 1}, {2, 2}, {63, 2}, {64, 3}, {65, 4}, {66, 5},
-		{128, 5}, {129, 6}, {299, 6}, {300, 7},
-	}
-	for _, c := range cases {
-		if got := v.Rank(c.i); got != c.want {
-			t.Errorf("Rank(%d) = %d, want %d", c.i, got, c.want)
-		}
-	}
-	if v.Rank(v.Len()) != v.Ones() {
-		t.Error("Rank(Len) != Ones")
-	}
-	if got := v.CountRange(64, 129); got != 3 {
-		t.Errorf("CountRange(64,129) = %d, want 3", got)
-	}
-}
-
-func TestRankPropertyMatchesScan(t *testing.T) {
-	f := func(seed uint64, idx uint16) bool {
-		r := xrand.New(seed)
-		v := New(500)
-		for k := 0; k < 100; k++ {
-			v.Set(r.Intn(500))
-		}
-		i := int(idx) % 501
-		want := 0
-		for j := 0; j < i; j++ {
-			if v.Get(j) {
-				want++
-			}
-		}
-		return v.Rank(i) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnionIntersect(t *testing.T) {
+func TestUnionWith(t *testing.T) {
 	a, b := New(130), New(130)
 	a.Set(1)
 	a.Set(100)
 	b.Set(100)
 	b.Set(129)
-	u := a.Clone()
-	if err := u.UnionWith(b); err != nil {
+	if err := a.UnionWith(b); err != nil {
 		t.Fatal(err)
 	}
-	if u.Ones() != 3 || !u.Get(1) || !u.Get(100) || !u.Get(129) {
-		t.Errorf("union wrong: %v", u)
-	}
-	i := a.Clone()
-	if err := i.IntersectWith(b); err != nil {
-		t.Fatal(err)
-	}
-	if i.Ones() != 1 || !i.Get(100) {
-		t.Errorf("intersection wrong: %v", i)
+	if a.Ones() != 3 || !a.Get(1) || !a.Get(100) || !a.Get(129) {
+		t.Errorf("union wrong: %v", a)
 	}
 	if err := a.UnionWith(New(10)); err == nil {
 		t.Error("union of unequal lengths did not error")
-	}
-	if err := a.IntersectWith(New(10)); err == nil {
-		t.Error("intersection of unequal lengths did not error")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := New(64)
-	a.Set(5)
-	b := a.Clone()
-	b.Set(6)
-	if a.Get(6) {
-		t.Error("mutating clone affected original")
-	}
-	if !b.Equal(b.Clone()) {
-		t.Error("clone not equal to itself")
-	}
-	if a.Equal(b) {
-		t.Error("distinct vectors compare equal")
 	}
 }
 
@@ -226,9 +149,6 @@ func TestPanics(t *testing.T) {
 		func() { v.Get(-1) },
 		func() { v.Get(10) },
 		func() { v.Set(10) },
-		func() { v.Clear(-1) },
-		func() { v.Rank(11) },
-		func() { v.CountRange(5, 4) },
 	} {
 		func() {
 			defer func() {
@@ -259,16 +179,4 @@ func BenchmarkSet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.Set(i & (1<<16 - 1))
 	}
-}
-
-func BenchmarkRank(b *testing.B) {
-	v := New(1 << 16)
-	for i := 0; i < 1<<16; i += 7 {
-		v.Set(i)
-	}
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = v.Rank(1 << 15)
-	}
-	_ = sink
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/uhash"
@@ -23,7 +25,7 @@ func slab(sh *Shared, n int) []*Sketch {
 // TestArenaSketchEquivalence: a slab-allocated sketch must be
 // bit-identical to a heap-constructed one under the same config, seed,
 // and input — with neighbors in the same slab ingesting interleaved (no
-// cross-talk through the shared word slab or the shared batch buffers).
+// cross-talk through the shared word slab or the shared state).
 func TestArenaSketchEquivalence(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
@@ -47,17 +49,16 @@ func TestArenaSketchEquivalence(t *testing.T) {
 			}
 		}
 	}
-	var scr uhash.Scratch
 	for i := range slabbed {
-		// Tail batches through the borrowed-scratch path and the shared
-		// buffers vs the native one.
+		// Tail batches through the slab sketch's batch path vs the heap
+		// sketch's.
 		batch := []uint64{1, 2, 3, uint64(i), uint64(i), 1 << 40}
-		if a, b := slabbed[i].AddBatch64Scratch(&scr, batch), heaped[i].AddBatch64(batch); a != b {
-			t.Fatalf("sketch %d: batch changed %d (slab+scratch) vs %d (heap)", i, a, b)
+		if a, b := slabbed[i].AddBatch64(batch), heaped[i].AddBatch64(batch); a != b {
+			t.Fatalf("sketch %d: batch changed %d (slab) vs %d (heap)", i, a, b)
 		}
 		batch = []uint64{uint64(i) << 20, 5, 1 << 41}
 		if a, b := slabbed[i].AddBatch64(batch), heaped[i].AddBatch64(batch); a != b {
-			t.Fatalf("sketch %d: batch changed %d (slab, shared buffers) vs %d (heap)", i, a, b)
+			t.Fatalf("sketch %d: batch changed %d (slab) vs %d (heap)", i, a, b)
 		}
 		if slabbed[i].Estimate() != heaped[i].Estimate() {
 			t.Fatalf("sketch %d: estimates diverged", i)
@@ -72,6 +73,49 @@ func TestArenaSketchEquivalence(t *testing.T) {
 		}
 		if !bytes.Equal(sb, hb) {
 			t.Fatalf("sketch %d: serialized state diverged", i)
+		}
+	}
+}
+
+// TestSharedConcurrentBatches: a Shared is read-only, so sketches under
+// one Shared may be batch-fed on goroutines of their own. Eight sketches
+// of one slab, each fed uint64 and string batches on its own goroutine,
+// each marshal like a NewSketch twin fed the same items; the race
+// detector reports any write to the Shared.
+func TestSharedConcurrentBatches(t *testing.T) {
+	cfg, err := NewConfigNE(1e4, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketches := slab(NewShared(cfg, 7), 8)
+	feed := func(s *Sketch, w int) {
+		items := make([]uint64, 3*uhash.BatchSize+5)
+		strs := make([]string, len(items))
+		for i := range items {
+			items[i] = uint64(w)<<32 | uint64(i)*0x9e3779b97f4a7c15
+			strs[i] = fmt.Sprintf("w%d-%d", w, i)
+		}
+		s.AddBatch64(items)
+		s.AddBatchString(strs)
+	}
+	var wg sync.WaitGroup
+	for w, s := range sketches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				feed(s, w)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, s := range sketches {
+		twin := NewSketch(cfg, 7)
+		feed(twin, w)
+		got, _ := s.MarshalBinary()
+		want, _ := twin.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Errorf("sketch %d: batch-fed concurrently under one Shared, it differs from its NewSketch twin", w)
 		}
 	}
 }

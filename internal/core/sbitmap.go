@@ -56,20 +56,18 @@ const (
 )
 
 // Shared is the state every sketch under one configuration and hash
-// shares: the Config, the Hasher, the sampling resolution, and the batch
-// hash buffers of AddBatch64/AddBatchString. Hashers are read-only after
-// construction (asserted by the uhash tests); sharing one also shares its
-// seed state (32 KiB of tables for tabulation hashing). NewSketch gives
-// each sketch its own. The batch buffers make a Shared as unsafe for
-// concurrent use as its sketches, unless — as a keyed store does, holding
-// one Shared for all its slots — every batch hashes through caller-owned
-// scratch (AddBatch64Scratch).
+// shares: the Config, the Hasher and the sampling resolution. Hashers are
+// read-only after construction (asserted by the uhash tests); sharing one
+// also shares its seed state (32 KiB of tables for tabulation hashing).
+// NewSketch gives each sketch its own. A Shared is read-only after
+// NewShared, so sketches under one Shared may be fed on different
+// goroutines, through their batch paths too: a batch hashes through
+// buffers borrowed for the call (uhash.Batch64), not through the Shared.
 type Shared struct {
 	cfg   *Config
 	h     uhash.Hasher
 	dBits uint
-	own   bool          // held by one NewSketch sketch, whose Footprint counts it
-	scr   uhash.Scratch // batch hash buffers (not serialized)
+	own   bool // held by one NewSketch sketch, whose Footprint counts it
 }
 
 // Option configures optional Sketch behavior.
@@ -140,20 +138,9 @@ func (sh *Shared) View(s *Sketch, run []uint64) {
 	*s = Sketch{sh: sh, run: run[:n:n]}
 }
 
-// Detach gives s shared state of its own: sh's Config, hasher and
-// resolution with batch buffers of its own, so s may be fed on another
-// goroutine than the sketches it shared state with, and its Footprint
-// counts the state — the sketch NewSketch would have built.
-func (s *Sketch) Detach() {
-	s.sh = &Shared{cfg: s.sh.cfg, h: s.sh.h, dBits: s.sh.dBits, own: true}
-}
-
 // Footprint returns the shared state's resident memory in bytes: the
-// struct, the Config (including any schedule tables) and the lazily
-// allocated batch buffers.
-func (sh *Shared) Footprint() int {
-	return int(unsafe.Sizeof(*sh)) + sh.cfg.AuxBytes() + sh.scr.Footprint()
-}
+// struct and the Config (including any schedule tables).
+func (sh *Shared) Footprint() int { return int(unsafe.Sizeof(*sh)) + sh.cfg.AuxBytes() }
 
 // NewSketch returns an empty S-bitmap under cfg with shared state of its
 // own. The seed determines the hash function; replicated experiments use
@@ -229,29 +216,16 @@ func (s *Sketch) AddString(item string) bool {
 // AddBatch64 offers a slice of 64-bit items and returns how many changed
 // the sketch state. It is state-equivalent to calling AddUint64 on each
 // item in order, but hashes in chunks (one dispatch per uhash.BatchSize
-// items instead of one per item) through the shared batch buffers and
-// runs the insert loop with the fill level and threshold in locals.
+// items instead of one per item) and runs the insert loop with the fill
+// level and threshold in locals.
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.sh.h, &s.sh.scr, items, s.insertBatch)
+	return uhash.Batch64(s.sh.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items; each hashes identically
 // to AddString of the same item.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.sh.h, &s.sh.scr, items, s.insertBatch)
-}
-
-// AddBatch64Scratch is AddBatch64 hashing through caller-owned scratch
-// instead of the shared batch buffers. A keyed store lends one scratch per
-// lock stripe to every sketch it locks, wherever their Shared lives. The
-// sketch state after the call is bit-identical to AddBatch64's.
-func (s *Sketch) AddBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
-	return uhash.Batch64(s.sh.h, scr, items, s.insertBatch)
-}
-
-// AddBatchStringScratch is AddBatch64Scratch for string items.
-func (s *Sketch) AddBatchStringScratch(scr *uhash.Scratch, items []string) int {
-	return uhash.BatchString(s.sh.h, scr, items, s.insertBatch)
+	return uhash.BatchString(s.sh.h, nil, items, s.insertBatch)
 }
 
 // insertBatch replays insert over a chunk of hashed items. Bucket indexes
@@ -330,11 +304,11 @@ func (s *Sketch) SizeBits() int { return s.sh.cfg.m }
 
 // Footprint returns the sketch's resident process memory in bytes: the
 // handle and its run of words, plus — for a NewSketch sketch, which owns
-// its Shared — the Config, hasher handle and batch buffers. For Theorem-2
-// configs this is m/8 plus a small constant: the paper's Table 2
-// accounting holds of the process, not just the bitmap. A sketch under a
-// Shared it does not own counts only its handle and run; whoever holds the
-// Shared counts it once for all of them.
+// its Shared — the Config and hasher handle. For Theorem-2 configs this
+// is m/8 plus a small constant: the paper's Table 2 accounting holds of
+// the process, not just the bitmap. A sketch under a Shared it does not
+// own counts only its handle and run; whoever holds the Shared counts it
+// once for all of them.
 func (s *Sketch) Footprint() int {
 	n := int(unsafe.Sizeof(*s)) + 8*cap(s.run)
 	if s.sh.own {

@@ -21,7 +21,6 @@ import (
 type Counter struct {
 	set map[[2]uint64]struct{}
 	h   uhash.Hasher
-	scr uhash.Scratch // reusable batch hash buffers (not serialized)
 }
 
 // New returns an empty exact counter.
@@ -61,12 +60,12 @@ func (c *Counter) insert(hi, lo uint64) bool {
 // state-equivalent to AddUint64 on each item in order, with the hashing
 // batched ahead of the set inserts.
 func (c *Counter) AddBatch64(items []uint64) int {
-	return uhash.Batch64(c.h, &c.scr, items, c.insertBatch)
+	return uhash.Batch64(c.h, nil, items, c.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (c *Counter) AddBatchString(items []string) int {
-	return uhash.BatchString(c.h, &c.scr, items, c.insertBatch)
+	return uhash.BatchString(c.h, nil, items, c.insertBatch)
 }
 
 func (c *Counter) insertBatch(hi, lo []uint64) int {
@@ -92,10 +91,10 @@ func (c *Counter) Estimate() float64 { return float64(len(c.set)) }
 func (c *Counter) SizeBits() int { return 128 * len(c.set) }
 
 // Footprint returns the counter's resident process memory in bytes: the
-// struct, the fingerprint set (estimated at Go's map cost of roughly
-// key + 16 bytes of bucket overhead per entry), and the batch-hash scratch.
+// struct and the fingerprint set (estimated at Go's map cost of roughly
+// key + 16 bytes of bucket overhead per entry).
 func (c *Counter) Footprint() int {
-	return int(unsafe.Sizeof(*c)) + len(c.set)*(16+16) + c.scr.Footprint()
+	return int(unsafe.Sizeof(*c)) + len(c.set)*(16+16)
 }
 
 // Reset clears the counter for reuse.

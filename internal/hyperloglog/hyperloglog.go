@@ -49,17 +49,16 @@ type Sketch struct {
 }
 
 // Shared is the state every sketch under one register count and hasher
-// shares: the register-count exponent, α_m, the Hasher, and the batch
-// hash buffers of AddBatch64/AddBatchString. New gives each sketch its
-// own. The batch buffers make a Shared as unsafe for concurrent use as its
-// sketches: code that feeds sketches of one Shared concurrently hashes
-// through the Scratch variants instead.
+// shares: the register-count exponent, α_m and the Hasher. New gives each
+// sketch its own. A Shared is read-only after NewShared, so sketches under
+// one Shared may be fed on different goroutines, through their batch
+// paths too: a batch hashes through buffers borrowed for the call
+// (uhash.Batch64), not through the Shared.
 type Shared struct {
 	kBits uint
 	alpha float64
 	h     uhash.Hasher
-	own   bool          // held by one New sketch, whose Footprint counts it
-	scr   uhash.Scratch // batch hash buffers (not serialized)
+	own   bool // held by one New sketch, whose Footprint counts it
 }
 
 // NewShared returns the state shared by sketches equivalent to
@@ -96,16 +95,8 @@ func (sh *Shared) View(s *Sketch, run []uint64) {
 	*s = Sketch{sh: sh, reg: unsafe.Slice((*uint8)(unsafe.Pointer(&run[0])), m)}
 }
 
-// Detach gives s shared state of its own: sh's register count and hasher
-// with batch buffers of its own, so s may be fed on another goroutine than
-// the sketches it shared state with, and its Footprint counts the state.
-func (s *Sketch) Detach() {
-	s.sh = &Shared{kBits: s.sh.kBits, alpha: s.sh.alpha, h: s.sh.h, own: true}
-}
-
-// Footprint returns the shared state's resident memory in bytes: the
-// struct and the lazily allocated batch buffers.
-func (sh *Shared) Footprint() int { return int(unsafe.Sizeof(*sh)) + sh.scr.Footprint() }
+// Footprint returns the shared state's resident memory in bytes.
+func (sh *Shared) Footprint() int { return int(unsafe.Sizeof(*sh)) }
 
 // New returns a HyperLogLog sketch with m = 2^kBits registers, hashing
 // with the default Mixer seeded by seed. It panics if kBits is outside
@@ -213,28 +204,14 @@ func (s *Sketch) insert(bucketWord, geoWord uint64) bool {
 
 // AddBatch64 offers a slice of 64-bit items and returns how many grew a
 // register; state-equivalent to AddUint64 on each item in order, with
-// chunked hashing through the shared batch buffers and the register array
-// in a local.
+// chunked hashing and the register array in a local.
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.sh.h, &s.sh.scr, items, s.insertBatch)
+	return uhash.Batch64(s.sh.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.sh.h, &s.sh.scr, items, s.insertBatch)
-}
-
-// AddBatch64Scratch is AddBatch64 hashing through caller-owned scratch
-// instead of the shared batch buffers, so sketches of one Shared may be
-// fed concurrently, each caller with scratch of its own. The sketch state
-// after the call is bit-identical to AddBatch64's.
-func (s *Sketch) AddBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
-	return uhash.Batch64(s.sh.h, scr, items, s.insertBatch)
-}
-
-// AddBatchStringScratch is AddBatch64Scratch for string items.
-func (s *Sketch) AddBatchStringScratch(scr *uhash.Scratch, items []string) int {
-	return uhash.BatchString(s.sh.h, scr, items, s.insertBatch)
+	return uhash.BatchString(s.sh.h, nil, items, s.insertBatch)
 }
 
 // insertBatch replays insert over a chunk of hashed items; the bucket
@@ -303,9 +280,9 @@ func (s *Sketch) SizeBits() int { return len(s.reg) * RegisterBits }
 
 // Footprint returns the sketch's resident process memory in bytes: the
 // record and its register array at capacity, plus — for a New sketch,
-// which owns its Shared — the shared state and batch buffers. A sketch
-// under a keyed store's Shared counts only its record and registers; the
-// store counts the Shared once for all of them.
+// which owns its Shared — the shared state. A sketch under a keyed
+// store's Shared counts only its record and registers; the store counts
+// the Shared once for all of them.
 func (s *Sketch) Footprint() int {
 	n := int(unsafe.Sizeof(*s)) + cap(s.reg)
 	if s.sh.own {

@@ -2,7 +2,9 @@ package hyperloglog
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -220,26 +222,25 @@ func TestSizeResetPanics(t *testing.T) {
 }
 
 // TestSharedRecords: sketches initialized under one Shared — the layout a
-// keyed store uses — are bit-identical to New sketches, batch through
-// caller scratch identically to their own buffers, account only their
-// record and registers, and restore in place without building a hasher.
+// keyed store uses — are bit-identical to New sketches, batch identically
+// to them, account only their record and registers, and restore in place
+// without building a hasher.
 func TestSharedRecords(t *testing.T) {
 	sh := NewShared(6, uhash.NewMixer(4))
 	recs := make([]Sketch, 8)
-	var scr uhash.Scratch
 	for i := range recs {
 		sh.Init(&recs[i], make([]uint64, sh.RunWords()))
 		own := New(6, 4)
 		items := []uint64{uint64(i), 1, 2, 3, uint64(i) << 30}
-		if a, b := recs[i].AddBatch64Scratch(&scr, items), own.AddBatch64(items); a != b {
-			t.Fatalf("sketch %d: batch changed %d (shared+scratch) vs %d (own)", i, a, b)
+		if a, b := recs[i].AddBatch64(items), own.AddBatch64(items); a != b {
+			t.Fatalf("sketch %d: batch changed %d (shared) vs %d (own)", i, a, b)
 		}
 		ab, _ := recs[i].MarshalBinary()
 		ob, _ := own.MarshalBinary()
 		if !bytes.Equal(ab, ob) {
 			t.Fatalf("sketch %d: serialized state diverged", i)
 		}
-		if got, want := own.Footprint(), recs[i].Footprint()+sh.Footprint()+own.sh.scr.Footprint(); got != want {
+		if got, want := own.Footprint(), recs[i].Footprint()+sh.Footprint(); got != want {
 			t.Errorf("own sketch footprint %d, want record+registers+shared = %d", got, want)
 		}
 	}
@@ -259,6 +260,49 @@ func TestSharedRecords(t *testing.T) {
 	var untouched Sketch
 	if err := NewShared(7, uhash.NewMixer(4)).UnmarshalInto(&untouched, make([]uint64, 16), blob); err == nil || untouched.sh != nil {
 		t.Fatalf("foreign register count: err=%v, record written=%v", err, untouched.sh != nil)
+	}
+}
+
+// TestSharedConcurrentBatches: a Shared is read-only, so sketches under
+// one Shared may be batch-fed on goroutines of their own. Eight sketches
+// initialized under one Shared, each fed uint64 and string batches on its
+// own goroutine, each marshal like a New twin fed the same items; the
+// race detector reports any write to the Shared.
+func TestSharedConcurrentBatches(t *testing.T) {
+	sh := NewShared(8, uhash.NewMixer(4))
+	sketches := make([]Sketch, 8)
+	for i := range sketches {
+		sh.Init(&sketches[i], make([]uint64, sh.RunWords()))
+	}
+	feed := func(s *Sketch, w int) {
+		items := make([]uint64, 3*uhash.BatchSize+5)
+		strs := make([]string, len(items))
+		for i := range items {
+			items[i] = uint64(w)<<32 | uint64(i)*0x9e3779b97f4a7c15
+			strs[i] = fmt.Sprintf("w%d-%d", w, i)
+		}
+		s.AddBatch64(items)
+		s.AddBatchString(strs)
+	}
+	var wg sync.WaitGroup
+	for w := range sketches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				feed(&sketches[w], w)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range sketches {
+		twin := New(8, 4)
+		feed(twin, w)
+		got, _ := sketches[w].MarshalBinary()
+		want, _ := twin.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Errorf("sketch %d: batch-fed concurrently under one Shared, it differs from its New twin", w)
+		}
 	}
 }
 

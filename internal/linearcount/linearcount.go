@@ -26,9 +26,8 @@ import (
 
 // Sketch is a linear counting bitmap. Not safe for concurrent use.
 type Sketch struct {
-	v   *bitvec.Vector
-	h   uhash.Hasher
-	scr uhash.Scratch // reusable batch hash buffers (not serialized)
+	v *bitvec.Vector
+	h uhash.Hasher
 }
 
 // New returns a linear counting sketch with m bits, hashing with the
@@ -44,32 +43,6 @@ func NewWithHasher(m int, h uhash.Hasher) *Sketch {
 		panic(fmt.Sprintf("linearcount: bitmap size %d < 1", m))
 	}
 	return &Sketch{v: bitvec.New(m), h: h}
-}
-
-// MemoryFor returns the bitmap size (in bits) needed to count up to n with
-// relative standard error roughly eps, from Whang et al.'s analysis:
-// SE(n̂)/n = sqrt((e^ρ − ρ − 1)/(ρ·n)) at load ρ = n/m, solved for the
-// largest admissible load by bisection. This is the "memory almost linear
-// in n" cost that names the method.
-func MemoryFor(n float64, eps float64) int {
-	if n < 1 {
-		n = 1
-	}
-	// (e^ρ − ρ − 1)/ρ is increasing in ρ; the largest feasible load
-	// satisfies (e^ρ − ρ − 1)/(ρ·n) = eps².
-	f := func(rho float64) float64 {
-		return (math.Exp(rho) - rho - 1) / (rho * n)
-	}
-	lo, hi := 1e-9, 60.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if f(mid) > eps*eps {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return int(math.Ceil(n / lo))
 }
 
 // Add offers an item to the sketch and reports whether a bucket changed.
@@ -101,12 +74,12 @@ func (s *Sketch) insert(word uint64) bool {
 // chunked hashing and unchecked bit sets (the multiply-shift bucket index
 // is in range by construction).
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.h, nil, items, s.insertBatch)
 }
 
 func (s *Sketch) insertBatch(hi, _ []uint64) int {
@@ -140,19 +113,6 @@ func (s *Sketch) Estimate() float64 {
 	return m * math.Log(m/z)
 }
 
-// StdErr returns the analytical standard error of the estimate at the
-// current load t = n̂/m: sqrt(m)·sqrt(e^t − t − 1)/n̂ (Whang et al., Eq. 4.1
-// region). It is NaN for an empty or saturated sketch.
-func (s *Sketch) StdErr() float64 {
-	est := s.Estimate()
-	if est == 0 || s.Saturated() {
-		return math.NaN()
-	}
-	m := float64(s.v.Len())
-	t := est / m
-	return math.Sqrt(m*(math.Exp(t)-t-1)) / est
-}
-
 // Merge ORs another linear counting sketch into s. Both must have the same
 // size and (for meaningful results) the same hash function; the merged
 // sketch estimates the cardinality of the union of the two streams.
@@ -166,9 +126,9 @@ func (s *Sketch) vector() *bitvec.Vector { return s.v }
 func (s *Sketch) SizeBits() int { return s.v.Len() }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct, the bitmap words, and the batch-hash scratch.
+// struct and the bitmap words.
 func (s *Sketch) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + s.v.Footprint() + s.scr.Footprint()
+	return int(unsafe.Sizeof(*s)) + s.v.Footprint()
 }
 
 // Reset clears the sketch for reuse.

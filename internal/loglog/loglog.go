@@ -36,7 +36,6 @@ type Sketch struct {
 	kBits uint // m = 2^kBits
 	alpha float64
 	h     uhash.Hasher
-	scr   uhash.Scratch // reusable batch hash buffers (not serialized)
 }
 
 // New returns a LogLog sketch with m = 2^kBits registers, hashing with the
@@ -112,12 +111,12 @@ func (s *Sketch) insert(bucketWord, geoWord uint64) bool {
 // register; state-equivalent to AddUint64 on each item in order, with
 // chunked hashing and the register array in a local.
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.h, nil, items, s.insertBatch)
 }
 
 // insertBatch replays insert over a chunk of hashed items; the bucket
@@ -177,9 +176,9 @@ func (s *Sketch) Merge(o *Sketch) error {
 func (s *Sketch) SizeBits() int { return len(s.reg) * RegisterBits }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct, the register array at capacity, and the batch-hash scratch.
+// struct and the register array at capacity.
 func (s *Sketch) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + cap(s.reg) + s.scr.Footprint()
+	return int(unsafe.Sizeof(*s)) + cap(s.reg)
 }
 
 // MarshalBinary serializes the register array (one byte per register,

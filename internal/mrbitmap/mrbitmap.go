@@ -67,8 +67,7 @@ const rhoSat = 2.5
 type Sketch struct {
 	comps []*bitvec.Vector // comps[k-1] is component k
 	h     uhash.Hasher
-	nBits int           // total bits across components
-	scr   uhash.Scratch // reusable batch hash buffers (not serialized)
+	nBits int // total bits across components
 }
 
 // Config fixes the component layout of a Sketch.
@@ -179,12 +178,12 @@ func (s *Sketch) insert(bucketWord, compWord uint64) bool {
 // chunked hashing and unchecked bit sets (each component's multiply-shift
 // bucket index is in range of that component by construction).
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.h, nil, items, s.insertBatch)
 }
 
 func (s *Sketch) insertBatch(hi, lo []uint64) int {
@@ -255,10 +254,9 @@ func (s *Sketch) Estimate() float64 {
 func (s *Sketch) SizeBits() int { return s.nBits }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct, every component bitmap, the component pointer slice, and the
-// batch-hash scratch.
+// struct, every component bitmap and the component pointer slice.
 func (s *Sketch) Footprint() int {
-	total := int(unsafe.Sizeof(*s)) + 8*cap(s.comps) + s.scr.Footprint()
+	total := int(unsafe.Sizeof(*s)) + 8*cap(s.comps)
 	for _, c := range s.comps {
 		total += c.Footprint()
 	}

@@ -1,5 +1,7 @@
 package uhash
 
+import "sync"
+
 // Batch hashing: the ingestion hot path of every sketch hashes items one
 // interface call at a time, which costs a dynamic dispatch per item and
 // keeps the hasher's seeds out of registers. The helpers here hash whole
@@ -134,13 +136,17 @@ func (m *Mixer) Sum128StringBatch(keys []string, hi, lo []uint64) {
 	}
 }
 
-// Scratch holds the reusable hash-output buffers of a sketch's batch
-// ingestion path. The zero value is ready to use; buffers are allocated
-// once on first use, so steady-state batch ingest is allocation-free.
-// A Scratch is owned by one sketch and shares its concurrency contract.
+// Scratch holds the hash-output buffers of one batch call. The zero value
+// is ready to use; its buffers are allocated on first use. A caller that
+// passes none to Batch64 or BatchString borrows one from scratchPool for
+// the call, so no sketch keeps buffers between batches and steady-state
+// batch ingest stays allocation-free.
 type Scratch struct {
 	hi, lo []uint64
 }
+
+// scratchPool lends a Scratch to each batch call made without one.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Buffers returns hash-output buffers of length n ≤ BatchSize, allocating
 // the backing arrays on first call.
@@ -152,17 +158,17 @@ func (s *Scratch) Buffers(n int) (hi, lo []uint64) {
 	return s.hi[:n], s.lo[:n]
 }
 
-// Footprint returns the scratch's resident memory in bytes (0 until the
-// first batch call allocates the buffers; the struct itself is counted by
-// the embedding sketch).
-func (s *Scratch) Footprint() int { return 8 * (cap(s.hi) + cap(s.lo)) }
-
 // Batch64 hashes items through h in chunks of BatchSize into scr's buffers
-// and hands each hashed chunk to sink, returning the summed sink results.
-// Sketches use it to fuse a vectorized hash loop with their insert loop:
-// sink is the sketch's batch-insert body, called once per chunk with the
-// hot state in its own locals.
+// (a pooled Scratch's for the call if scr is nil) and hands each hashed
+// chunk to sink, returning the summed sink results. Sketches use it to
+// fuse a vectorized hash loop with their insert loop: sink is the
+// sketch's batch-insert body, called once per chunk with the hot state in
+// its own locals.
 func Batch64(h Hasher, scr *Scratch, items []uint64, sink func(hi, lo []uint64) int) int {
+	if scr == nil {
+		scr = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(scr)
+	}
 	changed := 0
 	for len(items) > 0 {
 		n := len(items)
@@ -179,6 +185,10 @@ func Batch64(h Hasher, scr *Scratch, items []uint64, sink func(hi, lo []uint64) 
 
 // BatchString is Batch64 for string keys.
 func BatchString(h Hasher, scr *Scratch, items []string, sink func(hi, lo []uint64) int) int {
+	if scr == nil {
+		scr = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(scr)
+	}
 	changed := 0
 	for len(items) > 0 {
 		n := len(items)

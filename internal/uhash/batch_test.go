@@ -2,6 +2,7 @@ package uhash
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -128,6 +129,40 @@ func TestBatchStringChunks(t *testing.T) {
 	})
 	if got != len(keys) {
 		t.Fatalf("BatchString returned %d, want %d", got, len(keys))
+	}
+}
+
+// TestBatchNilScratchMatchesCallers: a batch call without a Scratch
+// borrows a pooled one, and hashes every chunk exactly as it does through
+// a caller's, for every hasher family and both item types.
+func TestBatchNilScratchMatchesCallers(t *testing.T) {
+	keys := make([]uint64, 3*BatchSize+17)
+	strs := make([]string, len(keys))
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9e3779b97f4a7c15
+		strs[i] = fmt.Sprintf("k%d", i)
+	}
+	// record returns a sink that appends every chunk's words to *out.
+	record := func(out *[]uint64) func(hi, lo []uint64) int {
+		return func(hi, lo []uint64) int {
+			*out = append(append(*out, hi...), lo...)
+			return len(hi)
+		}
+	}
+	for name, h := range batchHashers() {
+		var own, pooled []uint64
+		var scr Scratch
+		n1 := Batch64(h, &scr, keys, record(&own))
+		n2 := Batch64(h, nil, keys, record(&pooled))
+		if n1 != n2 || !slices.Equal(own, pooled) {
+			t.Errorf("%s: Batch64 with a nil Scratch hashed otherwise than with the caller's", name)
+		}
+		own, pooled = own[:0], pooled[:0]
+		n1 = BatchString(h, &scr, strs, record(&own))
+		n2 = BatchString(h, nil, strs, record(&pooled))
+		if n1 != n2 || !slices.Equal(own, pooled) {
+			t.Errorf("%s: BatchString with a nil Scratch hashed otherwise than with the caller's", name)
+		}
 	}
 }
 

@@ -26,8 +26,7 @@ type Sketch struct {
 	v         *bitvec.Vector
 	h         uhash.Hasher
 	rate      float64
-	threshold uint64        // sampling acceptance threshold on the low hash word
-	scr       uhash.Scratch // reusable batch hash buffers (not serialized)
+	threshold uint64 // sampling acceptance threshold on the low hash word
 }
 
 // New returns a virtual bitmap with m bits and sampling rate rate in
@@ -107,12 +106,12 @@ func (s *Sketch) insert(bucketWord, sampleWord uint64) bool {
 // chunked hashing, the sampling threshold in a local, and unchecked bit
 // sets (the multiply-shift bucket index is in range by construction).
 func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
+	return uhash.Batch64(s.h, nil, items, s.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return uhash.BatchString(s.h, nil, items, s.insertBatch)
 }
 
 func (s *Sketch) insertBatch(hi, lo []uint64) int {
@@ -157,9 +156,9 @@ func (s *Sketch) Estimate() float64 {
 func (s *Sketch) SizeBits() int { return s.v.Len() }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct, the bitmap words, and the batch-hash scratch.
+// struct and the bitmap words.
 func (s *Sketch) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + s.v.Footprint() + s.scr.Footprint()
+	return int(unsafe.Sizeof(*s)) + s.v.Footprint()
 }
 
 // Reset clears the sketch for reuse.

@@ -82,7 +82,8 @@ type Counter interface {
 	SizeBits() int
 	// Footprint is the sketch's resident process memory in bytes —
 	// everything the counter actually holds: structs, bitmap/register
-	// storage at capacity, schedule state, and batch scratch. Use it for
+	// storage at capacity and schedule state. A batch call borrows its
+	// hash buffers for the call, so no counter holds any. Use it for
 	// Table 2-style comparisons that must reflect real deployments.
 	Footprint() int
 	Reset()

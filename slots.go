@@ -205,14 +205,13 @@ func (t *slotTable[K]) ringAt(i uint32) ringEntries {
 }
 
 // detach returns slot i's counter in a form that outlives the stripe
-// lock and the slot, with shared state of its own: a heap counter as it
-// is, a sketch kept in words as a heap copy with its own shared state, a
-// ring kept in words as a heap ring of copies (a ring exposes no batch
-// path, so its sub-windows may share the store's state).
+// lock and the slot: a heap counter as it is, a sketch kept in words as a
+// heap copy, a ring kept in words as a heap ring of copies. Copies share
+// the store's read-only state.
 func (t *slotTable[K]) detach(i uint32) Counter {
 	switch {
 	case t.inline:
-		return t.src.copyOf(t.slot(i)[t.hdr:], true)
+		return t.src.copyOf(t.slot(i)[t.hdr:])
 	case t.rings != nil:
 		return t.rings.copyOf(i)
 	}

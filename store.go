@@ -83,16 +83,13 @@ type StoreKey interface {
 	~string | ~uint64
 }
 
-// storeStripe is one lock-striped segment of the key space. Beyond the
-// lock and its keys' slot table it owns one hash scratch lent to every
-// per-key sketch's batch path (both guarded by mu), so the ~4 KiB batch
-// buffers are not allocated per key.
+// storeStripe is one lock-striped segment of the key space: the lock and
+// its keys' slot table, padded to 128 B.
 type storeStripe[K StoreKey] struct {
 	mu     sync.Mutex
 	tab    *slotTable[K] // keys and counters, under mu
-	scr    uhash.Scratch // shared batch-hash buffers, under mu
 	modGen uint64        // generation of the last mutation, under mu
-	_      [56]byte      // pad to reduce false sharing between adjacent locks
+	_      [104]byte     // pad to reduce false sharing between adjacent locks
 }
 
 // StoreOption configures a Store at construction.
@@ -195,11 +192,11 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 // OnEvict installs the eviction hook: fn runs whenever WithMaxKeys
 // removes a key, receiving the key and its final counter — snapshot it,
 // sum it into a coarser aggregate, or drop it. The counter is a copy that
-// fn owns: it outlives the key's slot and shares no state with the
-// store, so fn may keep it and feed it on any goroutine. fn runs with the
-// key's stripe locked and must be cheap, must not call back into the
-// Store, and must be safe for concurrent use: even one batch call may run
-// it on several goroutines at once. Install before concurrent use.
+// fn owns: it outlives the key's slot and shares only read-only state
+// with the store, so fn may keep it and feed it on any goroutine. fn runs
+// with the key's stripe locked and must be cheap, must not call back into
+// the Store, and must be safe for concurrent use: even one batch call may
+// run it on several goroutines at once. Install before concurrent use.
 func (s *Store[K]) OnEvict(fn func(key K, c Counter)) { s.onEvict = fn }
 
 // Spec returns the Spec every per-key counter is built from.
@@ -550,10 +547,9 @@ func (s *Store[K]) group(sc *storeScratch[K], keys []K) (counts, offs []int) {
 
 // storeRunBatchMin is the run length at which a key's run switches from
 // looping the counter's per-item Add (key lookup already amortized per
-// run) to its BulkAdder path. Short runs must NOT use BulkAdder: its
-// setup — including the batch-hash scratch many sketches allocate lazily
-// on first use (~4 KiB) — would be paid per tiny per-key sketch, which at
-// a million keys turns into gigabytes of scratch and dominates runtime.
+// run) to its BulkAdder path. Short runs stay per item: a batch call's
+// setup — gathering the run's items, borrowing hash buffers for the call,
+// the sink's per-chunk entry — costs more than it saves on a few items.
 // Long runs amortize that and win on fused hashing.
 const storeRunBatchMin = 64
 
@@ -567,10 +563,9 @@ const storeRunBatchMin = 64
 // The call returns only after every record is applied. Within a stripe,
 // maximal runs of adjacent same-key records share one key lookup, and
 // long runs (≥64 records — exporter flushes, hot keys) go through the
-// counter's BulkAdder fast path, hashing through the stripe's shared
-// scratch. Locks are taken with TryLock first and a busy stripe is
-// retried after the claimer's others, so concurrent batches fan out
-// across stripes instead of convoying.
+// counter's BulkAdder fast path. Locks are taken with TryLock first and a
+// busy stripe is retried after the claimer's others, so concurrent
+// batches fan out across stripes instead of convoying.
 //
 // State-equivalent to calling AddUint64(keys[i], items[i]) in slice
 // order: records are never reordered within a key (or at all within a
@@ -745,9 +740,9 @@ func (s *Store[K]) ingestLocked(st *storeStripe[K], sc *storeScratch[K], start, 
 		}
 		c := s.slotLocked(st, recs[j].key, sc.widx)
 		if sc.itemsS != nil {
-			changed += s.addRunString(st, c, sc, j, k)
+			changed += sc.addRunString(c, j, k)
 		} else {
-			changed += s.addRun64(st, c, sc, j, k)
+			changed += sc.addRun64(c, j, k)
 		}
 		j = k
 	}
@@ -756,13 +751,9 @@ func (s *Store[K]) ingestLocked(st *storeStripe[K], sc *storeScratch[K], start, 
 
 // addRun64 offers one key's run sc.recs[lo:hi] to its counter c: per
 // item below storeRunBatchMin, else gathered into the run's own region
-// of buf64 and through the batch path. A counter whose batch path can
-// borrow scratch hashes through the stripe's shared buffers — so a tiny
-// per-key sketch never lazily allocates its own ~4 KiB, and sketches
-// built under state the Store shares (its HyperLogLogs) never hash
-// through buffers two stripes share; other counters take their ordinary
-// BulkAdder path. The resulting sketch state is bit-identical either way.
-func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, sc *storeScratch[K], lo, hi int) int {
+// of buf64 and through the batch path. The resulting sketch state is
+// bit-identical either way.
+func (sc *storeScratch[K]) addRun64(c Counter, lo, hi int) int {
 	run, items, changed := sc.recs[lo:hi], sc.items64, 0
 	if len(run) < storeRunBatchMin {
 		for _, r := range run {
@@ -776,14 +767,11 @@ func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, sc *storeScratch[K], 
 	for i, r := range run {
 		buf[i] = items[r.pos]
 	}
-	if sa, ok := c.(scratchBulkAdder); ok {
-		return sa.addBatch64Scratch(&st.scr, buf)
-	}
 	return AddBatch64(c, buf)
 }
 
 // addRunString is addRun64 for string items.
-func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, sc *storeScratch[K], lo, hi int) int {
+func (sc *storeScratch[K]) addRunString(c Counter, lo, hi int) int {
 	run, items, changed := sc.recs[lo:hi], sc.itemsS, 0
 	if len(run) < storeRunBatchMin {
 		for _, r := range run {
@@ -796,9 +784,6 @@ func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, sc *storeScratch[
 	buf := sc.bufS[lo:hi]
 	for i, r := range run {
 		buf[i] = items[r.pos]
-	}
-	if sa, ok := c.(scratchBulkAdder); ok {
-		return sa.addBatchStringScratch(&st.scr, buf)
 	}
 	return AddBatchString(c, buf)
 }
@@ -1107,18 +1092,18 @@ func (s *Store[K]) SizeBits() int {
 }
 
 // Footprint returns the store's resident process memory in bytes: the
-// stripe array, each stripe's batch scratch and slot table, and the state
-// the store's sketches share, counted once. A slot table of words is
-// exact arithmetic over its capacities — index, slot chunks, key log, run
-// pool — so a store that keeps words answers without walking its keys; a
-// heap table adds each heap counter's own footprint. Safe for concurrent
-// use; one stripe is locked at a time.
+// stripe array, each stripe's slot table, and the state the store's
+// sketches share, counted once. A slot table of words is exact
+// arithmetic over its capacities — index, slot chunks, key log, run pool
+// — so a store that keeps words answers without walking its keys; a heap
+// table adds each heap counter's own footprint. Safe for concurrent use;
+// one stripe is locked at a time.
 func (s *Store[K]) Footprint() int {
 	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) + s.src.footprint()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		total += st.scr.Footprint() + st.tab.footprint()
+		total += st.tab.footprint()
 		st.mu.Unlock()
 	}
 	return total

@@ -318,7 +318,7 @@ func TestStoreClonesMaterializedStringKeys(t *testing.T) {
 // TestSBitmapArenaEquivalence: sketches a slot table holds across its
 // chunk doublings (4, 8, 16, 32 slots) and index growths are
 // bit-identical to Spec.New's under interleaved ingest, per item and
-// through the borrowed-scratch batch path — no cross-talk between
+// through the batch path — no cross-talk between
 // neighboring slots or through the state they share.
 func TestSBitmapArenaEquivalence(t *testing.T) {
 	spec := MustSpec("sbitmap:n=1e4,eps=0.1,seed=5")
@@ -601,6 +601,69 @@ func TestWindowedStoreHeapPerKey(t *testing.T) {
 	}
 }
 
+// TestStoreBatchRunsKeepNoBuffers is the rail for heap counters' batch
+// path: a batch borrows its hash buffers for the call, so a counter keeps
+// none. For each fixed-size heap kind, a store of 16,384 keys fed one
+// 64-record run per key — every run through the counter's batch path —
+// holds the same Footprint as its twin fed the same records one at a
+// time, and the same live heap per key within 5%.
+func TestStoreBatchRunsKeepNoBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	const nKeys, run, batch = 1 << 14, storeRunBatchMin, 8192
+	keys := make([]uint64, nKeys*run)
+	items := make([]uint64, nKeys*run)
+	for i := range keys {
+		keys[i] = uint64(i / run)
+		items[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	for _, raw := range []string{
+		"loglog:mbits=512",
+		"fm:mbits=512",
+		"linearcount:mbits=512",
+		"virtualbitmap:mbits=512,n=1e4",
+		"mrbitmap:mbits=2048,n=1e4",
+		"adaptive:mbits=1024",
+	} {
+		build := func(feed func(s *Store[uint64])) (*Store[uint64], float64) {
+			var st *Store[uint64]
+			heap := heapBytes(func() any {
+				s, err := NewStore[uint64](MustSpec(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed(s)
+				st = s
+				return s
+			})
+			return st, heap / nKeys
+		}
+		single, singleHeap := build(func(s *Store[uint64]) {
+			for i, k := range keys {
+				s.AddUint64(k, items[i])
+			}
+		})
+		runs, runsHeap := build(func(s *Store[uint64]) {
+			for lo := 0; lo < len(keys); lo += batch {
+				s.AddBatch64(keys[lo:lo+batch], items[lo:lo+batch])
+			}
+		})
+		fs, fr := single.Footprint(), runs.Footprint()
+		t.Logf("%s: Footprint %.1f → %.1f B/key, live heap %.1f → %.1f B/key (singletons → runs)",
+			raw, float64(fs)/nKeys, float64(fr)/nKeys, singleHeap, runsHeap)
+		if fr != fs {
+			t.Errorf("%s: Footprint %d B after 64-record runs, %d B after the same records singly", raw, fr, fs)
+		}
+		if runsHeap < 0.95*singleHeap || runsHeap > 1.05*singleHeap {
+			t.Errorf("%s: live heap %.1f B/key after 64-record runs, %.1f B/key after the same records singly: more than 5%% apart",
+				raw, runsHeap, singleHeap)
+		}
+	}
+	runtime.KeepAlive(keys) // inputs freed mid-measurement would offset the stores
+	runtime.KeepAlive(items)
+}
+
 // TestStoreRestoreIntoArena: restoring a snapshot decodes every S-bitmap
 // straight into a slot of the stripe's table, so the restored store is
 // identical to the original key by key (every counter marshals to the same
@@ -768,7 +831,7 @@ func TestStoreSBitmapFootprintExact(t *testing.T) {
 		t.Fatalf("empty store footprint %d, want header + stripe + table + shared state = %d", empty, want)
 	}
 	for i := 0; i < slotChunk; i++ {
-		s.AddUint64(uint64(i), uint64(i)) // single adds: no stripe scratch
+		s.AddUint64(uint64(i), uint64(i))
 	}
 	one, err := s.Spec().New()
 	if err != nil {

@@ -121,7 +121,7 @@ func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		tab := st.tab
-		footprint += st.scr.Footprint() + int(unsafe.Sizeof(*tab)) + 4*cap(tab.idx) +
+		footprint += int(unsafe.Sizeof(*tab)) + 4*cap(tab.idx) +
 			int(unsafe.Sizeof([]uint64(nil)))*cap(tab.slots.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(tab.log.chunks)
 		for _, c := range tab.slots.chunks {
 			footprint += 8 * cap(c)

@@ -811,70 +811,96 @@ func TestStoreSnapshotUnderConcurrentWriters(t *testing.T) {
 	})
 }
 
-// TestEvictedCountersOwnTheirState: a bounded hll store keeps its
-// sketches in slot words under one shared state, and with it one set of
-// batch-hash buffers. The counter it hands to OnEvict is a heap copy
-// made by slotTable.detach, which must carry shared state of its own:
-// the hook may feed it anywhere. Two evicted counters fed through their
-// batch paths on two goroutines — a data race on those buffers unless
-// each has its own, which the race detector reports — must each end as a
-// Spec.New counter fed the same items does.
+// TestEvictedCountersOwnTheirState: a bounded hll or S-bitmap store keeps
+// its sketches in slot words, and the counter it hands to OnEvict is a
+// heap copy made by slotTable.detach. The copies share the store's
+// read-only state, and no batch-hash buffers exist to race on: each batch
+// borrows its own for the call. Two evicted copies fed through their
+// batch paths on two goroutines, while a third batch-ingests runs of 256
+// records into the store's live key, must each end as a Spec.New counter
+// fed the same items does, and so must the live key; the race detector
+// reports any write to the shared state.
 func TestEvictedCountersOwnTheirState(t *testing.T) {
-	spec := MustSpec("hll:mbits=512")
-	s, err := NewStore[uint64](spec, WithStripes(1), WithMaxKeys(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evicted []Counter
-	s.OnEvict(func(_ uint64, c Counter) { evicted = append(evicted, c) })
-	for k := range uint64(3) {
-		s.AddUint64(k, k)
-	}
-	if len(evicted) != 2 {
-		t.Fatalf("%d evictions, want 2", len(evicted))
-	}
-	items := func(w int) []uint64 {
-		items := make([]uint64, 4096)
-		for i := range items {
-			items[i] = uint64(w)<<32 | uint64(i)*0x9e3779b97f4a7c15
+	for _, raw := range []string{"hll:mbits=512", "sbitmap:n=1e4,eps=0.1"} {
+		spec := MustSpec(raw)
+		s, err := NewStore[uint64](spec, WithStripes(1), WithMaxKeys(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return items
-	}
-	var wg sync.WaitGroup
-	for w, c := range evicted {
+		var evicted []Counter
+		s.OnEvict(func(_ uint64, c Counter) { evicted = append(evicted, c) })
+		for k := range uint64(3) {
+			s.AddUint64(k, k)
+		}
+		if len(evicted) != 2 {
+			t.Fatalf("%s: %d evictions, want 2", raw, len(evicted))
+		}
+		items := func(w int) []uint64 {
+			items := make([]uint64, 4096)
+			for i := range items {
+				items[i] = uint64(w)<<32 | uint64(i)*0x9e3779b97f4a7c15
+			}
+			return items
+		}
+		const live, run = 2, 4 * storeRunBatchMin
+		liveKeys := make([]uint64, run)
+		for i := range liveKeys {
+			liveKeys[i] = live
+		}
+		var wg sync.WaitGroup
+		for w, c := range evicted {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 20 {
+					c.(BulkAdder).AddBatch64(items(w))
+				}
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range 20 {
-				c.(BulkAdder).AddBatch64(items(w))
+			all := items(live)
+			for r := range 20 {
+				s.AddBatch64(liveKeys, all[r%16*run:][:run])
 			}
 		}()
-	}
-	wg.Wait()
-	for w, c := range evicted {
-		want, err := spec.New()
+		wg.Wait()
+		check := func(what string, key uint64, items []uint64, got []byte) {
+			t.Helper()
+			want, err := spec.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.AddUint64(key) // the key's item before the evictions
+			want.(BulkAdder).AddBatch64(items)
+			if blob, _ := Marshal(want); !bytes.Equal(got, blob) {
+				t.Errorf("%s: %s differs from a Spec.New counter fed the same items", raw, what)
+			}
+		}
+		for w, c := range evicted {
+			got, err := Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("evicted counter %d fed concurrently", w), uint64(w), items(w), got)
+		}
+		got, err := storeBlob(s, live)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.AddUint64(uint64(w)) // key w's item before its eviction
-		want.(BulkAdder).AddBatch64(items(w))
-		got, err := Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blob, _ := Marshal(want); !bytes.Equal(got, blob) {
-			t.Errorf("evicted counter %d fed concurrently differs from a Spec.New counter fed the same items", w)
-		}
+		check("the live key batch-fed beside the evicted copies", live, items(live), got)
 	}
 }
 
 // TestCounterSourceHeapSBitmaps: a sketch kept in a slot's words leaves
 // its store — for an OnEvict hook, or for another store's Merge — as the
-// heap copy slotTable.detach makes, with shared state of its own, so each
-// copy's batch buffers stay its own. A copy marshals and estimates exactly
-// as a Spec.New counter after the same items, per item and batched, under
-// the default, Carter-Wegman and tabulation hashing; feeding it changes
-// no other copy; and it accounts Spec.New's 272 B.
+// heap copy slotTable.detach makes, sharing the store's read-only state.
+// A copy marshals and estimates exactly as a Spec.New counter after the
+// same items, per item and batched, under the default, Carter-Wegman and
+// tabulation hashing; feeding it changes no other copy; and it accounts
+// its record and run, which with the store's shared state are Spec.New's
+// counter.
 func TestCounterSourceHeapSBitmaps(t *testing.T) {
 	for _, text := range []string{
 		"sbitmap:n=1e4,eps=0.1",
@@ -895,8 +921,8 @@ func TestCounterSourceHeapSBitmaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.AddUint64(1)
-		if fg, fw := got.Footprint(), want.Footprint(); fg != 272 || fw != 272 {
-			t.Errorf("%s: footprint %d B, Spec.New's %d B, want 272", text, fg, fw)
+		if fg, fs, fw := got.Footprint(), s.src.sb.Footprint(), want.Footprint(); fg+fs != fw {
+			t.Errorf("%s: footprint %d B + shared %d B, Spec.New's %d B", text, fg, fs, fw)
 		}
 		ob, _ := Marshal(other)
 		items := make([]uint64, 3000)

@@ -550,15 +550,13 @@ func (p *runRings) reown(i uint32) {
 	}
 }
 
-// copyOf returns a heap ring holding a copy of slot i's ring. A ring
-// exposes no batch path, so its sub-window copies share the store's
-// state.
+// copyOf returns a heap ring holding a copy of slot i's ring.
 func (p *runRings) copyOf(i uint32) *windowRing {
 	r := newWindowRing(p.win)
 	for pos, ref := range p.refs(i) {
 		if ref != 0 {
 			run := p.run(ref - 1)
-			r.slots[pos] = ringSlot{widx: int64(run[runWidx]), c: p.win.src.copyOf(run[runHdr:], false)}
+			r.slots[pos] = ringSlot{widx: int64(run[runWidx]), c: p.win.src.copyOf(run[runHdr:])}
 		}
 	}
 	return r
