@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,11 +34,16 @@ type Engine struct {
 	// removed at a tick boundary, never mid-scan.
 	mu    sync.RWMutex
 	rules map[string]*rule
-	// hotKeys indexes single-key threshold rules by watched key for the
-	// on-ingest hot path; hot mirrors len over all entries so
-	// ObserveIngest can bail without a lock when no such rules exist.
-	hotKeys map[string][]*rule
-	hot     atomic.Int32
+	// scanners are the prefix and movers rules in rule-ID order: the
+	// rules a tick evaluates key by key inside its dirty scan. Rebuilt
+	// with hot whenever the rule set changes.
+	scanners []*rule
+	// hot indexes single-key threshold rules by watched key for the
+	// on-ingest hot path. It is rebuilt under mu and read without it:
+	// nil when no threshold rule exists, so ObserveIngest bails on one
+	// atomic load, and a batch that carries no watched key never waits
+	// for mu (and so never for a tick).
+	hot atomic.Pointer[map[string][]*rule]
 
 	// ring is the alert history: a fixed circular buffer, ring[total %
 	// len] the next write slot. IDs are monotone and survive restarts.
@@ -50,7 +56,6 @@ type Engine struct {
 	// scanning rule is installed, so a rule added mid-ingest sees keys
 	// that stopped moving before it existed).
 	lastCut uint64
-	scan    []scanEntry // reusable dirty-scan buffer
 
 	// subs are live SSE subscribers. A separate lock so publishing
 	// (under mu) and subscribing never deadlock; Subscribe only ever
@@ -71,11 +76,6 @@ type Engine struct {
 	lastKeys   atomic.Int64
 }
 
-type scanEntry struct {
-	key string
-	est float64
-}
-
 // New returns an engine watching store. cfg.RingSize caps alert history.
 func New(store *sbitmap.Store[string], cfg Config) *Engine {
 	ring := cfg.RingSize
@@ -83,23 +83,30 @@ func New(store *sbitmap.Store[string], cfg Config) *Engine {
 		ring = DefaultRingSize
 	}
 	return &Engine{
-		store:   store,
-		rules:   make(map[string]*rule),
-		hotKeys: make(map[string][]*rule),
-		ring:    make([]Alert, ring),
-		nextID:  1,
-		subs:    make(map[int]chan Alert),
+		store:  store,
+		rules:  make(map[string]*rule),
+		ring:   make([]Alert, ring),
+		nextID: 1,
+		subs:   make(map[int]chan Alert),
 	}
 }
 
 // Put validates spec and installs it, replacing any rule with the same
 // ID. Replacing a rule resets its per-key state (firing keys, movers
-// baseline): it is a new query that happens to reuse the name. Returns
+// baseline): it is a new query that happens to reuse the name. A
+// threshold or prefix rule whose T no estimate of the store can exceed
+// (sbitmap.Spec.MaxEstimate) is refused: it could never fire. Returns
 // the installed spec.
 func (e *Engine) Put(spec Spec) (Spec, error) {
 	r, err := compile(spec, e.store.Spec())
 	if err != nil {
 		return Spec{}, err
+	}
+	// Movers rules have no threshold (compile holds it at 0). Restore
+	// skips this check, so a checkpoint holding such a rule still starts.
+	if maxEst, n, ok := e.store.Spec().MaxEstimate(); ok && r.threshold >= maxEst {
+		return Spec{}, badRule("threshold", "%v can never be exceeded: no estimate of this store exceeds %.6g, the estimate at its truncation point (n=%g)",
+			r.threshold, maxEst, n)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -115,7 +122,7 @@ func (e *Engine) installLocked(r *rule) {
 		// scan.
 		e.lastCut = 0
 	}
-	e.rebuildHotLocked()
+	e.rebuildLocked()
 }
 
 // Delete removes the rule; ErrUnknownRule if it is not installed.
@@ -128,7 +135,7 @@ func (e *Engine) Delete(id string) error {
 		return ErrUnknownRule
 	}
 	delete(e.rules, id)
-	e.rebuildHotLocked()
+	e.rebuildLocked()
 	return nil
 }
 
@@ -162,17 +169,25 @@ func (e *Engine) Len() int {
 	return len(e.rules)
 }
 
-func (e *Engine) rebuildHotLocked() {
-	hk := make(map[string][]*rule, len(e.rules))
-	n := 0
+// rebuildLocked rebuilds the rule-set indexes: the tick's scanners and
+// the hot path's watched keys.
+func (e *Engine) rebuildLocked() {
+	var scanners []*rule
+	hot := make(map[string][]*rule)
 	for _, r := range e.rules {
 		if r.spec.Type == TypeThreshold {
-			hk[r.spec.Key] = append(hk[r.spec.Key], r)
-			n++
+			hot[r.spec.Key] = append(hot[r.spec.Key], r)
+		} else {
+			scanners = append(scanners, r)
 		}
 	}
-	e.hotKeys = hk
-	e.hot.Store(int32(n))
+	slices.SortFunc(scanners, func(a, b *rule) int { return strings.Compare(a.spec.ID, b.spec.ID) })
+	e.scanners = scanners
+	if len(hot) == 0 {
+		e.hot.Store(nil)
+	} else {
+		e.hot.Store(&hot)
+	}
 }
 
 // TickResult summarizes one evaluation pass.
@@ -205,12 +220,7 @@ func (e *Engine) Tick(now time.Time) TickResult {
 	// even when the key's stripe was not dirtied (an idle key's
 	// windowed estimate still decays as the ring rotates) or when the
 	// key was evicted (a vanished key reads as 0 and resolves).
-	needScan := false
 	for _, r := range e.rules {
-		switch r.spec.Type {
-		case TypePrefix, TypeMovers:
-			needScan = true
-		}
 		if r.spec.Type == TypeMovers {
 			continue // movers state is cooldown-only, handled in the scan
 		}
@@ -227,27 +237,47 @@ func (e *Engine) Tick(now time.Time) TickResult {
 		}
 	}
 
-	// Phase 2: dirty scan for scanning rules. One pass over the stripes
-	// written since the last tick collects (key, estimate) pairs; rules
-	// are evaluated against the collected batch afterwards, outside the
-	// stripe locks, because windowed rules must call EstimateWindow
-	// (a Store method — forbidden inside the ForEachDirty callback).
-	if needScan {
-		e.scan = e.scan[:0]
-		e.lastCut = e.store.ForEachDirty(e.lastCut, func(k string, c sbitmap.Counter) bool {
-			e.scan = append(e.scan, scanEntry{key: k, est: c.Estimate()})
-			return true
-		})
-		res.Scanned = len(e.scan)
-
-		for _, r := range e.rules {
-			switch r.spec.Type {
-			case TypePrefix:
-				f, rv := e.scanPrefixLocked(r, nowN)
+	// Phase 2: one pass over the stripes written since the last tick
+	// evaluates every scanning rule key by key, inside the scan's
+	// callback, so the tick keeps no per-key memory: a prefix rule runs
+	// its state machine on the spot, a movers rule updates its baseline
+	// and offers the key to its k-sized heap. The value comes from the
+	// counter in hand — its estimate, read once per key and only if a
+	// rule needs it, or, for a windowed rule, its window estimate
+	// (sbitmap.WindowCounter) — so the callback calls no Store method,
+	// as ForEachDirty requires. Movers alerts go out after the scan, once
+	// the heaps hold each rule's top k.
+	if len(e.scanners) > 0 {
+		e.lastCut = e.store.ForEachDirty(e.lastCut, func(key string, c sbitmap.Counter) bool {
+			res.Scanned++
+			est, haveEst := 0.0, false
+			for _, r := range e.scanners {
+				if r.prefix != "" && !strings.HasPrefix(key, r.prefix) {
+					continue
+				}
+				var val float64
+				switch {
+				case r.window > 0:
+					val = windowValue(c, r.window)
+				case haveEst:
+					val = est
+				default:
+					est, haveEst = c.Estimate(), true
+					val = est
+				}
+				if r.spec.Type == TypeMovers {
+					r.observeMover(key, val)
+					continue
+				}
+				f, rv := e.observePrefixLocked(r, key, val, nowN)
 				res.Fired += f
 				res.Resolved += rv
-			case TypeMovers:
-				res.Fired += e.scanMoversLocked(r, nowN)
+			}
+			return true
+		})
+		for _, r := range e.scanners {
+			if r.spec.Type == TypeMovers {
+				res.Fired += e.emitMoversLocked(r, nowN)
 			}
 		}
 	}
@@ -257,6 +287,23 @@ func (e *Engine) Tick(now time.Time) TickResult {
 	res.Elapsed = time.Since(start)
 	e.lastTickNs.Store(int64(res.Elapsed))
 	return res
+}
+
+// windowValue reads a scanned key's sliding-window estimate from its
+// counter, which a windowed store hands out as an sbitmap.WindowCounter.
+// The span fits the store's retention (compile checked it), so an error —
+// or a counter without windows — reads as 0, as value reads a missing
+// key.
+func windowValue(c sbitmap.Counter, span time.Duration) float64 {
+	wc, ok := c.(sbitmap.WindowCounter)
+	if !ok {
+		return 0
+	}
+	we, err := wc.EstimateWindow(span)
+	if err != nil {
+		return 0
+	}
+	return we.Estimate
 }
 
 // value reads the rule's evaluation value for key: the sliding-window
@@ -302,74 +349,88 @@ func (e *Engine) transitionLocked(r *rule, key string, ks *keyState, val float64
 	return 0, 0
 }
 
-// scanPrefixLocked evaluates a prefix rule against this tick's dirty
-// keys. Only keys above threshold start being tracked — the rule's
-// memory stays proportional to its firing set, not the key population.
-func (e *Engine) scanPrefixLocked(r *rule, nowN int64) (fired, resolved int) {
-	for _, se := range e.scan {
-		if r.prefix != "" && !strings.HasPrefix(se.key, r.prefix) {
-			continue
+// observePrefixLocked evaluates a prefix rule against one scanned key.
+// Only keys above threshold start being tracked — the rule's memory
+// stays proportional to its firing set, not the key population.
+func (e *Engine) observePrefixLocked(r *rule, key string, val float64, nowN int64) (fired, resolved int) {
+	ks, tracked := r.keys[key]
+	if !tracked {
+		if val <= r.threshold {
+			return 0, 0
 		}
-		val := se.est
-		if r.window > 0 {
-			val, _ = e.value(r, se.key)
-		}
-		ks, tracked := r.keys[se.key]
-		if !tracked {
-			if val <= r.threshold {
-				continue
-			}
-			ks = &keyState{}
-			r.keys[se.key] = ks
-		}
-		f, rv := e.transitionLocked(r, se.key, ks, val, nowN)
-		fired += f
-		resolved += rv
+		ks = &keyState{}
+		r.keys[key] = ks
 	}
-	return fired, resolved
+	return e.transitionLocked(r, key, ks, val, nowN)
 }
 
-// scanMoversLocked ranks this tick's largest estimate increases. The
+// observeMover records one scanned key's value as a movers rule's new
+// baseline and offers its increase to the rule's candidate heap. The
 // first scan after install (or restore) only seeds the baseline; a key
 // with no baseline thereafter is new, and its whole estimate counts as
 // its delta — a source that appeared with thousands of distinct targets
 // since the last tick is precisely what the rule looks for.
-func (e *Engine) scanMoversLocked(r *rule, nowN int64) (fired int) {
-	type mover struct {
-		key   string
-		val   float64
-		delta float64
+func (r *rule) observeMover(key string, val float64) {
+	delta := val - r.prev[key]
+	r.prev[key] = val
+	if !r.baselined || delta <= 0 || delta < r.minDelta {
+		return
 	}
-	var cands []mover
-	for _, se := range e.scan {
-		if r.prefix != "" && !strings.HasPrefix(se.key, r.prefix) {
-			continue
+	m := mover{key: key, val: val, delta: delta}
+	h := r.top
+	switch {
+	case len(h) < r.k:
+		// Sift the new candidate up from the end.
+		h = append(h, m)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !h[i].worse(h[p]) {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
 		}
-		val := se.est
-		if r.window > 0 {
-			val, _ = e.value(r, se.key)
+		r.top = h
+	case h[0].worse(m):
+		// Replace the cutoff and sift it down.
+		h[0] = m
+		for i := 0; ; {
+			l, rc, least := 2*i+1, 2*i+2, i
+			if l < len(h) && h[l].worse(h[least]) {
+				least = l
+			}
+			if rc < len(h) && h[rc].worse(h[least]) {
+				least = rc
+			}
+			if least == i {
+				break
+			}
+			h[i], h[least] = h[least], h[i]
+			i = least
 		}
-		delta := val - r.prev[se.key]
-		r.prev[se.key] = val
-		if !r.baselined || delta <= 0 || delta < r.minDelta {
-			continue
-		}
-		cands = append(cands, mover{key: se.key, val: val, delta: delta})
 	}
+}
+
+// emitMoversLocked ends a movers rule's scan: it fires the candidates in
+// the heap — the scan's k largest increases, delta descending, then key
+// ascending — skipping keys still in cooldown. The scan that seeded the
+// baseline emits nothing.
+func (e *Engine) emitMoversLocked(r *rule, nowN int64) (fired int) {
 	if !r.baselined {
 		r.baselined = true
 		return 0
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].delta != cands[j].delta {
-			return cands[i].delta > cands[j].delta
+	top := r.top
+	slices.SortFunc(top, func(a, b mover) int { // best first
+		switch {
+		case b.worse(a):
+			return -1
+		case a.worse(b):
+			return 1
 		}
-		return cands[i].key < cands[j].key
+		return 0
 	})
-	if len(cands) > r.k {
-		cands = cands[:r.k]
-	}
-	for _, m := range cands {
+	for _, m := range top {
 		ks, ok := r.keys[m.key]
 		if !ok {
 			ks = &keyState{}
@@ -386,6 +447,9 @@ func (e *Engine) scanMoversLocked(r *rule, nowN int64) (fired int) {
 		e.fired.Add(uintptr(unsafe.Pointer(r)), 1)
 		fired++
 	}
+	// The heap keeps its capacity for the next scan, not its keys.
+	clear(top)
+	r.top = top[:0]
 	// Movers keys are cooldown bookkeeping only; drop expired entries
 	// so the map tracks recent movers, not history.
 	for key, ks := range r.keys {
@@ -402,19 +466,33 @@ func (e *Engine) scanMoversLocked(r *rule, nowN int64) (fired int) {
 // immediately instead of at the next tick. Only firing transitions
 // happen here — resolution needs the estimate to fall, which ingest
 // never causes; ticks handle it. Returns without locking when no
-// threshold rules are installed, so the common no-rules ingest path
-// pays one atomic load. keys may alias a transport buffer the caller
-// reuses; the engine clones anything it retains. affinity shards the
-// stats counters (pass a per-request pointer, as pstats documents).
+// threshold rule is installed (one atomic load) or when no key of the
+// batch is watched (one map lookup per key), so ingest waits for a
+// running tick only with a batch that carries a watched key. keys may
+// alias a transport buffer the caller reuses; the engine clones
+// anything it retains. affinity shards the stats counters (pass a
+// per-request pointer, as pstats documents).
 func (e *Engine) ObserveIngest(keys []string, now time.Time, affinity uintptr) {
-	if e.hot.Load() == 0 {
+	hot := e.hot.Load()
+	if hot == nil {
+		return
+	}
+	first := firstWatched(*hot, keys)
+	if first < 0 {
 		return
 	}
 	nowN := now.UnixNano()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, k := range keys {
-		rs, ok := e.hotKeys[k]
+	// The rule set may have changed since the check: then look again,
+	// from the start.
+	if cur := e.hot.Load(); cur != hot {
+		if hot, first = cur, 0; hot == nil {
+			return
+		}
+	}
+	for _, k := range keys[first:] {
+		rs, ok := (*hot)[k]
 		if !ok {
 			continue
 		}
@@ -431,6 +509,17 @@ func (e *Engine) ObserveIngest(keys []string, now time.Time, affinity uintptr) {
 			e.transitionLocked(r, r.spec.Key, ks, val, nowN)
 		}
 	}
+}
+
+// firstWatched returns the index of the first of keys that hot watches,
+// or -1 if none is.
+func firstWatched(hot map[string][]*rule, keys []string) int {
+	for i, k := range keys {
+		if _, ok := hot[k]; ok {
+			return i
+		}
+	}
+	return -1
 }
 
 // emitLocked stamps, records, and publishes one alert.

@@ -19,7 +19,9 @@
 // Store dirtied since the previous tick (Store.ForEachDirty, the same
 // per-stripe generation protocol incremental checkpoints use), so a
 // quiet store costs nothing to watch and a busy one costs in proportion
-// to its write footprint. Single-key threshold rules additionally get an
+// to its write footprint. Every scanning rule is evaluated inside that
+// scan, key by key, so a tick holds no memory per key; only a movers
+// rule's baseline lives between ticks. Single-key threshold rules additionally get an
 // on-ingest hot path (Engine.ObserveIngest) so a spike fires within the
 // ingest call that caused it rather than a tick later.
 package rules
@@ -191,6 +193,23 @@ type rule struct {
 	// prev; that scan emits nothing (otherwise installing the rule over
 	// an already-populated store would report every key as a mover).
 	baselined bool
+	// top is a movers rule's candidate heap during a scan: the k largest
+	// increases so far, the worst at top[0]. Empty between ticks.
+	top []mover
+}
+
+// mover is one movers candidate: a scanned key, its value and its
+// increase since the previous tick.
+type mover struct {
+	key   string
+	val   float64
+	delta float64
+}
+
+// worse orders movers candidates: a smaller increase ranks lower, and
+// among equal increases the larger key does.
+func (m mover) worse(o mover) bool {
+	return m.delta < o.delta || (m.delta == o.delta && m.key > o.key)
 }
 
 type keyState struct {

@@ -3,6 +3,7 @@ package rules
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -490,5 +491,78 @@ func TestStats(t *testing.T) {
 	s = e.Stats()
 	if s.Firing != 0 || s.AlertsResolved != 1 {
 		t.Fatalf("post-resolve stats: %+v", s)
+	}
+}
+
+// TestPutRefusesUnreachableThreshold: no S-bitmap estimate, plain or
+// windowed, exceeds t_{k*}, the estimate at the truncation point, so Put
+// refuses a threshold or prefix rule with T ≥ t_{k*} on "threshold" —
+// it could never fire. Kinds without such a ceiling accept any T.
+func TestPutRefusesUnreachableThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		store     string
+		threshold float64
+		ok        bool
+	}{
+		{"sbitmap:n=1e4,eps=0.1", 9939, false}, // t_{k*} = 9,938.85
+		{"sbitmap:n=1e4,eps=0.1", 9938, true},
+		{"sbitmap:n=1e4,eps=0.1/windowed(width=1m,ring=5)", 9939, false},
+		{"sbitmap:n=1e4,eps=0.1/windowed(width=1m,ring=5)", 9938, true},
+		{"sbitmap:n=1e6,eps=0.01", 1e6, true}, // t_{k*} = 1,000,064.6, above N
+		{"sbitmap:n=1e6,eps=0.01", 1.0001e6, false},
+		{"hll:mbits=512", 1e300, true},
+		{"exact", 1e300, true},
+	} {
+		for _, spec := range []Spec{
+			{ID: "r", Type: TypeThreshold, Key: "k", Threshold: tc.threshold},
+			{ID: "r", Type: TypePrefix, Threshold: tc.threshold},
+		} {
+			e := New(newStore(t, tc.store), Config{})
+			_, err := e.Put(spec)
+			if tc.ok {
+				if err != nil {
+					t.Errorf("%s, %s rule, T=%v: %v", tc.store, spec.Type, tc.threshold, err)
+				}
+				continue
+			}
+			var bad *BadRuleError
+			if !errors.As(err, &bad) || bad.Field != "threshold" {
+				t.Errorf("%s, %s rule, T=%v: got %v, want a bad threshold", tc.store, spec.Type, tc.threshold, err)
+				continue
+			}
+			maxEst, n, _ := sbitmap.MustSpec(tc.store).MaxEstimate()
+			for _, want := range []string{fmt.Sprintf("%.6g", maxEst), fmt.Sprintf("n=%g", n)} {
+				if !strings.Contains(bad.Reason, want) {
+					t.Errorf("%s: reason %q does not name %s", tc.store, bad.Reason, want)
+				}
+			}
+			if e.Len() != 0 {
+				t.Errorf("%s: a refused rule was installed", tc.store)
+			}
+		}
+	}
+	e := New(newStore(t, "sbitmap:n=1e4,eps=0.1"), Config{})
+	if _, err := e.Put(Spec{ID: "m", Type: TypeMovers, K: 3}); err != nil {
+		t.Fatalf("movers rule on an S-bitmap store: %v", err)
+	}
+}
+
+// TestRestoreKeepsUnreachableThreshold: a checkpoint written before Put
+// refused never-firing rules still restores, rules and firing state.
+func TestRestoreKeepsUnreachableThreshold(t *testing.T) {
+	e := New(newStore(t, "sbitmap:n=1e4,eps=0.1"), Config{})
+	err := e.Restore(State{Rules: []RuleState{
+		{Spec: Spec{ID: "never", Type: TypePrefix, Threshold: 20000}},
+		{Spec: Spec{ID: "t", Type: TypeThreshold, Key: "k", Threshold: 1e5},
+			Firing: []KeyFiring{{Key: "k", Firing: true, LastFiredUnixNano: 1}}},
+	}, NextAlertID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.List(); len(got) != 2 || got[0].ID != "never" || got[1].ID != "t" {
+		t.Fatalf("restored rules: %+v", got)
+	}
+	if s := e.Stats(); s.Firing != 1 {
+		t.Fatalf("restored firing state: %+v", s)
 	}
 }

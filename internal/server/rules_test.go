@@ -93,6 +93,24 @@ func TestRuleCRUDOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRuleNeverFiringRefused: on an S-bitmap store no estimate exceeds
+// t_{k*} (9,938.85 for n=1e4, eps=0.1), so PUT /v1/rules answers a rule
+// with T at or above it with 400 bad_rule, and accepts one below it.
+func TestRuleNeverFiringRefused(t *testing.T) {
+	_, ts, client := newTestServer(t, Config{Spec: sbitmap.MustSpec("sbitmap:n=1e4,eps=0.1")})
+	for _, body := range []string{
+		`{"id":"x","type":"prefix","threshold":9939}`,
+		`{"id":"x","type":"threshold","key":"k","threshold":1e6}`,
+	} {
+		if status, code := apiErrorOf(t, ts, "PUT", "/v1/rules", "application/json", []byte(body)); status != 400 || code != CodeBadRule {
+			t.Errorf("%s: %d %s, want 400 %s", body, status, code, CodeBadRule)
+		}
+	}
+	if _, err := client.PutRule(context.Background(), rules.Spec{ID: "x", Type: rules.TypePrefix, Threshold: 9938}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func isAPICode(err error, code string) bool {
 	apiErr, ok := err.(*APIError)
 	return ok && apiErr.Code == code

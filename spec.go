@@ -340,6 +340,24 @@ func (s Spec) Retention() time.Duration {
 	return s.Window * time.Duration(r)
 }
 
+// MaxEstimate returns the largest estimate a counter of the Spec can
+// report, with the cardinality bound N it was dimensioned for; ok is
+// false for kinds whose estimates have no such ceiling. For the S-bitmap
+// the ceiling is t_{k*}, the estimate at the truncation point k*
+// (Equation 8): it lies near N, above or below it, and no stream,
+// window or sub-window estimate ever exceeds it. Every other kind
+// reports ok = false.
+func (s Spec) MaxEstimate() (maxEst, n float64, ok bool) {
+	if s.Kind != KindSBitmap {
+		return 0, 0, false
+	}
+	cfg, err := s.sbitmapConfig()
+	if err != nil {
+		return 0, 0, false
+	}
+	return cfg.T(cfg.KMax()), cfg.N(), true
+}
+
 // base strips the windowed modifier: the Spec of one sub-window sketch.
 func (s Spec) base() Spec {
 	s.Window, s.Ring = 0, 0

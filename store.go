@@ -869,35 +869,24 @@ type WindowEstimate struct {
 // key has never been seen (or was evicted). Errors: ErrNotWindowed when
 // the store's spec has no windowed(...) modifier, ErrWindowSpan when
 // span is non-positive or exceeds Spec.Retention. Safe for concurrent
-// use.
+// use. Inside ForEach or ForEachDirty, the counter in hand answers the
+// same query (WindowCounter).
 func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bool, error) {
 	if s.win == nil {
 		return WindowEstimate{}, false, ErrNotWindowed
 	}
-	n, err := s.win.coveringWindows(span)
-	if err != nil {
-		return WindowEstimate{}, false, err
-	}
-	wm := s.win.now()
-	var we WindowEstimate
+	var r ringEntries
 	st := s.stripeFor(key)
 	st.mu.Lock()
 	i, ok := st.tab.slotOf(key)
 	if ok {
-		we, err = s.win.estimateWindow(st.tab.ringAt(i), wm, n)
+		r = st.tab.ringAt(i)
 	}
+	we, err := s.win.estimateSpan(r, span)
 	st.mu.Unlock()
 	if err != nil {
 		return WindowEstimate{}, false, err
 	}
-	we.Tumbling = !s.src.mergeable
-	lo := wm - int64(n) + 1
-	if we.Tumbling {
-		we.Windows = 1
-		lo, wm = wm-1, wm-1
-	}
-	we.Start = time.Unix(0, lo*s.win.width)
-	we.End = time.Unix(0, (wm+1)*s.win.width)
 	return we, ok, nil
 }
 
@@ -977,7 +966,11 @@ func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) { s.visit(0, fn) }
 // stamps >= cut and is seen by the next pass even if this one missed it.
 // fn runs under the stripe lock with ForEach's contract: read the
 // counter, do not mutate it, do not call Store methods (self-deadlock);
-// the counter is valid only during fn, the key after it too. fn
+// the counter is valid only during fn, the key after it too. Everything
+// a scanner needs to read comes with the counter: on a windowed store it
+// is a WindowCounter, whose EstimateWindow answers Store.EstimateWindow
+// for the key in hand, so a scanner evaluates each key inside fn and
+// keeps nothing per key between the scan and its evaluation. fn
 // returning false stops the scan early; the returned cut is still
 // valid (skipped stripes keep their stamps and stay dirty). Multiple
 // scanners with independent since values coexist with each other and

@@ -27,14 +27,13 @@ func forceHeapCounters[K StoreKey](s *Store[K]) {
 // TestStoreSlabEquivalence is the inline sketches' safety rail: the same
 // records through an inline S-bitmap or HyperLogLog store and a
 // heap-counter one (forceHeapCounters) must marshal to identical bytes —
-// sketches kept in slots and stripe-shared scratch change where state
-// lives, never what it is. The workload mixes
-// scattered singleton runs with long same-key runs (borrowed-scratch
-// batch path) and crosses several chunk and index growths.
+// sketches kept in slots change where state lives, never what it is. The
+// workload mixes scattered singleton runs with long same-key runs (the
+// BulkAdder batch path) and crosses several chunk and index growths.
 func TestStoreSlabEquivalence(t *testing.T) {
 	keys, items := keyedWorkload(1500, 20000, 11)
 	// Append a few long single-key runs so runs ≥ storeRunBatchMin take
-	// the scratch-borrowing batch path.
+	// the BulkAdder batch path.
 	for run := 0; run < 4; run++ {
 		k := keys[run*7]
 		for i := 0; i < 2*storeRunBatchMin; i++ {
@@ -240,9 +239,10 @@ func TestBoundedStoreMatchesHeapTwin(t *testing.T) {
 // TestBoundedStoreEvictionAllocFree is the bounded stores' allocation
 // rail: at steady eviction with no hook, a new key takes the victim's
 // memory — its slot, and on a windowed store its run — so materializing
-// it allocates nothing. With a hook, the copy the hook gets costs at most
-// the counter record, its words and its own shared state (3 allocations),
-// or a heap ring and its entries with one copied sub-window (4).
+// it allocates nothing. With a hook, the copy the hook gets costs the
+// counter record and its words, which share the store's read-only state
+// (2 allocations), or a heap ring and its entries with one copied
+// sub-window (4).
 func TestBoundedStoreEvictionAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -393,8 +393,8 @@ func TestSBitmapArenaAllocAmortized(t *testing.T) {
 // TestStoreBatchIngestAllocFree pins the steady-state contract the wire
 // listener's decode+add path depends on: once a store's keys and scratch
 // are warm, keyed batch ingest performs zero heap allocations — for
-// scattered batches and for long runs through the borrowed-scratch
-// BulkAdder path alike.
+// scattered batches and for long runs through the BulkAdder path, whose
+// hash buffers the call borrows, alike.
 func TestStoreBatchIngestAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -407,7 +407,7 @@ func TestStoreBatchIngestAllocFree(t *testing.T) {
 		keys = append(keys, uint64(i)*0x9e37+1)
 		items = append(items, uint64(i))
 	}
-	for i := 0; i < 2*storeRunBatchMin; i++ { // one long run: scratch path
+	for i := 0; i < 2*storeRunBatchMin; i++ { // one long run: BulkAdder path
 		keys = append(keys, keys[0])
 		items = append(items, uint64(i))
 	}

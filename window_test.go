@@ -754,3 +754,61 @@ func TestWindowedStoreLargestRingRoundTrips(t *testing.T) {
 		assertStoresIdentical(t, got, s)
 	}
 }
+
+// TestWindowCounterMatchesEstimateWindow: the counter a windowed store
+// hands to ForEach is a WindowCounter whose EstimateWindow is
+// Store.EstimateWindow for that key — run rings and heap rings, mergeable
+// kinds and the tumbling fallback, every span and its errors.
+func TestWindowCounterMatchesEstimateWindow(t *testing.T) {
+	const width = time.Second
+	spans := []time.Duration{0, width / 2, width, 2 * width, 3 * width, 4 * width, 5 * width}
+	for _, spec := range []string{
+		"hll:mbits=512/windowed(width=1s,ring=4)",          // run rings, merged
+		"sbitmap:n=1e4,eps=0.1/windowed(width=1s,ring=4)",  // run rings, tumbling
+		"linearcount:mbits=2048/windowed(width=1s,ring=4)", // heap rings, merged
+		"exact/windowed(width=1s,ring=4)",                  // heap rings, tumbling
+	} {
+		t.Run(spec, func(t *testing.T) {
+			s, err := NewStore[string](MustSpec(spec), WithStripes(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for widx := int64(10); widx < 16; widx++ {
+				for i := 0; i < 400; i++ {
+					s.AddStringAt(at(widx, width), fmt.Sprintf("k%d", (i*7+int(widx))%40), fmt.Sprint(widx, "-", i))
+				}
+			}
+			type answer struct {
+				we  WindowEstimate
+				err error
+			}
+			got := make(map[string][]answer)
+			s.ForEach(func(key string, c Counter) bool {
+				wc, ok := c.(WindowCounter)
+				if !ok {
+					t.Fatalf("%T is not a WindowCounter", c)
+				}
+				for _, span := range spans {
+					we, err := wc.EstimateWindow(span)
+					got[key] = append(got[key], answer{we, err})
+				}
+				return true
+			})
+			if len(got) != 40 {
+				t.Fatalf("ForEach visited %d keys, want 40", len(got))
+			}
+			for key, answers := range got {
+				for i, span := range spans {
+					want, ok, err := s.EstimateWindow(key, span)
+					g := answers[i]
+					if (err == nil) != (g.err == nil) || (err != nil && !errors.Is(g.err, ErrWindowSpan)) {
+						t.Fatalf("%s span %v: counter error %v, store error %v", key, span, g.err, err)
+					}
+					if err == nil && (!ok || g.we != want) {
+						t.Fatalf("%s span %v: counter %+v, store %+v (ok %v)", key, span, g.we, want, ok)
+					}
+				}
+			}
+		})
+	}
+}

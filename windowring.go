@@ -208,26 +208,59 @@ func estimateRange(r ringEntries, lo, hi int64) (est float64, n int, err error) 
 	return dst.Estimate(), n, nil
 }
 
-// estimateWindow answers a window query over r given the Store watermark
-// wm and the covering sub-window count n (both resolved by the Store):
-// merge-on-query over (wm−n, wm] for mergeable kinds, the last complete
-// sub-window (wm−1) for the tumbling fallback. Start/End are filled in
-// by the Store.
-func (w *windowShared) estimateWindow(r ringEntries, wm int64, n int) (WindowEstimate, error) {
-	if !w.src.mergeable {
-		est, _, err := estimateRange(r, wm-1, wm-1)
-		return WindowEstimate{Estimate: est, Windows: 1, Tumbling: true}, err
-	}
-	est, merged, err := estimateRange(r, wm-int64(n)+1, wm)
-	return WindowEstimate{Estimate: est, Windows: merged}, err
+// WindowCounter is implemented by the counters a windowed Store hands out
+// for its keys — to ForEach, ForEachDirty and an OnEvict hook: a key's
+// ring of sub-window sketches. EstimateWindow answers Store.EstimateWindow
+// for that key from the counter in hand, at the Store's current
+// watermark, so a scanner reads each key's sliding-window estimate inside
+// its callback without looking the key up again. Its errors are
+// Store.EstimateWindow's span errors (ErrWindowSpan).
+type WindowCounter interface {
+	EstimateWindow(span time.Duration) (WindowEstimate, error)
 }
 
-// estimate is a ring's Estimate: the full-retention estimate — the union
-// of every in-horizon sub-window for mergeable kinds, the last complete
-// sub-window under the tumbling fallback. TopK on a windowed store
-// therefore ranks keys by their current sliding-window spread.
+var (
+	_ WindowCounter = (*windowRing)(nil)
+	_ WindowCounter = (*runRing)(nil)
+)
+
+// estimateSpan answers a window query of span over ring r, or over a key
+// the store does not hold when r is nil (estimate 0): the covering
+// sub-windows end at the watermark and are unioned on query for mergeable
+// kinds, while the tumbling fallback reads the last complete sub-window
+// whatever the span. Store.EstimateWindow and both ring layouts'
+// EstimateWindow answer through it.
+func (w *windowShared) estimateSpan(r ringEntries, span time.Duration) (WindowEstimate, error) {
+	n, err := w.coveringWindows(span)
+	if err != nil {
+		return WindowEstimate{}, err
+	}
+	hi := w.now()
+	lo := hi - int64(n) + 1
+	we := WindowEstimate{Tumbling: !w.src.mergeable}
+	if we.Tumbling {
+		lo, hi = hi-1, hi-1
+	}
+	if r != nil {
+		if we.Estimate, we.Windows, err = estimateRange(r, lo, hi); err != nil {
+			return WindowEstimate{}, err
+		}
+	}
+	if we.Tumbling {
+		we.Windows = 1
+	}
+	we.Start = time.Unix(0, lo*w.width)
+	we.End = time.Unix(0, (hi+1)*w.width)
+	return we, nil
+}
+
+// estimate is a ring's Estimate: the window estimate over the full
+// retention — the union of every in-horizon sub-window for mergeable
+// kinds, the last complete sub-window under the tumbling fallback. TopK
+// on a windowed store therefore ranks keys by their current
+// sliding-window spread.
 func (w *windowShared) estimate(r ringEntries) float64 {
-	we, _ := w.estimateWindow(r, w.now(), w.ring)
+	we, _ := w.estimateSpan(r, time.Duration(w.width*int64(w.ring)))
 	return we.Estimate
 }
 
@@ -408,6 +441,11 @@ func (r *windowRing) SizeBits() int                  { return ringSizeBits(r) }
 func (r *windowRing) Reset()                         { clear(r.slots) }
 func (r *windowRing) Merge(other Counter) error      { return mergeRings(r, other) }
 func (r *windowRing) MarshalBinary() ([]byte, error) { return marshalRing(r) }
+
+// EstimateWindow implements WindowCounter.
+func (r *windowRing) EstimateWindow(span time.Duration) (WindowEstimate, error) {
+	return r.sh.estimateSpan(r, span)
+}
 
 func (r *windowRing) claim(i int, widx int64) Counter {
 	sl := &r.slots[i]
@@ -595,6 +633,11 @@ func (r *runRing) SizeBits() int                  { return ringSizeBits(r) }
 func (r *runRing) Reset()                         { r.p.releaseAll(r.slot) }
 func (r *runRing) Merge(other Counter) error      { return mergeRings(r, other) }
 func (r *runRing) MarshalBinary() ([]byte, error) { return marshalRing(r) }
+
+// EstimateWindow implements WindowCounter.
+func (r *runRing) EstimateWindow(span time.Duration) (WindowEstimate, error) {
+	return r.p.win.estimateSpan(r, span)
+}
 
 func (r *runRing) entry(i int) (int64, bool) {
 	if ref := r.refs[i]; ref != 0 {
