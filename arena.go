@@ -92,6 +92,8 @@ func (src *counterSource) new() Counter {
 // goroutine, through its batch path too.
 func (src *counterSource) copyOf(run []uint64) Counter {
 	if src.hll != nil {
+		// Cloned through append, so the run's capacity is its allocation's
+		// size class, which the copy's Footprint counts.
 		c := new(HyperLogLog)
 		src.hll.View(&c.sk, slices.Clone(run[:src.hll.RunWords()]))
 		return c
@@ -161,7 +163,7 @@ func (v *runViews) sizeBits() int {
 	if v.sb != nil {
 		return v.sb.Config().M()
 	}
-	return 8 * v.hll.RunWords() * hyperloglog.RegisterBits
+	return v.hll.SizeBits()
 }
 
 // bind points the view at run's sketch and returns it.

@@ -18,34 +18,44 @@
 // m_HLL = 1.042·ε⁻² registers of α bits, α = k+1 for 2^(2^k) ≤ N <
 // 2^(2^(k+1)) — is exposed as MemoryBitsFor so the Table 2 / Figure 3
 // reproductions can quote the same numbers.
+//
+// A sketch's registers are RegisterBits wide in memory as in that
+// accounting: packed into a run of words, register j at bits
+// [5j, 5j+5) of the run, so 64 registers take 5 words and a sketch holds
+// SizeBits/8 bytes rounded up to a word. A snapshot still writes one byte
+// per register.
 package hyperloglog
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/uhash"
 )
 
-// RegisterBits is the register width used for memory accounting when
-// N < 2^32, matching the paper's α = 5. (Registers are stored in bytes at
-// runtime; accounting follows the information-theoretic width, as the
-// paper's does.)
+// RegisterBits is the register width, in memory and in the accounting,
+// for N < 2^32: the paper's α = 5.
 const RegisterBits = 5
 
 const maxRank = 1<<RegisterBits - 1
 
+// lanes is the number of registers one word holds whole: twelve, in its
+// low 60 bits. Merge, Estimate and the codec move registers lanes at a
+// time.
+const lanes = 64 / RegisterBits
+
 // Sketch is a HyperLogLog counter. A Sketch value is only the per-sketch
-// record: the register array, a byte view over a run of words. Everything
-// that is the same for every sketch under one register count and hash
-// lives in a Shared, which a keyed store holds once for all its sketches;
-// the store keeps the runs in flat slots and binds a handle to one per
-// access (Shared.View). Not safe for concurrent use.
+// record: a handle on its run of words, which holds the packed registers.
+// Everything that is the same for every sketch under one register count
+// and hash lives in a Shared, which a keyed store holds once for all its
+// sketches; the store keeps the runs in flat slots and binds a handle to
+// one per access (Shared.View). Not safe for concurrent use.
 type Sketch struct {
 	sh  *Shared
-	reg []uint8
+	run []uint64
 }
 
 // Shared is the state every sketch under one register count and hasher
@@ -72,27 +82,37 @@ func NewShared(kBits uint, h uhash.Hasher) *Shared {
 	return &Shared{kBits: kBits, alpha: alpha(1 << kBits), h: h}
 }
 
-// RunWords returns the length of each sketch's run under sh: m one-byte
-// registers, m/8 words (m ≥ 16, so a whole number of them).
-func (sh *Shared) RunWords() int { return (1 << sh.kBits) / 8 }
+// RunWords returns the length of each sketch's run under sh: m registers
+// of RegisterBits bits, packed, in ⌈5m/64⌉ words — 5 words per 64
+// registers.
+func (sh *Shared) RunWords() int { return (sh.SizeBits() + 63) / 64 }
+
+// SizeBits returns each sketch's summary bits under sh: RegisterBits per
+// register.
+func (sh *Shared) SizeBits() int { return RegisterBits << sh.kBits }
+
+// shift returns the shift that takes a bucket word to its register index,
+// its top kBits bits. It is masked to [0, 63], which 64 − kBits already
+// is, so the compiler drops the code a shift of 64 or more would need.
+func (sh *Shared) shift() uint { return (64 - sh.kBits) & 63 }
 
 // Init makes *s an empty sketch under sh over the first RunWords() words
 // of run. It allocates nothing: a keyed store materializes a sketch in
 // place, in one of its slots.
 func (sh *Shared) Init(s *Sketch, run []uint64) {
 	sh.View(s, run)
-	clear(s.reg)
+	clear(s.run)
 }
 
 // View makes *s a handle on the sketch whose registers are the first
 // RunWords() words of run, as Init, UnmarshalInto or an earlier handle
 // left them. Every read and write goes to run, so any number of views over
-// one run, one at a time, act as one sketch. The registers are the run's
-// bytes in memory order, so MarshalBinary writes them as they lie.
+// one run, one at a time, act as one sketch. Register j is bits
+// [5j, 5j+5) of the run, low bits first: word 5j/64 from bit 5j%64, and a
+// register that starts in a word's top four bits ends in the next word's
+// low bits. The handle keeps run's capacity, which Footprint counts.
 func (sh *Shared) View(s *Sketch, run []uint64) {
-	run = run[:sh.RunWords()]
-	m := 1 << sh.kBits
-	*s = Sketch{sh: sh, reg: unsafe.Slice((*uint8)(unsafe.Pointer(&run[0])), m)}
+	*s = Sketch{sh: sh, run: run[:sh.RunWords()]}
 }
 
 // Footprint returns the shared state's resident memory in bytes.
@@ -111,7 +131,9 @@ func NewWithHasher(kBits uint, h uhash.Hasher) *Sketch {
 	sh := NewShared(kBits, h)
 	sh.own = true
 	s := new(Sketch)
-	sh.Init(s, make([]uint64, sh.RunWords()))
+	// Grown through append, so the capacity is the allocation's size class
+	// and Footprint counts exactly what the heap holds.
+	sh.Init(s, slices.Grow([]uint64(nil), sh.RunWords())[:sh.RunWords()])
 	return s
 }
 
@@ -170,6 +192,52 @@ func registerWidthFor(n float64) int {
 	return k + 1
 }
 
+// word returns the 64 bits of run from bit 5j on: register j in the low
+// bits, then the registers after it. A window that would reach past the
+// run's last word repeats that word's low bits instead (a shift by 64 is
+// 0 in Go); only the registers the run holds are meaningful.
+func word(run []uint64, j uint64) uint64 {
+	b := RegisterBits * j
+	w, o := b/64, b%64
+	return run[w]>>o | run[min(w+1, uint64(len(run)-1))]<<(64-o)
+}
+
+// flip toggles the bits of d in run from bit 5j on: the inverse of word.
+// d must not reach past the run's last register, so a flip whose second
+// word would be past the run's end toggles nothing there.
+func flip(run []uint64, j, d uint64) {
+	b := RegisterBits * j
+	w, o := b/64, b%64
+	run[w] ^= d << o
+	run[min(w+1, uint64(len(run)-1))] ^= d >> (64 - o)
+}
+
+// rank returns the register value an item's geometric word offers: its
+// leading zeros plus one, clamped at the register width.
+func rank(geoWord uint64) uint64 {
+	return min(uint64(bits.LeadingZeros64(geoWord))+1, maxRank)
+}
+
+// raise sets register j of run to r if r is larger, and reports whether
+// it did. Only a register that starts in a word's top four bits reads and
+// writes the next word too: 4 of every 64, so the branch on it costs less
+// than word's and flip's second access, which every register pays.
+func raise(run []uint64, j, r uint64) bool {
+	w, o := RegisterBits*j/64, RegisterBits*j%64
+	cur := run[w] >> o
+	if o > 64-RegisterBits {
+		cur |= run[w+1] << (64 - o)
+	}
+	if cur &= maxRank; r <= cur {
+		return false
+	}
+	run[w] ^= (r ^ cur) << o
+	if o > 64-RegisterBits {
+		run[w+1] ^= (r ^ cur) >> (64 - o)
+	}
+	return true
+}
+
 // Add offers an item to the sketch; it reports whether a register grew.
 func (s *Sketch) Add(item []byte) bool {
 	hi, lo := s.sh.h.Sum128(item)
@@ -190,21 +258,12 @@ func (s *Sketch) AddString(item string) bool {
 }
 
 func (s *Sketch) insert(bucketWord, geoWord uint64) bool {
-	j := bucketWord >> (64 - s.sh.kBits)
-	rank := bits.LeadingZeros64(geoWord) + 1
-	if rank > maxRank {
-		rank = maxRank
-	}
-	if uint8(rank) <= s.reg[j] {
-		return false
-	}
-	s.reg[j] = uint8(rank)
-	return true
+	return raise(s.run, bucketWord>>s.sh.shift(), rank(geoWord))
 }
 
 // AddBatch64 offers a slice of 64-bit items and returns how many grew a
 // register; state-equivalent to AddUint64 on each item in order, with
-// chunked hashing and the register array in a local.
+// chunked hashing.
 func (s *Sketch) AddBatch64(items []uint64) int {
 	return uhash.Batch64(s.sh.h, nil, items, s.insertBatch)
 }
@@ -214,22 +273,14 @@ func (s *Sketch) AddBatchString(items []string) int {
 	return uhash.BatchString(s.sh.h, nil, items, s.insertBatch)
 }
 
-// insertBatch replays insert over a chunk of hashed items; the bucket
-// index is a kBits-bit prefix, in range of the register array by
-// construction.
+// insertBatch replays insert over a chunk of hashed items; the register
+// index is a kBits-bit prefix, in range of the run by construction.
 func (s *Sketch) insertBatch(hi, lo []uint64) int {
 	lo = lo[:len(hi)] // one bounds proof for the whole chunk
-	reg := s.reg
-	shift := 64 - s.sh.kBits
+	run, shift := s.run, s.sh.shift()
 	changed := 0
 	for i, h := range hi {
-		j := h >> shift
-		rank := bits.LeadingZeros64(lo[i]) + 1
-		if rank > maxRank {
-			rank = maxRank
-		}
-		if uint8(rank) > reg[j] {
-			reg[j] = uint8(rank)
+		if raise(run, h>>shift, rank(lo[i])) {
 			changed++
 		}
 	}
@@ -237,20 +288,34 @@ func (s *Sketch) insertBatch(hi, lo []uint64) int {
 }
 
 // M returns the number of registers.
-func (s *Sketch) M() int { return len(s.reg) }
+func (s *Sketch) M() int { return 1 << s.sh.kBits }
+
+// pow2neg[r] is 2^−r, the harmonic mean's term for a register holding r.
+var pow2neg = func() (t [maxRank + 1]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
 
 // Estimate returns the bias-corrected HyperLogLog estimate with the
 // original paper's small-range (linear counting) correction.
 func (s *Sketch) Estimate() float64 {
-	m := float64(len(s.reg))
+	n := s.M()
 	var invSum float64
 	zeros := 0
-	for _, r := range s.reg {
-		invSum += math.Exp2(-float64(r))
-		if r == 0 {
-			zeros++
+	for j := 0; j < n; j += lanes {
+		v := word(s.run, uint64(j))
+		for range min(lanes, n-j) {
+			r := v & maxRank
+			invSum += pow2neg[r]
+			if r == 0 {
+				zeros++
+			}
+			v >>= RegisterBits
 		}
 	}
+	m := float64(n)
 	e := s.sh.alpha * m * m / invSum
 	if e <= 2.5*m && zeros > 0 {
 		return m * math.Log(m/float64(zeros))
@@ -259,32 +324,62 @@ func (s *Sketch) Estimate() float64 {
 }
 
 // StdErrTheory returns the asymptotic relative standard error 1.04/√m.
-func (s *Sketch) StdErrTheory() float64 { return 1.04 / math.Sqrt(float64(len(s.reg))) }
+func (s *Sketch) StdErrTheory() float64 { return 1.04 / math.Sqrt(float64(s.M())) }
+
+// Lane masks of maxLanes: evenLow is the low bit of registers 0, 2, …, 10
+// of a word's twelve, evenLanes all their bits, and guard the bit just
+// above each of them.
+const (
+	evenLow   = 0x0004010040100401
+	evenLanes = maxRank * evenLow
+	guard     = evenLow << RegisterBits
+)
+
+// maxEvenLanes returns the register-wise maximum of the even lanes of a
+// and b, the odd lanes zero. Each even lane has the odd lane above it as
+// room: 32 + a_i − b_i lies in [1, 63], so no lane borrows from the next,
+// and its bit 5 says a_i ≥ b_i.
+func maxEvenLanes(a, b uint64) uint64 {
+	a, b = a&evenLanes, b&evenLanes
+	ge := ((a | guard) - b) & guard
+	pick := ge - ge>>RegisterBits // all five bits of every lane where a_i ≥ b_i
+	return a&pick | b&^pick
+}
+
+// maxLanes returns the register-wise maximum of the twelve registers in
+// the low 60 bits of a and b.
+func maxLanes(a, b uint64) uint64 {
+	return maxEvenLanes(a, b) | maxEvenLanes(a>>RegisterBits, b>>RegisterBits)<<RegisterBits
+}
 
 // Merge takes the register-wise maximum with another sketch; the result
 // summarizes the union of the two streams. Register counts must match.
+// It moves twelve registers at a time.
 func (s *Sketch) Merge(o *Sketch) error {
-	if len(s.reg) != len(o.reg) {
-		return fmt.Errorf("hyperloglog: merge of m=%d with m=%d", len(s.reg), len(o.reg))
+	if s.sh.kBits != o.sh.kBits {
+		return fmt.Errorf("hyperloglog: merge of m=%d with m=%d", s.M(), o.M())
 	}
-	for j := range s.reg {
-		if o.reg[j] > s.reg[j] {
-			s.reg[j] = o.reg[j]
+	m := s.M()
+	for j := 0; j < m; j += lanes {
+		a := word(s.run, uint64(j))
+		mask := uint64(1)<<(RegisterBits*min(lanes, m-j)) - 1 // the run may end first
+		if d := (maxLanes(a, word(o.run, uint64(j))) ^ a) & mask; d != 0 {
+			flip(s.run, uint64(j), d)
 		}
 	}
 	return nil
 }
 
 // SizeBits returns the summary memory footprint in bits (5 per register).
-func (s *Sketch) SizeBits() int { return len(s.reg) * RegisterBits }
+func (s *Sketch) SizeBits() int { return s.sh.SizeBits() }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// record and its register array at capacity, plus — for a New sketch,
-// which owns its Shared — the shared state. A sketch under a keyed
-// store's Shared counts only its record and registers; the store counts
-// the Shared once for all of them.
+// record and its run at capacity, plus — for a New sketch, which owns its
+// Shared — the shared state. A sketch under a keyed store's Shared counts
+// only its record and run; the store counts the Shared once for all of
+// them.
 func (s *Sketch) Footprint() int {
-	n := int(unsafe.Sizeof(*s)) + cap(s.reg)
+	n := int(unsafe.Sizeof(*s)) + 8*cap(s.run)
 	if s.sh.own {
 		n += s.sh.Footprint()
 	}
@@ -295,9 +390,18 @@ func (s *Sketch) Footprint() int {
 // preceded by the register-count exponent). The hash function is not
 // serialized; pass the original hasher to Unmarshal to continue counting.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 1+len(s.reg))
-	buf = append(buf, byte(s.sh.kBits))
-	buf = append(buf, s.reg...)
+	m := s.M()
+	buf := make([]byte, 1+m)
+	buf[0] = byte(s.sh.kBits)
+	reg := buf[1:]
+	for j := 0; j < m; j += lanes {
+		v := word(s.run, uint64(j))
+		out := reg[j:min(j+lanes, m)]
+		for i := range out {
+			out[i] = byte(v & maxRank)
+			v >>= RegisterBits
+		}
+	}
 	return buf, nil
 }
 
@@ -322,6 +426,18 @@ func parse(data []byte) (uint, error) {
 	return kBits, nil
 }
 
+// load packs parsed registers, one byte each, into s's run.
+func (s *Sketch) load(reg []byte) {
+	clear(s.run)
+	for j := 0; j < len(reg); j += lanes {
+		var v uint64
+		for i, r := range reg[j:min(j+lanes, len(reg))] {
+			v |= uint64(r) << (RegisterBits * i)
+		}
+		flip(s.run, uint64(j), v)
+	}
+}
+
 // UnmarshalInto restores MarshalBinary output into *s as Init(s, run)
 // followed by the recorded registers, building no hasher. Data that does
 // not parse, or was serialized with another register count than sh's, is
@@ -335,7 +451,7 @@ func (sh *Shared) UnmarshalInto(s *Sketch, run []uint64, data []byte) error {
 		return fmt.Errorf("hyperloglog: sketch serialized with m=%d registers, not m=%d", 1<<kBits, 1<<sh.kBits)
 	}
 	sh.View(s, run)
-	copy(s.reg, data[1:])
+	s.load(data[1:])
 	return nil
 }
 
@@ -367,9 +483,9 @@ func Unmarshal(data []byte, h uhash.Hasher) (*Sketch, error) {
 		h = uhash.NewMixer(1)
 	}
 	s := NewWithHasher(kBits, h)
-	copy(s.reg, data[1:])
+	s.load(data[1:])
 	return s, nil
 }
 
 // Reset clears the sketch for reuse.
-func (s *Sketch) Reset() { clear(s.reg) }
+func (s *Sketch) Reset() { clear(s.run) }

@@ -223,7 +223,8 @@ func TestSizeResetPanics(t *testing.T) {
 
 // TestSharedRecords: sketches initialized under one Shared — the layout a
 // keyed store uses — are bit-identical to New sketches, batch identically
-// to them, account only their record and registers, and restore in place
+// to them, account only their record and packed registers (a New sketch
+// accounts the same record and run plus its Shared), and restore in place
 // without building a hasher.
 func TestSharedRecords(t *testing.T) {
 	sh := NewShared(6, uhash.NewMixer(4))
@@ -240,13 +241,15 @@ func TestSharedRecords(t *testing.T) {
 		if !bytes.Equal(ab, ob) {
 			t.Fatalf("sketch %d: serialized state diverged", i)
 		}
-		if got, want := own.Footprint(), recs[i].Footprint()+sh.Footprint(); got != want {
+		var rec Sketch
+		sh.View(&rec, own.run)
+		if got, want := own.Footprint(), rec.Footprint()+sh.Footprint(); got != want {
 			t.Errorf("own sketch footprint %d, want record+registers+shared = %d", got, want)
 		}
 	}
-	const record = 32 // shared pointer, register slice header
-	if got := recs[0].Footprint(); got != record+64 {
-		t.Errorf("shared-state sketch footprint %d, want %d", got, record+64)
+	const record = 32 // shared pointer, run slice header
+	if got := recs[0].Footprint(); got != record+40 {
+		t.Errorf("shared-state sketch footprint %d, want %d: 64 registers in 5 words", got, record+40)
 	}
 
 	blob, _ := recs[3].MarshalBinary()

@@ -21,11 +21,12 @@ import (
 //	         slotInline bytes long, zero-padded
 //	[hdr:]   word tables only: the sketch's run — an S-bitmap's fill level
 //	         L, threshold register and bitmap words (core.Shared.RunWords),
-//	         or a HyperLogLog's registers, eight to a word
-//	         (hyperloglog.Shared.RunWords) — or, on a windowed store, the
-//	         key's ring: one uint32 run reference per sub-window, two to a
-//	         word, 0 for an empty sub-window, else the number of its run in
-//	         the stripe's run pool plus one (see runRings)
+//	         or a HyperLogLog's registers, packed at 5 bits, 64 to 5
+//	         words (hyperloglog.Shared.RunWords) — or, on a windowed
+//	         store, the key's ring: one uint32 run reference per
+//	         sub-window, two to a word, 0 for an empty sub-window, else
+//	         the number of its run in the stripe's run pool plus one (see
+//	         runRings)
 //
 // The kind alone decides the layout. A store whose kind has a run view
 // (counterSource.runView) keeps words, bounded or not: the paper's

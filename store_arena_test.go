@@ -466,6 +466,11 @@ func heapBytes(build func() any) float64 {
 // distinct items, fed as 8,192-record batches like the benchmark's wire
 // frames — and returns it with its live heap per key.
 func heapStore(t *testing.T, opts ...StoreOption) (*Store[string], float64) {
+	return heapStoreOf(t, MustSpec("sbitmap:n=1e4,eps=0.1"), opts...)
+}
+
+// heapStoreOf is heapStore for a store of spec.
+func heapStoreOf(t *testing.T, spec Spec, opts ...StoreOption) (*Store[string], float64) {
 	keys := make([]string, heapKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("user-%06x", i)
@@ -475,7 +480,7 @@ func heapStore(t *testing.T, opts ...StoreOption) (*Store[string], float64) {
 	bi := make([]uint64, 0, batch)
 	var st *Store[string]
 	heap := heapBytes(func() any {
-		s, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"), opts...)
+		s, err := NewStore[string](spec, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,17 +592,54 @@ func TestStoreFootprintMatchesLiveHeap(t *testing.T) {
 
 // TestWindowedStoreHeapPerKey is the windowed heap rail: a key is its
 // slot, with one 4 B run reference per sub-window, and holds only the
-// sub-windows a query can still read, each an 80 B run of its stripe's
-// pool — no heap object per key or per sub-window (389 B/key with a heap
-// ring and a heap HyperLogLog per sub-window).
+// sub-windows a query can still read, each a 56 B run of its stripe's
+// pool (two header words and 64 registers packed in 5 words) — no heap
+// object per key or per sub-window (389 B/key with a heap ring and a heap
+// HyperLogLog per sub-window; 222 B/key with one byte per register).
+// SizeBits stays the paper's 5 bits per register of every live sub-window.
 func TestWindowedStoreHeapPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
 	st, heap := windowedHeapStore(t)
 	t.Logf("%d keys: %.1f B/key of live heap", st.Len(), heap)
-	if heap > 235 {
-		t.Errorf("windowed store holds %.1f B/key of live heap, want ≤ 235", heap)
+	if heap > 190 {
+		t.Errorf("windowed store holds %.1f B/key of live heap, want ≤ 190", heap)
+	}
+	runs := 0
+	for i := range st.stripes {
+		runs += st.stripes[i].tab.rings.runs
+	}
+	if got, want := st.SizeBits(), 320*runs; got != want {
+		t.Errorf("SizeBits %d, want 320 per live sub-window = %d", got, want)
+	}
+}
+
+// TestHLLStoreHeapPerKey is the inline HyperLogLog heap rail: an
+// hll:mbits=512 key's slot holds its 64 registers packed at 5 bits, a run
+// of 5 words — its SizeBits/8 = 40 B — so a key costs that run, its slot
+// header, its share of the index and its key-log bytes (117.5 B/key with
+// one byte per register), and Footprint is its live heap within 5%.
+func TestHLLStoreHeapPerKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	s, heap := heapStoreOf(t, MustSpec("hll:mbits=512"))
+	for i := range s.stripes {
+		if tab := s.stripes[i].tab; tab.slots.stride-tab.hdr != 5 {
+			t.Fatalf("stripe %d: a key's run is %d words, want 5", i, tab.slots.stride-tab.hdr)
+		}
+	}
+	if got, want := s.SizeBits(), 320*s.Len(); got != want {
+		t.Errorf("SizeBits %d, want 320 per key = %d", got, want)
+	}
+	fp := float64(s.Footprint()) / heapKeys
+	t.Logf("%d keys: Footprint %.1f B/key, live heap %.1f B/key", s.Len(), fp, heap)
+	if fp < 0.95*heap || fp > 1.05*heap {
+		t.Errorf("Footprint reports %.1f B/key, live heap %.1f B/key: more than 5%% apart", fp, heap)
+	}
+	if heap > 100 {
+		t.Errorf("hll:mbits=512 store holds %.1f B/key of live heap, want ≤ 100", heap)
 	}
 }
 

@@ -50,6 +50,43 @@ func TestHLLMarshalGolden(t *testing.T) {
 	}
 }
 
+// TestLogLogMarshalGolden pins LogLog snapshot bytes as
+// TestHLLMarshalGolden pins HyperLogLog's: standalone, per key inside a
+// Store, and per sub-window inside a ring that has released nothing. A
+// change of where LogLog keeps its registers must leave them unchanged.
+func TestLogLogMarshalGolden(t *testing.T) {
+	c, _ := MustSpec("loglog:mbits=4096,seed=3").New()
+	for i := uint64(0); i < 20000; i++ {
+		c.AddUint64(i * 0x9e3779b97f4a7c15)
+	}
+	blob, err := Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got, want := hex.EncodeToString(sum[:]), "0bdaff4f02bad6c4ac2d9456ffa71bb49e53281f9384d459645dd22a8b41b538"; got != want {
+		t.Errorf("standalone LogLog snapshot sha256 %s, want %s", got, want)
+	}
+
+	keys, items := keyedWorkload(300, 30000, 3)
+	for _, tc := range []struct{ spec, want string }{
+		{"loglog:mbits=512,seed=5", "b44ea4fa6c4466b5693f1293860ad19626902e0f3aeb1a5a09ac404005795292"},
+		{"loglog:mbits=512,seed=5/windowed(width=1m,ring=5)", "ccfe9339be5fed4bb089c55151237c6ee80b94eae2d5f3325c9372f1acec31b3"},
+	} {
+		s, err := NewStore[uint64](MustSpec(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(keys); i += 1000 {
+			// Five sub-windows, one ring's worth: no slot expires.
+			s.AddBatch64At(time.Unix(int64(i/6000)*60, 0), keys[i:i+1000], items[i:i+1000])
+		}
+		if got := keyBlobsDigest(t, s); got != tc.want {
+			t.Errorf("%s: per-key snapshot sha256 %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+}
+
 // keyBlobsDigest hashes every key's counter snapshot in key order.
 func keyBlobsDigest(t *testing.T, s *Store[uint64]) string {
 	t.Helper()

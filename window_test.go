@@ -812,3 +812,59 @@ func TestWindowCounterMatchesEstimateWindow(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowQueriesAllocFree: a warm window query that unions sub-windows
+// allocates nothing on either ring layout — a run ring merges into its
+// table's scratch run, a heap ring into a pooled scratch counter — through
+// Store.EstimateWindow, Store.Estimate and the WindowCounter a dirty scan
+// hands out, which a windowed rule's tick reads per key.
+func TestWindowQueriesAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const width = time.Minute
+	for _, spec := range []string{
+		"hll:mbits=512/windowed(width=1m,ring=5)",          // run rings
+		"loglog:mbits=512/windowed(width=1m,ring=5)",       // heap rings
+		"linearcount:mbits=2048/windowed(width=1m,ring=5)", // heap rings
+	} {
+		t.Run(spec, func(t *testing.T) {
+			s, err := NewStore[string](MustSpec(spec), WithStripes(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := int64(10); w < 15; w++ {
+				for i := 0; i < 50; i++ {
+					s.AddStringAt(at(w, width), "hot", fmt.Sprintf("h-%d-%d", w, i))
+				}
+			}
+			var we WindowEstimate
+			if allocs := testing.AllocsPerRun(100, func() {
+				we, _, _ = s.EstimateWindow("hot", 5*width)
+			}); allocs != 0 {
+				t.Errorf("EstimateWindow over five sub-windows: %.1f allocs/op, want 0", allocs)
+			}
+			if we.Windows != 5 {
+				t.Errorf("query merged %d sub-windows, want 5", we.Windows)
+			}
+			var est float64
+			if allocs := testing.AllocsPerRun(100, func() { est, _ = s.Estimate("hot") }); allocs != 0 {
+				t.Errorf("Estimate over the retention: %.1f allocs/op, want 0", allocs)
+			}
+			if est != we.Estimate {
+				t.Errorf("Estimate %v, five-sub-window EstimateWindow %v", est, we.Estimate)
+			}
+			var scanned WindowEstimate
+			scan := func(_ string, c Counter) bool {
+				scanned, _ = c.(WindowCounter).EstimateWindow(3 * width)
+				return true
+			}
+			if allocs := testing.AllocsPerRun(100, func() { s.ForEachDirty(0, scan) }); allocs != 0 {
+				t.Errorf("dirty scan reading a three-sub-window estimate: %.1f allocs/op, want 0", allocs)
+			}
+			if scanned.Windows != 3 {
+				t.Errorf("scan merged %d sub-windows, want 3", scanned.Windows)
+			}
+		})
+	}
+}

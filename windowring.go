@@ -41,7 +41,8 @@ package sbitmap
 // Queries merge on demand. For Mergeable kinds (HLL, LogLog, FM,
 // LinearCount, MRBitmap) EstimateWindow unions the covering sub-window
 // sketches into a scratch counter: one scratch run per table for run
-// rings, a new counter for heap rings. The paper's S-bitmap is
+// rings, a pooled counter of the store's (windowShared.scratch) for heap
+// rings, so a warm query allocates nothing. The paper's S-bitmap is
 // deliberately not union-mergeable (see ErrNotMergeable), so windowed
 // S-bitmap stores fall back to tumbling semantics: the estimate of the
 // last *complete* sub-window, marked Tumbling in the result — exactly the
@@ -56,6 +57,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -85,6 +87,12 @@ type windowShared struct {
 	ring  int            // entries per key, ≥ 1
 	src   *counterSource // builds and decodes sub-window counters of the base spec
 	wm    *atomic.Int64  // the Store's watermark sub-window index
+
+	// scratch holds the counters heap rings' queries union sub-windows
+	// into, reset before use. A heap ring may have left the store, so its
+	// queries run under no stripe lock; the pool serves them on any
+	// goroutine.
+	scratch sync.Pool
 }
 
 // now returns the watermark sub-window, or sub-window 0 before any
@@ -146,8 +154,10 @@ type ringEntries interface {
 	// restore makes empty entry i sub-window widx's sketch, decoded from
 	// its snapshot blob.
 	restore(i int, widx int64, blob []byte) error
-	// scratch returns an empty counter a query may union entries into.
+	// scratch returns an empty counter a query may union entries into;
+	// putScratch takes it back once the query has read it.
 	scratch() Counter
+	putScratch(c Counter)
 }
 
 // rotate rotates ring r to sub-window widx and returns its sketch. A
@@ -198,6 +208,7 @@ func estimateRange(r ringEntries, lo, hi int64) (est float64, n int, err error) 
 		return r.sketch(single).Estimate(), 1, nil
 	}
 	dst := r.scratch()
+	defer r.putScratch(dst)
 	for i := range r.size() {
 		if widx, live := r.entry(i); live && widx >= lo && widx <= hi {
 			if err = Merge(dst, r.sketch(i)); err != nil {
@@ -432,7 +443,7 @@ func (r *windowRing) size() int                      { return len(r.slots) }
 func (r *windowRing) entry(i int) (int64, bool)      { return r.slots[i].widx, r.slots[i].c != nil }
 func (r *windowRing) sketch(i int) Counter           { return r.slots[i].c }
 func (r *windowRing) release(i int)                  { r.slots[i] = ringSlot{} }
-func (r *windowRing) scratch() Counter               { return r.sh.src.new() }
+func (r *windowRing) putScratch(c Counter)           { r.sh.scratch.Put(c) }
 func (r *windowRing) Add(item []byte) bool           { return r.sh.cur(r).Add(item) }
 func (r *windowRing) AddUint64(item uint64) bool     { return r.sh.cur(r).AddUint64(item) }
 func (r *windowRing) AddString(item string) bool     { return r.sh.cur(r).AddString(item) }
@@ -445,6 +456,14 @@ func (r *windowRing) MarshalBinary() ([]byte, error) { return marshalRing(r) }
 // EstimateWindow implements WindowCounter.
 func (r *windowRing) EstimateWindow(span time.Duration) (WindowEstimate, error) {
 	return r.sh.estimateSpan(r, span)
+}
+
+func (r *windowRing) scratch() Counter {
+	if c, ok := r.sh.scratch.Get().(Counter); ok {
+		c.Reset()
+		return c
+	}
+	return r.sh.src.new()
 }
 
 func (r *windowRing) claim(i int, widx int64) Counter {
@@ -624,6 +643,7 @@ type runRing struct {
 }
 
 func (r *runRing) size() int                      { return len(r.refs) }
+func (r *runRing) putScratch(Counter)             {}
 func (r *runRing) sketch(i int) Counter           { return r.p.v.bind(r.p.run(r.refs[i] - 1)[runHdr:]) }
 func (r *runRing) Add(item []byte) bool           { return r.p.win.cur(r).Add(item) }
 func (r *runRing) AddUint64(item uint64) bool     { return r.p.win.cur(r).AddUint64(item) }
