@@ -7,24 +7,29 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hyperloglog"
+	"repro/internal/loglog"
+	"repro/internal/uhash"
 )
 
 // Per-key construction. A keyed Store materializes one counter per
 // distinct key (per sub-window, on a windowed store), so at millions of
 // keys per-key heap objects would dominate cold ingest and the Store's
 // heap. A Store resolves its spec once, into a counterSource that builds,
-// decodes and copies out its counters and keeps the state its sketches
-// share. Two kinds have a run view — a sketch whose whole state is a run
-// of pointer-free words, bound to a handle per access: the S-bitmap
-// (core.Shared.View) and HyperLogLog (hyperloglog.Shared.View). The kind
-// alone decides a store's layout. A store of either kind, bounded or not,
-// keeps no per-key heap object: its slot tables (slots.go) hold each
-// key's sketch inline in its slot, or, windowed, each key's ring of run
-// references, with every live sub-window one run in the stripe's run pool
+// decodes and copies out its counters and keeps the state they share:
+// every counter it builds or decodes hashes through its one hasher. Three
+// kinds have a run view — a sketch whose whole state is a run of
+// pointer-free words, bound to a handle per access: the S-bitmap
+// (core.Shared.View), and HyperLogLog and LogLog, which keep the same
+// packed registers (hyperloglog.Shared.View). The kind alone decides a
+// store's layout. A store of a run-view kind, bounded or not, keeps no
+// per-key heap object: its slot tables (slots.go) hold each key's sketch
+// inline in its slot, or, windowed, each key's ring of run references,
+// with every live sub-window one run in the stripe's run pool
 // (windowring.go). A key that leaves such a store for an OnEvict hook, or
 // for another store's Merge, leaves as a heap copy. A store of any other
-// kind keeps one heap counter per key, built by Spec.New. No counter keeps
-// batch-hash buffers: a batch borrows them for the call (uhash.Batch64).
+// kind keeps one heap counter per key, built by Spec.build. No counter
+// keeps batch-hash buffers: a batch borrows them for the call
+// (uhash.Batch64).
 
 // counterSource is a Store's base spec — the spec minus the windowed
 // modifier, the Spec of one per-key or sub-window counter — resolved
@@ -32,22 +37,26 @@ import (
 // heap copies that leave them, share it on any goroutine.
 type counterSource struct {
 	spec      Spec
-	opts      []Option // the spec's seed and hash options, which decoding restores
-	mergeable bool     // the kind implements Mergeable
-	empty     []byte   // an empty counter's snapshot, as Marshal writes it
+	h         uhash.Hasher // the spec's hasher, shared by every counter built or decoded
+	dBits     uint         // an S-bitmap's sampling resolution
+	mergeable bool         // the kind implements Mergeable
+	empty     []byte       // an empty counter's snapshot, as Marshal writes it
 
-	// sb is an sbitmap spec's state — its Config, hasher and resolution —
-	// which the sketches of word tables share; nil for other kinds.
-	sb *core.Shared
-	// hll is the state every HyperLogLog of an hll spec shares, so a heap
-	// copy is one 32 B record plus its registers; nil for other kinds.
-	hll *hyperloglog.Shared
+	// runs is the run view of a run-view kind, whose sketches the slot
+	// tables keep in words; nil for other kinds.
+	runs runView
 }
 
 // newCounterSource resolves base, proving it constructible by building
 // one counter, so materializing a key cannot fail later.
 func newCounterSource(base Spec) (*counterSource, error) {
-	probe, err := base.New()
+	opts, err := base.options()
+	if err != nil {
+		return nil, err
+	}
+	o := buildOptions(opts)
+	h := o.newHasher()
+	probe, err := base.build(h, o.dBits)
 	if err != nil {
 		return nil, err
 	}
@@ -55,29 +64,26 @@ func newCounterSource(base Spec) (*counterSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	// New computed these from the same spec, so they cannot fail here.
-	opts, _ := base.options()
-	o := buildOptions(opts)
 	_, mergeable := probe.(Mergeable)
-	src := &counterSource{spec: base, opts: opts, mergeable: mergeable, empty: empty}
+	src := &counterSource{spec: base, h: h, dBits: o.dBits, mergeable: mergeable, empty: empty}
+	// build computed these from the same spec, so they cannot fail here.
 	switch base.Kind {
-	case KindHLL:
-		b, _ := base.budget()
-		src.hll = hyperloglog.NewShared(hyperloglog.KBitsForBudget(b), o.newHasher())
 	case KindSBitmap:
 		cfg, _ := base.sbitmapConfig()
-		src.sb = core.NewShared(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(o.newHasher()))
+		src.runs = &sbRuns{sh: core.NewShared(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(h))}
+	case KindHLL:
+		b, _ := base.budget()
+		src.runs = &hllRuns{sh: hyperloglog.NewShared(hyperloglog.KBitsForBudget(b), h)}
+	case KindLogLog:
+		b, _ := base.budget()
+		src.runs = &logLogRuns{sh: loglog.NewShared(loglog.KBitsForBudget(b), h)}
 	}
 	return src, nil
 }
 
-// runView reports whether the kind has a run view, so a store keeps its
-// sketches in words (see newSlotTable).
-func (src *counterSource) runView() bool { return src.sb != nil || src.hll != nil }
-
-// new builds an empty heap counter: Spec.New's.
+// new builds an empty heap counter under the source's hasher.
 func (src *counterSource) new() Counter {
-	c, err := src.spec.New()
+	c, err := src.spec.build(src.h, src.dBits)
 	if err != nil {
 		// newCounterSource built one; a deterministic constructor cannot
 		// fail on the same input later.
@@ -86,38 +92,22 @@ func (src *counterSource) new() Counter {
 	return c
 }
 
-// copyOf returns a heap counter holding a copy of the sketch in run, a
-// word table's: a counter that outlives the stripe lock it was read
-// under. It shares the store's read-only state, so it may be fed on any
-// goroutine, through its batch path too.
-func (src *counterSource) copyOf(run []uint64) Counter {
-	if src.hll != nil {
-		// Cloned through append, so the run's capacity is its allocation's
-		// size class, which the copy's Footprint counts.
-		c := new(HyperLogLog)
-		src.hll.View(&c.sk, slices.Clone(run[:src.hll.RunWords()]))
-		return c
-	}
-	c := new(SBitmap)
-	src.sb.View(&c.sk, slices.Clone(run[:src.sb.RunWords()]))
-	return c
-}
-
 // decode restores a heap counter from its snapshot blob (as Marshal
-// writes it) under the spec's seed and hash options. A Store snapshot
-// holds only counters built from its own spec, so a blob of another kind
+// writes it) under the source's hasher. A Store snapshot holds only
+// counters built from its own spec, so a blob of another kind
 // (ErrKindMismatch) or configured otherwise — a second decoded copy,
 // reset, marshals other than an empty counter of the spec — is a corrupt
 // snapshot.
 func (src *counterSource) decode(blob []byte) (Counter, error) {
-	if _, err := payloadOfKind(blob, src.spec.Kind); err != nil {
-		return nil, err
-	}
-	c, err := Unmarshal(blob, src.opts...)
+	payload, err := payloadOfKind(blob, src.spec.Kind)
 	if err != nil {
 		return nil, err
 	}
-	probe, _ := Unmarshal(blob, src.opts...) // the bytes that just decoded
+	c, err := decodeCounter(src.spec.Kind, payload, src.h)
+	if err != nil {
+		return nil, err
+	}
+	probe, _ := decodeCounter(src.spec.Kind, payload, src.h) // the bytes that just decoded
 	probe.Reset()
 	if b, err := Marshal(probe); err != nil || !bytes.Equal(b, src.empty) {
 		return nil, fmt.Errorf("sbitmap: snapshot holds a %s counter configured otherwise than %s", src.spec.Kind, src.spec)
@@ -125,91 +115,137 @@ func (src *counterSource) decode(blob []byte) (Counter, error) {
 	return c, nil
 }
 
-// footprint returns the bytes of the shared state, counted once for all
-// the sketches that use it.
+// footprint returns the bytes of a run view's shared state, counted once
+// for all the sketches that use it.
 func (src *counterSource) footprint() int {
-	total := 0
-	if src.sb != nil {
-		total += src.sb.Footprint()
+	if src.runs == nil {
+		return 0
 	}
-	if src.hll != nil {
-		total += src.hll.Footprint()
-	}
-	return total
+	return src.runs.footprint()
 }
 
-// runViews binds Counters over runs of words under a store's shared
-// state: S-bitmaps under sb, or HyperLogLogs under hll. A table holds its
-// own, bound to one run at a time under its stripe lock, so binding costs
-// one predictable branch and no allocation.
-type runViews struct {
-	sb   *core.Shared
-	hll  *hyperloglog.Shared
-	sbv  SBitmap
-	hllv HyperLogLog
+// runView is a run-view kind as a store's slot tables see it: the state
+// its sketches share, and one view — a Counter bound to one run of words
+// at a time, under the stripe lock, so binding allocates nothing. Each
+// table holds its own (views).
+type runView interface {
+	words() int     // the length of a run
+	sizeBits() int  // one sketch's summary bits
+	footprint() int // the shared state's bytes
+	kind() Kind     // the envelope kind of the sketches' snapshots
+	// views returns a runView over the same shared state with a view of
+	// its own.
+	views() runView
+	// bind points the view at run's sketch and returns it.
+	bind(run []uint64) Counter
+	// init makes run, whose words are zero, an empty sketch.
+	init(run []uint64)
+	// unbind drops the view's reference to the run it was last bound to,
+	// which would otherwise keep that run's chunk.
+	unbind()
+	// unmarshalInto decodes a sketch's envelope payload straight into
+	// run; data that does not parse, or holds a sketch of other
+	// parameters, is an error.
+	unmarshalInto(run []uint64, payload []byte) error
+	// copyOf returns a heap counter holding a copy of the sketch in run:
+	// a counter that outlives the stripe lock it was read under. It
+	// shares the read-only state, so it may be fed on any goroutine,
+	// through its batch path too. The run is cloned through append, so
+	// its capacity is its allocation's size class, which the copy's
+	// Footprint counts.
+	copyOf(run []uint64) Counter
 }
 
-// words returns the length of a run.
-func (v *runViews) words() int {
-	if v.sb != nil {
-		return v.sb.RunWords()
-	}
-	return v.hll.RunWords()
-}
-
-// sizeBits returns one sketch's summary bits: an S-bitmap's m, or a
-// HyperLogLog's 5 bits per register.
-func (v *runViews) sizeBits() int {
-	if v.sb != nil {
-		return v.sb.Config().M()
-	}
-	return v.hll.SizeBits()
-}
-
-// bind points the view at run's sketch and returns it.
-func (v *runViews) bind(run []uint64) Counter {
-	if v.sb != nil {
-		v.sb.View(&v.sbv.sk, run)
-		return &v.sbv
-	}
-	v.hll.View(&v.hllv.sk, run)
-	return &v.hllv
-}
-
-// init makes run, whose words are zero, an empty sketch and returns the
-// view bound to it.
-func (v *runViews) init(run []uint64) Counter {
-	if v.sb != nil {
-		v.sb.Init(&v.sbv.sk, run)
-		return &v.sbv
-	}
-	v.hll.Init(&v.hllv.sk, run)
-	return &v.hllv
-}
-
-// unmarshalInto decodes a sketch blob (as Marshal writes it) straight
-// into run. A store snapshot holds only sketches built from its own spec,
-// so a blob of another kind or other parameters is a corrupt snapshot.
-func (v *runViews) unmarshalInto(run []uint64, blob []byte) error {
-	kind := KindHLL
-	if v.sb != nil {
-		kind = KindSBitmap
-	}
-	payload, err := payloadOfKind(blob, kind)
+// unmarshalRun decodes a sketch blob (as Marshal writes it) straight into
+// run through v. A store snapshot holds only sketches built from its own
+// spec, so a blob of another kind or other parameters is a corrupt
+// snapshot.
+func unmarshalRun(v runView, run []uint64, blob []byte) error {
+	payload, err := payloadOfKind(blob, v.kind())
 	if err != nil {
 		return err
 	}
-	if v.sb != nil {
-		err = v.sb.UnmarshalInto(&v.sbv.sk, run, payload)
-	} else {
-		err = v.hll.UnmarshalInto(&v.hllv.sk, run, payload)
-	}
-	if err != nil {
+	if err := v.unmarshalInto(run, payload); err != nil {
 		return fmt.Errorf("sbitmap: %w", err)
 	}
 	return nil
 }
 
-// unbind drops the views' references, which would otherwise keep the
-// chunk of the run they were last bound to.
-func (v *runViews) unbind() { v.sbv, v.hllv = SBitmap{}, HyperLogLog{} }
+// sbRuns is the S-bitmap's run view: the Config, hasher and resolution
+// its sketches share.
+type sbRuns struct {
+	sh *core.Shared
+	v  SBitmap
+}
+
+func (r *sbRuns) words() int                { return r.sh.RunWords() }
+func (r *sbRuns) sizeBits() int             { return r.sh.Config().M() }
+func (r *sbRuns) footprint() int            { return r.sh.Footprint() }
+func (r *sbRuns) kind() Kind                { return KindSBitmap }
+func (r *sbRuns) views() runView            { return &sbRuns{sh: r.sh} }
+func (r *sbRuns) bind(run []uint64) Counter { r.sh.View(&r.v.sk, run); return &r.v }
+func (r *sbRuns) init(run []uint64)         { r.sh.Init(&r.v.sk, run) }
+func (r *sbRuns) unbind()                   { r.v = SBitmap{} }
+
+func (r *sbRuns) unmarshalInto(run []uint64, payload []byte) error {
+	return r.sh.UnmarshalInto(&r.v.sk, run, payload)
+}
+
+func (r *sbRuns) copyOf(run []uint64) Counter {
+	c := new(SBitmap)
+	r.sh.View(&c.sk, slices.Clone(run[:r.sh.RunWords()]))
+	return c
+}
+
+// hllRuns is HyperLogLog's run view: the register count, α_m and hasher
+// its sketches share, so a heap copy is one 32 B record plus its packed
+// registers.
+type hllRuns struct {
+	sh *hyperloglog.Shared
+	v  HyperLogLog
+}
+
+func (r *hllRuns) words() int                { return r.sh.RunWords() }
+func (r *hllRuns) sizeBits() int             { return r.sh.SizeBits() }
+func (r *hllRuns) footprint() int            { return r.sh.Footprint() }
+func (r *hllRuns) kind() Kind                { return KindHLL }
+func (r *hllRuns) views() runView            { return &hllRuns{sh: r.sh} }
+func (r *hllRuns) bind(run []uint64) Counter { r.sh.View(&r.v.sk, run); return &r.v }
+func (r *hllRuns) init(run []uint64)         { r.sh.Init(&r.v.sk, run) }
+func (r *hllRuns) unbind()                   { r.v = HyperLogLog{} }
+
+func (r *hllRuns) unmarshalInto(run []uint64, payload []byte) error {
+	return r.sh.UnmarshalInto(&r.v.sk, run, payload)
+}
+
+func (r *hllRuns) copyOf(run []uint64) Counter {
+	c := new(HyperLogLog)
+	r.sh.View(&c.sk, slices.Clone(run[:r.sh.RunWords()]))
+	return c
+}
+
+// logLogRuns is LogLog's run view: HyperLogLog's registers under a Shared
+// that carries LogLog's estimator.
+type logLogRuns struct {
+	sh *hyperloglog.Shared
+	v  LogLog
+}
+
+func (r *logLogRuns) words() int                { return r.sh.RunWords() }
+func (r *logLogRuns) sizeBits() int             { return r.sh.SizeBits() }
+func (r *logLogRuns) footprint() int            { return r.sh.Footprint() }
+func (r *logLogRuns) kind() Kind                { return KindLogLog }
+func (r *logLogRuns) views() runView            { return &logLogRuns{sh: r.sh} }
+func (r *logLogRuns) bind(run []uint64) Counter { r.sh.View(&r.v.sk, run); return &r.v }
+func (r *logLogRuns) init(run []uint64)         { r.sh.Init(&r.v.sk, run) }
+func (r *logLogRuns) unbind()                   { r.v = LogLog{} }
+
+func (r *logLogRuns) unmarshalInto(run []uint64, payload []byte) error {
+	return r.sh.UnmarshalInto(&r.v.sk, run, payload)
+}
+
+func (r *logLogRuns) copyOf(run []uint64) Counter {
+	c := new(LogLog)
+	r.sh.View(&c.sk, slices.Clone(run[:r.sh.RunWords()]))
+	return c
+}

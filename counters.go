@@ -70,19 +70,26 @@ func (c *HyperLogLog) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The restored
-// counter hashes with the default seed; use Unmarshal with options to
-// restore under a different hash configuration.
+// counter keeps the counter's hasher, the default seed's for a zero
+// counter; use Unmarshal with options to restore under a different hash
+// configuration.
 func (c *HyperLogLog) UnmarshalBinary(data []byte) error {
 	payload, err := payloadOfKind(data, KindHLL)
 	if err != nil {
 		return err
 	}
-	return c.sk.UnmarshalBinary(payload)
+	sk, err := hyperloglog.Unmarshal(payload, c.sk.Hasher())
+	if err != nil {
+		return err
+	}
+	c.sk = *sk
+	return nil
 }
 
 // LogLog is the root-package face of the Durand–Flajolet (2003) LogLog
-// counter. Create one with Spec.New or Unmarshal.
-type LogLog struct{ sk *loglog.Sketch }
+// counter: HyperLogLog's registers under LogLog's estimator. Create one
+// with Spec.New or Unmarshal.
+type LogLog struct{ sk hyperloglog.Sketch }
 
 // Add offers an item; it reports whether a register grew.
 func (c *LogLog) Add(item []byte) bool { return c.sk.Add(item) }
@@ -111,24 +118,27 @@ func (c *LogLog) Merge(other Counter) error {
 	if !ok {
 		return fmt.Errorf("sbitmap: cannot merge %T into *LogLog: %w", other, ErrNotMergeable)
 	}
-	return c.sk.Merge(o.sk)
+	return c.sk.Merge(&o.sk)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler via the envelope.
 func (c *LogLog) MarshalBinary() ([]byte, error) {
-	return marshalEnvelope(KindLogLog, c.sk)
+	return marshalEnvelope(KindLogLog, &c.sk)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, keeping the
+// counter's hasher as HyperLogLog's does.
 func (c *LogLog) UnmarshalBinary(data []byte) error {
 	payload, err := payloadOfKind(data, KindLogLog)
 	if err != nil {
 		return err
 	}
-	if c.sk == nil {
-		c.sk = &loglog.Sketch{}
+	sk, err := loglog.Unmarshal(payload, c.sk.Hasher())
+	if err != nil {
+		return err
 	}
-	return c.sk.UnmarshalBinary(payload)
+	c.sk = *sk
+	return nil
 }
 
 // FM is the root-package face of the Flajolet–Martin (1985) PCSA counter.

@@ -64,8 +64,8 @@ func FuzzUnmarshalStore(f *testing.F) {
 }
 
 // fuzzStoreSpecs are the specs of the snapshot decoders' fuzz seeds:
-// plain and windowed HLL and S-bitmap stores, which keep words, and
-// LogLog stores, which keep heap counters and heap rings.
+// plain and windowed HLL, S-bitmap and LogLog stores, which keep words,
+// and FM stores, which keep heap counters and heap rings.
 var fuzzStoreSpecs = []string{
 	"hll:mbits=256,seed=3",
 	"hll:mbits=256,seed=3/windowed(width=1m,ring=3)",
@@ -73,6 +73,8 @@ var fuzzStoreSpecs = []string{
 	"sbitmap:n=1e3,eps=0.2/windowed(width=1m,ring=3)",
 	"loglog:mbits=256,seed=3",
 	"loglog:mbits=256,seed=3/windowed(width=1m,ring=3)",
+	"fm:mbits=256,seed=3",
+	"fm:mbits=256,seed=3/windowed(width=1m,ring=3)",
 }
 
 // checkCounterKinds requires every counter s holds — every live

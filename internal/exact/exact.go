@@ -23,9 +23,13 @@ type Counter struct {
 	h   uhash.Hasher
 }
 
+// fingerprint is the fixed hash of every counter's fingerprints; a
+// Hasher is read-only, so all counters share one.
+var fingerprint = uhash.NewMixer(0x0ddba11)
+
 // New returns an empty exact counter.
 func New() *Counter {
-	return &Counter{set: make(map[[2]uint64]struct{}), h: uhash.NewMixer(0x0ddba11)}
+	return &Counter{set: make(map[[2]uint64]struct{}), h: fingerprint}
 }
 
 // Add offers an item and reports whether it was new.
@@ -150,14 +154,14 @@ func (c *Counter) UnmarshalBinary(data []byte) error {
 	}
 	c.set = set
 	if c.h == nil {
-		c.h = uhash.NewMixer(0x0ddba11)
+		c.h = fingerprint
 	}
 	return nil
 }
 
 // Unmarshal reconstructs a counter from MarshalBinary output.
 func Unmarshal(data []byte) (*Counter, error) {
-	c := &Counter{h: uhash.NewMixer(0x0ddba11)}
+	c := &Counter{h: fingerprint}
 	if err := c.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}

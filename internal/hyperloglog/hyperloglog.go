@@ -24,6 +24,10 @@
 // [5j, 5j+5) of the run, so 64 registers take 5 words and a sketch holds
 // SizeBits/8 bytes rounded up to a word. A snapshot still writes one byte
 // per register.
+//
+// LogLog (package loglog) keeps the same registers and differs only in
+// its Estimator, so its sketches are this package's under LogLog's
+// estimator.
 package hyperloglog
 
 import (
@@ -58,28 +62,49 @@ type Sketch struct {
 	run []uint64
 }
 
-// Shared is the state every sketch under one register count and hasher
-// shares: the register-count exponent, α_m and the Hasher. New gives each
-// sketch its own. A Shared is read-only after NewShared, so sketches under
-// one Shared may be fed on different goroutines, through their batch
-// paths too: a batch hashes through buffers borrowed for the call
-// (uhash.Batch64), not through the Shared.
+// Shared is the state every sketch under one estimator, register count
+// and hasher shares: the Estimator, the register-count exponent, α_m and
+// the Hasher. New gives each sketch its own. A Shared is read-only after
+// NewShared, so sketches under one Shared may be fed on different
+// goroutines, through their batch paths too: a batch hashes through
+// buffers borrowed for the call (uhash.Batch64), not through the Shared.
 type Shared struct {
+	est   *Estimator
 	kBits uint
 	alpha float64
 	h     uhash.Hasher
 	own   bool // held by one New sketch, whose Footprint counts it
 }
 
+// An Estimator turns a sketch's registers into its estimate. HyperLogLog
+// and LogLog keep the same registers and differ only here: in the mean
+// they take, α_m, the error constant and the smallest register count.
+// It also names the sketches in their panic and error texts.
+type Estimator struct {
+	Name      string              // the sketch's name in panic and error texts
+	MinKBits  uint                // the smallest register-count exponent; the largest is 24
+	Alpha     func(m int) float64 // the bias correction α_m
+	Geometric bool                // n̂ = α_m·m·2^(ΣM_j/m), LogLog's, in place of the harmonic mean
+	StdErr    float64             // c of the asymptotic relative standard error c/√m
+}
+
+// harmonic is HyperLogLog's estimator. The α_m constants follow the
+// original paper and start at m = 16.
+var harmonic = &Estimator{Name: "hyperloglog", MinKBits: 4, Alpha: alpha, StdErr: 1.04}
+
 // NewShared returns the state shared by sketches equivalent to
 // NewWithHasher(kBits, h); Init materializes them. It panics if kBits is
-// outside [4, 24] (the α_m constants below follow the original paper and
-// start at m = 16).
-func NewShared(kBits uint, h uhash.Hasher) *Shared {
-	if kBits < 4 || kBits > 24 {
-		panic(fmt.Sprintf("hyperloglog: kBits = %d outside [4, 24]", kBits))
+// outside [4, 24].
+func NewShared(kBits uint, h uhash.Hasher) *Shared { return harmonic.NewShared(kBits, h) }
+
+// NewShared returns the state shared by sketches of e equivalent to
+// e.NewWithHasher(kBits, h). It panics if kBits is outside
+// [e.MinKBits, 24].
+func (e *Estimator) NewShared(kBits uint, h uhash.Hasher) *Shared {
+	if kBits < e.MinKBits || kBits > 24 {
+		panic(fmt.Sprintf("%s: kBits = %d outside [%d, 24]", e.Name, kBits, e.MinKBits))
 	}
-	return &Shared{kBits: kBits, alpha: alpha(1 << kBits), h: h}
+	return &Shared{est: e, kBits: kBits, alpha: e.Alpha(1 << kBits), h: h}
 }
 
 // RunWords returns the length of each sketch's run under sh: m registers
@@ -127,8 +152,12 @@ func New(kBits uint, seed uint64) *Sketch {
 
 // NewWithHasher returns a HyperLogLog sketch with an explicit hasher and
 // shared state of its own.
-func NewWithHasher(kBits uint, h uhash.Hasher) *Sketch {
-	sh := NewShared(kBits, h)
+func NewWithHasher(kBits uint, h uhash.Hasher) *Sketch { return harmonic.NewWithHasher(kBits, h) }
+
+// NewWithHasher returns a sketch of e with m = 2^kBits registers, an
+// explicit hasher and shared state of its own.
+func (e *Estimator) NewWithHasher(kBits uint, h uhash.Hasher) *Sketch {
+	sh := e.NewShared(kBits, h)
 	sh.own = true
 	s := new(Sketch)
 	// Grown through append, so the capacity is the allocation's size class
@@ -298,9 +327,13 @@ var pow2neg = func() (t [maxRank + 1]float64) {
 	return t
 }()
 
-// Estimate returns the bias-corrected HyperLogLog estimate with the
-// original paper's small-range (linear counting) correction.
+// Estimate returns the sketch's estimate: for HyperLogLog the
+// bias-corrected harmonic mean with the original paper's small-range
+// (linear counting) correction, for LogLog the geometric mean.
 func (s *Sketch) Estimate() float64 {
+	if s.sh.est.Geometric {
+		return s.geometricMean()
+	}
 	n := s.M()
 	var invSum float64
 	zeros := 0
@@ -323,12 +356,28 @@ func (s *Sketch) Estimate() float64 {
 	return e
 }
 
-// StdErrTheory returns the asymptotic relative standard error 1.04/√m.
-func (s *Sketch) StdErrTheory() float64 { return 1.04 / math.Sqrt(float64(s.M())) }
+// geometricMean returns LogLog's n̂ = α_m · m · 2^(ΣM_j / m). It sums a
+// word's twelve registers at once: odd lanes added onto even ones give
+// six 10-bit fields of at most 62, and the multiply by evenLow sums them
+// into bits 50 to 59.
+func (s *Sketch) geometricMean() float64 {
+	n, sum := s.M(), uint64(0)
+	for j := 0; j < n; j += lanes {
+		v := word(s.run, uint64(j)) & (1<<(RegisterBits*min(lanes, n-j)) - 1)
+		pairs := v&evenLanes + v>>RegisterBits&evenLanes
+		sum += pairs * evenLow >> 50 & 0x3ff
+	}
+	m := float64(n)
+	return s.sh.alpha * m * math.Pow(2, float64(sum)/m)
+}
 
-// Lane masks of maxLanes: evenLow is the low bit of registers 0, 2, …, 10
-// of a word's twelve, evenLanes all their bits, and guard the bit just
-// above each of them.
+// StdErrTheory returns the asymptotic relative standard error:
+// HyperLogLog's 1.04/√m, or LogLog's 1.30/√m.
+func (s *Sketch) StdErrTheory() float64 { return s.sh.est.StdErr / math.Sqrt(float64(s.M())) }
+
+// Lane masks of maxLanes and geometricMean: evenLow is the low bit of
+// registers 0, 2, …, 10 of a word's twelve, evenLanes all their bits, and
+// guard the bit just above each of them.
 const (
 	evenLow   = 0x0004010040100401
 	evenLanes = maxRank * evenLow
@@ -357,7 +406,7 @@ func maxLanes(a, b uint64) uint64 {
 // It moves twelve registers at a time.
 func (s *Sketch) Merge(o *Sketch) error {
 	if s.sh.kBits != o.sh.kBits {
-		return fmt.Errorf("hyperloglog: merge of m=%d with m=%d", s.M(), o.M())
+		return fmt.Errorf("%s: merge of m=%d with m=%d", s.sh.est.Name, s.M(), o.M())
 	}
 	m := s.M()
 	for j := 0; j < m; j += lanes {
@@ -405,22 +454,22 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// parse validates MarshalBinary output and returns its register-count
-// exponent; the registers are data[1:].
-func parse(data []byte) (uint, error) {
+// parse validates MarshalBinary output of a sketch of e and returns its
+// register-count exponent; the registers are data[1:].
+func (e *Estimator) parse(data []byte) (uint, error) {
 	if len(data) < 1 {
-		return 0, fmt.Errorf("hyperloglog: truncated serialization")
+		return 0, fmt.Errorf("%s: truncated serialization", e.Name)
 	}
 	kBits := uint(data[0])
-	if kBits < 4 || kBits > 24 {
-		return 0, fmt.Errorf("hyperloglog: serialized kBits = %d outside [4, 24]", kBits)
+	if kBits < e.MinKBits || kBits > 24 {
+		return 0, fmt.Errorf("%s: serialized kBits = %d outside [%d, 24]", e.Name, kBits, e.MinKBits)
 	}
 	if m := 1 << kBits; len(data) != 1+m {
-		return 0, fmt.Errorf("hyperloglog: register body %d bytes, want %d", len(data)-1, m)
+		return 0, fmt.Errorf("%s: register body %d bytes, want %d", e.Name, len(data)-1, m)
 	}
 	for _, r := range data[1:] {
 		if r > maxRank {
-			return 0, fmt.Errorf("hyperloglog: serialized rank %d exceeds register width", r)
+			return 0, fmt.Errorf("%s: serialized rank %d exceeds register width", e.Name, r)
 		}
 	}
 	return kBits, nil
@@ -443,46 +492,43 @@ func (s *Sketch) load(reg []byte) {
 // not parse, or was serialized with another register count than sh's, is
 // an error that touches neither s nor run.
 func (sh *Shared) UnmarshalInto(s *Sketch, run []uint64, data []byte) error {
-	kBits, err := parse(data)
+	kBits, err := sh.est.parse(data)
 	if err != nil {
 		return err
 	}
 	if kBits != sh.kBits {
-		return fmt.Errorf("hyperloglog: sketch serialized with m=%d registers, not m=%d", 1<<kBits, 1<<sh.kBits)
+		return fmt.Errorf("%s: sketch serialized with m=%d registers, not m=%d", sh.est.Name, 1<<kBits, 1<<sh.kBits)
 	}
 	sh.View(s, run)
 	s.load(data[1:])
 	return nil
 }
 
-// UnmarshalBinary reconstructs the sketch in place from MarshalBinary
-// output, under shared state of its own that keeps the sketch's hasher
-// (the default Mixer with seed 1 for a zero Sketch).
-func (s *Sketch) UnmarshalBinary(data []byte) error {
-	var h uhash.Hasher
-	if s.sh != nil {
-		h = s.sh.h
+// Hasher returns the sketch's hasher, or nil for a zero Sketch: what a
+// decoder passes Unmarshal to restore a sketch in place under the hash it
+// counted with.
+func (s *Sketch) Hasher() uhash.Hasher {
+	if s.sh == nil {
+		return nil
 	}
-	r, err := Unmarshal(data, h)
-	if err != nil {
-		return err
-	}
-	*s = *r
-	return nil
+	return s.sh.h
 }
 
-// Unmarshal reconstructs a sketch from MarshalBinary output, under shared
-// state of its own hashing with h (nil selects the default Mixer with
-// seed 1).
-func Unmarshal(data []byte, h uhash.Hasher) (*Sketch, error) {
-	kBits, err := parse(data)
+// Unmarshal reconstructs a HyperLogLog sketch from MarshalBinary output,
+// under shared state of its own hashing with h (nil selects the default
+// Mixer with seed 1).
+func Unmarshal(data []byte, h uhash.Hasher) (*Sketch, error) { return harmonic.Unmarshal(data, h) }
+
+// Unmarshal is the package's Unmarshal for a sketch of e.
+func (e *Estimator) Unmarshal(data []byte, h uhash.Hasher) (*Sketch, error) {
+	kBits, err := e.parse(data)
 	if err != nil {
 		return nil, err
 	}
 	if h == nil {
 		h = uhash.NewMixer(1)
 	}
-	s := NewWithHasher(kBits, h)
+	s := e.NewWithHasher(kBits, h)
 	s.load(data[1:])
 	return s, nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/linearcount"
 	"repro/internal/loglog"
 	"repro/internal/mrbitmap"
+	"repro/internal/uhash"
 	"repro/internal/virtualbitmap"
 )
 
@@ -166,61 +167,64 @@ func Marshal(c any) ([]byte, error) {
 func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 	o := buildOptions(opts)
 	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == core.LegacySketchMagic {
-		sk, err := core.UnmarshalSketch(data, core.WithHasher(o.newHasher()))
-		if err != nil {
-			return nil, fmt.Errorf("sbitmap: %w", err)
-		}
-		return &SBitmap{sk: *sk}, nil
+		return decodeCounter(KindSBitmap, data, o.newHasher())
 	}
 	kind, payload, err := openEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
+	return decodeCounter(kind, payload, o.newHasher())
+}
+
+// decodeCounter is Unmarshal's decoding step: it restores a counter of
+// kind from its envelope payload (or, for an S-bitmap, from a legacy
+// snapshot), hashing with h, which any number of counters may share.
+func decodeCounter(kind Kind, payload []byte, h uhash.Hasher) (Counter, error) {
 	switch kind {
 	case KindSBitmap:
-		sk, err := core.UnmarshalSketch(payload, core.WithHasher(o.newHasher()))
+		sk, err := core.UnmarshalSketch(payload, core.WithHasher(h))
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: %w", err)
 		}
 		return &SBitmap{sk: *sk}, nil
 	case KindHLL:
-		sk, err := hyperloglog.Unmarshal(payload, o.newHasher())
+		sk, err := hyperloglog.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
 		return &HyperLogLog{sk: *sk}, nil
 	case KindLogLog:
-		sk, err := loglog.Unmarshal(payload, o.newHasher())
+		sk, err := loglog.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
-		return &LogLog{sk: sk}, nil
+		return &LogLog{sk: *sk}, nil
 	case KindFM:
-		sk, err := fm.Unmarshal(payload, o.newHasher())
+		sk, err := fm.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
 		return &FM{sk: sk}, nil
 	case KindLinearCount:
-		sk, err := linearcount.Unmarshal(payload, o.newHasher())
+		sk, err := linearcount.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
 		return &LinearCounting{sk: sk}, nil
 	case KindVirtualBitmap:
-		sk, err := virtualbitmap.Unmarshal(payload, o.newHasher())
+		sk, err := virtualbitmap.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
 		return &VirtualBitmap{sk: sk}, nil
 	case KindMRBitmap:
-		sk, err := mrbitmap.Unmarshal(payload, o.newHasher())
+		sk, err := mrbitmap.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
 		return &MRBitmap{sk: sk}, nil
 	case KindAdaptive:
-		sk, err := adaptive.Unmarshal(payload, o.newHasher())
+		sk, err := adaptive.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}

@@ -21,15 +21,15 @@ import (
 //	         slotInline bytes long, zero-padded
 //	[hdr:]   word tables only: the sketch's run — an S-bitmap's fill level
 //	         L, threshold register and bitmap words (core.Shared.RunWords),
-//	         or a HyperLogLog's registers, packed at 5 bits, 64 to 5
-//	         words (hyperloglog.Shared.RunWords) — or, on a windowed
-//	         store, the key's ring: one uint32 run reference per
+//	         or a HyperLogLog's or LogLog's registers, packed at 5 bits,
+//	         64 to 5 words (hyperloglog.Shared.RunWords) — or, on a
+//	         windowed store, the key's ring: one uint32 run reference per
 //	         sub-window, two to a word, 0 for an empty sub-window, else
 //	         the number of its run in the stripe's run pool plus one (see
 //	         runRings)
 //
 // The kind alone decides the layout. A store whose kind has a run view
-// (counterSource.runView) keeps words, bounded or not: the paper's
+// (counterSource.runs) keeps words, bounded or not: the paper's
 // deployment, one tiny sketch "for each of the links" (Section 7), per
 // minute interval on a windowed store. A warm record then costs a probe
 // hash, one index probe and one slot access — the paper's one hash and
@@ -60,10 +60,10 @@ type slotTable[K StoreKey] struct {
 	src *counterSource // builds, decodes and copies out the table's counters
 	win *windowShared  // a windowed store's window configuration; nil otherwise
 
-	// v binds a word table's sketches: their shared state (both nil in a
-	// heap table) and one view of each kind, bound to one run at a time
-	// under the stripe lock — valid until the next table call.
-	v runViews
+	// v binds a word table's sketches: their shared state and one view,
+	// bound to one run at a time under the stripe lock — valid until the
+	// next table call. nil in a heap table.
+	v runView
 	// rings holds a windowed word table's sub-window runs; nil otherwise.
 	rings *runRings
 }
@@ -99,13 +99,13 @@ func newSlotTable[K StoreKey](src *counterSource, win *windowShared, words, str 
 	t := &slotTable[K]{seed: maphash.MakeSeed(), str: str, hdr: hdr, src: src, win: win}
 	stride := hdr
 	if words {
-		t.v = runViews{sb: src.sb, hll: src.hll}
+		t.v = src.runs.views()
 		if win == nil {
 			t.inline = true
 			stride += t.v.words()
 		} else {
 			stride += (win.ring + 1) / 2
-			t.rings = newRunRings(src, win, &t.slots, &t.v, hdr)
+			t.rings = newRunRings(win, &t.slots, t.v, hdr)
 		}
 	}
 	t.slots = wordChunks{stride: stride, bits: slotChunkBits}
@@ -113,7 +113,7 @@ func newSlotTable[K StoreKey](src *counterSource, win *windowShared, words, str 
 }
 
 // words reports whether the table keeps its counters in words.
-func (t *slotTable[K]) words() bool { return t.v.sb != nil || t.v.hll != nil }
+func (t *slotTable[K]) words() bool { return t.v != nil }
 
 // hash returns key's probe hash: hash/maphash under the table's own random
 // seed, which never leaves the process. The router hash cannot serve: its
@@ -212,7 +212,7 @@ func (t *slotTable[K]) ringAt(i uint32) ringEntries {
 func (t *slotTable[K]) detach(i uint32) Counter {
 	switch {
 	case t.inline:
-		return t.src.copyOf(t.slot(i)[t.hdr:])
+		return t.v.copyOf(t.slot(i)[t.hdr:])
 	case t.rings != nil:
 		return t.rings.copyOf(i)
 	}
@@ -281,7 +281,7 @@ func (t *slotTable[K]) restore(key K, blob []byte) (i uint32, dup bool, err erro
 	if t.win != nil {
 		err = unmarshalRing(t.ringAt(i), blob)
 	} else {
-		err = t.v.unmarshalInto(t.slot(i)[t.hdr:], blob)
+		err = unmarshalRun(t.v, t.slot(i)[t.hdr:], blob)
 	}
 	if err != nil {
 		t.remove(key)
@@ -403,7 +403,9 @@ func (t *slotTable[K]) remove(key K) bool {
 // unbind drops the views' references, which would otherwise keep the
 // chunks they were last bound to.
 func (t *slotTable[K]) unbind() {
-	t.v.unbind()
+	if t.v != nil {
+		t.v.unbind()
+	}
 	if t.rings != nil {
 		t.rings.ring.refs = nil
 	}

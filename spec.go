@@ -16,6 +16,7 @@ import (
 	"repro/internal/linearcount"
 	"repro/internal/loglog"
 	"repro/internal/mrbitmap"
+	"repro/internal/uhash"
 	"repro/internal/virtualbitmap"
 )
 
@@ -428,9 +429,22 @@ func (s Spec) New() (Counter, error) {
 	if err != nil {
 		return nil, err
 	}
+	o := buildOptions(opts)
+	return s.build(o.newHasher(), o.dBits)
+}
+
+// build is New's construction step for an unwindowed Spec whose options
+// resolved: the counter hashes with h, which any number of counters may
+// share (a Hasher is read-only), and an S-bitmap samples at resolution
+// dBits.
+func (s Spec) build(h uhash.Hasher, dBits uint) (Counter, error) {
 	switch s.Kind {
 	case KindSBitmap:
-		return s.newSBitmap(opts)
+		cfg, err := s.sbitmapConfig()
+		if err != nil {
+			return nil, err
+		}
+		return &SBitmap{sk: *core.NewSketch(cfg, 0, core.WithResolution(dBits), core.WithHasher(h))}, nil
 	case KindExact:
 		return &Exact{c: exact.New()}, nil
 	case KindHLL, KindLogLog, KindFM, KindLinearCount, KindAdaptive:
@@ -453,12 +467,11 @@ func (s Spec) New() (Counter, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := buildOptions(opts).newHasher()
 	switch s.Kind {
 	case KindHLL: // 5-bit registers, power-of-two register count
 		return &HyperLogLog{sk: *hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(b), h)}, nil
 	case KindLogLog: // 5-bit registers, power-of-two register count
-		return &LogLog{sk: loglog.NewWithHasher(loglog.KBitsForBudget(b), h)}, nil
+		return &LogLog{sk: *loglog.NewWithHasher(loglog.KBitsForBudget(b), h)}, nil
 	case KindFM: // 32-bit registers
 		return &FM{sk: fm.NewWithHasher(fm.MemoryForBits(b), h)}, nil
 	case KindLinearCount:
@@ -476,19 +489,10 @@ func (s Spec) New() (Counter, error) {
 	}
 }
 
-// newSBitmap dimensions an S-bitmap from exactly two of {N, Eps,
-// MemoryBits}, mirroring the sbdim calculator.
-func (s Spec) newSBitmap(opts []Option) (Counter, error) {
-	cfg, err := s.sbitmapConfig()
-	if err != nil {
-		return nil, err
-	}
-	return fromConfig(cfg, opts...)
-}
-
-// sbitmapConfig resolves the Spec's S-bitmap dimensioning — the pure math
-// of newSBitmap, shared with the slot tables so a keyed Store computes the
-// Config once instead of once per materialized key.
+// sbitmapConfig resolves the Spec's S-bitmap dimensioning from exactly
+// two of {N, Eps, MemoryBits}, mirroring the sbdim calculator — the pure
+// math of build, shared with the slot tables so a keyed Store computes
+// the Config once instead of once per materialized key.
 func (s Spec) sbitmapConfig() (*core.Config, error) {
 	given := 0
 	for _, set := range []bool{s.N > 0, s.Eps > 0, s.MemoryBits > 0} {

@@ -35,10 +35,10 @@ import (
 // batch methods route a whole batch with one hash pass and take each
 // touched stripe's lock once per batch. Each stripe keeps its keys in a
 // flat slot table found by one index probe (see slotTable), laid out by
-// the spec's kind alone: an S-bitmap or HyperLogLog store, bounded or
-// not, keeps each key's sketch inline in its slot — or, windowed, its ring
-// of sub-window runs (see runRings) — and a store of any other kind one
-// heap counter per slot.
+// the spec's kind alone: an S-bitmap, HyperLogLog or LogLog store,
+// bounded or not, keeps each key's sketch inline in its slot — or,
+// windowed, its ring of sub-window runs (see runRings) — and a store of
+// any other kind one heap counter per slot.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
 // plus the OnEvict hook; unbounded otherwise (one counter per distinct
@@ -182,7 +182,7 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 	}
 	// A store of a kind with a run view keeps its sketches in the slot
 	// tables' words; every other store keeps heap counters.
-	words := src.runView()
+	words := src.runs != nil
 	for i := range s.stripes {
 		s.stripes[i].tab = newSlotTable[K](src, s.win, words, s.isStr)
 	}
@@ -1070,9 +1070,9 @@ func (s *Store[K]) TopK(k int) []KeyEstimate[K] {
 
 // SizeBits returns the summed summary memory of every live counter (the
 // paper's accounting). Safe for concurrent use; a consistent total only
-// at a quiescent point. A store that keeps words — every S-bitmap and
-// HyperLogLog store — answers from each stripe's sketch count, its keys
-// or its live sub-windows, without walking them.
+// at a quiescent point. A store that keeps words — every S-bitmap,
+// HyperLogLog and LogLog store — answers from each stripe's sketch count,
+// its keys or its live sub-windows, without walking them.
 func (s *Store[K]) SizeBits() int {
 	total := 0
 	for i := range s.stripes {

@@ -25,7 +25,7 @@ func forceHeapCounters[K StoreKey](s *Store[K]) {
 }
 
 // TestStoreSlabEquivalence is the inline sketches' safety rail: the same
-// records through an inline S-bitmap or HyperLogLog store and a
+// records through an inline S-bitmap, HyperLogLog or LogLog store and a
 // heap-counter one (forceHeapCounters) must marshal to identical bytes —
 // sketches kept in slots change where state lives, never what it is. The
 // workload mixes scattered singleton runs with long same-key runs (the
@@ -50,6 +50,7 @@ func TestStoreSlabEquivalence(t *testing.T) {
 	for _, tc := range []struct{ prefix, spec string }{
 		{"", "sbitmap:n=1e4,eps=0.1,seed=3"},
 		{"hll/", "hll:mbits=512,seed=3"},
+		{"loglog/", "loglog:mbits=512,seed=3"},
 	} {
 		spec := MustSpec(tc.spec)
 		slabEquivalence(t, tc.prefix, spec, keys, items, strKeys, strItems)
@@ -94,11 +95,14 @@ func slabEquivalence(t *testing.T, prefix string, spec Spec, keys, items []uint6
 }
 
 // boundedSpecs are the bounded-store rails' specs: one of each layout of
-// words — inline S-bitmaps, inline HyperLogLogs and run rings.
+// words — inline S-bitmaps, inline HyperLogLogs and run rings — and
+// LogLog's inline registers and run rings.
 var boundedSpecs = []string{
 	"sbitmap:n=1e4,eps=0.1",
 	"hll:mbits=512",
 	"hll:mbits=512/windowed(width=1m,ring=5)",
+	"loglog:mbits=512",
+	"loglog:mbits=512/windowed(width=1m,ring=5)",
 }
 
 // TestBoundedStoreKeepsWords: a store's kind alone decides its layout, so
@@ -268,7 +272,7 @@ func TestBoundedStoreEvictionAllocFree(t *testing.T) {
 		}
 		var kept Counter
 		s.OnEvict(func(_ uint64, c Counter) { kept = c })
-		hookAllocs, want := testing.AllocsPerRun(1000, add), []float64{3, 3, 4}[i]
+		hookAllocs, want := testing.AllocsPerRun(1000, add), []float64{3, 3, 4, 2, 4}[i]
 		t.Logf("%s: %.2f allocations per new key with a hook", spec, hookAllocs)
 		if hookAllocs > want || kept == nil {
 			t.Errorf("%s: %.2f allocations per new key with a hook, want ≤ %.0f", spec, hookAllocs, want)
@@ -615,39 +619,44 @@ func TestWindowedStoreHeapPerKey(t *testing.T) {
 	}
 }
 
-// TestHLLStoreHeapPerKey is the inline HyperLogLog heap rail: an
+// TestHLLStoreHeapPerKey is the inline register heap rail: an
 // hll:mbits=512 key's slot holds its 64 registers packed at 5 bits, a run
 // of 5 words — its SizeBits/8 = 40 B — so a key costs that run, its slot
 // header, its share of the index and its key-log bytes (117.5 B/key with
-// one byte per register), and Footprint is its live heap within 5%.
+// one byte per register), and Footprint is its live heap within 5%. A
+// loglog:mbits=512 key keeps the same registers, so the same holds for
+// it (223 B/key as a heap counter with one byte per register).
 func TestHLLStoreHeapPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is unreliable under the race detector")
 	}
-	s, heap := heapStoreOf(t, MustSpec("hll:mbits=512"))
-	for i := range s.stripes {
-		if tab := s.stripes[i].tab; tab.slots.stride-tab.hdr != 5 {
-			t.Fatalf("stripe %d: a key's run is %d words, want 5", i, tab.slots.stride-tab.hdr)
+	for _, spec := range []string{"hll:mbits=512", "loglog:mbits=512"} {
+		s, heap := heapStoreOf(t, MustSpec(spec))
+		for i := range s.stripes {
+			if tab := s.stripes[i].tab; !tab.inline || tab.slots.stride-tab.hdr != 5 {
+				t.Fatalf("%s: stripe %d: a key's run is %d words inline (%v), want 5", spec, i, tab.slots.stride-tab.hdr, tab.inline)
+			}
 		}
-	}
-	if got, want := s.SizeBits(), 320*s.Len(); got != want {
-		t.Errorf("SizeBits %d, want 320 per key = %d", got, want)
-	}
-	fp := float64(s.Footprint()) / heapKeys
-	t.Logf("%d keys: Footprint %.1f B/key, live heap %.1f B/key", s.Len(), fp, heap)
-	if fp < 0.95*heap || fp > 1.05*heap {
-		t.Errorf("Footprint reports %.1f B/key, live heap %.1f B/key: more than 5%% apart", fp, heap)
-	}
-	if heap > 100 {
-		t.Errorf("hll:mbits=512 store holds %.1f B/key of live heap, want ≤ 100", heap)
+		if got, want := s.SizeBits(), 320*s.Len(); got != want {
+			t.Errorf("%s: SizeBits %d, want 320 per key = %d", spec, got, want)
+		}
+		fp := float64(s.Footprint()) / heapKeys
+		t.Logf("%s: %d keys: Footprint %.1f B/key, live heap %.1f B/key", spec, s.Len(), fp, heap)
+		if fp < 0.95*heap || fp > 1.05*heap {
+			t.Errorf("%s: Footprint reports %.1f B/key, live heap %.1f B/key: more than 5%% apart", spec, fp, heap)
+		}
+		if heap > 100 {
+			t.Errorf("%s store holds %.1f B/key of live heap, want ≤ 100", spec, heap)
+		}
 	}
 }
 
-// TestStoreBatchRunsKeepNoBuffers is the rail for heap counters' batch
-// path: a batch borrows its hash buffers for the call, so a counter keeps
-// none. For each fixed-size heap kind, a store of 16,384 keys fed one
-// 64-record run per key — every run through the counter's batch path —
-// holds the same Footprint as its twin fed the same records one at a
+// TestStoreBatchRunsKeepNoBuffers is the rail for the batch path of the
+// counters a store keeps: a batch borrows its hash buffers for the call,
+// so a counter keeps none. For LogLog, whose registers a store keeps in
+// words, and for each fixed-size heap kind, a store of 16,384 keys fed
+// one 64-record run per key — every run through the counter's batch path
+// — holds the same Footprint as its twin fed the same records one at a
 // time, and the same live heap per key within 5%.
 func TestStoreBatchRunsKeepNoBuffers(t *testing.T) {
 	if raceEnabled {
@@ -704,6 +713,62 @@ func TestStoreBatchRunsKeepNoBuffers(t *testing.T) {
 	}
 	runtime.KeepAlive(keys) // inputs freed mid-measurement would offset the stores
 	runtime.KeepAlive(items)
+}
+
+// TestStoreHasherSharedPerKind is the hasher rail: a store resolves its
+// spec's hasher once, and every counter it builds or decodes hashes
+// through it — a heap counter, a sub-window's, or a sketch kept in words
+// — so a key costs the same under any hash family. For each kind, a
+// hash=tabulation store of 16,384 uint64 keys, each given 8 distinct
+// items one add at a time, holds its default-hash twin's live heap per
+// key within 5% (a heap counter that built its own tabulation hasher held
+// about 40 KiB). It logs each kind's SizeBits/8, Footprint and live heap
+// per key.
+func TestStoreHasherSharedPerKind(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	const nKeys, perKey = 1 << 14, 8
+	perKeyBytes := func(spec Spec) (sizeBytes, footprint, heap float64) {
+		var st *Store[uint64]
+		heap = heapBytes(func() any {
+			s, err := NewStore[uint64](spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range uint64(nKeys) {
+				for j := range uint64(perKey) {
+					s.AddUint64(k, (k*perKey+j)*0x9e3779b97f4a7c15)
+				}
+			}
+			st = s
+			return s
+		})
+		return float64(st.SizeBits()) / 8 / nKeys, float64(st.Footprint()) / nKeys, heap / nKeys
+	}
+	for _, raw := range []string{
+		"sbitmap:n=1e4,eps=0.1",
+		"hll:mbits=512",
+		"loglog:mbits=512",
+		"fm:mbits=512",
+		"linearcount:mbits=512",
+		"virtualbitmap:mbits=512,n=1e4",
+		"mrbitmap:mbits=2048,n=1e4",
+		"adaptive:mbits=1024",
+		"exact",
+		"fm:mbits=512/windowed(width=1m,ring=5)",
+	} {
+		spec := MustSpec(raw)
+		size, fp, heap := perKeyBytes(spec)
+		spec.Hash = "tabulation"
+		_, tfp, theap := perKeyBytes(spec)
+		t.Logf("%s: SizeBits/8 %.1f B/key; Footprint %.1f, live heap %.1f B/key; with hash=tabulation %.1f, %.1f B/key",
+			raw, size, fp, heap, tfp, theap)
+		if theap < 0.95*heap || theap > 1.05*heap {
+			t.Errorf("%s: live heap %.1f B/key with hash=tabulation, %.1f B/key with the default hash: more than 5%% apart",
+				raw, theap, heap)
+		}
+	}
 }
 
 // TestStoreRestoreIntoArena: restoring a snapshot decodes every S-bitmap
@@ -867,7 +932,7 @@ func TestStoreSBitmapFootprintExact(t *testing.T) {
 	}
 	tab := s.stripes[0].tab
 	want := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[uint64]{})) +
-		int(unsafe.Sizeof(*tab)) + tab.v.sb.Footprint()
+		int(unsafe.Sizeof(*tab)) + tab.v.footprint()
 	empty := s.Footprint()
 	if empty != want {
 		t.Fatalf("empty store footprint %d, want header + stripe + table + shared state = %d", empty, want)

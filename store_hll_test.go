@@ -413,6 +413,7 @@ func TestWindowedRunRingsMatchHeapRings(t *testing.T) {
 	for _, spec := range []string{
 		"hll:mbits=512/windowed(width=1m,ring=5)",
 		"sbitmap:n=1e4,eps=0.1/windowed(width=1m,ring=5)",
+		"loglog:mbits=512/windowed(width=1m,ring=5)",
 	} {
 		t.Run(spec, func(t *testing.T) { runRingsMatchHeapRings(t, MustSpec(spec)) })
 	}

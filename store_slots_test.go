@@ -116,7 +116,7 @@ func checkRunPool(p *runRings, keys int) error {
 // slot chunk, index and key-log chunk the tables hold at capacity.
 func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 	footprint = int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) +
-		s.stripes[0].tab.v.sb.Footprint()
+		s.src.footprint()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()

@@ -921,7 +921,7 @@ func TestCounterSourceHeapSBitmaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.AddUint64(1)
-		if fg, fs, fw := got.Footprint(), s.src.sb.Footprint(), want.Footprint(); fg+fs != fw {
+		if fg, fs, fw := got.Footprint(), s.src.footprint(), want.Footprint(); fg+fs != fw {
 			t.Errorf("%s: footprint %d B + shared %d B, Spec.New's %d B", text, fg, fs, fw)
 		}
 		ob, _ := Marshal(other)

@@ -825,8 +825,9 @@ func TestWindowQueriesAllocFree(t *testing.T) {
 	const width = time.Minute
 	for _, spec := range []string{
 		"hll:mbits=512/windowed(width=1m,ring=5)",          // run rings
-		"loglog:mbits=512/windowed(width=1m,ring=5)",       // heap rings
+		"loglog:mbits=512/windowed(width=1m,ring=5)",       // run rings
 		"linearcount:mbits=2048/windowed(width=1m,ring=5)", // heap rings
+		"fm:mbits=512/windowed(width=1m,ring=5)",           // heap rings
 	} {
 		t.Run(spec, func(t *testing.T) {
 			s, err := NewStore[string](MustSpec(spec), WithStripes(1))

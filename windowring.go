@@ -17,10 +17,10 @@ package sbitmap
 // and are surfaced via the Store's late-record counter.
 //
 // A ring has two layouts, and the base kind alone picks one. A store whose
-// kind has a run view (the S-bitmap and HyperLogLog; see counterSource),
-// bounded or not, keeps run rings: the key's slot holds one uint32
-// reference per sub-window, and each live sub-window is one run of
-// pointer-free words in its stripe's run pool (runRings) — no heap object
+// kind has a run view (the S-bitmap, HyperLogLog and LogLog; see
+// counterSource), bounded or not, keeps run rings: the key's slot holds
+// one uint32 reference per sub-window, and each live sub-window is one run
+// of pointer-free words in its stripe's run pool (runRings) — no heap object
 // per key or per sub-window. A kind without a run view keeps one heap
 // windowRing per key, holding one heap counter per live sub-window; a run
 // ring leaving its store, for an OnEvict hook or a Merge, leaves as a
@@ -40,10 +40,10 @@ package sbitmap
 //
 // Queries merge on demand. For Mergeable kinds (HLL, LogLog, FM,
 // LinearCount, MRBitmap) EstimateWindow unions the covering sub-window
-// sketches into a scratch counter: one scratch run per table for run
-// rings, a pooled counter of the store's (windowShared.scratch) for heap
-// rings, so a warm query allocates nothing. The paper's S-bitmap is
-// deliberately not union-mergeable (see ErrNotMergeable), so windowed
+// sketches into a scratch counter: one per table for run rings, a pooled
+// counter of the store's (windowShared.scratch) for heap rings, so a warm
+// query allocates nothing. The paper's S-bitmap is deliberately not
+// union-mergeable (see ErrNotMergeable), so windowed
 // S-bitmap stores fall back to tumbling semantics: the estimate of the
 // last *complete* sub-window, marked Tumbling in the result — exactly the
 // paper's Section 7 deployment, which reports per-link spreads "every
@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -516,23 +515,22 @@ const runChunkBits = 8
 // every live sub-window of the stripe's keys is one run, dense like the
 // slots — releasing a run moves the pool's last run into the hole and
 // rewrites the one reference that named it, found through the moved run's
-// owner word — and the views: the ring view, bound to one slot at a time,
-// and the scratch run merge-on-query unions into.
+// owner word — the ring view, bound to one slot at a time, and the
+// scratch counter merge-on-query unions into.
 type runRings struct {
 	win   *windowShared
 	slots *wordChunks // the table's slots, which hold the references
 	hdr   int         // slot words before the references
-	v     *runViews   // the table's views, which sketches bind through
+	v     runView     // the table's, which sketches bind through
 	pool  wordChunks
 	runs  int // live runs, in [0, runs)
 
-	scratchRun []uint64 // allocated by the first query that merges
-	sv         runViews // bound to scratchRun only
-	ring       runRing
+	scratch Counter // built by the first query that merges
+	ring    runRing
 }
 
-func newRunRings(src *counterSource, win *windowShared, slots *wordChunks, v *runViews, hdr int) *runRings {
-	p := &runRings{win: win, slots: slots, hdr: hdr, v: v, sv: runViews{sb: src.sb, hll: src.hll}}
+func newRunRings(win *windowShared, slots *wordChunks, v runView, hdr int) *runRings {
+	p := &runRings{win: win, slots: slots, hdr: hdr, v: v}
 	p.pool = wordChunks{stride: runHdr + v.words(), bits: runChunkBits}
 	p.ring.p = p
 	return p
@@ -613,7 +611,7 @@ func (p *runRings) copyOf(i uint32) *windowRing {
 	for pos, ref := range p.refs(i) {
 		if ref != 0 {
 			run := p.run(ref - 1)
-			r.slots[pos] = ringSlot{widx: int64(run[runWidx]), c: p.win.src.copyOf(run[runHdr:])}
+			r.slots[pos] = ringSlot{widx: int64(run[runWidx]), c: p.v.copyOf(run[runHdr:])}
 		}
 	}
 	return r
@@ -622,15 +620,18 @@ func (p *runRings) copyOf(i uint32) *windowRing {
 // reset drops every run.
 func (p *runRings) reset() {
 	p.pool = wordChunks{stride: p.pool.stride, bits: p.pool.bits}
-	p.runs, p.scratchRun = 0, nil
-	p.sv.unbind()
+	p.runs, p.scratch = 0, nil
 	p.ring.refs = nil
 }
 
 // footprint returns the machinery's resident bytes: the struct, the pool
-// and the scratch run.
+// and the scratch counter.
 func (p *runRings) footprint() int {
-	return int(unsafe.Sizeof(*p)) + p.pool.footprint() + 8*cap(p.scratchRun)
+	n := int(unsafe.Sizeof(*p)) + p.pool.footprint()
+	if p.scratch != nil {
+		n += p.scratch.Footprint()
+	}
+	return n
 }
 
 // runRing is the Counter face of one key's ring of sub-window runs: its
@@ -688,19 +689,17 @@ func (r *runRing) restore(i int, widx int64, blob []byte) error {
 	r.refs[i] = r.p.push(r.slot, i) + 1
 	run := r.p.run(r.refs[i] - 1)
 	run[runWidx] = uint64(widx)
-	return r.p.v.unmarshalInto(run[runHdr:], blob)
+	return unmarshalRun(r.p.v, run[runHdr:], blob)
 }
 
 func (r *runRing) scratch() Counter {
 	p := r.p
-	if p.scratchRun == nil {
-		// Grown through append, so Footprint counts its size class.
-		run := slices.Grow([]uint64(nil), p.v.words())
-		p.scratchRun = run[:cap(run)]
+	if p.scratch == nil {
+		p.scratch = p.win.src.new()
+	} else {
+		p.scratch.Reset()
 	}
-	c := p.sv.bind(p.scratchRun)
-	c.Reset()
-	return c
+	return p.scratch
 }
 
 // Footprint implements Counter: the ring's references and its live runs.
