@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hyperloglog"
@@ -132,6 +133,7 @@ type runView interface {
 	words() int     // the length of a run
 	sizeBits() int  // one sketch's summary bits
 	footprint() int // the shared state's bytes
+	size() int      // this view's own bytes, one object per table
 	kind() Kind     // the envelope kind of the sketches' snapshots
 	// views returns a runView over the same shared state with a view of
 	// its own.
@@ -181,6 +183,7 @@ type sbRuns struct {
 func (r *sbRuns) words() int                { return r.sh.RunWords() }
 func (r *sbRuns) sizeBits() int             { return r.sh.Config().M() }
 func (r *sbRuns) footprint() int            { return r.sh.Footprint() }
+func (r *sbRuns) size() int                 { return int(unsafe.Sizeof(*r)) }
 func (r *sbRuns) kind() Kind                { return KindSBitmap }
 func (r *sbRuns) views() runView            { return &sbRuns{sh: r.sh} }
 func (r *sbRuns) bind(run []uint64) Counter { r.sh.View(&r.v.sk, run); return &r.v }
@@ -208,6 +211,7 @@ type hllRuns struct {
 func (r *hllRuns) words() int                { return r.sh.RunWords() }
 func (r *hllRuns) sizeBits() int             { return r.sh.SizeBits() }
 func (r *hllRuns) footprint() int            { return r.sh.Footprint() }
+func (r *hllRuns) size() int                 { return int(unsafe.Sizeof(*r)) }
 func (r *hllRuns) kind() Kind                { return KindHLL }
 func (r *hllRuns) views() runView            { return &hllRuns{sh: r.sh} }
 func (r *hllRuns) bind(run []uint64) Counter { r.sh.View(&r.v.sk, run); return &r.v }
@@ -234,6 +238,7 @@ type logLogRuns struct {
 func (r *logLogRuns) words() int                { return r.sh.RunWords() }
 func (r *logLogRuns) sizeBits() int             { return r.sh.SizeBits() }
 func (r *logLogRuns) footprint() int            { return r.sh.Footprint() }
+func (r *logLogRuns) size() int                 { return int(unsafe.Sizeof(*r)) }
 func (r *logLogRuns) kind() Kind                { return KindLogLog }
 func (r *logLogRuns) views() runView            { return &logLogRuns{sh: r.sh} }
 func (r *logLogRuns) bind(run []uint64) Counter { r.sh.View(&r.v.sk, run); return &r.v }

@@ -69,17 +69,11 @@ func (s *SBitmap) AddBatch64(items []uint64) int { return s.sk.AddBatch64(items)
 // AddBatchString implements BulkAdder for string items.
 func (s *SBitmap) AddBatchString(items []string) int { return s.sk.AddBatchString(items) }
 
-// AddBatch64 implements BulkAdder.
-func (c *HyperLogLog) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
+// AddBatch64 implements BulkAdder for HyperLogLog and LogLog.
+func (c *registers) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
 
-// AddBatchString implements BulkAdder.
-func (c *HyperLogLog) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
-
-// AddBatch64 implements BulkAdder.
-func (c *LogLog) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
-
-// AddBatchString implements BulkAdder.
-func (c *LogLog) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
+// AddBatchString implements BulkAdder for HyperLogLog and LogLog.
+func (c *registers) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
 
 // AddBatch64 implements BulkAdder.
 func (c *FM) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
@@ -87,17 +81,12 @@ func (c *FM) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
 // AddBatchString implements BulkAdder.
 func (c *FM) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
 
-// AddBatch64 implements BulkAdder.
-func (c *LinearCounting) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
+// AddBatch64 implements BulkAdder for LinearCounting and VirtualBitmap.
+func (c *bitmap) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
 
-// AddBatchString implements BulkAdder.
-func (c *LinearCounting) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
-
-// AddBatch64 implements BulkAdder.
-func (c *VirtualBitmap) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }
-
-// AddBatchString implements BulkAdder.
-func (c *VirtualBitmap) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
+// AddBatchString implements BulkAdder for LinearCounting and
+// VirtualBitmap.
+func (c *bitmap) AddBatchString(items []string) int { return c.sk.AddBatchString(items) }
 
 // AddBatch64 implements BulkAdder.
 func (c *MRBitmap) AddBatch64(items []uint64) int { return c.sk.AddBatch64(items) }

@@ -19,7 +19,10 @@ import (
 // union-capable ones implement Mergeable, and the saturating ones implement
 // Saturable. The wrappers add no state beyond the internal sketch; they
 // exist so capabilities can be attached uniformly without leaking the
-// internal packages into the public API.
+// internal packages into the public API. Two kinds that count through one
+// internal sketch embed one unexported face holding their Counter and
+// BulkAdder methods (registers, bitmap); each keeps Merge and its codec,
+// which name its kind.
 
 // Saturable is implemented by counters that have a configured operating
 // range and can report having run past it (their estimate is then a pinned
@@ -28,30 +31,35 @@ type Saturable interface {
 	Saturated() bool
 }
 
-// HyperLogLog is the root-package face of the Flajolet et al. (2007)
-// HyperLogLog counter. Create one with Spec.New or Unmarshal.
-type HyperLogLog struct{ sk hyperloglog.Sketch }
+// registers is the Counter face HyperLogLog and LogLog share: package
+// hyperloglog's packed registers, under the estimator the sketch's shared
+// state carries.
+type registers struct{ sk hyperloglog.Sketch }
 
 // Add offers an item; it reports whether a register grew.
-func (c *HyperLogLog) Add(item []byte) bool { return c.sk.Add(item) }
+func (c *registers) Add(item []byte) bool { return c.sk.Add(item) }
 
 // AddUint64 offers a 64-bit item.
-func (c *HyperLogLog) AddUint64(item uint64) bool { return c.sk.AddUint64(item) }
+func (c *registers) AddUint64(item uint64) bool { return c.sk.AddUint64(item) }
 
 // AddString offers a string item without a []byte conversion.
-func (c *HyperLogLog) AddString(item string) bool { return c.sk.AddString(item) }
+func (c *registers) AddString(item string) bool { return c.sk.AddString(item) }
 
-// Estimate returns the bias-corrected HyperLogLog estimate.
-func (c *HyperLogLog) Estimate() float64 { return c.sk.Estimate() }
+// Estimate returns the kind's bias-corrected estimate.
+func (c *registers) Estimate() float64 { return c.sk.Estimate() }
 
 // SizeBits returns the summary memory footprint in bits.
-func (c *HyperLogLog) SizeBits() int { return c.sk.SizeBits() }
+func (c *registers) SizeBits() int { return c.sk.SizeBits() }
 
 // Footprint returns the counter's resident process memory in bytes.
-func (c *HyperLogLog) Footprint() int { return c.sk.Footprint() }
+func (c *registers) Footprint() int { return c.sk.Footprint() }
 
 // Reset clears the counter for reuse.
-func (c *HyperLogLog) Reset() { c.sk.Reset() }
+func (c *registers) Reset() { c.sk.Reset() }
+
+// HyperLogLog is the root-package face of the Flajolet et al. (2007)
+// HyperLogLog counter. Create one with Spec.New or Unmarshal.
+type HyperLogLog struct{ registers }
 
 // Merge implements Mergeable by register-wise maximum: the result
 // summarizes the union of the two streams. The other counter must be a
@@ -89,28 +97,7 @@ func (c *HyperLogLog) UnmarshalBinary(data []byte) error {
 // LogLog is the root-package face of the Durand–Flajolet (2003) LogLog
 // counter: HyperLogLog's registers under LogLog's estimator. Create one
 // with Spec.New or Unmarshal.
-type LogLog struct{ sk hyperloglog.Sketch }
-
-// Add offers an item; it reports whether a register grew.
-func (c *LogLog) Add(item []byte) bool { return c.sk.Add(item) }
-
-// AddUint64 offers a 64-bit item.
-func (c *LogLog) AddUint64(item uint64) bool { return c.sk.AddUint64(item) }
-
-// AddString offers a string item without a []byte conversion.
-func (c *LogLog) AddString(item string) bool { return c.sk.AddString(item) }
-
-// Estimate returns the bias-corrected LogLog estimate.
-func (c *LogLog) Estimate() float64 { return c.sk.Estimate() }
-
-// SizeBits returns the summary memory footprint in bits.
-func (c *LogLog) SizeBits() int { return c.sk.SizeBits() }
-
-// Footprint returns the counter's resident process memory in bytes.
-func (c *LogLog) Footprint() int { return c.sk.Footprint() }
-
-// Reset clears the counter for reuse.
-func (c *LogLog) Reset() { c.sk.Reset() }
+type LogLog struct{ registers }
 
 // Merge implements Mergeable by register-wise maximum (union semantics).
 func (c *LogLog) Merge(other Counter) error {
@@ -192,34 +179,40 @@ func (c *FM) UnmarshalBinary(data []byte) error {
 	return c.sk.UnmarshalBinary(payload)
 }
 
+// bitmap is the Counter face LinearCounting and VirtualBitmap share:
+// package linearcount's bitmap, counting every item or a sampled
+// substream.
+type bitmap struct{ sk linearcount.Sketch }
+
+// Add offers an item; it reports whether a bucket changed.
+func (c *bitmap) Add(item []byte) bool { return c.sk.Add(item) }
+
+// AddUint64 offers a 64-bit item.
+func (c *bitmap) AddUint64(item uint64) bool { return c.sk.AddUint64(item) }
+
+// AddString offers a string item without a []byte conversion.
+func (c *bitmap) AddString(item string) bool { return c.sk.AddString(item) }
+
+// Estimate returns n̂ = m·ln(m/Z), scaled back by 1/r for a sampled
+// substream.
+func (c *bitmap) Estimate() float64 { return c.sk.Estimate() }
+
+// SizeBits returns the summary memory footprint in bits.
+func (c *bitmap) SizeBits() int { return c.sk.SizeBits() }
+
+// Footprint returns the counter's resident process memory in bytes.
+func (c *bitmap) Footprint() int { return c.sk.Footprint() }
+
+// Reset clears the counter for reuse.
+func (c *bitmap) Reset() { c.sk.Reset() }
+
+// Saturated implements Saturable: a full bitmap caps the estimate.
+func (c *bitmap) Saturated() bool { return c.sk.Saturated() }
+
 // LinearCounting is the root-package face of the Whang et al. (1990)
 // linear-counting sketch, accurate while n stays well below mbits·ln(mbits).
 // Create one with Spec.New or Unmarshal.
-type LinearCounting struct{ sk *linearcount.Sketch }
-
-// Add offers an item; it reports whether a bucket changed.
-func (c *LinearCounting) Add(item []byte) bool { return c.sk.Add(item) }
-
-// AddUint64 offers a 64-bit item.
-func (c *LinearCounting) AddUint64(item uint64) bool { return c.sk.AddUint64(item) }
-
-// AddString offers a string item without a []byte conversion.
-func (c *LinearCounting) AddString(item string) bool { return c.sk.AddString(item) }
-
-// Estimate returns n̂ = m·ln(m/Z).
-func (c *LinearCounting) Estimate() float64 { return c.sk.Estimate() }
-
-// SizeBits returns the summary memory footprint in bits.
-func (c *LinearCounting) SizeBits() int { return c.sk.SizeBits() }
-
-// Footprint returns the counter's resident process memory in bytes.
-func (c *LinearCounting) Footprint() int { return c.sk.Footprint() }
-
-// Reset clears the counter for reuse.
-func (c *LinearCounting) Reset() { c.sk.Reset() }
-
-// Saturated implements Saturable: a full bitmap caps the estimate.
-func (c *LinearCounting) Saturated() bool { return c.sk.Saturated() }
+type LinearCounting struct{ bitmap }
 
 // Merge implements Mergeable by bitmap OR (union semantics). The bitmaps
 // must have equal size (and hash function).
@@ -228,70 +221,52 @@ func (c *LinearCounting) Merge(other Counter) error {
 	if !ok {
 		return fmt.Errorf("sbitmap: cannot merge %T into *LinearCounting: %w", other, ErrNotMergeable)
 	}
-	return c.sk.Merge(o.sk)
+	return c.sk.Merge(&o.sk)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler via the envelope.
 func (c *LinearCounting) MarshalBinary() ([]byte, error) {
-	return marshalEnvelope(KindLinearCount, c.sk)
+	return marshalEnvelope(KindLinearCount, &c.sk)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, keeping the
+// counter's hasher as HyperLogLog's does.
 func (c *LinearCounting) UnmarshalBinary(data []byte) error {
 	payload, err := payloadOfKind(data, KindLinearCount)
 	if err != nil {
 		return err
 	}
-	if c.sk == nil {
-		c.sk = &linearcount.Sketch{}
+	sk, err := linearcount.Unmarshal(payload, c.sk.Hasher())
+	if err != nil {
+		return err
 	}
-	return c.sk.UnmarshalBinary(payload)
+	c.sk = *sk
+	return nil
 }
 
 // VirtualBitmap is the root-package face of the Estan et al. (2006)
 // virtual bitmap: linear counting over a hash-sampled substream. Create
 // one with Spec.New or Unmarshal.
-type VirtualBitmap struct{ sk *virtualbitmap.Sketch }
-
-// Add offers an item; it reports whether the underlying bitmap changed.
-func (c *VirtualBitmap) Add(item []byte) bool { return c.sk.Add(item) }
-
-// AddUint64 offers a 64-bit item.
-func (c *VirtualBitmap) AddUint64(item uint64) bool { return c.sk.AddUint64(item) }
-
-// AddString offers a string item without a []byte conversion.
-func (c *VirtualBitmap) AddString(item string) bool { return c.sk.AddString(item) }
-
-// Estimate returns the rate-scaled linear-counting estimate.
-func (c *VirtualBitmap) Estimate() float64 { return c.sk.Estimate() }
-
-// SizeBits returns the summary memory footprint in bits.
-func (c *VirtualBitmap) SizeBits() int { return c.sk.SizeBits() }
-
-// Footprint returns the counter's resident process memory in bytes.
-func (c *VirtualBitmap) Footprint() int { return c.sk.Footprint() }
-
-// Reset clears the counter for reuse.
-func (c *VirtualBitmap) Reset() { c.sk.Reset() }
-
-// Saturated implements Saturable: a full bitmap caps the estimate.
-func (c *VirtualBitmap) Saturated() bool { return c.sk.Saturated() }
+type VirtualBitmap struct{ bitmap }
 
 // MarshalBinary implements encoding.BinaryMarshaler via the envelope.
 func (c *VirtualBitmap) MarshalBinary() ([]byte, error) {
-	return marshalEnvelope(KindVirtualBitmap, c.sk)
+	return appendEnvelope(KindVirtualBitmap, virtualbitmap.Marshal(&c.sk)), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, keeping the
+// counter's hasher as HyperLogLog's does.
 func (c *VirtualBitmap) UnmarshalBinary(data []byte) error {
 	payload, err := payloadOfKind(data, KindVirtualBitmap)
 	if err != nil {
 		return err
 	}
-	if c.sk == nil {
-		c.sk = &virtualbitmap.Sketch{}
+	sk, err := virtualbitmap.Unmarshal(payload, c.sk.Hasher())
+	if err != nil {
+		return err
 	}
-	return c.sk.UnmarshalBinary(payload)
+	c.sk = *sk
+	return nil
 }
 
 // MRBitmap is the root-package face of the Estan et al. (2006)

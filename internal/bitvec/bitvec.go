@@ -32,21 +32,6 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Make returns a vector of n bits over caller-supplied backing words, for
-// slab allocators that carve many identically sized vectors out of one
-// array. words must hold exactly (n+63)/64 all-zero words; the vector owns
-// them afterwards. The capacity is clipped to the length so the vector can
-// never write (or account, via Footprint) beyond its slab slot.
-func Make(words []uint64, n int) Vector {
-	if n < 0 {
-		panic("bitvec: negative length")
-	}
-	if len(words) != (n+63)/64 {
-		panic(fmt.Sprintf("bitvec: Make with %d words for %d bits (want %d)", len(words), n, (n+63)/64))
-	}
-	return Vector{words: words[:len(words):len(words)], n: n}
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 

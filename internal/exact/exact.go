@@ -20,7 +20,6 @@ import (
 // collisions negligible below ~2^60 items.) Not safe for concurrent use.
 type Counter struct {
 	set map[[2]uint64]struct{}
-	h   uhash.Hasher
 }
 
 // fingerprint is the fixed hash of every counter's fingerprints; a
@@ -29,25 +28,25 @@ var fingerprint = uhash.NewMixer(0x0ddba11)
 
 // New returns an empty exact counter.
 func New() *Counter {
-	return &Counter{set: make(map[[2]uint64]struct{}), h: fingerprint}
+	return &Counter{set: make(map[[2]uint64]struct{})}
 }
 
 // Add offers an item and reports whether it was new.
 func (c *Counter) Add(item []byte) bool {
-	hi, lo := c.h.Sum128(item)
+	hi, lo := fingerprint.Sum128(item)
 	return c.insert(hi, lo)
 }
 
 // AddUint64 offers a 64-bit item.
 func (c *Counter) AddUint64(item uint64) bool {
-	hi, lo := c.h.Sum128Uint64(item)
+	hi, lo := fingerprint.Sum128Uint64(item)
 	return c.insert(hi, lo)
 }
 
 // AddString offers a string item; it hashes identically to Add of the
 // string's bytes but avoids the []byte conversion.
 func (c *Counter) AddString(item string) bool {
-	hi, lo := c.h.Sum128String(item)
+	hi, lo := fingerprint.Sum128String(item)
 	return c.insert(hi, lo)
 }
 
@@ -64,12 +63,12 @@ func (c *Counter) insert(hi, lo uint64) bool {
 // state-equivalent to AddUint64 on each item in order, with the hashing
 // batched ahead of the set inserts.
 func (c *Counter) AddBatch64(items []uint64) int {
-	return uhash.Batch64(c.h, nil, items, c.insertBatch)
+	return uhash.Batch64(fingerprint, nil, items, c.insertBatch)
 }
 
 // AddBatchString is AddBatch64 for string items.
 func (c *Counter) AddBatchString(items []string) int {
-	return uhash.BatchString(c.h, nil, items, c.insertBatch)
+	return uhash.BatchString(fingerprint, nil, items, c.insertBatch)
 }
 
 func (c *Counter) insertBatch(hi, lo []uint64) int {
@@ -153,15 +152,12 @@ func (c *Counter) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("exact: serialized fingerprints contain duplicates")
 	}
 	c.set = set
-	if c.h == nil {
-		c.h = fingerprint
-	}
 	return nil
 }
 
 // Unmarshal reconstructs a counter from MarshalBinary output.
 func Unmarshal(data []byte) (*Counter, error) {
-	c := &Counter{h: fingerprint}
+	c := &Counter{}
 	if err := c.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}

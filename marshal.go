@@ -192,13 +192,13 @@ func decodeCounter(kind Kind, payload []byte, h uhash.Hasher) (Counter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &HyperLogLog{sk: *sk}, nil
+		return &HyperLogLog{registers{*sk}}, nil
 	case KindLogLog:
 		sk, err := loglog.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
-		return &LogLog{sk: *sk}, nil
+		return &LogLog{registers{*sk}}, nil
 	case KindFM:
 		sk, err := fm.Unmarshal(payload, h)
 		if err != nil {
@@ -210,13 +210,13 @@ func decodeCounter(kind Kind, payload []byte, h uhash.Hasher) (Counter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LinearCounting{sk: sk}, nil
+		return &LinearCounting{bitmap{*sk}}, nil
 	case KindVirtualBitmap:
 		sk, err := virtualbitmap.Unmarshal(payload, h)
 		if err != nil {
 			return nil, err
 		}
-		return &VirtualBitmap{sk: sk}, nil
+		return &VirtualBitmap{bitmap{*sk}}, nil
 	case KindMRBitmap:
 		sk, err := mrbitmap.Unmarshal(payload, h)
 		if err != nil {

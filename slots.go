@@ -446,13 +446,16 @@ func (t *slotTable[K]) reset() {
 	}
 }
 
-// footprint returns the table's resident bytes: the table itself, the
-// index, the slot chunks, the key log, the run pool and the heap counter
-// slice, from their capacities, plus each heap counter's own footprint. A
-// word table answers without walking its keys.
+// footprint returns the table's resident bytes: the table itself, its run
+// view, the index, the slot chunks, the key log, the run pool and the heap
+// counter slice, from their capacities, plus each heap counter's own
+// footprint. A word table answers without walking its keys.
 func (t *slotTable[K]) footprint() int {
 	n := int(unsafe.Sizeof(*t)) + 4*cap(t.idx) + t.slots.footprint() + t.log.bytes +
 		int(unsafe.Sizeof([]byte(nil)))*cap(t.log.chunks) + int(unsafe.Sizeof(Counter(nil)))*cap(t.ctrs)
+	if t.v != nil {
+		n += t.v.size()
+	}
 	if t.rings != nil {
 		n += t.rings.footprint()
 	}

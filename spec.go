@@ -469,17 +469,17 @@ func (s Spec) build(h uhash.Hasher, dBits uint) (Counter, error) {
 	}
 	switch s.Kind {
 	case KindHLL: // 5-bit registers, power-of-two register count
-		return &HyperLogLog{sk: *hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(b), h)}, nil
+		return &HyperLogLog{registers{*hyperloglog.NewWithHasher(hyperloglog.KBitsForBudget(b), h)}}, nil
 	case KindLogLog: // 5-bit registers, power-of-two register count
-		return &LogLog{sk: *loglog.NewWithHasher(loglog.KBitsForBudget(b), h)}, nil
+		return &LogLog{registers{*loglog.NewWithHasher(loglog.KBitsForBudget(b), h)}}, nil
 	case KindFM: // 32-bit registers
 		return &FM{sk: fm.NewWithHasher(fm.MemoryForBits(b), h)}, nil
 	case KindLinearCount:
-		return &LinearCounting{sk: linearcount.NewWithHasher(b, h)}, nil
+		return &LinearCounting{bitmap{*linearcount.NewWithHasher(b, h)}}, nil
 	case KindAdaptive: // 64 bits per retained hash
 		return &AdaptiveSampler{sk: adaptive.NewSamplerWithHasher(adaptive.CapacityForBits(b), h)}, nil
 	case KindVirtualBitmap: // sampling rate centering the accurate band on N
-		return &VirtualBitmap{sk: virtualbitmap.NewWithHasher(b, virtualbitmap.RateFor(b, s.N), h)}, nil
+		return &VirtualBitmap{bitmap{*virtualbitmap.NewWithHasher(b, virtualbitmap.RateFor(b, s.N), h)}}, nil
 	default: // KindMRBitmap, quasi-optimal for cardinalities up to N
 		cfg, err := mrbitmap.Dimension(b, s.N)
 		if err != nil {

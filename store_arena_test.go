@@ -921,10 +921,10 @@ func TestStoreRestoreRejectsForeignCounters(t *testing.T) {
 
 // TestStoreSBitmapFootprintExact: an inline store accounts exactly its
 // tables' capacities. An empty store is its header, its stripes, one table
-// per stripe and the state every slot shares, counted once; a full chunk
-// of uint64 keys adds exactly the chunk — 72 B per key: tag, key, fill
-// level, threshold and five bitmap words — the index it grew to and the
-// chunk list.
+// and one run view per stripe and the state every slot shares, counted
+// once; a full chunk of uint64 keys adds exactly the chunk — 72 B per key:
+// tag, key, fill level, threshold and five bitmap words — the index it
+// grew to and the chunk list.
 func TestStoreSBitmapFootprintExact(t *testing.T) {
 	s, err := NewStore[uint64](MustSpec("sbitmap:n=1e4,eps=0.1"), WithStripes(1))
 	if err != nil {
@@ -932,10 +932,10 @@ func TestStoreSBitmapFootprintExact(t *testing.T) {
 	}
 	tab := s.stripes[0].tab
 	want := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[uint64]{})) +
-		int(unsafe.Sizeof(*tab)) + tab.v.footprint()
+		int(unsafe.Sizeof(*tab)) + int(unsafe.Sizeof(sbRuns{})) + tab.v.footprint()
 	empty := s.Footprint()
 	if empty != want {
-		t.Fatalf("empty store footprint %d, want header + stripe + table + shared state = %d", empty, want)
+		t.Fatalf("empty store footprint %d, want header + stripe + table + run view + shared state = %d", empty, want)
 	}
 	for i := 0; i < slotChunk; i++ {
 		s.AddUint64(uint64(i), uint64(i))

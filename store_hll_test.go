@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -72,6 +73,67 @@ func TestLogLogMarshalGolden(t *testing.T) {
 	for _, tc := range []struct{ spec, want string }{
 		{"loglog:mbits=512,seed=5", "b44ea4fa6c4466b5693f1293860ad19626902e0f3aeb1a5a09ac404005795292"},
 		{"loglog:mbits=512,seed=5/windowed(width=1m,ring=5)", "ccfe9339be5fed4bb089c55151237c6ee80b94eae2d5f3325c9372f1acec31b3"},
+	} {
+		s, err := NewStore[uint64](MustSpec(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(keys); i += 1000 {
+			// Five sub-windows, one ring's worth: no slot expires.
+			s.AddBatch64At(time.Unix(int64(i/6000)*60, 0), keys[i:i+1000], items[i:i+1000])
+		}
+		if got := keyBlobsDigest(t, s); got != tc.want {
+			t.Errorf("%s: per-key snapshot sha256 %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestLinearCountMarshalGolden pins linear-counting and virtual-bitmap
+// snapshot bytes and estimates: standalone, including a saturated bitmap,
+// a virtual bitmap at rate 1 and a tabulation-hashed spec, and per key
+// inside plain, windowed and virtual-bitmap Stores. Both kinds counting
+// through one sketch must leave them unchanged.
+func TestLinearCountMarshalGolden(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"linearcount:mbits=4096,seed=3", "6f6ea6677ccb6d689f6314a20295d646aba0ab88ed148a7a7a60a758157c2702"},
+		{"linearcount:mbits=4096,seed=3,hash=tabulation", "fe856c3b547f5e2979159eef84be3624533a38bcab0edbb86fc8df4058ff8e1c"},
+		{"linearcount:mbits=64,seed=3", "ee691dd7361573707719ea648e6efb21fc8c07b7f5870f04fbd7b1f119467648"},
+		{"virtualbitmap:mbits=4096,n=1e5,seed=3", "67f8217d2e1ee5c66455387e6149a092abe0f6a1cd2cacd93f66d9e85b9bd348"},
+		{"virtualbitmap:mbits=2000,n=100", "80aa4b349594904ab13260184e648ac5d456baffa41bfa74139f11f6ab4a8cfe"},
+		{"virtualbitmap:mbits=4096,n=1e5,seed=3,hash=tabulation", "2106a85d092da2f601f35033e383880014c38b4877a3d74cf320913482e52b72"},
+	} {
+		c, err := MustSpec(tc.spec).New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs := make([]string, 1000)
+		nums := make([]uint64, 1000)
+		for i := range 3000 {
+			c.AddUint64(uint64(i) * 0x9e3779b97f4a7c15)
+		}
+		for i := range strs {
+			strs[i] = fmt.Sprintf("item-%d", i)
+			nums[i] = uint64(i) << 32
+		}
+		AddBatchString(c, strs)
+		AddBatch64(c, nums)
+		blob, err := Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		h.Write(blob)
+		fmt.Fprintf(h, "%016x", math.Float64bits(c.Estimate()))
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: snapshot and estimate sha256 %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+
+	keys, items := keyedWorkload(300, 30000, 3)
+	for _, tc := range []struct{ spec, want string }{
+		{"linearcount:mbits=512,seed=5", "ce863fa30f1bbb2da3a47da7d26ee45452a52fa40ae736340f28d321a3e1d3c2"},
+		{"linearcount:mbits=512,seed=5/windowed(width=1m,ring=5)", "7ca1087752b80e0b5d9f568edc645391a99810729bbcaf4513ff45f0b7fb0739"},
+		{"virtualbitmap:mbits=512,n=1e4,seed=5", "f6298208b700e15b26e1f9ca66d3432f5851250da3e6ccd7a7b720cfae7fd46e"},
 	} {
 		s, err := NewStore[uint64](MustSpec(tc.spec))
 		if err != nil {

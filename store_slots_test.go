@@ -111,9 +111,10 @@ func checkRunPool(p *runRings, keys int) error {
 	return nil
 }
 
-// slotRecount recounts an inline store's SizeBits and Footprint key by key
-// and chunk by chunk: every live counter's bits, and the bytes of every
-// slot chunk, index and key-log chunk the tables hold at capacity.
+// slotRecount recounts an inline S-bitmap store's SizeBits and Footprint
+// key by key and chunk by chunk: every live counter's bits, and the bytes
+// of every table's run view and of every slot chunk, index and key-log
+// chunk the tables hold at capacity.
 func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 	footprint = int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes) +
 		s.src.footprint()
@@ -121,7 +122,7 @@ func slotRecount[K StoreKey](s *Store[K]) (sizeBits, footprint int) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		tab := st.tab
-		footprint += int(unsafe.Sizeof(*tab)) + 4*cap(tab.idx) +
+		footprint += int(unsafe.Sizeof(*tab)) + int(unsafe.Sizeof(sbRuns{})) + 4*cap(tab.idx) +
 			int(unsafe.Sizeof([]uint64(nil)))*cap(tab.slots.chunks) + int(unsafe.Sizeof([]byte(nil)))*cap(tab.log.chunks)
 		for _, c := range tab.slots.chunks {
 			footprint += 8 * cap(c)
